@@ -56,9 +56,14 @@ class KVEncoder {
             const CodecOptions& options = {});
 
   // Encode one chunk of KV (tokens already sliced by the streamer).
-  // `threads` = 0 uses hardware concurrency.
+  // `threads` = 0 uses hardware concurrency. With `recon`, the encoder also
+  // writes the tensors a receiver reconstructs from the returned chunk —
+  // bit-identical to KVDecoder::DecodeChunk of it, built group-parallel
+  // from the symbols just coded, so write-path callers never decode. A
+  // `recon` that already has the chunk's shape is overwritten in place.
   EncodedChunk EncodeChunk(const KVCache& chunk, uint32_t chunk_index = 0,
-                           uint64_t token_begin = 0, unsigned threads = 0) const;
+                           uint64_t token_begin = 0, unsigned threads = 0,
+                           KVCache* recon = nullptr) const;
 
   // Model-based size estimate in bytes (cross-entropy under the tables)
   // without running the range coder — used by fast TTFT sweeps.
@@ -69,7 +74,7 @@ class KVEncoder {
 
  private:
   void EncodeGroup(const KVCache& chunk, size_t group,
-                   std::vector<uint8_t>& out) const;
+                   std::vector<uint8_t>& out, KVCache* recon) const;
 
   std::shared_ptr<const KVProfile> profile_;
   std::shared_ptr<const TableSet> tables_;

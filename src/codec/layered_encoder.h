@@ -52,8 +52,12 @@ class LayeredEncoder {
   // the range coder: empirical order-0 entropy of the residual symbols,
   // which tracks the adaptive model's coded length closely (the model
   // converges to the empirical distribution within a few rebuild windows).
-  // The second form reuses an already-encoded base layer (e.g. store_kv has
-  // just produced it) and skips the internal base encode.
+  // The core form takes the base layer's reconstruction, as
+  // KVEncoder::EncodeChunk(..., &recon) returns it next to the bitstream
+  // (store_kv's write path); the others produce it: the first encodes the
+  // base itself, the second decodes an already-encoded base.
+  double EstimateEnhancementBytes(const KVCache& chunk,
+                                  const KVCache& base_recon) const;
   double EstimateEnhancementBytes(const KVCache& chunk) const;
   double EstimateEnhancementBytes(const KVCache& chunk,
                                   const EncodedChunk& base) const;

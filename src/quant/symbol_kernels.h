@@ -51,9 +51,13 @@ void ReconstructRow(const uint32_t* symbols, const double* sigma, double bin,
 void ReconstructAnchorRow(const uint32_t* symbols, const double* scale,
                           uint32_t max_sym, size_t n, double* ref, float* out);
 
-// Encoder-side consecutive-mode reference update:
-// ref[i] += (double(symbols[i]) - max_sym) * bin * sigma[i].
-void AdvanceRefRow(const uint32_t* symbols, const double* sigma, double bin,
-                   uint32_t max_sym, size_t n, double* ref);
+// Enhancement-layer residual (§9 layered streaming):
+// symbols[i] = clamp(round(double(x[i] - base[i]) / sigma[i] / bin),
+//                    ±max_sym) + max_sym.
+// The subtraction is a float one, as in the seed's per-element residual walk
+// over two float tensors; the two divisions then run in double.
+void ResidualSymbolRow(const float* x, const float* base, const double* sigma,
+                       double bin, uint32_t max_sym, size_t n,
+                       uint32_t* symbols);
 
 }  // namespace cachegen

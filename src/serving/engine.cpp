@@ -115,6 +115,10 @@ ContextPlan Engine::StoreKV(const std::string& context_id, const ContextSpec& ct
   if (covered_count == 0) cache = CalculateKV(ctx);
 
   const CodecCalibration& calib = calibration();
+  // The encoder hands back the receiver's reconstruction of each level, so
+  // pricing the enhancement layer never decodes the bits just written. One
+  // buffer serves every level and chunk.
+  KVCache recon;
   uint64_t skipped_bytes = 0;
   std::vector<std::pair<ChunkKey, std::vector<uint8_t>>> encoded;
   encoded.reserve((ranges.size() - covered_count) * levels.size());
@@ -143,7 +147,8 @@ ContextPlan Engine::StoreKV(const std::string& context_id, const ContextSpec& ct
               : llm_->PrefillRange(ctx, ranges[i].begin, ranges[i].end);
     for (size_t lv = 0; lv < levels.size(); ++lv) {
       const EncodedChunk enc = encoders_[lv]->EncodeChunk(
-          chunk_kv, static_cast<uint32_t>(i), ranges[i].begin);
+          chunk_kv, static_cast<uint32_t>(i), ranges[i].begin, /*threads=*/0,
+          layered ? &recon : nullptr);
       encoded.emplace_back(
           ChunkKey{context_id, static_cast<uint32_t>(i), levels[lv].id},
           SerializeChunk(enc));
@@ -151,7 +156,7 @@ ContextPlan Engine::StoreKV(const std::string& context_id, const ContextSpec& ct
           static_cast<double>(enc.WireBytes()) * model_.size_scale();
       if (layered) {
         cp.enh_bytes_per_level[lv] =
-            layered_[lv]->EstimateEnhancementBytes(chunk_kv, enc) *
+            layered_[lv]->EstimateEnhancementBytes(chunk_kv, recon) *
             model_.size_scale();
       }
     }
@@ -252,9 +257,10 @@ void Engine::BuildCalibration() {
   const auto& levels = DefaultEncodingLevels();
   calib.bytes_per_token_per_level.resize(levels.size());
   calib.quality_per_level.resize(levels.size());
+  KVCache recon;
   for (size_t lv = 0; lv < levels.size(); ++lv) {
-    const EncodedChunk enc = encoders_[lv]->EncodeChunk(cache);
-    const KVCache recon = decoders_[lv]->DecodeChunk(enc);
+    const EncodedChunk enc =
+        encoders_[lv]->EncodeChunk(cache, 0, 0, /*threads=*/0, &recon);
     calib.bytes_per_token_per_level[lv] =
         static_cast<double>(enc.WireBytes()) * model_.size_scale() /
         static_cast<double>(val.num_tokens);

@@ -3,7 +3,8 @@
 // bit-compatible with the seed's scalar codec, which is preserved verbatim
 // in codec/reference_codec.h. Encode must emit byte-identical containers;
 // decode must reconstruct bit-identical tensors — across every codec option
-// combination, not just the defaults.
+// combination, not just the defaults. The encoder's own reconstruction
+// output must equal that decode bit for bit over the same matrix.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -79,6 +80,22 @@ class GoldenCodecTest : public ::testing::Test {
     const KVCache ref_recon = reference::DecodeChunk(*tables, golden);
     ExpectBitIdentical(ref_recon, dec.DecodeChunk(golden, 1));
     ExpectBitIdentical(ref_recon, dec.DecodeChunk(golden, 0));
+
+    // Encoder-side reconstruction (the write path's replacement for a
+    // decode): asking for it leaves the container byte-identical, and the
+    // tensors equal DecodeChunk of that container bit for bit — serial and
+    // pooled. The pooled pass reuses the buffer while it holds another
+    // chunk's reconstruction, so every element must be overwritten.
+    const KVCache other = model_->Prefill({43, tokens});
+    KVCache recon;
+    for (const unsigned threads : {1u, 0u}) {
+      const EncodedChunk with_recon = enc.EncodeChunk(chunk, 7, 1234, threads, &recon);
+      EXPECT_EQ(SerializeChunk(fast1), SerializeChunk(with_recon))
+          << "threads " << threads;
+      ASSERT_EQ(recon.num_tokens(), chunk.num_tokens());
+      ExpectBitIdentical(dec.DecodeChunk(with_recon, 1), recon);
+      (void)enc.EncodeChunk(other, 0, 0, threads, &recon);
+    }
   }
 
   static ModelConfig* cfg_;

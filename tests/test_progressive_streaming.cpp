@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "codec/encoding_level.h"
 #include "codec/layered_encoder.h"
+#include "common/parallel_for.h"
 #include "llm/cost_model.h"
 #include "llm/quality_model.h"
 #include "llm/synthetic_model.h"
@@ -347,6 +349,86 @@ TEST(LayeredStorePath, PlanFromCalibrationCarriesLayeredData) {
   for (int lv = 0; lv < 4; ++lv) {
     EXPECT_GT(stored.EnhancementBytes(0, lv), 0.0);
     EXPECT_LT(stored.EnhancementBytes(0, lv), 4.0 * plan.EnhancementBytes(0, lv));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Enhancement-size estimate: the write path prices enhancement layers from
+// the encoder's own reconstruction and a batch residual kernel; the figure
+// must equal the scalar path it replaced, bit for bit.
+// ---------------------------------------------------------------------------
+
+// Reference: decode the base, then walk every element with std::lround.
+double ScalarEnhancementEstimate(const Engine& engine, int level,
+                                 const KVCache& chunk, const EncodedChunk& base) {
+  const TableSet& tables = engine.EncoderFor(level).tables();
+  const double fine = engine.LayeredFor(level).fine_bin_sigma();
+  const KVCache recon = engine.DecoderFor(level).DecodeChunk(base);
+  const long m = KVProfile::kDeltaMaxSym;
+  std::vector<uint64_t> counts(2 * KVProfile::kDeltaMaxSym + 1, 0);
+  uint64_t total = 0;
+  for (size_t l = 0; l < chunk.num_layers(); ++l) {
+    for (int kind = 0; kind < 2; ++kind) {
+      const Tensor& orig = kind == 0 ? chunk.layer(l).k : chunk.layer(l).v;
+      const Tensor& rec = kind == 0 ? recon.layer(l).k : recon.layer(l).v;
+      for (size_t r = 0; r < orig.rows(); ++r) {
+        for (size_t c = 0; c < orig.cols(); ++c) {
+          const double sigma = tables.BodySigma(l, c, kind);
+          const double resid = (orig.At(r, c) - rec.At(r, c)) / sigma;
+          const long s = std::clamp(std::lround(resid / fine), -m, m);
+          ++counts[static_cast<size_t>(s + m)];
+          ++total;
+        }
+      }
+    }
+  }
+  double bits = 0.0;
+  for (const uint64_t n : counts) {
+    if (n == 0) continue;
+    const double p = static_cast<double>(n) / static_cast<double>(total);
+    bits += static_cast<double>(n) * -std::log2(p);
+  }
+  return bits / 8.0 + 256.0;
+}
+
+TEST(LayeredStorePath, EnhancementEstimateEqualsScalarReference) {
+  Engine::Options eopts;
+  eopts.calib_context_tokens = 400;
+  eopts.calib_num_contexts = 4;
+  eopts.chunk_tokens = 300;
+  eopts.layered_calib_tokens = 128;
+  Engine engine(eopts);
+  const ContextSpec ctx{31, 700};  // two full chunks and a partial one
+  const ContextPlan plan = engine.StoreKV("estimate-ctx", ctx);
+  ASSERT_TRUE(plan.HasLayered());
+  ASSERT_EQ(plan.chunks.size(), 3u);
+
+  const KVCache cache = engine.CalculateKV(ctx);
+  const double scale = engine.model().size_scale();
+  for (size_t i = 0; i < plan.chunks.size(); ++i) {
+    const ChunkRange range = plan.chunks[i].range;
+    const KVCache chunk = cache.SliceTokens(range.begin, range.end);
+    for (int lv = 0; lv < 4; ++lv) {
+      const KVEncoder& encoder = engine.EncoderFor(lv);
+      const LayeredEncoder& layered = engine.LayeredFor(lv);
+      KVCache recon;
+      const EncodedChunk enc = encoder.EncodeChunk(
+          chunk, static_cast<uint32_t>(i), range.begin, 0, &recon);
+      const double ref = ScalarEnhancementEstimate(engine, lv, chunk, enc);
+      EXPECT_EQ(layered.EstimateEnhancementBytes(chunk, enc), ref);
+      EXPECT_EQ(layered.EstimateEnhancementBytes(chunk, recon), ref);
+      EXPECT_EQ(layered.EstimateEnhancementBytes(chunk), ref);
+      EXPECT_EQ(plan.chunks[i].enh_bytes_per_level[static_cast<size_t>(lv)],
+                ref * scale)
+          << "chunk " << i << " level " << lv;
+      // Same figure with the per-layer histogram built serially: a nested
+      // ParallelFor runs inline on the thread that issued it.
+      double serial = 0.0;
+      ParallelFor(1, [&](size_t) {
+        serial = layered.EstimateEnhancementBytes(chunk, recon);
+      });
+      EXPECT_EQ(serial, ref);
+    }
   }
 }
 
