@@ -150,8 +150,10 @@ struct ClusterServer::WorkChannel {
   std::deque<Admission> admissions CG_GUARDED_BY(mu);
   // Post-completion codec tails (assemble/generate/pin-release): real CPU
   // work with no virtual-time cost, drained by whichever worker goes idle
-  // first instead of by a thread outliving its slot.
-  std::deque<std::function<void()>> continuations CG_GUARDED_BY(mu);
+  // first instead of by a thread outliving its slot. A tail assembles into
+  // the KV buffer of the thread that runs it.
+  using Tail = std::function<void(KVCache& assembly)>;
+  std::deque<Tail> continuations CG_GUARDED_BY(mu);
   bool closed CG_GUARDED_BY(mu) = false;
 
   void PushAdmission(Admission a) {
@@ -163,7 +165,7 @@ struct ClusterServer::WorkChannel {
     cv.NotifyOne();
   }
 
-  void PushContinuation(std::function<void()> fn) {
+  void PushContinuation(Tail fn) {
     {
       MutexLock lk(mu);
       continuations.push_back(std::move(fn));
@@ -195,14 +197,21 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
   // continuations; exit only once the channel is closed and drained. Every
   // tail is enqueued by a worker before that worker's next channel wait, so
   // by the time the pool unwinds no continuation can be stranded.
+  //
+  // Each pool thread owns the KV buffer every tail it runs assembles into,
+  // so decoded contexts reuse one allocation per thread instead of
+  // refaulting fresh memory per request. The buffer belongs to the thread,
+  // not to a worker slot: a freed slot's next request can finish while the
+  // previous request's tail still runs elsewhere.
   const size_t pool_size = std::min(opts_.num_workers, n);
   std::vector<std::thread> pool;
   pool.reserve(pool_size);
   for (size_t i = 0; i < pool_size; ++i) {
     pool.emplace_back([&] {
+      KVCache assembly;
       for (;;) {
         WorkChannel::Admission adm;
-        std::function<void()> tail;
+        WorkChannel::Tail tail;
         bool have_adm = false;
         {
           MutexLock lk(channel.mu);
@@ -229,7 +238,7 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
           ServeOneEvent(std::move(adm.rq), adm.worker, adm.slot, adm.admit_s,
                         adm.hold, adm.gpu_share, outcomes, channel);
         } else {
-          tail();
+          tail(assembly);
         }
       }
     });
@@ -306,16 +315,18 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
   // Belt and braces: nothing should remain (each worker drains before
   // exiting), but a continuation enqueued between another worker's final
   // check and its exit is still run here. Pop under the lock, run outside
-  // it: a tail may itself push a continuation.
+  // it: a tail may itself push a continuation. The drain assembles into a
+  // buffer of its own.
+  KVCache assembly;
   for (;;) {
-    std::function<void()> fn;
+    WorkChannel::Tail fn;
     {
       MutexLock lk(channel.mu);
       if (channel.continuations.empty()) break;
       fn = std::move(channel.continuations.front());
       channel.continuations.pop_front();
     }
-    fn();
+    fn(assembly);
   }
 }
 
@@ -549,13 +560,12 @@ void ClusterServer::ServeOneEvent(ClusterRequest rq, size_t worker, size_t slot,
   channel.PushContinuation(
       [this, spec = rq.spec, ctx = rq.context_id, levels = std::move(levels),
        assemble = keep_pin_for_assembly, tail_pin, quality = sr.quality,
-       out_ptr = &out, track] {
+       out_ptr = &out, track](KVCache& assembly) {
         obs::ScopedRequestId tail_rid(track);
         if (assemble) {
           CG_TRACE_SPAN("cluster", "assemble_kv");
           try {
-            const KVCache kv = engine_.AssembleKV(ctx, spec, levels);
-            (void)kv;
+            engine_.AssembleKV(ctx, spec, levels, assembly);
           } catch (const std::exception&) {
             // A chunk was evicted between lookup and assembly under extreme
             // capacity pressure; the text path would recompute it (already

@@ -49,6 +49,11 @@ EncodedChunk ParseChunk(std::span<const uint8_t> bytes) {
   c.option_flags = r.GetU8();
   c.group_size = static_cast<uint16_t>(r.GetVarU64());
   const uint64_t n = r.GetVarU64();
+  // Every blob costs at least its one-byte length, so a count beyond the
+  // bytes left is corrupt — reject it before it sizes an allocation.
+  if (n > r.remaining()) {
+    throw std::runtime_error("ParseChunk: stream count exceeds container");
+  }
   c.streams.reserve(n);
   for (uint64_t i = 0; i < n; ++i) c.streams.push_back(r.GetBlob());
   return c;

@@ -68,7 +68,7 @@ template <size_t L>
 // single-stream path.
 template <size_t L>
 void DecodeGroupBatchImpl(const TableSet& tables, const EncodedChunk& chunk,
-                          size_t g0, size_t rows, KVCache& out) {
+                          size_t g0, size_t rows, KVCache& out, size_t row0) {
   const CodecOptions& opt = tables.options();
   const size_t G = opt.token_group_size;
   const size_t C = chunk.num_channels;
@@ -85,6 +85,8 @@ void DecodeGroupBatchImpl(const TableSet& tables, const EncodedChunk& chunk,
   std::vector<double> mean(C), sigma(C), scale(C);
   std::vector<const uint32_t*> cum(C), acum(C);
   std::vector<const uint16_t*> bucket(C), abucket(C);
+  // First output row of lane j's group.
+  const auto lane_row = [&](size_t j) { return row0 + (g0 + j) * G; };
 
   for (size_t l = 0; l < chunk.num_layers; ++l) {
     const double bin = tables.BinFor(l);
@@ -104,7 +106,7 @@ void DecodeGroupBatchImpl(const TableSet& tables, const EncodedChunk& chunk,
           for (size_t j = 0; j < lanes; ++j) {
             ReconstructRow(&syms[(r * lanes + j) * C], sigma.data(), bin,
                            KVProfile::kDeltaMaxSym, /*advance_ref=*/false, C,
-                           mean.data(), t.Row((g0 + j) * G + r).data());
+                           mean.data(), t.Row(lane_row(j) + r).data());
           }
         }
         continue;
@@ -121,14 +123,14 @@ void DecodeGroupBatchImpl(const TableSet& tables, const EncodedChunk& chunk,
                            syms.data() + lanes * C);
       for (size_t j = 0; j < lanes; ++j) {
         ReconstructAnchorRow(&syms[j * C], scale.data(), KVProfile::kAnchorMaxSym,
-                             C, &ref[j * C], t.Row((g0 + j) * G).data());
+                             C, &ref[j * C], t.Row(lane_row(j)).data());
       }
       const bool consecutive = opt.anchor_mode == AnchorMode::kConsecutive;
       for (size_t r = 1; r < rows; ++r) {
         for (size_t j = 0; j < lanes; ++j) {
           ReconstructRow(&syms[(r * lanes + j) * C], sigma.data(), bin,
                          KVProfile::kDeltaMaxSym, consecutive, C, &ref[j * C],
-                         t.Row((g0 + j) * G + r).data());
+                         t.Row(lane_row(j) + r).data());
         }
       }
     }
@@ -138,37 +140,59 @@ void DecodeGroupBatchImpl(const TableSet& tables, const EncodedChunk& chunk,
 }  // namespace
 
 void KVDecoder::DecodeGroupBatch(const EncodedChunk& chunk, size_t g0,
-                                 size_t lanes, size_t rows,
-                                 KVCache& out) const {
+                                 size_t lanes, size_t rows, KVCache& out,
+                                 size_t row0) const {
   switch (lanes) {
-    case 1: DecodeGroupBatchImpl<1>(*tables_, chunk, g0, rows, out); break;
-    case 2: DecodeGroupBatchImpl<2>(*tables_, chunk, g0, rows, out); break;
-    case 3: DecodeGroupBatchImpl<3>(*tables_, chunk, g0, rows, out); break;
-    case 4: DecodeGroupBatchImpl<4>(*tables_, chunk, g0, rows, out); break;
-    case 5: DecodeGroupBatchImpl<5>(*tables_, chunk, g0, rows, out); break;
-    case 6: DecodeGroupBatchImpl<6>(*tables_, chunk, g0, rows, out); break;
-    case 7: DecodeGroupBatchImpl<7>(*tables_, chunk, g0, rows, out); break;
-    case 8: DecodeGroupBatchImpl<8>(*tables_, chunk, g0, rows, out); break;
-    case 9: DecodeGroupBatchImpl<9>(*tables_, chunk, g0, rows, out); break;
-    case 10: DecodeGroupBatchImpl<10>(*tables_, chunk, g0, rows, out); break;
+    case 1: DecodeGroupBatchImpl<1>(*tables_, chunk, g0, rows, out, row0); break;
+    case 2: DecodeGroupBatchImpl<2>(*tables_, chunk, g0, rows, out, row0); break;
+    case 3: DecodeGroupBatchImpl<3>(*tables_, chunk, g0, rows, out, row0); break;
+    case 4: DecodeGroupBatchImpl<4>(*tables_, chunk, g0, rows, out, row0); break;
+    case 5: DecodeGroupBatchImpl<5>(*tables_, chunk, g0, rows, out, row0); break;
+    case 6: DecodeGroupBatchImpl<6>(*tables_, chunk, g0, rows, out, row0); break;
+    case 7: DecodeGroupBatchImpl<7>(*tables_, chunk, g0, rows, out, row0); break;
+    case 8: DecodeGroupBatchImpl<8>(*tables_, chunk, g0, rows, out, row0); break;
+    case 9: DecodeGroupBatchImpl<9>(*tables_, chunk, g0, rows, out, row0); break;
+    case 10: DecodeGroupBatchImpl<10>(*tables_, chunk, g0, rows, out, row0); break;
     default:
       throw std::logic_error("KVDecoder::DecodeGroupBatch: bad lane count");
   }
 }
 
-KVCache KVDecoder::DecodeChunk(const EncodedChunk& chunk, unsigned threads) const {
-  CG_TRACE_SPAN("codec", "decode_chunk");
-  [[maybe_unused]] const uint64_t dec_start_us = obs::Tracer::NowUs();
+void KVDecoder::CheckChunk(const EncodedChunk& chunk) const {
   if (chunk.option_flags != tables_->options().Flags()) {
     throw std::invalid_argument("KVDecoder: codec options mismatch");
   }
   if (chunk.level_id != tables_->level().id) {
     throw std::invalid_argument("KVDecoder: encoding level mismatch");
   }
-  KVCache out(chunk.num_layers, chunk.num_tokens, chunk.num_channels);
-  const size_t groups = chunk.streams.size();
-  if (groups != NumTokenGroups(chunk.num_tokens, tables_->options().token_group_size)) {
+  // The tables hold one entry per profiled layer and channel; a header
+  // claiming more would index past them.
+  if (chunk.num_layers > tables_->num_layers() ||
+      chunk.num_channels > tables_->num_channels()) {
+    throw std::invalid_argument("KVDecoder: geometry exceeds the profile");
+  }
+  if (chunk.streams.size() !=
+      NumTokenGroups(chunk.num_tokens, tables_->options().token_group_size)) {
     throw std::invalid_argument("KVDecoder: stream count mismatch");
+  }
+}
+
+KVCache KVDecoder::DecodeChunk(const EncodedChunk& chunk, unsigned threads) const {
+  CheckChunk(chunk);  // before the header's geometry sizes an allocation
+  KVCache out(chunk.num_layers, chunk.num_tokens, chunk.num_channels);
+  DecodeChunkInto(chunk, out, 0, threads);
+  return out;
+}
+
+void KVDecoder::DecodeChunkInto(const EncodedChunk& chunk, KVCache& out,
+                                size_t row0, unsigned threads) const {
+  CG_TRACE_SPAN("codec", "decode_chunk");
+  [[maybe_unused]] const uint64_t dec_start_us = obs::Tracer::NowUs();
+  CheckChunk(chunk);
+  if (out.num_layers() != chunk.num_layers ||
+      out.num_channels() != chunk.num_channels ||
+      out.num_tokens() < row0 || out.num_tokens() - row0 < chunk.num_tokens) {
+    throw std::invalid_argument("KVDecoder: output buffer shape mismatch");
   }
   // Full groups (exactly token_group_size tokens) share one table sequence
   // and decode in interleaved batches — kDecodeLanes at a time, leftovers as
@@ -179,6 +203,7 @@ KVCache KVDecoder::DecodeChunk(const EncodedChunk& chunk, unsigned threads) cons
   // yields in-range garbage for that group only (lanes zero-fill past the
   // end of their stream — the seed decoder's convention); other groups are
   // independent streams and reconstruct faithfully.
+  const size_t groups = chunk.streams.size();
   const size_t G = tables_->options().token_group_size;
   const size_t full_groups = static_cast<size_t>(chunk.num_tokens) / G;
   const size_t tail_tokens = static_cast<size_t>(chunk.num_tokens) % G;
@@ -190,17 +215,17 @@ KVCache KVDecoder::DecodeChunk(const EncodedChunk& chunk, unsigned threads) cons
       tasks,
       [&](size_t task) {
         if (task < whole_batches) {
-          DecodeGroupBatch(chunk, task * kDecodeLanes, kDecodeLanes, G, out);
+          DecodeGroupBatch(chunk, task * kDecodeLanes, kDecodeLanes, G, out,
+                           row0);
         } else if (task < batches) {
-          DecodeGroupBatch(chunk, task * kDecodeLanes, leftover, G, out);
+          DecodeGroupBatch(chunk, task * kDecodeLanes, leftover, G, out, row0);
         } else {
-          DecodeGroupBatch(chunk, full_groups, 1, tail_tokens, out);
+          DecodeGroupBatch(chunk, full_groups, 1, tail_tokens, out, row0);
         }
       },
       threads);
   CG_METRIC_COUNT("codec.chunks_decoded", 1);
   CG_METRIC_HIST("codec.decode_us", obs::Tracer::NowUs() - dec_start_us);
-  return out;
 }
 
 }  // namespace cachegen

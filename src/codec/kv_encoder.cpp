@@ -154,13 +154,10 @@ EncodedChunk KVEncoder::EncodeChunk(const KVCache& chunk, uint32_t chunk_index,
   const size_t groups = NumTokenGroups(chunk.num_tokens(),
                                        tables_->options().token_group_size);
   out.streams.resize(groups);
-  // Every element of `recon` is overwritten below, so a buffer that already
-  // has the chunk's shape (the previous level's) is reused as is.
-  if (recon && (recon->num_layers() != chunk.num_layers() ||
-                recon->num_tokens() != chunk.num_tokens() ||
-                recon->num_channels() != chunk.num_channels())) {
-    *recon = KVCache();  // release before allocating: one buffer at a time
-    *recon = KVCache(chunk.num_layers(), chunk.num_tokens(), chunk.num_channels());
+  // Every element of `recon` is overwritten below, so the buffer is
+  // reshaped in place and keeps its allocation across levels and chunks.
+  if (recon) {
+    recon->Reshape(chunk.num_layers(), chunk.num_tokens(), chunk.num_channels());
   }
   ParallelFor(groups,
               [&](size_t g) { EncodeGroup(chunk, g, out.streams[g], recon); },

@@ -59,8 +59,8 @@ class KVEncoder {
   // `threads` = 0 uses hardware concurrency. With `recon`, the encoder also
   // writes the tensors a receiver reconstructs from the returned chunk —
   // bit-identical to KVDecoder::DecodeChunk of it, built group-parallel
-  // from the symbols just coded, so write-path callers never decode. A
-  // `recon` that already has the chunk's shape is overwritten in place.
+  // from the symbols just coded, so write-path callers never decode.
+  // `recon` is reshaped in place, so a reused buffer keeps its allocation.
   EncodedChunk EncodeChunk(const KVCache& chunk, uint32_t chunk_index = 0,
                            uint64_t token_begin = 0, unsigned threads = 0,
                            KVCache* recon = nullptr) const;

@@ -145,6 +145,9 @@ class TableSet {
 
   const EncodingLevel& level() const { return level_; }
   const CodecOptions& options() const { return options_; }
+  // The profile geometry the tables were built for.
+  size_t num_layers() const { return num_layers_; }
+  size_t num_channels() const { return num_channels_; }
 
  private:
   size_t TableIndex(size_t l, size_t c, int kind) const;

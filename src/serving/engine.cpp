@@ -205,25 +205,43 @@ std::optional<LayeredChunk> Engine::GetLayeredKV(const std::string& context_id,
 
 KVCache Engine::AssembleKV(const std::string& context_id, const ContextSpec& ctx,
                            const std::vector<int>& level_per_chunk) const {
+  KVCache out;
+  AssembleKV(context_id, ctx, level_per_chunk, out);
+  return out;
+}
+
+void Engine::AssembleKV(const std::string& context_id, const ContextSpec& ctx,
+                        const std::vector<int>& level_per_chunk,
+                        KVCache& out) const {
   const auto ranges = SplitIntoChunks(ctx.num_tokens, opts_.chunk_tokens);
   if (ranges.size() != level_per_chunk.size()) {
     throw std::invalid_argument("Engine::AssembleKV: decision count mismatch");
   }
-  KVCache out;
+  out.Reshape(model_.num_layers, ctx.num_tokens, model_.sim_channels);
   for (size_t i = 0; i < ranges.size(); ++i) {
+    const ChunkRange& range = ranges[i];
     const int level = level_per_chunk[i];
     if (level < 0) {
       // Text fallback: recompute this chunk's KV exactly (§5.3).
-      out.AppendTokens(llm_->PrefillRange(ctx, ranges[i].begin, ranges[i].end));
+      const KVCache text = llm_->PrefillRange(ctx, range.begin, range.end);
+      for (size_t l = 0; l < text.num_layers(); ++l) {
+        std::ranges::copy(text.layer(l).k.Data(),
+                          out.layer(l).k.Row(range.begin).data());
+        std::ranges::copy(text.layer(l).v.Data(),
+                          out.layer(l).v.Row(range.begin).data());
+      }
       continue;
     }
     const auto enc = GetKV(context_id, static_cast<uint32_t>(i), level);
     if (!enc) {
       throw std::runtime_error("Engine::AssembleKV: missing chunk in store");
     }
-    out.AppendTokens(DecoderFor(level).DecodeChunk(*enc));
+    // A short chunk would leave rows of the buffer's previous context here.
+    if (enc->num_tokens != range.size()) {
+      throw std::runtime_error("Engine::AssembleKV: chunk token count mismatch");
+    }
+    DecoderFor(level).DecodeChunkInto(*enc, out, range.begin);
   }
-  return out;
 }
 
 GenerateResult Engine::GenerateWithKV(const ContextSpec& ctx, double quality) const {

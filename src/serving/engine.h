@@ -88,6 +88,13 @@ class Engine {
   // recomputed with PrefillRange (bit-exact).
   KVCache AssembleKV(const std::string& context_id, const ContextSpec& ctx,
                      const std::vector<int>& level_per_chunk) const;  // -1 = text
+  // Same, into a caller-owned buffer: `out` is reshaped once to the
+  // context's shape and every chunk is decoded (or copied) in place at its
+  // first token, so a buffer reused across contexts is not reallocated once
+  // it has held the largest. A fetched chunk whose token count differs from
+  // its range's throws std::runtime_error, as a missing one does.
+  void AssembleKV(const std::string& context_id, const ContextSpec& ctx,
+                  const std::vector<int>& level_per_chunk, KVCache& out) const;
 
   // generate_with_kv (§6): simulated generation given a loaded KV cache of
   // quality factor `quality`; answer correctness is deterministic in

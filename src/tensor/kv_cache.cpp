@@ -26,17 +26,12 @@ KVCache KVCache::SliceTokens(size_t begin, size_t end) const {
   return out;
 }
 
-void KVCache::AppendTokens(const KVCache& other) {
-  if (layers_.empty()) {
-    *this = other;
-    return;
-  }
-  if (other.layers_.size() != layers_.size()) {
-    throw std::invalid_argument("KVCache::AppendTokens: layer count mismatch");
-  }
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].k.AppendRows(other.layers_[l].k);
-    layers_[l].v.AppendRows(other.layers_[l].v);
+void KVCache::Reshape(size_t num_layers, size_t num_tokens,
+                      size_t num_channels) {
+  layers_.resize(num_layers);
+  for (KVLayer& layer : layers_) {
+    layer.k.Reshape(num_tokens, num_channels);
+    layer.v.Reshape(num_tokens, num_channels);
   }
 }
 

@@ -35,9 +35,10 @@ class KVCache {
   // per context chunk (§5.3).
   KVCache SliceTokens(size_t begin, size_t end) const;
 
-  // Concatenate another cache's tokens after this one (layer/channel shapes
-  // must match) - used to reassemble independently decoded chunks.
-  void AppendTokens(const KVCache& other);
+  // Change the shape in place through Tensor::Reshape, keeping every
+  // layer's allocation: the reusable destination of in-place decodes
+  // (KVDecoder::DecodeChunkInto). Contents follow Tensor::Reshape.
+  void Reshape(size_t num_layers, size_t num_tokens, size_t num_channels);
 
   // Layer-uniform MSE against a reference cache of identical shape.
   double Mse(const KVCache& ref) const;

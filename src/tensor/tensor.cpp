@@ -26,16 +26,10 @@ Tensor Tensor::SliceRows(size_t begin, size_t end) const {
   return out;
 }
 
-void Tensor::AppendRows(const Tensor& other) {
-  if (empty()) {
-    *this = other;
-    return;
-  }
-  if (other.cols_ != cols_) {
-    throw std::invalid_argument("Tensor::AppendRows: column mismatch");
-  }
-  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
-  rows_ += other.rows_;
+void Tensor::Reshape(size_t rows, size_t cols) {
+  data_.resize(rows * cols);
+  rows_ = rows;
+  cols_ = cols;
 }
 
 double Tensor::Mse(const Tensor& other) const {

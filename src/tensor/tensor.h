@@ -2,7 +2,8 @@
 // V cache, shaped (tokens x channels). Kept deliberately small: CacheGen's
 // codec treats KV caches as plain numeric arrays with known strides, so the
 // substrate only needs indexing, slicing along the token dimension, and
-// concatenation (to reassemble a cache from independently decoded chunks).
+// reshaping in place (to reassemble a cache by decoding its chunks into one
+// reused buffer).
 #pragma once
 
 #include <cstddef>
@@ -35,8 +36,11 @@ class Tensor {
   // Copy of rows [begin, end).
   Tensor SliceRows(size_t begin, size_t end) const;
 
-  // Append other's rows below this tensor; column counts must match.
-  void AppendRows(const Tensor& other);
+  // Change the shape in place, keeping the allocation: a buffer reshaped
+  // to no more elements than it ever held allocates nothing. Elements keep
+  // their flat positions up to the new size, so callers overwrite every row
+  // they read; elements past the old size start at zero.
+  void Reshape(size_t rows, size_t cols);
 
   bool SameShape(const Tensor& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "net/bandwidth_trace.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
+#include "streamer/chunking.h"
 
 namespace cachegen {
 namespace {
@@ -443,19 +445,50 @@ TEST(ClusterServer, ThrowingWriteBackDoesNotLeakPinOrPartialContext) {
 }
 
 TEST(ClusterServer, AssembleKvDecodesRealBitstreams) {
+  // Four workers and a burst of arrivals over 1- and 2-chunk contexts, so
+  // assembly tails run at once on several pool threads, each decoding into
+  // its thread's reused buffer. Assembly is real CPU work with no
+  // virtual-time cost: the outcomes equal the same trace served without it.
   ClusterFixture& fx = WarmFixture();
   RequestTraceOptions topts = fx.trace_opts;
-  topts.num_requests = 3;
-  topts.arrival_rate_hz = 2.0;
-  ClusterServer::Options copts;
-  copts.num_workers = 2;
-  copts.assemble_kv = true;  // drive Engine::AssembleKV through real chunks
-  copts.write_back_on_miss = false;
-  ClusterServer server(*fx.engine, fx.store, BandwidthTrace::Constant(2.0), copts);
-  const auto outcomes = server.Serve(PoissonTrace(topts));
-  for (const auto& o : outcomes) {
-    EXPECT_TRUE(o.cache_hit);
-    EXPECT_GT(o.quality, 0.5);
+  topts.num_requests = 24;
+  topts.arrival_rate_hz = 50.0;
+  const std::vector<ClusterRequest> trace = PoissonTrace(topts);
+  std::set<size_t> chunk_counts;
+  for (const ClusterRequest& rq : trace) {
+    chunk_counts.insert(
+        SplitIntoChunks(rq.spec.num_tokens, fx.engine->options().chunk_tokens)
+            .size());
+  }
+  ASSERT_EQ(chunk_counts, (std::set<size_t>{1, 2}));
+  const auto serve = [&](bool assemble_kv) {
+    ClusterServer::Options copts;
+    copts.num_workers = 4;
+    copts.assemble_kv = assemble_kv;
+    copts.write_back_on_miss = false;
+    ClusterServer server(*fx.engine, fx.store, BandwidthTrace::Constant(2.0), copts);
+    return server.Serve(trace);
+  };
+  const auto assembled = serve(true);
+  const auto plain = serve(false);
+  ASSERT_EQ(assembled.size(), trace.size());
+  ASSERT_EQ(plain.size(), trace.size());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const RequestOutcome& a = assembled[i];
+    const RequestOutcome& b = plain[i];
+    EXPECT_TRUE(a.cache_hit);
+    EXPECT_GT(a.quality, 0.5);
+    EXPECT_EQ(a.request.id, b.request.id);
+    EXPECT_EQ(a.worker, b.worker);
+    EXPECT_EQ(a.admit_s, b.admit_s);
+    EXPECT_EQ(a.load_finish_s, b.load_finish_s);
+    EXPECT_EQ(a.ttft_s, b.ttft_s);
+    EXPECT_EQ(a.finish_s, b.finish_s);
+    EXPECT_EQ(a.slo_violated, b.slo_violated);
+    EXPECT_EQ(a.cache_hit, b.cache_hit);
+    EXPECT_EQ(a.quality, b.quality);
+    EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+    EXPECT_EQ(a.answer_correct, b.answer_correct);
   }
 }
 

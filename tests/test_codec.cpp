@@ -202,8 +202,30 @@ TEST_F(CodecTest, DecoderValidatesMetadata) {
   const KVDecoder wrong_options(profile_, DefaultLevel(), no_delta);
   EXPECT_THROW(wrong_options.DecodeChunk(e), std::invalid_argument);
   const KVDecoder ok(profile_, DefaultLevel());
+  // A header claiming a layer or a channel beyond the profile would index
+  // past the decoder's per-layer and per-channel tables.
+  EncodedChunk extra_layer = e;
+  extra_layer.num_layers = static_cast<uint32_t>(profile_->num_layers() + 1);
+  EXPECT_THROW(ok.DecodeChunk(extra_layer), std::invalid_argument);
+  EncodedChunk extra_channel = e;
+  extra_channel.num_channels = static_cast<uint32_t>(profile_->num_channels() + 1);
+  EXPECT_THROW(ok.DecodeChunk(extra_channel), std::invalid_argument);
+  // In-place decode also checks its destination: the chunk's layers and
+  // channels, and room for its rows after the offset.
+  const size_t T = e.num_tokens, L = e.num_layers, C = e.num_channels;
+  KVCache room(L, T + 2, C);
+  EXPECT_NO_THROW(ok.DecodeChunkInto(e, room, 2));
+  EXPECT_THROW(ok.DecodeChunkInto(e, room, 3), std::invalid_argument);
+  EXPECT_THROW(ok.DecodeChunkInto(e, room, T + 3), std::invalid_argument);
+  KVCache narrow(L, T, C - 1);
+  EXPECT_THROW(ok.DecodeChunkInto(e, narrow, 0), std::invalid_argument);
+  KVCache shallow(L - 1, T, C);
+  EXPECT_THROW(ok.DecodeChunkInto(e, shallow, 0), std::invalid_argument);
+  KVCache deep(L + 1, T, C);
+  EXPECT_THROW(ok.DecodeChunkInto(extra_layer, deep, 0), std::invalid_argument);
   e.streams.pop_back();
   EXPECT_THROW(ok.DecodeChunk(e), std::invalid_argument);
+  EXPECT_THROW(ok.DecodeChunkInto(e, room, 0), std::invalid_argument);
 }
 
 TEST_F(CodecTest, SingleThreadMatchesParallel) {
@@ -220,7 +242,8 @@ TEST_F(CodecTest, SingleThreadMatchesParallel) {
 }
 
 TEST_F(CodecTest, ChunksDecodeIndependentlyAndConcatenate) {
-  // §5.3: chunks encoded separately, decoded independently, concatenated.
+  // §5.3: chunks encoded separately, decoded independently into their own
+  // rows of one cache.
   const ContextSpec ctx{206, 90};
   const KVCache full = model_->Prefill(ctx);
   const KVEncoder enc(profile_, DefaultLevel());
@@ -229,10 +252,10 @@ TEST_F(CodecTest, ChunksDecodeIndependentlyAndConcatenate) {
   const EncodedChunk whole = enc.EncodeChunk(full);
   KVCache whole_recon = dec.DecodeChunk(whole);
 
-  KVCache stitched;
+  KVCache stitched(full.num_layers(), 90, full.num_channels());
   for (size_t begin = 0; begin < 90; begin += 30) {
     const EncodedChunk part = enc.EncodeChunk(full.SliceTokens(begin, begin + 30));
-    stitched.AppendTokens(dec.DecodeChunk(part));
+    dec.DecodeChunkInto(part, stitched, begin);
   }
   // Chunk boundaries align with token groups (30 % 10 == 0), so the encoded
   // symbols — and hence reconstructions — are identical.
@@ -338,6 +361,19 @@ TEST_F(CodecTest, ContainerRejectsCorruption) {
   bytes[0] ^= 0xFF;  // break the magic
   EXPECT_THROW(ParseChunk(bytes), std::runtime_error);
   EXPECT_THROW(ParseChunk(std::span<const uint8_t>{}), std::out_of_range);
+}
+
+TEST(Container, RejectsStreamCountBeyondBytes) {
+  // A 19-byte container claiming 2^40 streams: every stream blob costs at
+  // least its one-byte length, so the count is corrupt and must be rejected
+  // before it sizes an allocation.
+  const std::vector<uint8_t> bytes = {
+      'C', 'G', 'K', 'V', kContainerVersion,
+      0, 0, 0, 0, 0,  // chunk index, token begin, tokens, layers, channels
+      0, 0, 10,       // level id, option flags, group size
+      0x80, 0x80, 0x80, 0x80, 0x80, 0x20};  // varint 2^40
+  ASSERT_EQ(bytes.size(), 19u);
+  EXPECT_THROW(ParseChunk(bytes), std::runtime_error);
 }
 
 TEST_F(CodecTest, OptionFlagsRoundTrip) {

@@ -4,7 +4,8 @@
 // in codec/reference_codec.h. Encode must emit byte-identical containers;
 // decode must reconstruct bit-identical tensors — across every codec option
 // combination, not just the defaults. The encoder's own reconstruction
-// output must equal that decode bit for bit over the same matrix.
+// output, and an in-place decode into a reused buffer, must equal that
+// decode bit for bit over the same matrix.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -40,20 +41,31 @@ class GoldenCodecTest : public ::testing::Test {
     profile_.reset();
   }
 
-  // Tensors must match bit-for-bit, not just within epsilon.
-  static void ExpectBitIdentical(const KVCache& a, const KVCache& b) {
+  // Rows [a0, a0 + rows) of `a` equal rows [b0, b0 + rows) of `b` bit for
+  // bit, not just within epsilon.
+  static void ExpectRowsBitIdentical(const KVCache& a, size_t a0,
+                                     const KVCache& b, size_t b0, size_t rows) {
     ASSERT_EQ(a.num_layers(), b.num_layers());
     for (size_t l = 0; l < a.num_layers(); ++l) {
       for (int kind = 0; kind < 2; ++kind) {
         const Tensor& ta = kind == 0 ? a.layer(l).k : a.layer(l).v;
         const Tensor& tb = kind == 0 ? b.layer(l).k : b.layer(l).v;
-        ASSERT_TRUE(ta.SameShape(tb));
-        ASSERT_EQ(std::memcmp(ta.Data().data(), tb.Data().data(),
-                              ta.size() * sizeof(float)),
+        ASSERT_EQ(ta.cols(), tb.cols());
+        ASSERT_LE(a0 + rows, ta.rows());
+        ASSERT_LE(b0 + rows, tb.rows());
+        if (rows == 0) continue;
+        ASSERT_EQ(std::memcmp(ta.Row(a0).data(), tb.Row(b0).data(),
+                              rows * ta.cols() * sizeof(float)),
                   0)
             << "layer " << l << " kind " << kind;
       }
     }
+  }
+
+  static void ExpectBitIdentical(const KVCache& a, const KVCache& b) {
+    ASSERT_EQ(a.num_tokens(), b.num_tokens());
+    ASSERT_EQ(a.TotalElements(), b.TotalElements());
+    ExpectRowsBitIdentical(a, 0, b, 0, a.num_tokens());
   }
 
   void CheckOptions(const CodecOptions& opt, const EncodingLevel& level,
@@ -95,6 +107,22 @@ class GoldenCodecTest : public ::testing::Test {
       ASSERT_EQ(recon.num_tokens(), chunk.num_tokens());
       ExpectBitIdentical(dec.DecodeChunk(with_recon, 1), recon);
       (void)enc.EncodeChunk(other, 0, 0, threads, &recon);
+    }
+
+    // In-place decode (the read path's reassembly): at a non-zero row
+    // offset into a buffer that holds another chunk's decode, the written
+    // rows equal the seed decode bit for bit and no other row changes —
+    // serial and pooled.
+    const size_t row0 = 5, after = 3;
+    const KVCache wide = model_->Prefill({44, row0 + tokens + after});
+    const KVCache held = dec.DecodeChunk(enc.EncodeChunk(wide, 0, 0, 1), 1);
+    for (const unsigned threads : {1u, 0u}) {
+      KVCache into = held;
+      dec.DecodeChunkInto(golden, into, row0, threads);
+      ASSERT_EQ(into.num_tokens(), held.num_tokens());
+      ExpectRowsBitIdentical(into, row0, ref_recon, 0, tokens);
+      ExpectRowsBitIdentical(into, 0, held, 0, row0);
+      ExpectRowsBitIdentical(into, row0 + tokens, held, row0 + tokens, after);
     }
   }
 

@@ -447,9 +447,10 @@ TEST(FlightRecorderTest, CapturesCompleteAllowedTracksAroundTheWindow) {
   EXPECT_EQ(json.find("wall_marker"), std::string::npos);
   EXPECT_EQ(json.find("\"WARN\""), std::string::npos);
 
-  // Same tracer state, same trigger: byte-identical artifact.
+  // Same tracer state, same trigger: byte-identical artifact. The second
+  // capture may reallocate incidents(), so `inc` is not used past it.
   ASSERT_TRUE(rec.Capture(5, 10.0, "page", allowed));
-  EXPECT_EQ(rec.incidents()[1].trace_json, inc.trace_json);
+  EXPECT_EQ(rec.incidents()[1].trace_json, rec.incidents()[0].trace_json);
 }
 
 TEST(FlightRecorderTest, IncidentCapIsEnforcedAndCounted) {

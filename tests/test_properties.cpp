@@ -141,10 +141,10 @@ TEST_P(ChunkingProperty, ChunkedEqualsWhole) {
   const KVDecoder dec(SharedProfile(), DefaultLevel());
 
   const KVCache whole = dec.DecodeChunk(enc.EncodeChunk(full));
-  KVCache stitched;
+  KVCache stitched(full.num_layers(), 120, full.num_channels());
   for (size_t b = 0; b < 120; b += chunk_tokens) {
     const size_t e = std::min(b + chunk_tokens, static_cast<size_t>(120));
-    stitched.AppendTokens(dec.DecodeChunk(enc.EncodeChunk(full.SliceTokens(b, e))));
+    dec.DecodeChunkInto(enc.EncodeChunk(full.SliceTokens(b, e)), stitched, b);
   }
   ASSERT_EQ(stitched.num_tokens(), whole.num_tokens());
   EXPECT_DOUBLE_EQ(stitched.Mse(whole), 0.0) << "chunk=" << chunk_tokens;

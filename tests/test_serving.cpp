@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "serving/engine.h"
 #include "serving/ttft.h"
@@ -93,11 +96,56 @@ TEST_F(ServingTest, AssembleKVMixedConfigs) {
   EXPECT_GT(mse_l0, 0.0);
 }
 
+TEST_F(ServingTest, AssembleKVIntoReusedBuffer) {
+  // One buffer reassembles contexts whose lengths grow, shrink, then grow,
+  // over 1- and 3-chunk contexts mixing text and KV decisions. Each result
+  // equals the by-value AssembleKV bit for bit, so no row of an earlier,
+  // longer context survives in a later one.
+  struct Case {
+    ContextSpec ctx;
+    std::vector<int> levels;
+  };
+  const std::vector<Case> cases = {
+      {{510, 250}, {1}},          {{511, 900}, {0, -1, 3}},
+      {{512, 120}, {-1}},         {{513, 800}, {2, 1, -1}},
+      {{514, 280}, {3}},          {{515, 870}, {-1, 2, 0}},
+  };
+  KVCache buf;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const std::string id = "ctx-reuse-" + std::to_string(i);
+    engine().StoreKV(id, c.ctx);
+    engine().AssembleKV(id, c.ctx, c.levels, buf);
+    const KVCache ref = engine().AssembleKV(id, c.ctx, c.levels);
+    ASSERT_EQ(buf.num_tokens(), c.ctx.num_tokens) << "context " << i;
+    ASSERT_EQ(buf.num_layers(), ref.num_layers()) << "context " << i;
+    for (size_t l = 0; l < ref.num_layers(); ++l) {
+      for (int kind = 0; kind < 2; ++kind) {
+        const Tensor& got = kind == 0 ? buf.layer(l).k : buf.layer(l).v;
+        const Tensor& want = kind == 0 ? ref.layer(l).k : ref.layer(l).v;
+        ASSERT_TRUE(got.SameShape(want)) << "context " << i;
+        ASSERT_EQ(std::memcmp(got.Data().data(), want.Data().data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "context " << i << " layer " << l;
+      }
+    }
+  }
+}
+
 TEST_F(ServingTest, AssembleValidation) {
   const ContextSpec ctx{503, 600};
   engine().StoreKV("ctx-503", ctx);
   EXPECT_THROW(engine().AssembleKV("ctx-503", ctx, {0}), std::invalid_argument);
   EXPECT_THROW(engine().AssembleKV("missing", ctx, {0, 0}), std::runtime_error);
+  // A stored chunk shorter than its range would leave a reused buffer's
+  // earlier rows in place: rejected like a missing one.
+  const KVCache short_part = engine().CalculateKV(ctx).SliceTokens(300, 500);
+  engine().store().Put(
+      {"ctx-503", 1, 0},
+      SerializeChunk(engine().EncoderFor(0).EncodeChunk(short_part, 1, 300)));
+  EXPECT_THROW(engine().AssembleKV("ctx-503", ctx, {0, 0}), std::runtime_error);
+  EXPECT_NO_THROW(engine().AssembleKV("ctx-503", ctx, {0, -1}));
 }
 
 TEST_F(ServingTest, GenerateDeterministicAndQualitySensitive) {

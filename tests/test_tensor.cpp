@@ -41,28 +41,24 @@ TEST(Tensor, SliceRows) {
   EXPECT_THROW(t.SliceRows(0, 5), std::out_of_range);
 }
 
-TEST(Tensor, SliceThenAppendRoundTrips) {
-  Tensor t(5, 3);
-  for (size_t r = 0; r < 5; ++r) {
-    for (size_t c = 0; c < 3; ++c) t.At(r, c) = static_cast<float>(r * 10 + c);
-  }
-  Tensor a = t.SliceRows(0, 2);
-  a.AppendRows(t.SliceRows(2, 5));
-  ASSERT_TRUE(a.SameShape(t));
-  EXPECT_DOUBLE_EQ(a.Mse(t), 0.0);
-}
-
-TEST(Tensor, AppendRowsChecksColumns) {
-  Tensor a(2, 3), b(2, 4);
-  EXPECT_THROW(a.AppendRows(b), std::invalid_argument);
-}
-
-TEST(Tensor, AppendToEmpty) {
-  Tensor a;
-  Tensor b(2, 3, {1, 2, 3, 4, 5, 6});
-  a.AppendRows(b);
-  EXPECT_TRUE(a.SameShape(b));
-  EXPECT_DOUBLE_EQ(a.Mse(b), 0.0);
+TEST(Tensor, ReshapeKeepsAllocation) {
+  Tensor t(4, 3, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  const float* data = t.Data().data();
+  t.Reshape(2, 2);
+  EXPECT_EQ(t.rows(), 2u);
+  EXPECT_EQ(t.cols(), 2u);
+  EXPECT_EQ(t.size(), 4u);
+  EXPECT_EQ(t.Data().data(), data);
+  EXPECT_FLOAT_EQ(t.At(1, 1), 3.0f);  // flat positions are kept
+  t.Reshape(3, 4);
+  EXPECT_EQ(t.size(), 12u);
+  EXPECT_EQ(t.Data().data(), data);
+  EXPECT_FLOAT_EQ(t.At(0, 3), 3.0f);
+  EXPECT_FLOAT_EQ(t.At(1, 0), 0.0f);  // past the size it was reshaped from
+  Tensor empty;
+  empty.Reshape(2, 3);
+  EXPECT_EQ(empty.size(), 6u);
+  EXPECT_FLOAT_EQ(empty.At(1, 2), 0.0f);
 }
 
 TEST(Tensor, Mse) {
@@ -96,26 +92,28 @@ TEST(KVCache, SliceTokensPreservesLayers) {
   EXPECT_FLOAT_EQ(s.layer(1).k.At(1, 2), 9.0f);
 }
 
-TEST(KVCache, SliceAppendRoundTrip) {
+TEST(KVCache, ReshapeKeepsLayerAllocations) {
   KVCache cache(3, 9, 4);
-  for (size_t l = 0; l < 3; ++l) {
-    for (size_t t = 0; t < 9; ++t) {
-      for (size_t c = 0; c < 4; ++c) {
-        cache.layer(l).k.At(t, c) = static_cast<float>(l * 100 + t * 10 + c);
-        cache.layer(l).v.At(t, c) = -static_cast<float>(l * 100 + t * 10 + c);
-      }
-    }
-  }
-  KVCache rebuilt = cache.SliceTokens(0, 4);
-  rebuilt.AppendTokens(cache.SliceTokens(4, 7));
-  rebuilt.AppendTokens(cache.SliceTokens(7, 9));
-  EXPECT_EQ(rebuilt.num_tokens(), 9u);
-  EXPECT_DOUBLE_EQ(rebuilt.Mse(cache), 0.0);
-}
-
-TEST(KVCache, AppendMismatchThrows) {
-  KVCache a(2, 3, 4), b(3, 3, 4);
-  EXPECT_THROW(a.AppendTokens(b), std::invalid_argument);
+  const float* k0 = cache.layer(0).k.Data().data();
+  const float* v2 = cache.layer(2).v.Data().data();
+  cache.Reshape(3, 5, 4);
+  EXPECT_EQ(cache.num_layers(), 3u);
+  EXPECT_EQ(cache.num_tokens(), 5u);
+  EXPECT_EQ(cache.num_channels(), 4u);
+  EXPECT_EQ(cache.layer(0).k.Data().data(), k0);
+  EXPECT_EQ(cache.layer(2).v.Data().data(), v2);
+  cache.Reshape(3, 9, 4);
+  EXPECT_EQ(cache.layer(0).k.Data().data(), k0);
+  EXPECT_EQ(cache.layer(2).v.Data().data(), v2);
+  cache.Reshape(2, 4, 6);
+  EXPECT_EQ(cache.num_layers(), 2u);
+  EXPECT_EQ(cache.num_tokens(), 4u);
+  EXPECT_EQ(cache.num_channels(), 6u);
+  EXPECT_EQ(cache.TotalElements(), 2u * 2 * 4 * 6);
+  KVCache empty;
+  empty.Reshape(2, 3, 4);
+  EXPECT_EQ(empty.num_tokens(), 3u);
+  EXPECT_EQ(empty.TotalElements(), 2u * 2 * 3 * 4);
 }
 
 TEST(KVCache, PerLayerMse) {
