@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "cluster/cluster_server.h"
+#include "storage/sharded_kv_store.h"
 
 using namespace cachegen;
 

@@ -2,24 +2,21 @@
 // pool + completion-queue engine):
 //
 //   1. Scale proof: a >=100k-request trace runs to completion on a FIXED
-//      number of OS threads (num_workers + the codec pool), where the legacy
-//      thread-per-request mode would have spawned one std::thread per
-//      admission. A sampler thread watches /proc/self/status Threads and
-//      records the peak.
-//   2. Latency parity: on an identical moderate load, the event loop's p95
-//      TTFT must be no worse than the thread-per-request baseline within a
-//      1.05x tolerance (virtual-time outcomes are expected to be close to
-//      identical; the tolerance absorbs admission-order edge cases).
-//   3. Determinism: two identical event-loop runs are bit-equal.
+//      number of OS threads (num_workers + the codec pool); no thread is
+//      spawned per admission. A sampler thread watches /proc/self/status
+//      Threads and records the peak.
+//   2. Determinism: two identical runs of a moderate-load trace produce
+//      bit-equal outcomes, compared by a SHA-256 over every outcome field.
 //
-// --quick runs the three gates and exits non-zero on failure (wired into
-// Release CI); the full run adds a worker-count sweep table. Either mode
-// writes BENCH_event_loop.json for ci/check_bench_regression.py (metric:
-// requests/s of the scale run).
+// --quick runs both gates and exits non-zero on failure (wired into Release
+// CI); the full run adds a worker-count sweep table. Either mode writes
+// BENCH_event_loop.json for ci/check_bench_regression.py (metric: requests/s
+// of the scale run).
 #include <cstdio>
 #include <cstring>
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -28,7 +25,9 @@
 
 #include "bench_common.h"
 #include "cluster/cluster_server.h"
+#include "common/sha256.h"
 #include "obs/json_writer.h"
+#include "storage/sharded_kv_store.h"
 
 using namespace cachegen;
 
@@ -85,20 +84,59 @@ RequestTraceOptions TraceOpts(size_t num_requests, double rate_hz) {
   return topts;
 }
 
+// SHA-256 over every RequestOutcome field (doubles by bit pattern), as in
+// tests/test_outcome_digest.cpp.
+std::string OutcomeDigest(const std::vector<RequestOutcome>& outcomes) {
+  Sha256 h;
+  const auto f64 = [&h](double v) { h.UpdateU64(std::bit_cast<uint64_t>(v)); };
+  for (const RequestOutcome& o : outcomes) {
+    const ClusterRequest& rq = o.request;
+    h.UpdateU64(rq.id);
+    f64(rq.arrival_s);
+    h.UpdateU64(rq.context_id.size());
+    h.Update(rq.context_id);
+    h.UpdateU64(rq.spec.seed);
+    h.UpdateU64(rq.spec.num_tokens);
+    h.UpdateU64(rq.spec.prefix_seed);
+    h.UpdateU64(rq.spec.prefix_tokens);
+    f64(rq.slo_s);
+    f64(rq.weight);
+
+    h.UpdateU64(o.worker);
+    f64(o.admit_s);
+    f64(o.queue_delay_s);
+    f64(o.load_finish_s);
+    f64(o.ttft_s);
+    f64(o.finish_s);
+    h.UpdateU32((o.slo_violated ? 1u : 0u) | (o.cache_hit ? 2u : 0u) |
+                (o.cold_hit ? 4u : 0u) | (o.remote_hit ? 8u : 0u) |
+                (o.prefix_hit ? 16u : 0u));
+    h.UpdateU64(o.covered_tokens);
+    h.UpdateU32(o.forced_text ? 1u : 0u);
+    f64(o.quality);
+    f64(o.bytes_sent);
+    h.UpdateU32((o.answer_correct ? 1u : 0u) | (o.write_back_done ? 2u : 0u) |
+                (o.write_back_failed ? 4u : 0u));
+    h.UpdateU64(static_cast<uint64_t>(static_cast<int64_t>(o.fabric_node)));
+    f64(o.base_quality);
+    f64(o.refine_delay_s);
+    f64(o.base_token_fraction);
+    f64(o.enhanced_token_fraction);
+  }
+  return Sha256Hex(h.Finish());
+}
+
 struct RunStats {
-  double sum_ttft_s = 0.0;
-  double sum_finish_s = 0.0;
+  std::string digest;
   double p95_ttft_s = 0.0;
   double wall_s = 0.0;
   size_t count = 0;
 };
 
 RunStats RunLoad(Engine& engine, std::shared_ptr<ShardedKVStore> store,
-                 ClusterServer::ServeMode mode, size_t workers,
-                 const RequestTraceOptions& topts) {
+                 size_t workers, const RequestTraceOptions& topts) {
   ClusterServer::Options copts;
   copts.num_workers = workers;
-  copts.serve_mode = mode;
   copts.write_back_on_miss = false;  // warm-hit load: stays hit-only
   ClusterServer server(engine, store, BandwidthTrace::Constant(3.0), copts);
   const auto t0 = std::chrono::steady_clock::now();
@@ -107,12 +145,8 @@ RunStats RunLoad(Engine& engine, std::shared_ptr<ShardedKVStore> store,
   RunStats s;
   s.wall_s = std::chrono::duration<double>(t1 - t0).count();
   s.count = outcomes.size();
-  const ClusterSummary sum = Summarize(outcomes);
-  s.p95_ttft_s = sum.p95_ttft_s;
-  for (const auto& o : outcomes) {
-    s.sum_ttft_s += o.ttft_s;
-    s.sum_finish_s += o.finish_s;
-  }
+  s.p95_ttft_s = Summarize(outcomes).p95_ttft_s;
+  s.digest = OutcomeDigest(outcomes);
   return s;
 }
 
@@ -127,7 +161,7 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "Event-driven serving core: fixed pool vs thread-per-request",
+      "Event-driven serving core: fixed thread count, deterministic outcomes",
       "Mistral-7B calibration, 3 Gbps shared path, warm cache, FIFO");
 
   auto store = std::make_shared<ShardedKVStore>(ShardedKVStore::Options{8, 0});
@@ -152,8 +186,7 @@ int main(int argc, char** argv) {
   const int baseline_threads = CurrentThreadCount();
   ThreadPeakSampler sampler;
   const RunStats scale =
-      RunLoad(engine, store, ClusterServer::ServeMode::kEventLoop, kWorkers,
-              TraceOpts(kScaleRequests, 16.0));
+      RunLoad(engine, store, kWorkers, TraceOpts(kScaleRequests, 16.0));
   const int peak_threads = sampler.Stop();
   // During the serve: baseline + num_workers pool threads + the sampler.
   const int allowed_threads = baseline_threads + static_cast<int>(kWorkers) + 1;
@@ -176,41 +209,22 @@ int main(int argc, char** argv) {
     failed = true;
   }
 
-  // --- 2. latency parity vs the thread-per-request baseline ----------------
+  // --- 2. determinism: identical runs are bit-equal ------------------------
   const size_t kCompareRequests = quick ? 800 : 2000;
   const RequestTraceOptions cmp = TraceOpts(kCompareRequests, 16.0);
-  const RunStats ev =
-      RunLoad(engine, store, ClusterServer::ServeMode::kEventLoop, kWorkers, cmp);
-  const RunStats th = RunLoad(
-      engine, store, ClusterServer::ServeMode::kThreadPerRequest, kWorkers, cmp);
-  const double ratio = th.p95_ttft_s > 0.0 ? ev.p95_ttft_s / th.p95_ttft_s : 1.0;
+  const RunStats first = RunLoad(engine, store, kWorkers, cmp);
+  const RunStats rerun = RunLoad(engine, store, kWorkers, cmp);
+  const bool deterministic = rerun.digest == first.digest;
   std::printf(
-      "\n-- parity: %zu requests at equal load --\n"
-      "p95 TTFT: event loop %.4f s, thread-per-request %.4f s (ratio %.3f)\n"
-      "wall: event loop %.2f s, thread-per-request %.2f s\n",
-      kCompareRequests, ev.p95_ttft_s, th.p95_ttft_s, ratio, ev.wall_s,
-      th.wall_s);
-  if (ratio > 1.05) {
-    std::fprintf(stderr,
-                 "FAIL: event-loop p95 TTFT %.4f s is more than 1.05x the "
-                 "thread-per-request baseline %.4f s\n",
-                 ev.p95_ttft_s, th.p95_ttft_s);
-    failed = true;
-  }
-
-  // --- 3. determinism: identical runs are bit-equal ------------------------
-  const RunStats rerun =
-      RunLoad(engine, store, ClusterServer::ServeMode::kEventLoop, kWorkers, cmp);
-  const bool deterministic = rerun.sum_ttft_s == ev.sum_ttft_s &&
-                             rerun.sum_finish_s == ev.sum_finish_s &&
-                             rerun.p95_ttft_s == ev.p95_ttft_s;
-  std::printf("\n-- determinism: rerun %s --\n",
-              deterministic ? "bit-equal" : "DIVERGED");
+      "\n-- determinism: %zu requests, rerun %s --\n"
+      "outcome digest %s\np95 TTFT %.4f s, wall %.2f s\n",
+      kCompareRequests, deterministic ? "bit-equal" : "DIVERGED",
+      first.digest.c_str(), first.p95_ttft_s, first.wall_s);
   if (!deterministic) {
     std::fprintf(stderr,
-                 "FAIL: two identical event-loop runs diverged "
-                 "(sum ttft %.17g vs %.17g)\n",
-                 ev.sum_ttft_s, rerun.sum_ttft_s);
+                 "FAIL: two identical runs diverged (outcome digest %s vs "
+                 "%s)\n",
+                 first.digest.c_str(), rerun.digest.c_str());
     failed = true;
   }
 
@@ -220,8 +234,7 @@ int main(int argc, char** argv) {
                 kCompareRequests);
     TablePrinter t({"workers", "p95 TTFT (s)", "wall (s)", "req/s"});
     for (const size_t w : {2u, 4u, 8u}) {
-      const RunStats r =
-          RunLoad(engine, store, ClusterServer::ServeMode::kEventLoop, w, cmp);
+      const RunStats r = RunLoad(engine, store, w, cmp);
       t.AddRow({std::to_string(w), TablePrinter::Fmt(r.p95_ttft_s, 4),
                 TablePrinter::Fmt(r.wall_s, 2),
                 TablePrinter::Fmt(r.count / r.wall_s, 0)});
@@ -246,13 +259,11 @@ int main(int argc, char** argv) {
     w.Field("baseline_threads", static_cast<uint64_t>(baseline_threads));
     w.EndObject();
     w.BeginObject();
-    w.Field("level", "parity");
+    w.Field("level", "determinism");
     w.Field("tokens", static_cast<uint64_t>(kCompareRequests));
     w.Field("threads", static_cast<uint64_t>(kWorkers));
-    w.Field("req_per_s", ev.count / ev.wall_s);
-    w.Field("p95_event_s", ev.p95_ttft_s);
-    w.Field("p95_thread_s", th.p95_ttft_s);
-    w.Field("p95_ratio", ratio);
+    w.Field("p95_ttft_s", first.p95_ttft_s);
+    w.Field("outcome_digest", first.digest);
     w.Field("deterministic", deterministic ? 1.0 : 0.0);
     w.EndObject();
     w.EndArray();

@@ -35,6 +35,7 @@
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/sharded_kv_store.h"
 
 namespace cachegen {
 namespace {

@@ -37,6 +37,7 @@
 #include "cluster/cluster_server.h"
 #include "obs/json_writer.h"
 #include "prefix/prefix_cache.h"
+#include "storage/sharded_kv_store.h"
 #include "workload/prefix_trace.h"
 
 namespace cachegen {

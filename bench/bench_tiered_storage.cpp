@@ -35,6 +35,8 @@
 #include "bench_common.h"
 #include "cluster/cluster_server.h"
 #include "obs/json_writer.h"
+#include "storage/sharded_kv_store.h"
+#include "storage/tiered_kv_store.h"
 
 namespace cachegen {
 namespace {

@@ -27,6 +27,29 @@ uint64_t PackPayload(size_t worker, size_t slot) {
 // trace tracks are therefore id + 1 ("request 1" is trace id 0).
 uint64_t TraceTrack(const ClusterRequest& rq) { return rq.id + 1; }
 
+// The per-request cluster.* metric block. The coordinator records it per
+// popped completion (after TimeSeriesCollector::AdvanceTo), so metric order
+// matches completion order and the sampler's windows are deterministic.
+void RecordOutcomeMetrics(const RequestOutcome& out) {
+  CG_METRIC_COUNT("cluster.requests", 1);
+  if (out.cache_hit) {
+    CG_METRIC_COUNT(out.cold_hit ? "cluster.hits.cold" : "cluster.hits.hot", 1);
+  } else if (out.prefix_hit) {
+    CG_METRIC_COUNT("cluster.hits.prefix", 1);
+  } else {
+    CG_METRIC_COUNT("cluster.misses", 1);
+  }
+  if (out.remote_hit) CG_METRIC_COUNT("cluster.remote_streams", 1);
+  if (out.slo_violated) CG_METRIC_COUNT("cluster.slo_violations", 1);
+  CG_METRIC_COUNT("cluster.bytes_sent",
+                  static_cast<uint64_t>(out.bytes_sent));
+  if (out.write_back_done) CG_METRIC_COUNT("cluster.write_backs", 1);
+  if (out.write_back_failed) CG_METRIC_COUNT("cluster.write_back_failures", 1);
+  CG_METRIC_HIST("cluster.ttft_us", static_cast<uint64_t>(out.ttft_s * 1e6));
+  CG_METRIC_HIST("cluster.queue_delay_us",
+                 static_cast<uint64_t>(out.queue_delay_s * 1e6));
+}
+
 }  // namespace
 
 ClusterServer::ClusterServer(Engine& engine, std::shared_ptr<CacheTier> tier,
@@ -57,16 +80,6 @@ ClusterServer::ClusterServer(Engine& engine, std::shared_ptr<CacheTier> tier,
         "(content addresses are computed over the encoder's chunk grid)");
   }
 }
-
-ClusterServer::ClusterServer(Engine& engine, std::shared_ptr<ShardedKVStore> store,
-                             BandwidthTrace capacity, Options opts)
-    : ClusterServer(engine, std::shared_ptr<CacheTier>(store), std::move(capacity),
-                    opts) {}
-
-ClusterServer::ClusterServer(Engine& engine, std::shared_ptr<TieredKVStore> store,
-                             BandwidthTrace capacity, Options opts)
-    : ClusterServer(engine, std::shared_ptr<CacheTier>(store), std::move(capacity),
-                    opts) {}
 
 void ClusterServer::Prestore(const RequestTraceOptions& trace_opts) {
   std::vector<std::pair<std::string, ContextSpec>> contexts;
@@ -115,11 +128,7 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   RequestQueue queue(std::move(trace));
 
   StartTelemetry();
-  if (opts_.serve_mode == ServeMode::kThreadPerRequest) {
-    ServeThreadPerRequest(queue, n, &outcomes);
-  } else {
-    ServeEventLoop(queue, n, &outcomes);
-  }
+  ServeEventLoop(queue, n, &outcomes);
   FinishTelemetry(last_completion_s_);
 
   // Drain background tier work (the cold tier's demotion writer holds
@@ -235,8 +244,8 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
           }
         }
         if (have_adm) {
-          ServeOneEvent(std::move(adm.rq), adm.worker, adm.slot, adm.admit_s,
-                        adm.hold, adm.gpu_share, outcomes, channel);
+          ServeOne(std::move(adm.rq), adm.worker, adm.slot, adm.admit_s,
+                   adm.hold, adm.gpu_share, outcomes, channel);
         } else {
           tail(assembly);
         }
@@ -330,263 +339,20 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
   }
 }
 
-void ClusterServer::ServeThreadPerRequest(RequestQueue& queue, size_t n,
-                                          std::vector<RequestOutcome>* outcomes) {
-  const auto policy = MakeSchedulerPolicy(opts_.policy);
-  std::vector<double> free_at(opts_.num_workers, 0.0);
-  std::vector<bool> busy(opts_.num_workers, false);
-  size_t in_flight = 0;
-  size_t admitted = 0;
-  // One thread per request, joined at the end: a "freed" worker slot's
-  // thread may still be running its post-completion codec tail
-  // (assemble/generate), so threads outlive slots by design. Fine at bench
-  // scale (tens of requests); this path exists only as the bench_event_loop
-  // baseline for the fixed-pool event loop above.
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-
-  struct Admission {
-    ClusterRequest rq;
-    size_t worker = 0;
-    size_t slot = 0;
-    double admit_s = 0.0;
-    SharedLink::HoldId hold = 0;
-  };
-  const auto admit_all = [&] {
-    std::vector<Admission> batch;
-    while (!queue.Empty()) {
-      size_t w = opts_.num_workers;
-      for (size_t i = 0; i < opts_.num_workers; ++i) {
-        if (!busy[i] && (w == opts_.num_workers || free_at[i] < free_at[w])) {
-          w = i;
-        }
-      }
-      if (w == opts_.num_workers) break;  // all busy
-      const double admit_s = std::max(free_at[w], queue.NextArrival());
-      ClusterRequest rq = queue.PopReady(*policy, admit_s);
-      const SharedLink::HoldId hold = link_->HoldAdmission(admit_s);
-      busy[w] = true;
-      ++in_flight;
-      CG_TRACE_VINSTANT("cluster", "admit", TraceTrack(rq), admit_s, "worker",
-                        static_cast<double>(w));
-      batch.push_back({std::move(rq), w, admitted++, admit_s, hold});
-    }
-    if (!batch.empty()) CG_METRIC_COUNT("cluster.admission_batches", 1);
-    CG_METRIC_GAUGE_SET("cluster.in_flight", in_flight);
-    // GPU contention snapshot, frozen per request: the stale-snapshot
-    // mispricing the event loop's per-event accounting fixes.
-    const double gpu_share =
-        1.0 / static_cast<double>(std::min(opts_.num_workers,
-                                           std::max<size_t>(1, in_flight)));
-    for (Admission& a : batch) {
-      threads.emplace_back(&ClusterServer::ServeOne, this, std::move(a.rq),
-                           a.worker, a.slot, a.admit_s, a.hold, gpu_share,
-                           outcomes);
-    }
-  };
-
-  admit_all();
-  while (in_flight > 0) {
-    const SharedLink::Completion c = link_->PopCompletion(in_flight);
-    const size_t w = static_cast<size_t>(c.payload >> 32);
-    busy[w] = false;
-    free_at[w] = c.free_s;
-    --in_flight;
-    admit_all();  // admit before releasing the hold at c.free_s
-    link_->ReleaseHold(c.hold);
-  }
-
-  for (std::thread& t : threads) t.join();
-}
-
-void ClusterServer::ServeOneEvent(ClusterRequest rq, size_t worker, size_t slot,
-                                  double admit_s, SharedLink::HoldId admit_hold,
-                                  double gpu_share,
-                                  std::vector<RequestOutcome>* outcomes,
-                                  WorkChannel& channel) {
+void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
+                             double admit_s, SharedLink::HoldId admit_hold,
+                             double gpu_share,
+                             std::vector<RequestOutcome>* outcomes,
+                             WorkChannel& channel) {
   // Everything this pool worker records below lands on this request's
-  // virtual track, including streamer and net events.
+  // virtual track, including streamer per-chunk and net grant events that
+  // never see the request struct.
   const uint64_t track = TraceTrack(rq);
   obs::ScopedRequestId rid(track);
   CG_TRACE_VSPAN("cluster", "queue_wait", track, rq.arrival_s, admit_s);
 
   RequestFsm fsm(track);
   fsm.Feed(RequestEvent::kAdmit, admit_s);
-
-  const SharedLink::FlowId flow = link_->Register(admit_s, rq.weight);
-  // Our unparked flow now freezes virtual time; the admission hold can go.
-  link_->ReleaseHold(admit_hold);
-
-  const TierLookup look = tier_->LookupAndPin(rq.context_id, rq.spec, admit_s);
-  const bool hit = look.hit();
-  const bool prefix = look.prefix_hit();
-  const bool cold = look.any_cold;
-  const bool remote = look.any_remote;
-  PinGuard pin =
-      look.pinned ? PinGuard::Adopt(*tier_, rq.context_id) : PinGuard();
-
-  const ContextPlan plan = engine_.PlanFromCalibration(rq.spec.num_tokens);
-  const double slo = rq.slo_s;
-  const double queue_delay = admit_s - rq.arrival_s;
-  const double slo_budget = std::max(0.05, slo - queue_delay);
-  KVStreamer streamer(engine_.cost(), engine_.model(), slo_budget,
-                      DefaultEncodingLevels().size());
-
-  // First-chunk prior, identical to the legacy path: the frozen admission
-  // share only seeds the adapter and the throughput hint — actual GPU time
-  // is priced per event by the arbiter's lane as it drains.
-  double hint = opts_.throughput_hint_gbps.value_or(
-      link_->CapacityGbpsAt(admit_s) * gpu_share);
-  if (remote) hint = std::min(hint, opts_.remote_read_gbps);
-  if (cold) hint = std::min(hint, opts_.cold_read_gbps);
-
-  const StreamMode mode =
-      hit ? (opts_.progressive ? StreamMode::kProgressive : StreamMode::kAdaptive)
-          : (prefix ? StreamMode::kAdaptive : StreamMode::kForceText);
-  const size_t kv_limit = prefix ? look.covered_chunks : SIZE_MAX;
-  ClientLink client(*link_, flow);
-  // A remote hit streams through the fabric interconnect first (bandwidth
-  // cap + one RTT to first byte); a cold promotion on a remote node stacks
-  // the device-read model on top of it.
-  std::optional<ThrottledLink> remote_client;
-  if (remote) {
-    remote_client.emplace(client, opts_.remote_read_gbps, opts_.remote_rtt_s);
-  }
-  Link& net = remote ? static_cast<Link&>(*remote_client) : client;
-  std::optional<ThrottledLink> cold_client;
-  if (cold) cold_client.emplace(net, opts_.cold_read_gbps, opts_.cold_seek_s);
-  Link& path = cold ? static_cast<Link&>(*cold_client) : net;
-
-  StreamHooks hooks;
-  hooks.post_gpu = [&](double arrival_s, double const_s, double shared_s) {
-    link_->PostGpuWork(flow, arrival_s, const_s, shared_s);
-  };
-  hooks.drain_gpu = [&] { return link_->DrainGpu(flow); };
-  hooks.on_transfer = [&](const StreamStep& step) {
-    if (step.enhancement && fsm.state() == RequestState::kKvStreaming) {
-      fsm.Feed(RequestEvent::kEnhance, step.tx_start_s);
-    }
-    fsm.Feed(RequestEvent::kChunkTransferDone, step.tx_end_s);
-  };
-  const StreamResult sr =
-      streamer.Stream(plan, path, gpu_share, hint, mode, kv_limit, &hooks);
-
-  // Transfers are done (last chunk_transfer_done instant) and the GPU lane
-  // has drained inside Stream(); stamp the two tail events.
-  fsm.Feed(RequestEvent::kDecode, fsm.last_event_s());
-  fsm.Feed(RequestEvent::kDecodeDone, admit_s + sr.stream_finish_s);
-
-  const double free_s = admit_s + std::max(sr.ttft_s, sr.stream_finish_s);
-
-  RequestOutcome& out = (*outcomes)[slot];
-  out.request = rq;
-  out.worker = worker;
-  out.admit_s = admit_s;
-  out.queue_delay_s = queue_delay;
-  out.load_finish_s = sr.load_finish_s;
-  out.ttft_s = queue_delay + sr.ttft_s;
-  out.finish_s = free_s;
-  out.slo_violated = queue_delay + sr.load_finish_s > slo + 1e-12;
-  out.cache_hit = hit;
-  out.cold_hit = hit && look.tier == KVTier::kCold;
-  out.remote_hit = remote;
-  out.prefix_hit = prefix;
-  out.covered_tokens = look.covered_tokens;
-  out.forced_text = !hit && !prefix;
-  out.quality = sr.quality;
-  out.bytes_sent = sr.bytes_sent;
-  out.base_quality = sr.base_quality;
-  out.refine_delay_s = std::max(0.0, sr.stream_finish_s - sr.load_finish_s);
-  out.base_token_fraction = sr.base_token_fraction;
-  out.enhanced_token_fraction = sr.enhanced_token_fraction;
-  out.fabric_node = look.home_node;
-
-  if (remote) {
-    // The interconnect leg of the stream: between queue_wait and the end of
-    // kv_stream on this track (ci/check_trace.py validates the ordering on
-    // every remote-hit track).
-    CG_TRACE_VSPAN("fabric", "remote_fetch", track, admit_s,
-                   admit_s + opts_.remote_rtt_s, "rtt_s", opts_.remote_rtt_s);
-  }
-  CG_TRACE_VSPAN("cluster", "kv_stream", track, admit_s,
-                 admit_s + sr.load_finish_s, "bytes",
-                 static_cast<double>(sr.bytes_sent));
-  // The cluster.* metrics for this request are recorded by the COORDINATOR
-  // when it pops this completion (RecordOutcomeMetrics), in deterministic
-  // completion order — a worker-side record here would land at a wall-clock
-  // instant and tear the telemetry sampler's windows.
-
-  // Cache-tier mutations happen BEFORE the worker slot is handed back —
-  // same reproducibility contract as the legacy path (see ServeOne).
-  if (!hit && opts_.write_back_on_miss) {
-    // The encode's real CPU cost is wall-clock work overlapping serving: it
-    // gets a wall span (pid 1). The lifecycle marker on the request's
-    // virtual track is zero-duration at the completion instant — virtual
-    // time is never stretched by machine speed, keeping replayed incident
-    // artifacts byte-identical.
-    CG_TRACE_SPAN("cluster", "write_back_persist");
-    tier_->BeginStore(rq.context_id, rq.spec);
-    PinGuard write_pin = PinGuard::Acquire(*tier_, rq.context_id);
-    try {
-      engine_.StoreKV(rq.context_id, rq.spec);
-      tier_->Touch(rq.context_id, free_s);
-      out.write_back_done = true;
-    } catch (const std::exception&) {
-      tier_->AbortStore(rq.context_id);
-      out.write_back_failed = true;
-    }
-    CG_TRACE_VSPAN("cluster", "write_back", track, free_s, free_s);
-  }
-  // Commit (or trivial skip) settled: the request's terminal event.
-  fsm.Feed(RequestEvent::kWriteBackCommitted, free_s);
-
-  const bool keep_pin_for_assembly = hit && opts_.assemble_kv;
-  if (look.pinned && !keep_pin_for_assembly) pin.Release();
-  link_->CompleteFlow(flow, free_s, PackPayload(worker, slot));
-
-  // The codec tail — real CPU, no virtual-time cost — goes to the
-  // continuation queue instead of keeping this slot's thread alive: any
-  // worker that goes idle drains it. The assembly pin rides along in a
-  // shared_ptr (std::function requires copyable captures).
-  std::vector<int> levels;
-  if (keep_pin_for_assembly) {
-    levels.reserve(sr.steps.size());
-    for (const StreamStep& step : sr.steps) {
-      if (step.enhancement) continue;
-      levels.push_back(step.config.text ? -1 : step.config.level_id);
-    }
-  }
-  auto tail_pin = std::make_shared<PinGuard>(std::move(pin));
-  channel.PushContinuation(
-      [this, spec = rq.spec, ctx = rq.context_id, levels = std::move(levels),
-       assemble = keep_pin_for_assembly, tail_pin, quality = sr.quality,
-       out_ptr = &out, track](KVCache& assembly) {
-        obs::ScopedRequestId tail_rid(track);
-        if (assemble) {
-          CG_TRACE_SPAN("cluster", "assemble_kv");
-          try {
-            engine_.AssembleKV(ctx, spec, levels, assembly);
-          } catch (const std::exception&) {
-            // A chunk was evicted between lookup and assembly under extreme
-            // capacity pressure; the text path would recompute it (already
-            // priced into the streaming timeline as the coarsest outcome).
-          }
-          tail_pin->Release();
-        }
-        out_ptr->answer_correct = engine_.GenerateWithKV(spec, quality).correct;
-      });
-}
-
-void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
-                             double admit_s, SharedLink::HoldId admit_hold,
-                             double gpu_share,
-                             std::vector<RequestOutcome>* outcomes) {
-  // Everything this thread records below — including streamer per-chunk and
-  // net grant events that never see the request struct — lands on this
-  // request's virtual track.
-  const uint64_t track = TraceTrack(rq);
-  obs::ScopedRequestId rid(track);
-  CG_TRACE_VSPAN("cluster", "queue_wait", track, rq.arrival_s, admit_s);
 
   const SharedLink::FlowId flow = link_->Register(admit_s, rq.weight);
   // Our unparked flow now freezes virtual time; the admission hold can go.
@@ -618,9 +384,11 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   // First-chunk prior: assume the path splits as many ways as the GPU does.
   // gpu_share comes from the coordinator's in-flight count at admission, so
   // the hint is deterministic (SharedLink::ActiveFlows() would race with
-  // peers still registering in wall-clock time). A cold stream's hint is
-  // capped at the cold device's read rate so the very first chunk is already
-  // picked for the slower path.
+  // peers still registering in wall-clock time). The frozen share only seeds
+  // the adapter and this hint; actual GPU time is priced per event by the
+  // arbiter's lane as it drains. A remote or cold stream's hint is capped at
+  // that path's read rate so the very first chunk is already picked for the
+  // slower path.
   double hint = opts_.throughput_hint_gbps.value_or(
       link_->CapacityGbpsAt(admit_s) * gpu_share);
   if (remote) hint = std::min(hint, opts_.remote_read_gbps);
@@ -635,10 +403,10 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
           : (prefix ? StreamMode::kAdaptive : StreamMode::kForceText);
   const size_t kv_limit = prefix ? look.covered_chunks : SIZE_MAX;
   ClientLink client(*link_, flow);
-  // Remote streams pay the fabric interconnect (bandwidth cap + one RTT to
-  // first byte); cold streams run through the cold-read model on top of it.
-  // SLO accounting needs no special casing — the slower timeline simply is
-  // the stream's timeline.
+  // A remote hit streams through the fabric interconnect first (bandwidth
+  // cap + one RTT to first byte); a cold promotion, on a remote node too,
+  // stacks the device-read model on top of it. SLO accounting needs no
+  // special casing: the slower timeline simply is the stream's timeline.
   std::optional<ThrottledLink> remote_client;
   if (remote) {
     remote_client.emplace(client, opts_.remote_read_gbps, opts_.remote_rtt_s);
@@ -647,8 +415,25 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   std::optional<ThrottledLink> cold_client;
   if (cold) cold_client.emplace(net, opts_.cold_read_gbps, opts_.cold_seek_s);
   Link& path = cold ? static_cast<Link&>(*cold_client) : net;
+
+  StreamHooks hooks;
+  hooks.post_gpu = [&](double arrival_s, double const_s, double shared_s) {
+    link_->PostGpuWork(flow, arrival_s, const_s, shared_s);
+  };
+  hooks.drain_gpu = [&] { return link_->DrainGpu(flow); };
+  hooks.on_transfer = [&](const StreamStep& step) {
+    if (step.enhancement && fsm.state() == RequestState::kKvStreaming) {
+      fsm.Feed(RequestEvent::kEnhance, step.tx_start_s);
+    }
+    fsm.Feed(RequestEvent::kChunkTransferDone, step.tx_end_s);
+  };
   const StreamResult sr =
-      streamer.Stream(plan, path, gpu_share, hint, mode, kv_limit);
+      streamer.Stream(plan, path, gpu_share, hint, mode, kv_limit, &hooks);
+
+  // Transfers are done (last chunk_transfer_done instant) and the GPU lane
+  // has drained inside Stream(); stamp the two tail events.
+  fsm.Feed(RequestEvent::kDecode, fsm.last_event_s());
+  fsm.Feed(RequestEvent::kDecodeDone, admit_s + sr.stream_finish_s);
 
   // The worker (and its link flow) stays occupied through the enhancement
   // pass, which overlaps the prompt pass that runs right after load_finish;
@@ -670,7 +455,7 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   out.remote_hit = remote;
   out.prefix_hit = prefix;
   out.covered_tokens = look.covered_tokens;
-  out.forced_text = !hit && !prefix;  // prefix/cold streams are never forced_text
+  out.forced_text = !hit && !prefix;  // prefix/cold streams never are
   out.quality = sr.quality;
   out.bytes_sent = sr.bytes_sent;
   out.base_quality = sr.base_quality;
@@ -680,12 +465,19 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   out.fabric_node = look.home_node;
 
   if (remote) {
+    // The interconnect leg of the stream: between queue_wait and the end of
+    // kv_stream on this track (ci/check_trace.py validates the ordering on
+    // every remote-hit track).
     CG_TRACE_VSPAN("fabric", "remote_fetch", track, admit_s,
                    admit_s + opts_.remote_rtt_s, "rtt_s", opts_.remote_rtt_s);
   }
   CG_TRACE_VSPAN("cluster", "kv_stream", track, admit_s,
                  admit_s + sr.load_finish_s, "bytes",
                  static_cast<double>(sr.bytes_sent));
+  // The cluster.* metrics for this request are recorded by the COORDINATOR
+  // when it pops this completion (RecordOutcomeMetrics), in deterministic
+  // completion order — a worker-side record here would land at a wall-clock
+  // instant and tear the telemetry sampler's windows.
 
   // Cache-tier mutations happen BEFORE the worker slot is handed back:
   // CompleteFlow is what lets the coordinator admit the next request, so
@@ -696,6 +488,12 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   // writes back too (it is a context-level miss): under a prefix-aware tier
   // the covered chunks dedup into the store and only the suffix costs bytes.
   if (!hit && opts_.write_back_on_miss) {
+    // The encode's real CPU cost is wall-clock work overlapping serving: it
+    // gets a wall span (pid 1). The lifecycle marker on the request's
+    // virtual track is zero-duration at the completion instant — virtual
+    // time is never stretched by machine speed, keeping replayed incident
+    // artifacts byte-identical.
+    CG_TRACE_SPAN("cluster", "write_back_persist");
     // Announce BEFORE pinning: a prefix-aware tier routes Pin() by what it
     // knows about the id, so the announcement is what turns this pin into a
     // pending context pin that carries over to the registration — pinned
@@ -703,15 +501,11 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
     // at LRU stamp 0, the prime victim for a concurrent worker's eviction
     // before Touch() runs.
     tier_->BeginStore(rq.context_id, rq.spec);
-    // Guard, not a bare Pin/Unpin pair: StoreKV throwing (full disk, failing
-    // backend) used to leave the context pinned forever — unevictable dead
-    // capacity. The write-back itself is best-effort: on failure the context
-    // simply stays uncached and the worker carries on.
+    // Guard, not a bare Pin/Unpin pair: a throwing StoreKV (full disk,
+    // failing backend) must not leave the context pinned forever as
+    // unevictable dead capacity. The write-back itself is best-effort: on
+    // failure the context simply stays uncached and the worker carries on.
     PinGuard write_pin = PinGuard::Acquire(*tier_, rq.context_id);
-    // Real CPU cost as a wall span; the virtual lifecycle marker stays
-    // zero-duration at the completion instant (virtual time never stretches
-    // with machine speed — see ServeOneEvent).
-    CG_TRACE_SPAN("cluster", "write_back_persist");
     try {
       engine_.StoreKV(rq.context_id, rq.spec);
       // Put() cannot know virtual time; stamp recency here or the fresh
@@ -721,25 +515,28 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
     } catch (const std::exception&) {
       // StoreKV persists through PutBatch, which rolls a failed insert of a
       // previously-absent context back entirely — no half-written context
-      // is ever visible. The context simply stays uncached (the guard drops
-      // the pin); the tier just gets to retire the unconsumed announcement.
+      // is ever visible. The guard drops the pin; the tier just gets to
+      // retire the unconsumed announcement.
       tier_->AbortStore(rq.context_id);
       out.write_back_failed = true;
     }
     CG_TRACE_VSPAN("cluster", "write_back", track, free_s, free_s);
   }
-  // Legacy path: record inline on the worker (no coordinator sampling in
-  // thread-per-request mode).
-  RecordOutcomeMetrics(out);
+  // Commit (or trivial skip) settled: the request's terminal event.
+  fsm.Feed(RequestEvent::kWriteBackCommitted, free_s);
+
   const bool keep_pin_for_assembly = hit && opts_.assemble_kv;
   if (look.pinned && !keep_pin_for_assembly) pin.Release();
   link_->CompleteFlow(flow, free_s, PackPayload(worker, slot));
 
-  // Below here only read-only (or pin-release) work remains; it runs after
-  // the slot is handed back so the real codec CPU cost parallelizes across
-  // workers instead of freezing virtual time.
+  // Below here only read-only (or pin-release) work remains. The codec
+  // tail — real CPU, no virtual-time cost — goes to the continuation queue
+  // instead of keeping this slot's thread alive: any worker that goes idle
+  // drains it, so codec CPU parallelizes across workers instead of freezing
+  // virtual time. The assembly pin rides along in a shared_ptr
+  // (std::function requires copyable captures).
+  std::vector<int> levels;
   if (keep_pin_for_assembly) {
-    std::vector<int> levels;
     levels.reserve(sr.steps.size());
     for (const StreamStep& step : sr.steps) {
       // Enhancement steps revisit a chunk the base pass already delivered;
@@ -747,42 +544,29 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
       if (step.enhancement) continue;
       levels.push_back(step.config.text ? -1 : step.config.level_id);
     }
-    CG_TRACE_SPAN("cluster", "assemble_kv");
-    try {
-      const KVCache kv = engine_.AssembleKV(rq.context_id, rq.spec, levels);
-      (void)kv;
-    } catch (const std::exception&) {
-      // A chunk was evicted between lookup and assembly under extreme
-      // capacity pressure; the text path would recompute it (already
-      // priced into the streaming timeline as the coarsest outcome).
-    }
-    pin.Release();
   }
-
-  out.answer_correct = engine_.GenerateWithKV(rq.spec, sr.quality).correct;
+  auto tail_pin = std::make_shared<PinGuard>(std::move(pin));
+  channel.PushContinuation(
+      [this, spec = rq.spec, ctx = rq.context_id, levels = std::move(levels),
+       assemble = keep_pin_for_assembly, tail_pin, quality = sr.quality,
+       out_ptr = &out, track](KVCache& assembly) {
+        obs::ScopedRequestId tail_rid(track);
+        if (assemble) {
+          CG_TRACE_SPAN("cluster", "assemble_kv");
+          try {
+            engine_.AssembleKV(ctx, spec, levels, assembly);
+          } catch (const std::exception&) {
+            // A chunk was evicted between lookup and assembly under extreme
+            // capacity pressure; the text path would recompute it (already
+            // priced into the streaming timeline as the coarsest outcome).
+          }
+          tail_pin->Release();
+        }
+        out_ptr->answer_correct = engine_.GenerateWithKV(spec, quality).correct;
+      });
 }
 
-// --- per-request metrics + continuous telemetry ------------------------------
-
-void ClusterServer::RecordOutcomeMetrics(const RequestOutcome& out) {
-  CG_METRIC_COUNT("cluster.requests", 1);
-  if (out.cache_hit) {
-    CG_METRIC_COUNT(out.cold_hit ? "cluster.hits.cold" : "cluster.hits.hot", 1);
-  } else if (out.prefix_hit) {
-    CG_METRIC_COUNT("cluster.hits.prefix", 1);
-  } else {
-    CG_METRIC_COUNT("cluster.misses", 1);
-  }
-  if (out.remote_hit) CG_METRIC_COUNT("cluster.remote_streams", 1);
-  if (out.slo_violated) CG_METRIC_COUNT("cluster.slo_violations", 1);
-  CG_METRIC_COUNT("cluster.bytes_sent",
-                  static_cast<uint64_t>(out.bytes_sent));
-  if (out.write_back_done) CG_METRIC_COUNT("cluster.write_backs", 1);
-  if (out.write_back_failed) CG_METRIC_COUNT("cluster.write_back_failures", 1);
-  CG_METRIC_HIST("cluster.ttft_us", static_cast<uint64_t>(out.ttft_s * 1e6));
-  CG_METRIC_HIST("cluster.queue_delay_us",
-                 static_cast<uint64_t>(out.queue_delay_s * 1e6));
-}
+// --- continuous telemetry ----------------------------------------------------
 
 void ClusterServer::StartTelemetry() {
   series_.reset();
@@ -794,10 +578,7 @@ void ClusterServer::StartTelemetry() {
   last_completion_s_ = 0.0;
   incident_injected_ = false;
   const TelemetryOptions& t = opts_.telemetry;
-  if (t.sample_period_s <= 0.0 ||
-      opts_.serve_mode != ServeMode::kEventLoop) {
-    return;
-  }
+  if (t.sample_period_s <= 0.0) return;
   obs::TimeSeriesCollector::Options copts;
   copts.period_s = t.sample_period_s;
   copts.max_windows = t.max_windows;

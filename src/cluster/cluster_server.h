@@ -82,25 +82,11 @@
 #include "obs/timeseries.h"
 #include "serving/engine.h"
 #include "storage/cache_tier.h"
-#include "storage/sharded_kv_store.h"
-#include "storage/tiered_kv_store.h"
 
 namespace cachegen {
 
 class ClusterServer {
  public:
-  enum class ServeMode {
-    // Fixed pool of worker threads driving a completion-queue loop: each
-    // request is a RequestFsm advanced by events, codec tails drain through
-    // a continuation queue, and GPU work is priced per event by the
-    // arbiter's lanes. OS thread count is bounded by num_workers regardless
-    // of trace length.
-    kEventLoop,
-    // Legacy one-std::thread-per-request serving with the GPU share frozen
-    // at admission. Kept as the bench_event_loop comparison baseline only.
-    kThreadPerRequest,
-  };
-
   // Continuous telemetry over one Serve() run: virtual-time metric windows
   // (TimeSeriesCollector), multi-window burn-rate alerting (SloMonitor), and
   // incident capture (FlightRecorder), all driven from the coordinator's
@@ -131,7 +117,6 @@ class ClusterServer {
   struct Options {
     size_t num_workers = 4;
     SchedulerPolicyKind policy = SchedulerPolicyKind::kFifo;
-    ServeMode serve_mode = ServeMode::kEventLoop;
     double default_slo_s = 2.0;  // for requests with slo_s <= 0
     // Decode the delivered bitstreams into a real KVCache after streaming
     // (exercises the actual codec; costs real CPU, not virtual time).
@@ -163,23 +148,16 @@ class ClusterServer {
     // hit and a miss (the bench_cache_fabric CI gate).
     double remote_read_gbps = 2.0;
     double remote_rtt_s = 0.01;
-    // Continuous telemetry (event-loop mode only; ignored in the legacy
-    // thread-per-request baseline, whose workers record metrics in wall
-    // order and cannot be sampled deterministically).
     TelemetryOptions telemetry;
   };
 
-  // The general form: serve through any CacheTier arrangement. `engine`
-  // must be constructed with the tier's kv() as its store — the cluster
-  // pins/evicts through the tier while the engine reads and writes chunks
-  // through the same object, so translation/dedup/tiering apply to both.
+  // Serve through any CacheTier arrangement (a shared_ptr to a
+  // ShardedKVStore, TieredKVStore, PrefixCache or CacheFabric converts).
+  // `engine` must be constructed with the tier's kv() as its store — the
+  // cluster pins/evicts through the tier while the engine reads and writes
+  // chunks through the same object, so translation/dedup/tiering apply to
+  // both.
   ClusterServer(Engine& engine, std::shared_ptr<CacheTier> tier,
-                BandwidthTrace capacity, Options opts);
-
-  // Convenience forms for the two plain arrangements.
-  ClusterServer(Engine& engine, std::shared_ptr<ShardedKVStore> store,
-                BandwidthTrace capacity, Options opts);
-  ClusterServer(Engine& engine, std::shared_ptr<TieredKVStore> store,
                 BandwidthTrace capacity, Options opts);
 
   // Serve a whole trace to completion; returns one outcome per request,
@@ -195,19 +173,11 @@ class ClusterServer {
   const Options& options() const { return opts_; }
   // The serving tier arrangement.
   const CacheTier& tier() const { return *tier_; }
-  // The sharded hot tier of the arrangement (the whole store on plain
-  // sharded runs). Every supported arrangement has one.
-  const ShardedKVStore& store() const { return *tier_->hot_tier(); }
-  // Null unless a TieredKVStore is in the arrangement.
-  const TieredKVStore* tiered_store() const { return tier_->tiered(); }
-  // Null unless the prefix-sharing layer is in the arrangement.
-  const PrefixCache* prefix_cache() const { return tier_->prefix(); }
   // Link of the last Serve() run (null before the first run).
   const SharedLink* link() const { return link_.get(); }
 
   // Continuous-telemetry state of the last Serve() run (null before the
-  // first run, or when telemetry.sample_period_s <= 0, or in the legacy
-  // thread-per-request mode).
+  // first run, or when telemetry.sample_period_s <= 0).
   const obs::TimeSeriesCollector* timeseries() const { return series_.get(); }
   const obs::SloMonitor* slo_monitor() const { return monitor_.get(); }
   const obs::FlightRecorder* flight_recorder() const { return recorder_.get(); }
@@ -215,27 +185,15 @@ class ClusterServer {
  private:
   struct WorkChannel;  // admission + continuation queues of one event loop
 
+  // The coordinator: admits onto the worker pool as workers free up and
+  // pops completions in virtual-time order until the trace is served.
   void ServeEventLoop(RequestQueue& queue, size_t n,
                       std::vector<RequestOutcome>* outcomes);
-  void ServeThreadPerRequest(RequestQueue& queue, size_t n,
-                             std::vector<RequestOutcome>* outcomes);
   // One request end to end on a pool worker: stream (GPU priced per event),
   // write back, complete the flow, enqueue the codec tail.
-  void ServeOneEvent(ClusterRequest rq, size_t worker, size_t slot,
-                     double admit_s, SharedLink::HoldId admit_hold,
-                     double gpu_share, std::vector<RequestOutcome>* outcomes,
-                     WorkChannel& channel);
-  // Legacy baseline body (ServeMode::kThreadPerRequest).
   void ServeOne(ClusterRequest rq, size_t worker, size_t slot, double admit_s,
                 SharedLink::HoldId admit_hold, double gpu_share,
-                std::vector<RequestOutcome>* outcomes);
-
-  // The per-request cluster.* metric block, shared by both serve paths. In
-  // event-loop mode the COORDINATOR calls it per popped completion (after
-  // TimeSeriesCollector::AdvanceTo), so metric order matches completion
-  // order and windows are deterministic; the legacy path calls it inline on
-  // the worker.
-  static void RecordOutcomeMetrics(const RequestOutcome& out);
+                std::vector<RequestOutcome>* outcomes, WorkChannel& channel);
 
   // Continuous-telemetry plumbing (coordinator thread only).
   void StartTelemetry();

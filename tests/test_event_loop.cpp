@@ -266,14 +266,12 @@ EventLoopFixture& WarmFixture() {
 }
 
 std::vector<RequestOutcome> RunEventLoad(EventLoopFixture& fx, double rate_hz,
-                                         size_t num_requests, size_t workers,
-                                         ClusterServer::ServeMode mode) {
+                                         size_t num_requests, size_t workers) {
   RequestTraceOptions topts = fx.trace_opts;
   topts.num_requests = num_requests;
   topts.arrival_rate_hz = rate_hz;
   ClusterServer::Options copts;
   copts.num_workers = workers;
-  copts.serve_mode = mode;
   copts.write_back_on_miss = false;  // keep virtual-only (everything hits)
   copts.assemble_kv = false;
   ClusterServer server(*fx.engine, fx.store, BandwidthTrace::Constant(2.0),
@@ -301,7 +299,7 @@ TEST(EventLoop, NoPerRequestThreads) {
 
   // One throwaway serve so every lazy singleton (calibration, codec thread
   // pool, metrics) exists before the baseline count is taken.
-  RunEventLoad(fx, 8.0, 8, kWorkers, ClusterServer::ServeMode::kEventLoop);
+  RunEventLoad(fx, 8.0, 8, kWorkers);
 
   const int baseline = CurrentThreadCount();
   ASSERT_GT(baseline, 0);
@@ -317,8 +315,7 @@ TEST(EventLoop, NoPerRequestThreads) {
       std::this_thread::yield();
     }
   });
-  const auto outcomes = RunEventLoad(fx, 64.0, kRequests, kWorkers,
-                                     ClusterServer::ServeMode::kEventLoop);
+  const auto outcomes = RunEventLoad(fx, 64.0, kRequests, kWorkers);
   stop.store(true);
   sampler.join();
 
@@ -330,10 +327,8 @@ TEST(EventLoop, NoPerRequestThreads) {
 
 TEST(EventLoop, DeterministicAcrossRuns) {
   EventLoopFixture& fx = WarmFixture();
-  const auto a =
-      RunEventLoad(fx, 4.0, 24, 4, ClusterServer::ServeMode::kEventLoop);
-  const auto b =
-      RunEventLoad(fx, 4.0, 24, 4, ClusterServer::ServeMode::kEventLoop);
+  const auto a = RunEventLoad(fx, 4.0, 24, 4);
+  const auto b = RunEventLoad(fx, 4.0, 24, 4);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].request.id, b[i].request.id);
