@@ -1,6 +1,6 @@
 // Codec hot-path throughput: encode/decode MB/s and symbols/s for the
-// overhauled fast path (batch symbol kernels, EncodeRun/DecodeRun,
-// interleaved lane decoding) against the retained pre-overhaul scalar coder
+// overhauled fast path (batch symbol kernels, EncodeRun, interleaved lane
+// decoding) against the retained pre-overhaul scalar coder
 // (codec/reference_codec.h), swept over encoding levels (per-layer-group bin
 // ladders), chunk sizes, and thread counts.
 //

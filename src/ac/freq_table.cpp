@@ -68,23 +68,6 @@ uint32_t FreqTable::Lookup(uint32_t target) const {
   return static_cast<uint32_t>(it - cum_.begin()) - 1;
 }
 
-const uint16_t* FreqTable::LookupTable() const {
-  LookupCache& cache = *lookup_;
-  std::call_once(cache.direct_once, [this, &cache] {
-    if (freq_.empty()) {
-      throw std::logic_error("FreqTable::LookupTable: empty table");
-    }
-    // Each symbol owns the contiguous target range [cum_[s], cum_[s+1]);
-    // filling by range is one sequential pass over the kTotal entries.
-    cache.direct.resize(kTotal);
-    for (uint32_t s = 0; s < freq_.size(); ++s) {
-      std::fill(cache.direct.begin() + cum_[s], cache.direct.begin() + cum_[s + 1],
-                static_cast<uint16_t>(s));
-    }
-  });
-  return cache.direct.data();
-}
-
 const uint16_t* FreqTable::BucketIndex() const {
   LookupCache& cache = *lookup_;
   std::call_once(cache.bucket_once, [this, &cache] {
@@ -108,26 +91,28 @@ double FreqTable::BitsFor(uint32_t symbol) const {
   return -std::log2(p);
 }
 
-double FreqTable::CrossEntropyBits(std::span<const int32_t> symbols) const {
-  if (symbols.empty()) return 0.0;
-  double bits = 0.0;
-  for (int32_t s : symbols) bits += BitsFor(static_cast<uint32_t>(s));
-  return bits / static_cast<double>(symbols.size());
-}
-
 void FreqTable::Serialize(ByteWriter& w) const {
   w.PutVarU64(freq_.size());
   for (uint32_t f : freq_) w.PutVarU64(f);
 }
 
 FreqTable FreqTable::Deserialize(ByteReader& r) {
-  FreqTable t;
   const uint64_t n = r.GetVarU64();
+  // Every frequency takes at least one varint byte, so the count is checked
+  // against the bytes left before anything is allocated.
+  if (n == 0 || n >= kTotal || n > r.remaining()) {
+    throw std::runtime_error("FreqTable: corrupt alphabet size");
+  }
+  FreqTable t;
   t.freq_.resize(n);
   uint64_t total = 0;
   for (uint64_t s = 0; s < n; ++s) {
-    t.freq_[s] = static_cast<uint32_t>(r.GetVarU64());
-    total += t.freq_[s];
+    const uint64_t f = r.GetVarU64();
+    // A zero frequency would make its symbol unencodable (the range coder
+    // never terminates on it).
+    if (f == 0 || f > kTotal) throw std::runtime_error("FreqTable: corrupt frequency");
+    t.freq_[s] = static_cast<uint32_t>(f);
+    total += f;
   }
   if (total != kTotal) throw std::runtime_error("FreqTable: corrupt table");
   t.BuildCum();

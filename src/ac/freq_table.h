@@ -10,18 +10,16 @@
 // least one count (Laplace smoothing) so unseen-at-profile-time symbols are
 // still encodable, merely at a higher bit cost.
 //
-// Decode-side symbol resolution has three speeds, all equivalent:
+// Decode-side symbol resolution has two speeds, both equivalent:
 //   - Lookup: binary search over the cumulative array (no extra memory);
-//   - DirectLookup: one load from a direct-indexed array with one entry per
-//     possible target (2^16 entries, 128 KB) — fastest when few tables are
-//     live at once (single-model streams, adaptive coding);
 //   - BucketLookup: a kBuckets-entry (2^8, 512 B) first-symbol index plus a
-//     short cumulative scan — the right choice when thousands of
-//     per-channel-layer tables are live, where the direct arrays would
-//     thrash every cache level (measured: 5x *slower* than binary search at
-//     2048 tables, while all bucket indices together stay cache-resident).
-// Both auxiliary structures are built lazily on first use — encode-only
-// processes never pay for them — and are shared between copies.
+//     short cumulative scan — the lane decoder's path, where thousands of
+//     per-channel-layer tables are live and a direct 2^16-entry array per
+//     table would thrash every cache level (measured: 5x *slower* than binary
+//     search at 2048 tables, while all bucket indices together stay
+//     cache-resident).
+// The bucket index is built lazily on first use — encode-only processes
+// never pay for it — and is shared between copies.
 #pragma once
 
 #include <cstdint>
@@ -55,25 +53,15 @@ class FreqTable {
   uint32_t Freq(uint32_t symbol) const { return freq_[symbol]; }
   uint32_t CumFreq(uint32_t symbol) const { return cum_[symbol]; }
 
-  // Raw per-symbol arrays for batch coding loops that hoist the accessors.
-  const uint32_t* FreqData() const { return freq_.data(); }
+  // Raw cumulative array for decode loops that hoist the accessors.
   const uint32_t* CumData() const { return cum_.data(); }
 
   // Find the symbol whose cumulative interval contains `target` (< kTotal)
   // by binary search over the cumulative array.
   uint32_t Lookup(uint32_t target) const;
 
-  // O(1) variant of Lookup: a single load from the direct-indexed array.
-  // Equal to Lookup(target) for every target < kTotal.
-  uint32_t DirectLookup(uint32_t target) const { return LookupTable()[target]; }
-
-  // The direct target→symbol array (kTotal entries), built lazily and
-  // thread-safely on first use. Hot decode loops hoist this pointer once per
-  // run instead of re-entering the lazy-init check per symbol.
-  const uint16_t* LookupTable() const;
-
-  // Cache-compact variant of DirectLookup: bucket load + short scan.
-  // Equal to Lookup(target) for every target < kTotal.
+  // Bucket load + short scan. Equal to Lookup(target) for every
+  // target < kTotal.
   uint32_t BucketLookup(uint32_t target) const {
     const uint16_t* b = BucketIndex();
     uint32_t s = b[target >> (kTotalBits - kBucketBits)];
@@ -85,14 +73,14 @@ class FreqTable {
   // built lazily and thread-safely on first use.
   const uint16_t* BucketIndex() const;
 
-  // Expected bits to code `symbol` under this model (-log2 p). Used to
-  // estimate bitstream sizes without running the coder.
+  // Expected bits to code `symbol` under this model (-log2 p): the oracle
+  // the range coder's compression is checked against.
   double BitsFor(uint32_t symbol) const;
 
-  // Cross-entropy in bits/symbol of coding `symbols` with this model.
-  double CrossEntropyBits(std::span<const int32_t> symbols) const;
-
   void Serialize(ByteWriter& w) const;
+  // Throws std::runtime_error unless the input is a table FromCounts could
+  // have built: 1 <= alphabet < kTotal, every frequency in [1, kTotal], and
+  // a sum of kTotal.
   static FreqTable Deserialize(ByteReader& r);
 
   bool operator==(const FreqTable& o) const { return freq_ == o.freq_; }
@@ -103,11 +91,9 @@ class FreqTable {
   std::vector<uint32_t> freq_;  // per-symbol normalized frequency, sums to kTotal
   std::vector<uint32_t> cum_;   // cum_[s] = sum of freq_[0..s)
 
-  // Lazily built lookup accelerators; copies of an immutable table share
-  // them (the table is never mutated after construction).
+  // Lazily built bucket index; copies of an immutable table share it (the
+  // table is never mutated after construction).
   struct LookupCache {
-    std::once_flag direct_once;
-    std::vector<uint16_t> direct;  // kTotal entries
     std::once_flag bucket_once;
     std::vector<uint16_t> bucket;  // kBuckets entries
   };

@@ -20,12 +20,6 @@ RangeDecoder::RangeDecoder(BitReader& in) : in_(in) {
   code_ = static_cast<uint32_t>(in_.GetBytesBE(5));
 }
 
-void RangeDecoder::ThrowTruncated(size_t offset) {
-  throw std::out_of_range(
-      "RangeDecoder: truncated stream: ran out of bytes at offset " +
-      std::to_string(offset));
-}
-
 void RangeDecoder::Normalize() {
   while (range_ < kTopValue) {
     code_ = (code_ << 8) | in_.GetByte();
@@ -44,79 +38,6 @@ uint32_t RangeDecoder::Decode(const FreqTable& table) {
   range_ *= size;
   Normalize();
   return symbol;
-}
-
-void RangeDecoder::DecodeRun(const FreqTable* const* tables, uint32_t* out,
-                             size_t n) {
-  const uint8_t* const base = in_.data();
-  const uint8_t* p = base + in_.BytePos();
-  const uint8_t* const end = base + in_.size();
-  uint32_t code = code_;
-  uint32_t range = range_;
-  for (size_t i = 0; i < n; ++i) {
-    // Bucket resolution, not the 2^16 direct array: a multi-table run is the
-    // per-channel-layer codec path, where thousands of live tables make the
-    // direct arrays thrash every cache level.
-    const FreqTable& table = *tables[i];
-    const uint16_t* const bucket = table.BucketIndex();
-    const uint32_t* const cum = table.CumData();
-    const uint32_t* const freq = table.FreqData();
-    range >>= FreqTable::kTotalBits;
-    uint32_t target = code / range;
-    if (target >= FreqTable::kTotal) target = FreqTable::kTotal - 1;
-    uint32_t symbol =
-        bucket[target >> (FreqTable::kTotalBits - FreqTable::kBucketBits)];
-    while (cum[symbol + 1] <= target) ++symbol;
-    code -= cum[symbol] * range;
-    range *= freq[symbol];
-    while (range < kTopValue) {
-      if (p == end) {
-        in_.SeekBytes(static_cast<size_t>(p - base));
-        code_ = code;
-        range_ = range;
-        ThrowTruncated(static_cast<size_t>(p - base));
-      }
-      code = (code << 8) | *p++;
-      range <<= 8;
-    }
-    out[i] = symbol;
-  }
-  in_.SeekBytes(static_cast<size_t>(p - base));
-  code_ = code;
-  range_ = range;
-}
-
-void RangeDecoder::DecodeRun(const FreqTable& table, uint32_t* out, size_t n) {
-  const uint16_t* const lut = table.LookupTable();
-  const uint32_t* const freq = table.FreqData();
-  const uint32_t* const cum = table.CumData();
-  const uint8_t* const base = in_.data();
-  const uint8_t* p = base + in_.BytePos();
-  const uint8_t* const end = base + in_.size();
-  uint32_t code = code_;
-  uint32_t range = range_;
-  for (size_t i = 0; i < n; ++i) {
-    range >>= FreqTable::kTotalBits;
-    uint32_t target = code / range;
-    if (target >= FreqTable::kTotal) target = FreqTable::kTotal - 1;
-    const uint32_t symbol = lut[target];
-    code -= cum[symbol] * range;
-    range *= freq[symbol];
-    while (range < kTopValue) {
-      if (p == end) {
-        in_.SeekBytes(static_cast<size_t>(p - base));
-        code_ = code;
-        range_ = range;
-        ThrowTruncated(static_cast<size_t>(p - base));
-      }
-      code = (code << 8) | *p++;
-      range <<= 8;
-    }
-    out[i] = symbol;
-  }
-  in_.SeekBytes(static_cast<size_t>(p - base));
-  code_ = code;
-  range_ = range;
 }
 
 }  // namespace cachegen

@@ -2,20 +2,13 @@
 // same sequence of FreqTables used at encode time, reproduces the symbol
 // stream exactly.
 //
-// Two interfaces share one decoder state: per-symbol Decode (binary-search
-// Lookup, no auxiliary memory), and the batch DecodeRun fast paths that
-// pull input bytes with a raw pointer bump and keep code/range in registers
-// across the run. Symbol resolution differs by overload: the single-table
-// run uses FreqTable::DirectLookup (one load from the 2^16 array — optimal
-// when one table stays hot), while the multi-table run uses the compact
-// BucketIndex (direct arrays thrash the cache when thousands of
-// per-channel-layer tables are live). All paths consume identical bytes for
-// identical table sequences and may be mixed freely on one decoder.
-// Truncated input surfaces as std::out_of_range, never as silently-wrong
-// symbols.
+// This is the strict single-stream decoder (binary-search Lookup, no
+// auxiliary memory). The codec's fast path decodes many token-group streams
+// at once through the interleaved lanes of ac/lane_decoder.h, which
+// reproduce Decode symbol-for-symbol on well-formed input. Truncated input
+// surfaces here as std::out_of_range, never as silently-wrong symbols.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "ac/freq_table.h"
@@ -34,16 +27,8 @@ class RangeDecoder {
   // encoder's call-for-call.
   uint32_t Decode(const FreqTable& table);
 
-  // Batch fast path: decode out[i] under *tables[i] for i in [0, n).
-  // Equivalent to n Decode calls.
-  void DecodeRun(const FreqTable* const* tables, uint32_t* out, size_t n);
-
-  // Batch fast path with a single model for the whole run.
-  void DecodeRun(const FreqTable& table, uint32_t* out, size_t n);
-
  private:
   void Normalize();
-  [[noreturn]] static void ThrowTruncated(size_t offset);
 
   BitReader& in_;
   uint32_t range_ = 0xFFFFFFFFu;

@@ -41,23 +41,9 @@ void RangeEncoder::Encode(const FreqTable& table, uint32_t symbol) {
   }
 }
 
-// The batch loops below are ShiftLow/Encode inlined with the coder state in
-// locals; they must stay bit-for-bit equivalent to the per-symbol path (the
-// golden-bitstream test enforces this).
-#define CACHEGEN_ENC_SHIFT_LOW()                                  \
-  do {                                                            \
-    if (low < 0xFF000000ULL || low > 0xFFFFFFFFULL) {             \
-      const uint8_t carry = static_cast<uint8_t>(low >> 32);      \
-      do {                                                        \
-        out.push_back(static_cast<uint8_t>(cache + carry));       \
-        cache = 0xFF;                                             \
-      } while (--cache_size != 0);                                \
-      cache = static_cast<uint8_t>(low >> 24);                    \
-    }                                                             \
-    ++cache_size;                                                 \
-    low = (low << 8) & 0xFFFFFFFFULL;                             \
-  } while (0)
-
+// ShiftLow/Encode inlined with the coder state in locals; it must stay
+// bit-for-bit equivalent to the per-symbol path (the golden-bitstream test
+// enforces this).
 void RangeEncoder::EncodeRun(const FreqTable* const* tables,
                              const uint32_t* symbols, size_t n) {
   if (finished_) throw std::logic_error("RangeEncoder: already finished");
@@ -86,47 +72,20 @@ void RangeEncoder::EncodeRun(const FreqTable* const* tables,
     range *= size;
     while (range < kTopValue) {
       range <<= 8;
-      CACHEGEN_ENC_SHIFT_LOW();
+      if (low < 0xFF000000ULL || low > 0xFFFFFFFFULL) {
+        const uint8_t carry = static_cast<uint8_t>(low >> 32);
+        do {
+          out.push_back(static_cast<uint8_t>(cache + carry));
+          cache = 0xFF;
+        } while (--cache_size != 0);
+        cache = static_cast<uint8_t>(low >> 24);
+      }
+      ++cache_size;
+      low = (low << 8) & 0xFFFFFFFFULL;
     }
   }
   commit();
 }
-
-void RangeEncoder::EncodeRun(const FreqTable& table, const uint32_t* symbols,
-                             size_t n) {
-  if (finished_) throw std::logic_error("RangeEncoder: already finished");
-  std::vector<uint8_t>& out = out_.AppendSink();
-  const uint32_t* const freq = table.FreqData();
-  const uint32_t* const cum = table.CumData();
-  const uint32_t alphabet = table.alphabet_size();
-  uint64_t low = low_;
-  uint32_t range = range_;
-  uint8_t cache = cache_;
-  uint64_t cache_size = cache_size_;
-  const auto commit = [&] {
-    low_ = low;
-    range_ = range;
-    cache_ = cache;
-    cache_size_ = cache_size;
-  };
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t symbol = symbols[i];
-    if (symbol >= alphabet) {
-      commit();
-      throw std::out_of_range("RangeEncoder: symbol outside alphabet");
-    }
-    range >>= FreqTable::kTotalBits;
-    low += static_cast<uint64_t>(cum[symbol]) * range;
-    range *= freq[symbol];
-    while (range < kTopValue) {
-      range <<= 8;
-      CACHEGEN_ENC_SHIFT_LOW();
-    }
-  }
-  commit();
-}
-
-#undef CACHEGEN_ENC_SHIFT_LOW
 
 void RangeEncoder::Finish() {
   if (finished_) return;

@@ -34,9 +34,6 @@ class RangeEncoder {
   void EncodeRun(const FreqTable* const* tables, const uint32_t* symbols,
                  size_t n);
 
-  // Batch fast path with a single model for the whole run.
-  void EncodeRun(const FreqTable& table, const uint32_t* symbols, size_t n);
-
   // Flush remaining state; must be called exactly once, after which the
   // encoder is no longer usable.
   void Finish();

@@ -1,5 +1,6 @@
 #include "bitstream/bit_reader.h"
 
+#include <stdexcept>
 #include <string>
 
 namespace cachegen {
@@ -15,51 +16,10 @@ uint64_t BitReader::GetBytesBE(int n) {
   if (n < 0 || n > 8) {
     throw std::invalid_argument("BitReader::GetBytesBE: n out of range");
   }
-  if (bit_pos_ != 0) {
-    throw std::logic_error("BitReader::GetBytesBE: not byte-aligned");
-  }
   if (RemainingBytes() < static_cast<size_t>(n)) ThrowPastEnd(n);
   uint64_t out = 0;
   for (int i = 0; i < n; ++i) out = (out << 8) | bytes_[byte_pos_++];
   return out;
-}
-
-uint64_t BitReader::GetBits(int nbits) {
-  if (nbits < 0 || nbits > 57) {
-    throw std::invalid_argument("BitReader::GetBits: nbits out of range");
-  }
-  uint64_t out = 0;
-  for (int i = 0; i < nbits; ++i) {
-    uint8_t bit = 0;
-    if (byte_pos_ < bytes_.size()) {
-      bit = static_cast<uint8_t>((bytes_[byte_pos_] >> (7 - bit_pos_)) & 1u);
-    }
-    out = (out << 1) | bit;
-    if (++bit_pos_ == 8) {
-      bit_pos_ = 0;
-      ++byte_pos_;
-    }
-  }
-  return out;
-}
-
-void BitReader::AlignToByte() {
-  if (bit_pos_ != 0) {
-    bit_pos_ = 0;
-    ++byte_pos_;
-  }
-}
-
-void BitReader::SeekBytes(size_t byte_pos) {
-  if (bit_pos_ != 0) {
-    throw std::logic_error("BitReader::SeekBytes: not byte-aligned");
-  }
-  if (byte_pos > bytes_.size()) {
-    throw std::out_of_range("BitReader::SeekBytes: position " +
-                            std::to_string(byte_pos) + " beyond buffer of " +
-                            std::to_string(bytes_.size()) + " bytes");
-  }
-  byte_pos_ = byte_pos;
 }
 
 }  // namespace cachegen

@@ -1,22 +1,16 @@
-// Mirror of BitWriter: sequential byte/bit reads over an immutable buffer.
+// Mirror of BitWriter: sequential byte reads over an immutable buffer.
 //
 // GetByte is the range decoder's per-byte feed and is deliberately an inline
-// pointer bump: one bounds check, one load. Reading a whole byte past the
-// end is a hard error (std::out_of_range carrying the offending offset) — a
-// complete range-coded stream never over-reads, because the encoder's 5-byte
-// flush exactly covers the decoder's prime plus renormalization lookahead,
-// so an over-read always means truncated or corrupt input. GetBits keeps the
-// historical zero-fill tail for fixed-width header fields.
-//
-// Batch consumers (RangeDecoder::DecodeRun) bypass the per-call interface
-// entirely: data()/size() expose the underlying span for pointer-bump reads
-// and SeekBytes commits the consumed prefix back.
+// pointer bump: one bounds check, one load. Reading past the end is a hard
+// error (std::out_of_range carrying the offending offset) — a complete
+// range-coded stream never over-reads, because the encoder's 5-byte flush
+// exactly covers the decoder's prime plus renormalization lookahead, so an
+// over-read always means truncated or corrupt input.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 
 namespace cachegen {
 
@@ -24,45 +18,24 @@ class BitReader {
  public:
   explicit BitReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
 
-  // Next whole byte; throws std::out_of_range past the end.
+  // Next byte; throws std::out_of_range past the end.
   uint8_t GetByte() {
-    if (bit_pos_ != 0) {
-      throw std::logic_error("BitReader::GetByte: not byte-aligned");
-    }
     if (byte_pos_ >= bytes_.size()) ThrowPastEnd(1);
     return bytes_[byte_pos_++];
   }
 
-  // Next `n` (<= 8) whole bytes as one big-endian value; throws
+  // Next `n` (<= 8) bytes as one big-endian value; throws
   // std::out_of_range if fewer than `n` bytes remain (bulk prime for the
   // range decoder).
   uint64_t GetBytesBE(int n);
 
-  // Read `nbits` (<= 57), most-significant bit first; bits past the end of
-  // the buffer read as zero.
-  uint64_t GetBits(int nbits);
-
-  void AlignToByte();
-
-  bool AtEnd() const { return byte_pos_ >= bytes_.size() && bit_pos_ == 0; }
-  size_t BytePos() const { return byte_pos_; }
-  size_t RemainingBytes() const {
-    return byte_pos_ >= bytes_.size() ? 0 : bytes_.size() - byte_pos_;
-  }
-
-  // Zero-copy fast path: raw view of the whole buffer plus a byte-aligned
-  // reposition. Consumers read [data() + BytePos(), data() + size()) directly
-  // and SeekBytes the bytes they consumed.
-  const uint8_t* data() const { return bytes_.data(); }
-  size_t size() const { return bytes_.size(); }
-  void SeekBytes(size_t byte_pos);
+  size_t RemainingBytes() const { return bytes_.size() - byte_pos_; }
 
  private:
   [[noreturn]] void ThrowPastEnd(size_t wanted) const;
 
   std::span<const uint8_t> bytes_;
   size_t byte_pos_ = 0;
-  int bit_pos_ = 0;  // bits already consumed from bytes_[byte_pos_]
 };
 
 }  // namespace cachegen

@@ -1,14 +1,12 @@
-// Byte-oriented output buffer with bit-level packing, the sink for both the
-// range coder and the container format's fixed-width fields. Bytes accumulate
-// in one contiguous vector with amortized growth; batch producers
-// (RangeEncoder::EncodeRun) append straight into the backing buffer through
+// Byte output buffer, the range coder's sink. Bytes accumulate in one
+// contiguous vector with amortized growth; the batch producer
+// (RangeEncoder::EncodeRun) appends straight into the backing buffer through
 // AppendSink instead of paying a call per byte.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace cachegen {
@@ -18,36 +16,18 @@ class BitWriter {
   // Append a single byte (used by the range coder, which is byte-based).
   void PutByte(uint8_t b) { bytes_.push_back(b); }
 
-  // Append `nbits` (<= 57) of `value`, most-significant bit first.
-  void PutBits(uint64_t value, int nbits);
-
-  // Pad with zero bits to the next byte boundary.
-  void AlignToByte();
-
   // Grow capacity ahead of a burst of appends (amortized contiguous growth).
   void Reserve(size_t bytes) { bytes_.reserve(bytes_.size() + bytes); }
 
-  // Bulk append of whole bytes; requires byte alignment.
-  void Append(std::span<const uint8_t> bytes);
-
-  // Byte-aligned direct access to the backing buffer, for batch producers
-  // that push many bytes in a tight loop. Throws if bits are pending.
-  std::vector<uint8_t>& AppendSink() {
-    if (bit_pos_ != 0) {
-      throw std::logic_error("BitWriter::AppendSink: not byte-aligned");
-    }
-    return bytes_;
-  }
+  // Direct access to the backing buffer, for batch producers that push many
+  // bytes in a tight loop.
+  std::vector<uint8_t>& AppendSink() { return bytes_; }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t> TakeBytes();
-
-  size_t BitCount() const { return bytes_.size() * 8 + static_cast<size_t>(bit_pos_); }
+  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
 
  private:
   std::vector<uint8_t> bytes_;
-  uint8_t partial_ = 0;
-  int bit_pos_ = 0;  // bits already used in `partial_`
 };
 
 }  // namespace cachegen

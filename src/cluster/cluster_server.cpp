@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -383,14 +384,13 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
 
   // First-chunk prior: assume the path splits as many ways as the GPU does.
   // gpu_share comes from the coordinator's in-flight count at admission, so
-  // the hint is deterministic (SharedLink::ActiveFlows() would race with
-  // peers still registering in wall-clock time). The frozen share only seeds
-  // the adapter and this hint; actual GPU time is priced per event by the
-  // arbiter's lane as it drains. A remote or cold stream's hint is capped at
-  // that path's read rate so the very first chunk is already picked for the
-  // slower path.
-  double hint = opts_.throughput_hint_gbps.value_or(
-      link_->CapacityGbpsAt(admit_s) * gpu_share);
+  // the hint is deterministic (a count of the link's registered flows would
+  // race with peers still registering in wall-clock time). The frozen share
+  // only seeds the adapter and this hint; actual GPU time is priced per
+  // event by the arbiter's lane as it drains. A remote or cold stream's hint
+  // is capped at that path's read rate so the very first chunk is already
+  // picked for the slower path.
+  double hint = link_->CapacityGbpsAt(admit_s) * gpu_share;
   if (remote) hint = std::min(hint, opts_.remote_read_gbps);
   if (cold) hint = std::min(hint, opts_.cold_read_gbps);
 
@@ -576,7 +576,6 @@ void ClusterServer::StartTelemetry() {
   last_completed_track_ = 0;
   last_violated_track_ = 0;
   last_completion_s_ = 0.0;
-  incident_injected_ = false;
   const TelemetryOptions& t = opts_.telemetry;
   if (t.sample_period_s <= 0.0) return;
   obs::TimeSeriesCollector::Options copts;
@@ -614,11 +613,6 @@ void ClusterServer::OnCompletionTelemetry(const RequestOutcome& out) {
     const std::string node = "fabric.node" + std::to_string(out.fabric_node);
     series_->BumpExternal(node + ".requests", 1);
     if (out.remote_hit) series_->BumpExternal(node + ".remote_streams", 1);
-  }
-  if (opts_.telemetry.inject_incident_at_s >= 0.0 && !incident_injected_ &&
-      out.finish_s >= opts_.telemetry.inject_incident_at_s) {
-    incident_injected_ = true;
-    CaptureIncident(track, out.finish_s, "injected");
   }
 }
 

@@ -64,7 +64,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -109,9 +108,6 @@ class ClusterServer {
     };
     obs::SloMonitor::Options slo;
     obs::FlightRecorder::Options recorder;
-    // Test/CI hook: capture an incident at the first completion whose finish
-    // instant reaches this virtual time (< 0 disables).
-    double inject_incident_at_s = -1.0;
   };
 
   struct Options {
@@ -129,9 +125,6 @@ class ClusterServer {
     // to base-only quality instead of missing its SLO, and upgrades chunks
     // when the shared path has slack.
     bool progressive = false;
-    // First-chunk throughput prior handed to the streamer; defaults to the
-    // aggregate capacity divided by the number of in-flight streams.
-    std::optional<double> throughput_hint_gbps;
     // Cold-tier read model, charged whenever any streamed chunk was promoted
     // from the cold tier: the cold device's per-stream read bandwidth caps
     // the stream's effective throughput (and the first-chunk hint), and the
@@ -173,8 +166,6 @@ class ClusterServer {
   const Options& options() const { return opts_; }
   // The serving tier arrangement.
   const CacheTier& tier() const { return *tier_; }
-  // Link of the last Serve() run (null before the first run).
-  const SharedLink* link() const { return link_.get(); }
 
   // Continuous-telemetry state of the last Serve() run (null before the
   // first run, or when telemetry.sample_period_s <= 0).
@@ -217,7 +208,6 @@ class ClusterServer {
   uint64_t last_completed_track_ = 0;
   uint64_t last_violated_track_ = 0;
   double last_completion_s_ = 0.0;
-  bool incident_injected_ = false;
 };
 
 }  // namespace cachegen

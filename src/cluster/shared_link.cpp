@@ -222,11 +222,6 @@ double SharedLink::now() const {
   return now_s_;
 }
 
-size_t SharedLink::ActiveFlows() const {
-  MutexLock lk(mu_);
-  return flows_.size();
-}
-
 double SharedLink::MinHoldLocked() const {
   double t = kInf;
   for (const auto& [id, hold_t] : holds_) t = std::min(t, hold_t);
@@ -398,14 +393,6 @@ TransferRecord ClientLink::Send(double bytes) {
 void ClientLink::AdvanceTo(double t_s) {
   shared_.WaitUntil(flow_, t_s);
   now_s_ = std::max(now_s_, t_s);
-}
-
-double ClientLink::CurrentGbps() const {
-  // The path's aggregate capacity at this flow's clock. The flow's own
-  // share varies with contention; dividing by ActiveFlows() here would read
-  // a wall-clock-racy count, so callers wanting the observed per-flow rate
-  // should use TransferRecord::ThroughputGbps() instead.
-  return shared_.CapacityGbpsAt(now_s_);
 }
 
 }  // namespace cachegen

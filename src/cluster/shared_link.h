@@ -124,8 +124,6 @@ class SharedLink {
   // --- introspection --------------------------------------------------------
   double now() const;
   double CapacityGbpsAt(double t_s) const { return capacity_.GbpsAt(t_s); }
-  size_t ActiveFlows() const;
-  const BandwidthTrace& capacity() const { return capacity_; }
 
  private:
   struct GpuItem {
@@ -188,7 +186,6 @@ class ClientLink final : public Link {
   TransferRecord Send(double bytes) override;
   void AdvanceTo(double t_s) override;
   double now() const override { return now_s_; }
-  double CurrentGbps() const override;
 
  private:
   SharedLink& shared_;

@@ -1,7 +1,6 @@
 #include "codec/kv_encoder.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "ac/range_encoder.h"
@@ -34,25 +33,6 @@ KVEncoder::KVEncoder(std::shared_ptr<const KVProfile> profile,
                      const EncodingLevel& level, const CodecOptions& options)
     : profile_(std::move(profile)),
       tables_(std::make_shared<TableSet>(*profile_, level, options)) {}
-
-namespace {
-
-// Clamp-and-shift helpers shared with the decoder's inverse mapping.
-inline uint32_t DeltaSymbol(double normalized, double bin) {
-  const long s = std::lround(normalized / bin);
-  const long clamped = std::clamp(s, -static_cast<long>(KVProfile::kDeltaMaxSym),
-                                  static_cast<long>(KVProfile::kDeltaMaxSym));
-  return static_cast<uint32_t>(clamped + KVProfile::kDeltaMaxSym);
-}
-
-inline uint32_t AnchorSymbol(double value, double scale) {
-  const long s = std::lround(value / scale);
-  const long clamped = std::clamp(s, -static_cast<long>(KVProfile::kAnchorMaxSym),
-                                  static_cast<long>(KVProfile::kAnchorMaxSym));
-  return static_cast<uint32_t>(clamped + KVProfile::kAnchorMaxSym);
-}
-
-}  // namespace
 
 void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
                             std::vector<uint8_t>& out, KVCache* recon) const {
@@ -165,45 +145,6 @@ EncodedChunk KVEncoder::EncodeChunk(const KVCache& chunk, uint32_t chunk_index,
   CG_METRIC_COUNT("codec.chunks_encoded", 1);
   CG_METRIC_HIST("codec.encode_us", obs::Tracer::NowUs() - enc_start_us);
   return out;
-}
-
-double KVEncoder::EstimateChunkBytes(const KVCache& chunk) const {
-  const CodecOptions& opt = tables_->options();
-  const size_t G = opt.token_group_size;
-  const size_t C = chunk.num_channels();
-  double bits = 0.0;
-  std::vector<double> ref(C);
-
-  for (size_t l = 0; l < chunk.num_layers(); ++l) {
-    const double bin = tables_->BinFor(l);
-    for (int kind = 0; kind < 2; ++kind) {
-      const Tensor& t = kind == 0 ? chunk.layer(l).k : chunk.layer(l).v;
-      for (size_t r = 0; r < t.rows(); ++r) {
-        const bool anchor = opt.delta_encoding && IsAnchor(r, G);
-        for (size_t c = 0; c < C; ++c) {
-          if (!opt.delta_encoding) {
-            const double mean = tables_->BodyMean(l, c, kind);
-            const double sigma = tables_->BodySigma(l, c, kind);
-            bits += tables_->Body(l, c, kind)
-                        .BitsFor(DeltaSymbol((t.At(r, c) - mean) / sigma, bin));
-          } else if (anchor) {
-            const double scale = tables_->AnchorScaleEff(l, c, kind);
-            const uint32_t sym = AnchorSymbol(t.At(r, c), scale);
-            bits += tables_->Anchor(l, c, kind).BitsFor(sym);
-            ref[c] = (static_cast<double>(sym) - KVProfile::kAnchorMaxSym) * scale;
-          } else {
-            const double sigma = tables_->BodySigma(l, c, kind);
-            const double anchor_val = t.At(AnchorOf(r, G), c);
-            // Estimate against the raw anchor (reconstruction differs by at
-            // most one anchor quantum; negligible for a size estimate).
-            bits += tables_->Body(l, c, kind)
-                        .BitsFor(DeltaSymbol((t.At(r, c) - anchor_val) / sigma, bin));
-          }
-        }
-      }
-    }
-  }
-  return bits / 8.0;
 }
 
 }  // namespace cachegen

@@ -65,10 +65,6 @@ class KVEncoder {
                            uint64_t token_begin = 0, unsigned threads = 0,
                            KVCache* recon = nullptr) const;
 
-  // Model-based size estimate in bytes (cross-entropy under the tables)
-  // without running the range coder — used by fast TTFT sweeps.
-  double EstimateChunkBytes(const KVCache& chunk) const;
-
   const TableSet& tables() const { return *tables_; }
   const KVProfile& profile() const { return *profile_; }
 

@@ -78,12 +78,6 @@ LayeredChunk LayeredEncoder::Encode(const KVCache& chunk, uint32_t chunk_index,
   return out;
 }
 
-double LayeredEncoder::EstimateEnhancementBytes(const KVCache& chunk) const {
-  KVCache base_recon;
-  (void)base_encoder_.EncodeChunk(chunk, 0, 0, /*threads=*/0, &base_recon);
-  return EstimateEnhancementBytes(chunk, base_recon);
-}
-
 double LayeredEncoder::EstimateEnhancementBytes(const KVCache& chunk,
                                                 const EncodedChunk& base) const {
   return EstimateEnhancementBytes(chunk, base_decoder_.DecodeChunk(base));

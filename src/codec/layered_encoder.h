@@ -54,11 +54,9 @@ class LayeredEncoder {
   // converges to the empirical distribution within a few rebuild windows).
   // The core form takes the base layer's reconstruction, as
   // KVEncoder::EncodeChunk(..., &recon) returns it next to the bitstream
-  // (store_kv's write path); the others produce it: the first encodes the
-  // base itself, the second decodes an already-encoded base.
+  // (store_kv's write path); the other decodes an already-encoded base.
   double EstimateEnhancementBytes(const KVCache& chunk,
                                   const KVCache& base_recon) const;
-  double EstimateEnhancementBytes(const KVCache& chunk) const;
   double EstimateEnhancementBytes(const KVCache& chunk,
                                   const EncodedChunk& base) const;
 

@@ -151,6 +151,17 @@ KVProfile KVProfile::Deserialize(ByteReader& r) {
   KVProfile p;
   p.num_layers_ = r.GetVarU64();
   p.num_channels_ = r.GetVarU64();
+  // Each (layer, channel, kind) entry takes four f64 stats plus at least
+  // one varint byte per histogram bin, so the claimed geometry must fit in
+  // the bytes left; the check divides so the product cannot wrap. A shape
+  // with exactly one zero dimension would claim layers (or channels) that
+  // hold no statistics.
+  constexpr size_t kMinEntryBytes = 4 * sizeof(double) + kAnchorBins + 2 * kHistBins;
+  const size_t max_entries = r.remaining() / kMinEntryBytes;
+  if ((p.num_layers_ == 0) != (p.num_channels_ == 0) ||
+      (p.num_channels_ != 0 && p.num_layers_ > max_entries / 2 / p.num_channels_)) {
+    throw std::runtime_error("KVProfile: corrupt geometry");
+  }
   const size_t n = p.num_layers_ * p.num_channels_ * 2;
   p.stats_.resize(n);
   for (auto& s : p.stats_) {

@@ -92,6 +92,8 @@ class KVProfile {
   std::span<const uint64_t> RawHist(size_t l, size_t c, int kind) const;
 
   void Serialize(ByteWriter& w) const;
+  // Throws std::runtime_error when the claimed geometry cannot fit the
+  // input, before allocating for it.
   static KVProfile Deserialize(ByteReader& r);
 
  private:

@@ -64,19 +64,6 @@ double EntropyBits(std::span<const int32_t> symbols, bool miller_madow) {
   return h;
 }
 
-double EntropyBitsFromCounts(const std::map<int32_t, uint64_t>& counts) {
-  uint64_t total = 0;
-  for (const auto& [sym, c] : counts) total += c;
-  if (total == 0) return 0.0;
-  double h = 0.0;
-  for (const auto& [sym, c] : counts) {
-    if (c == 0) continue;
-    const double p = static_cast<double>(c) / static_cast<double>(total);
-    h -= p * std::log2(p);
-  }
-  return h;
-}
-
 double GroupedEntropyBits(std::span<const int32_t> symbols,
                           std::span<const uint32_t> group_of_symbol,
                           uint32_t num_groups, bool miller_madow) {

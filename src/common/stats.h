@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -27,9 +26,6 @@ std::vector<double> EmpiricalCdf(std::vector<double> xs, std::span<const double>
 // whose groups have very different sample counts (plug-in entropy is biased
 // low for small groups, which would flatter fine-grained groupings).
 double EntropyBits(std::span<const int32_t> symbols, bool miller_madow = false);
-
-// Entropy of a pre-computed histogram (counts of each symbol).
-double EntropyBitsFromCounts(const std::map<int32_t, uint64_t>& counts);
 
 // Average entropy when the stream is partitioned into groups: computes the
 // entropy of each group separately and returns the element-weighted mean.

@@ -12,6 +12,10 @@ namespace cachegen {
 
 namespace {
 
+// Front-end (load-balancer) routing hash seed — independent of placement by
+// construction, so ~1/N of full hits land on their home node.
+constexpr uint64_t kRouteSeed = 0x10adba1a4ce00001ull;
+
 // Per-thread fetch accounting for the lookup in flight on this thread: the
 // fabric resets both at LookupAndPin entry, the chunk ops below bump them,
 // and the classification reads them back. Per-chunk inner lookups run on
@@ -175,7 +179,7 @@ uint32_t CacheFabric::HomeNode(const std::string& context_id) const {
 }
 
 uint32_t CacheFabric::FrontNode(const std::string& context_id) const {
-  return static_cast<uint32_t>(HashRing::HashKey(context_id, opts_.route_seed) %
+  return static_cast<uint32_t>(HashRing::HashKey(context_id, kRouteSeed) %
                                nodes_.size());
 }
 

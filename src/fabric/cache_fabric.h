@@ -8,7 +8,7 @@
 //     index entry, pins, LRU recency. Lookups and stores route to the home
 //     node's tier; the radix longest-prefix match never leaves a node.
 //   * Every request also has a FRONT node — an independent hash of the
-//     context id (route_seed) modelling which node the load balancer handed
+//     context id (kRouteSeed) modelling which node the load balancer handed
 //     the request to. When front != home, a hit's bytes cross the fabric
 //     interconnect: the serving layer prices the stream through the
 //     remote-read model (ClusterServer Options::remote_read_gbps /
@@ -73,9 +73,6 @@ class CacheFabric final : public KVStore, public CacheTier {
     size_t chunk_replicas = 2;
     // Placement ring (contexts and cas chunks).
     HashRing::Options ring;
-    // Front-end (load-balancer) routing hash — independent of placement by
-    // construction, so ~1/N of full hits land on their home node.
-    uint64_t route_seed = 0x10adba1a4ce00001ull;
     // Per-node local store: the hot slice every node owns. Leave
     // capacity_bytes 0 when the prefix layer owns existence (its per-node
     // capacity_bytes is the real budget).

@@ -29,10 +29,6 @@ ThrottledLink::ThrottledLink(Link& inner, double read_gbps,
   }
 }
 
-double ThrottledLink::CurrentGbps() const {
-  return std::min(inner_.CurrentGbps(), read_gbps_);
-}
-
 TransferRecord ThrottledLink::Send(double bytes) {
   if (!first_send_done_) {
     first_send_done_ = true;

@@ -43,7 +43,6 @@ class Link {
   virtual void AdvanceTo(double t_s);
 
   virtual double now() const { return now_s_; }
-  virtual double CurrentGbps() const { return trace_.GbpsAt(now_s_); }
 
  protected:
   // For subclasses (e.g. SharedLink clients) whose timing does not come from
@@ -68,7 +67,6 @@ class ThrottledLink final : public Link {
   TransferRecord Send(double bytes) override;
   void AdvanceTo(double t_s) override { inner_.AdvanceTo(t_s); }
   double now() const override { return inner_.now(); }
-  double CurrentGbps() const override;
 
  private:
   Link& inner_;

@@ -134,13 +134,4 @@ void AppendMetricsJson(JsonWriter& w, const MetricsRegistry::Snapshot& snap) {
   w.EndObject();
 }
 
-bool WriteMetricsJson(const std::filesystem::path& path) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Field("schema", "cachegen-metrics-v1");
-  AppendMetricsJson(w, MetricsRegistry::Instance().SnapshotAll());
-  w.EndObject();
-  return w.WriteFile(path);
-}
-
 }  // namespace cachegen::obs

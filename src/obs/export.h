@@ -34,7 +34,4 @@ bool WriteChromeTrace(const std::filesystem::path& path);
 // into their own document (bench JSON, cluster summary dump).
 void AppendMetricsJson(JsonWriter& w, const MetricsRegistry::Snapshot& snap);
 
-// Standalone metrics document for the process registry.
-bool WriteMetricsJson(const std::filesystem::path& path);
-
 }  // namespace cachegen::obs

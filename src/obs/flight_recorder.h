@@ -1,6 +1,6 @@
-// FlightRecorder: on a PAGE alert (or an injected trigger), cut a standalone
-// Chrome-trace "incident" artifact out of the live tracer — the offending
-// request's full virtual-time track plus every completed request whose track
+// FlightRecorder: on a PAGE alert, cut a standalone Chrome-trace "incident"
+// artifact out of the live tracer — the offending request's full
+// virtual-time track plus every completed request whose track
 // overlaps the surrounding virtual-time window, plus the cluster-alert
 // track. The artifact is a self-contained trace document (validated by
 // ci/check_trace.py) small enough to attach to an alert, instead of the

@@ -10,6 +10,12 @@
 
 namespace cachegen {
 
+namespace {
+// Folded into every content address so chunks encoded under a different
+// quantization/codec configuration never alias.
+const std::string kCodecFingerprint = "cachegen-default-ladder-v1";
+}  // namespace
+
 PrefixCache::PrefixCache(std::shared_ptr<CacheTier> inner, Options opts)
     : inner_(std::move(inner)), opts_(std::move(opts)) {
   if (!inner_) throw std::invalid_argument("PrefixCache: inner tier required");
@@ -47,7 +53,7 @@ std::string PrefixCache::ContentAddressFor(const ContextSpec& spec,
   // when the leading token ids agree.
   const size_t pt = std::min(spec.prefix_tokens, spec.num_tokens);
   Sha256 h;
-  h.Update(opts_.codec_fingerprint);
+  h.Update(kCodecFingerprint);
   h.UpdateU64(range.begin);
   h.UpdateU64(range.end);
   h.UpdateU32(static_cast<uint32_t>(chunk_index));

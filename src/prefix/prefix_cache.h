@@ -76,9 +76,6 @@ class PrefixCache final : public KVStore, public CacheTier {
     // Must match the Engine's chunk_tokens: content addresses are computed
     // over the same chunk grid the encoder writes (ClusterServer validates).
     size_t chunk_tokens = kDefaultChunkTokens;
-    // Folded into every content address so chunks encoded under different
-    // quantization/codec configurations never alias.
-    std::string codec_fingerprint = "cachegen-default-ladder-v1";
     // Byte budget over unique chunk bytes; 0 = unbounded. LRU at context
     // granularity; the last context soft-overflows rather than thrashing.
     uint64_t capacity_bytes = 0;

@@ -75,10 +75,9 @@ TEST(FreqTable, RejectsEmptyAndOversizedAlphabets) {
   EXPECT_THROW(FreqTable::FromCounts(too_big), std::invalid_argument);
 }
 
-TEST(FreqTable, DirectAndBucketLookupMatchLookupExhaustively) {
-  // Property: for randomized tables, the O(1) direct array and the compact
-  // bucket index agree with the binary search on every one of the 2^16
-  // possible targets.
+TEST(FreqTable, BucketLookupMatchesLookupExhaustively) {
+  // Property: for randomized tables, the compact bucket index agrees with
+  // the binary search on every one of the 2^16 possible targets.
   Rng rng(42);
   const std::vector<uint32_t> sizes = {2, 3, 16, 129, 255, 1000};
   for (uint32_t n : sizes) {
@@ -90,20 +89,39 @@ TEST(FreqTable, DirectAndBucketLookupMatchLookupExhaustively) {
     }
     const FreqTable t = FreqTable::FromCounts(counts);
     for (uint32_t target = 0; target < FreqTable::kTotal; ++target) {
-      const uint32_t expect = t.Lookup(target);
-      ASSERT_EQ(t.DirectLookup(target), expect) << "n=" << n << " target=" << target;
-      ASSERT_EQ(t.BucketLookup(target), expect) << "n=" << n << " target=" << target;
+      ASSERT_EQ(t.BucketLookup(target), t.Lookup(target))
+          << "n=" << n << " target=" << target;
     }
   }
 }
 
-TEST(FreqTable, LookupTableEdges) {
+TEST(FreqTable, BucketLookupEdges) {
   const FreqTable t = FreqTable::FromCounts(std::vector<uint64_t>{1, 1000000, 1});
-  EXPECT_EQ(t.DirectLookup(0), t.Lookup(0));
-  EXPECT_EQ(t.DirectLookup(FreqTable::kTotal - 1), t.Lookup(FreqTable::kTotal - 1));
-  EXPECT_EQ(t.DirectLookup(FreqTable::kTotal - 1), 2u);
-  EXPECT_THROW(FreqTable().LookupTable(), std::logic_error);
+  EXPECT_EQ(t.BucketLookup(0), t.Lookup(0));
+  EXPECT_EQ(t.BucketLookup(FreqTable::kTotal - 1), t.Lookup(FreqTable::kTotal - 1));
+  EXPECT_EQ(t.BucketLookup(FreqTable::kTotal - 1), 2u);
   EXPECT_THROW(FreqTable().BucketIndex(), std::logic_error);
+}
+
+// Deserialize sees bytes from outside the program (stored tables): counts
+// are checked before anything is allocated, and only tables FromCounts
+// could have built are accepted.
+TEST(FreqTable, DeserializeRejectsInflatedAlphabet) {
+  ByteWriter w;
+  w.PutVarU64(1ULL << 40);  // 6 bytes claiming 2^40 symbols, none present
+  ASSERT_EQ(w.size(), 6u);
+  ByteReader r(w.bytes());
+  EXPECT_THROW(FreqTable::Deserialize(r), std::runtime_error);
+}
+
+TEST(FreqTable, DeserializeRejectsZeroFrequency) {
+  // Sums to kTotal, but symbol 0 would be unencodable.
+  ByteWriter w;
+  w.PutVarU64(2);
+  w.PutVarU64(0);
+  w.PutVarU64(FreqTable::kTotal);
+  ByteReader r(w.bytes());
+  EXPECT_THROW(FreqTable::Deserialize(r), std::runtime_error);
 }
 
 std::vector<uint32_t> RoundTrip(const FreqTable& table,
@@ -203,9 +221,9 @@ TEST(RangeCoder, MixedTablesRoundTrip) {
 }
 
 TEST(RangeCoder, RunApisMatchPerSymbolBitstream) {
-  // EncodeRun/DecodeRun must emit and consume the exact bytes of the
-  // per-symbol Encode/Decode calls, including with per-symbol table switches
-  // and when mixed with scalar calls on the same coder.
+  // EncodeRun must emit the exact bytes of the per-symbol Encode calls,
+  // including with per-symbol table switches and when mixed with scalar
+  // calls on the same coder.
   const FreqTable a = FreqTable::Uniform(4);
   const FreqTable b = FreqTable::FromCounts(std::vector<uint64_t>{900, 5, 5, 1, 1, 88});
   Rng rng(11);
@@ -234,33 +252,10 @@ TEST(RangeCoder, RunApisMatchPerSymbolBitstream) {
   }
   EXPECT_EQ(w_scalar.bytes(), w_run.bytes());
 
-  // Decode the stream back with a mix of scalar and run calls.
   BitReader r(w_scalar.bytes());
   RangeDecoder dec(r);
   std::vector<uint32_t> out(n);
-  dec.DecodeRun(tables.data(), out.data(), 1000);
-  for (size_t i = 1000; i < 1300; ++i) out[i] = dec.Decode(*tables[i]);
-  dec.DecodeRun(tables.data() + 1300, out.data() + 1300, n - 1300);
-  EXPECT_EQ(out, syms);
-}
-
-TEST(RangeCoder, SingleTableRunRoundTrip) {
-  const FreqTable t = FreqTable::FromCounts(std::vector<uint64_t>{500000, 30000, 200, 7, 1});
-  Rng rng(12);
-  const size_t n = 50000;
-  std::vector<uint32_t> syms(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double u = rng.NextDouble();
-    syms[i] = u < 0.9 ? 0u : (u < 0.99 ? 1u : static_cast<uint32_t>(2 + rng.NextBelow(3)));
-  }
-  BitWriter w;
-  RangeEncoder enc(w);
-  enc.EncodeRun(t, syms.data(), n);
-  enc.Finish();
-  BitReader r(w.bytes());
-  RangeDecoder dec(r);
-  std::vector<uint32_t> out(n);
-  dec.DecodeRun(t, out.data(), n);
+  for (size_t i = 0; i < n; ++i) out[i] = dec.Decode(*tables[i]);
   EXPECT_EQ(out, syms);
 }
 
@@ -268,8 +263,10 @@ TEST(RangeCoder, EncodeRunRejectsBadSymbol) {
   BitWriter w;
   RangeEncoder enc(w);
   const FreqTable t = FreqTable::Uniform(4);
+  const std::vector<const FreqTable*> tables(3, &t);
   const std::vector<uint32_t> syms = {1, 2, 4};  // 4 is out of alphabet
-  EXPECT_THROW(enc.EncodeRun(t, syms.data(), syms.size()), std::out_of_range);
+  EXPECT_THROW(enc.EncodeRun(tables.data(), syms.data(), syms.size()),
+               std::out_of_range);
 }
 
 TEST(RangeDecoder, TruncatedPrimeThrows) {
@@ -285,33 +282,23 @@ TEST(RangeDecoder, TruncatedPrimeThrows) {
 
 TEST(RangeDecoder, TruncatedStreamThrowsMidDecode) {
   // Chop a valid stream in half: decoding must surface std::out_of_range
-  // instead of fabricating symbols, on both the scalar and the run path.
+  // instead of fabricating symbols.
   const FreqTable t = FreqTable::Uniform(256);
   Rng rng(13);
   const size_t n = 10000;
-  std::vector<uint32_t> syms(n);
-  for (auto& s : syms) s = static_cast<uint32_t>(rng.NextBelow(256));
   BitWriter w;
   RangeEncoder enc(w);
-  enc.EncodeRun(t, syms.data(), n);
+  for (size_t i = 0; i < n; ++i) enc.Encode(t, static_cast<uint32_t>(rng.NextBelow(256)));
   enc.Finish();
   std::vector<uint8_t> half(w.bytes().begin(),
                             w.bytes().begin() + static_cast<long>(w.bytes().size() / 2));
 
-  {
-    BitReader r(half);
-    RangeDecoder dec(r);
-    std::vector<uint32_t> out(n);
-    EXPECT_THROW(dec.DecodeRun(t, out.data(), n), std::out_of_range);
-  }
-  {
-    BitReader r(half);
-    RangeDecoder dec(r);
-    auto decode_all = [&] {
-      for (size_t i = 0; i < n; ++i) (void)dec.Decode(t);
-    };
-    EXPECT_THROW(decode_all(), std::out_of_range);
-  }
+  BitReader r(half);
+  RangeDecoder dec(r);
+  auto decode_all = [&] {
+    for (size_t i = 0; i < n; ++i) (void)dec.Decode(t);
+  };
+  EXPECT_THROW(decode_all(), std::out_of_range);
 }
 
 TEST(RangeCoder, EncodeAfterFinishThrows) {

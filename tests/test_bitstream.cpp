@@ -3,7 +3,6 @@
 #include "bitstream/bit_reader.h"
 #include "bitstream/bit_writer.h"
 #include "bitstream/serialize.h"
-#include "common/rng.h"
 
 namespace cachegen {
 namespace {
@@ -15,52 +14,6 @@ TEST(BitWriter, BytesPassThrough) {
   ASSERT_EQ(w.bytes().size(), 2u);
   EXPECT_EQ(w.bytes()[0], 0xAB);
   EXPECT_EQ(w.bytes()[1], 0xCD);
-}
-
-TEST(BitWriter, BitPackingMsbFirst) {
-  BitWriter w;
-  w.PutBits(0b101, 3);
-  w.PutBits(0b11111, 5);
-  ASSERT_EQ(w.bytes().size(), 1u);
-  EXPECT_EQ(w.bytes()[0], 0b10111111);
-}
-
-TEST(BitWriter, AlignPadsWithZeros) {
-  BitWriter w;
-  w.PutBits(0b1, 1);
-  w.AlignToByte();
-  ASSERT_EQ(w.bytes().size(), 1u);
-  EXPECT_EQ(w.bytes()[0], 0b10000000);
-}
-
-TEST(BitWriter, RejectsBadWidths) {
-  BitWriter w;
-  EXPECT_THROW(w.PutBits(0, -1), std::invalid_argument);
-  EXPECT_THROW(w.PutBits(0, 58), std::invalid_argument);
-}
-
-TEST(BitRoundTrip, RandomBitFields) {
-  Rng rng(5);
-  std::vector<std::pair<uint64_t, int>> fields;
-  BitWriter w;
-  for (int i = 0; i < 1000; ++i) {
-    const int nbits = 1 + static_cast<int>(rng.NextBelow(57));
-    const uint64_t value = rng.NextU64() & ((nbits == 57 ? (1ULL << 57) : (1ULL << nbits)) - 1);
-    fields.emplace_back(value, nbits);
-    w.PutBits(value, nbits);
-  }
-  w.AlignToByte();
-  BitReader r(w.bytes());
-  for (const auto& [value, nbits] : fields) {
-    EXPECT_EQ(r.GetBits(nbits), value);
-  }
-}
-
-TEST(BitReader, BitsPastEndReadZero) {
-  const std::vector<uint8_t> bytes = {0xFF};
-  BitReader r(bytes);
-  EXPECT_EQ(r.GetBits(8), 0xFFu);
-  EXPECT_EQ(r.GetBits(16), 0u);  // past the end: header fields zero-fill
 }
 
 TEST(BitReader, BytePastEndThrowsWithOffset) {
@@ -80,45 +33,20 @@ TEST(BitReader, GetBytesBEBulkReads) {
   const std::vector<uint8_t> bytes = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06};
   BitReader r(bytes);
   EXPECT_EQ(r.GetBytesBE(5), 0x0102030405ULL);
-  EXPECT_EQ(r.BytePos(), 5u);
+  EXPECT_EQ(r.RemainingBytes(), 1u);
   EXPECT_THROW(r.GetBytesBE(2), std::out_of_range);  // only 1 byte left
   EXPECT_EQ(r.GetBytesBE(1), 0x06u);
   EXPECT_THROW(r.GetBytesBE(9), std::invalid_argument);
 }
 
-TEST(BitReader, SeekBytesRepositionsAndBoundsChecks) {
-  const std::vector<uint8_t> bytes = {10, 20, 30};
-  BitReader r(bytes);
-  EXPECT_EQ(r.GetByte(), 10);
-  r.SeekBytes(2);
-  EXPECT_EQ(r.GetByte(), 30);
-  r.SeekBytes(0);
-  EXPECT_EQ(r.GetByte(), 10);
-  EXPECT_THROW(r.SeekBytes(4), std::out_of_range);
-  EXPECT_EQ(r.data(), bytes.data());
-  EXPECT_EQ(r.size(), bytes.size());
-}
-
-TEST(BitWriter, AppendAndSinkShareTheBuffer) {
+TEST(BitWriter, SinkSharesTheBuffer) {
   BitWriter w;
   w.Reserve(16);
   w.PutByte(1);
-  const std::vector<uint8_t> tail = {2, 3};
-  w.Append(tail);
-  w.AppendSink().push_back(4);
-  EXPECT_EQ(w.bytes(), (std::vector<uint8_t>{1, 2, 3, 4}));
-  w.PutBits(1, 1);  // pending bits: bulk interfaces must refuse
-  EXPECT_THROW(w.Append(tail), std::logic_error);
-  EXPECT_THROW(w.AppendSink(), std::logic_error);
-}
-
-TEST(BitReader, GetByteRequiresAlignment) {
-  const std::vector<uint8_t> bytes = {0xAA, 0xBB};
-  BitReader r(bytes);
-  r.GetBits(3);
-  EXPECT_THROW(r.GetByte(), std::logic_error);
-  r.AlignToByte();
-  EXPECT_EQ(r.GetByte(), 0xBB);
+  w.AppendSink().push_back(2);
+  w.PutByte(3);
+  EXPECT_EQ(w.bytes(), (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(w.TakeBytes(), (std::vector<uint8_t>{1, 2, 3}));
 }
 
 TEST(Serialize, FixedWidthRoundTrip) {

@@ -162,21 +162,6 @@ TEST_F(ExtendedCodecTest, ContainerFuzzNoUncontrolledFailure) {
   EXPECT_GT(decoded, 0u);
 }
 
-TEST_F(ExtendedCodecTest, EstimateAccurateAcrossLevelsAndOptions) {
-  const KVCache chunk = model_->Prefill({781, 150});
-  for (const auto& level : DefaultEncodingLevels()) {
-    for (bool delta : {true, false}) {
-      CodecOptions opt;
-      opt.delta_encoding = delta;
-      const KVEncoder enc(profile(), level, opt);
-      const double est = enc.EstimateChunkBytes(chunk);
-      const double actual = static_cast<double>(enc.EncodeChunk(chunk).PayloadBytes());
-      EXPECT_NEAR(est / actual, 1.0, 0.06)
-          << level.name << " delta=" << delta;
-    }
-  }
-}
-
 TEST_F(ExtendedCodecTest, EncodeIsDeterministic) {
   const KVCache chunk = model_->Prefill({782, 70});
   const KVEncoder enc(profile(), DefaultLevel());

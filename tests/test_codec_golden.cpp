@@ -1,5 +1,5 @@
 // Golden-bitstream compatibility: the overhauled fast path (batch symbol
-// kernels, EncodeRun/DecodeRun, interleaved lane decoding) must be
+// kernels, EncodeRun, interleaved lane decoding) must be
 // bit-compatible with the seed's scalar codec, which is preserved verbatim
 // in codec/reference_codec.h. Encode must emit byte-identical containers;
 // decode must reconstruct bit-identical tensors — across every codec option
@@ -86,7 +86,7 @@ class GoldenCodecTest : public ::testing::Test {
     // Whole container byte-identical.
     EXPECT_EQ(SerializeChunk(golden), SerializeChunk(fast1));
 
-    // Decode: fast path (lane batches + DecodeRun) over the golden stream
+    // Decode: fast path (interleaved lane batches) over the golden stream
     // must reconstruct bit-identically to the seed scalar decode.
     const KVDecoder dec(profile_, tables);
     const KVCache ref_recon = reference::DecodeChunk(*tables, golden);

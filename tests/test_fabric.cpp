@@ -376,6 +376,21 @@ TEST(CacheFabric, RejectsInvalidTopologies) {
 // Cluster-level scenario ladder: local hit < remote hit < miss on TTFT.
 // ---------------------------------------------------------------------------
 
+// Engine calibration and write-back encoding dominate the serving tests'
+// runtime, most of all under TSan. The engines use test_outcome_digest's
+// small settings: 256-token chunks, a 2x400-token profile and a 64-token
+// layered calibration slice.
+constexpr size_t kServeChunkTokens = 256;
+
+Engine::Options SmallEngineOptions() {
+  Engine::Options eopts;
+  eopts.chunk_tokens = kServeChunkTokens;
+  eopts.calib_context_tokens = 400;
+  eopts.calib_num_contexts = 2;
+  eopts.layered_calib_tokens = 64;
+  return eopts;
+}
+
 TEST(ClusterFabric, RemoteHitTtftSitsBetweenLocalHitAndMiss) {
   // prefix=false keeps classification purely topological (front vs home):
   // contexts store whole on their home node, so the remote surcharge is
@@ -393,10 +408,7 @@ TEST(ClusterFabric, RemoteHitTtftSitsBetweenLocalHitAndMiss) {
     return fab->FrontNode(id) != fab->HomeNode(id);
   });
 
-  Engine::Options eopts;
-  eopts.calib_context_tokens = 600;
-  eopts.calib_num_contexts = 4;
-  Engine engine(eopts, fab);
+  Engine engine(SmallEngineOptions(), fab);
   ClusterServer::Options copts;
   copts.num_workers = 1;  // serialize: each lookup after the prior write-back
   copts.default_slo_s = 0.45;
@@ -405,6 +417,9 @@ TEST(ClusterFabric, RemoteHitTtftSitsBetweenLocalHitAndMiss) {
   ClusterServer server(engine, std::static_pointer_cast<CacheTier>(fab),
                        BandwidthTrace::Constant(2.0), copts);
 
+  // The contexts keep their 4500 tokens: the ladder is a long-context
+  // property. At 1024 tokens a remote hit's RTT and read cap already cost
+  // more than re-prefilling (0.175 s against 0.155 s TTFT).
   ContextSpec spec;
   spec.num_tokens = 4500;
   std::vector<ClusterRequest> trace;
@@ -453,19 +468,21 @@ TEST(ClusterFabric, RemoteHitTtftSitsBetweenLocalHitAndMiss) {
 }
 
 TEST(ClusterFabric, ServingOutcomesAreBitIdenticalAcrossRuns) {
+  struct Run {
+    std::vector<RequestOutcome> outcomes;
+    uint64_t remote_chunk_fetches = 0;
+  };
   const auto run = [] {
     CacheFabric::Options f;
     f.num_nodes = 4;
     f.chunk_replicas = 2;
     f.node_store =
         ShardedKVStore::Options{.num_shards = 2, .capacity_bytes = 0};
-    // Engine-default chunking: the prefix layer content-addresses write-backs
-    // and peer-fetches striped chunks — the full fabric path.
+    // The prefix layer content-addresses write-backs and peer-fetches
+    // striped chunks — the full fabric path.
+    f.prefix_opts.chunk_tokens = kServeChunkTokens;
     auto fab = std::make_shared<CacheFabric>(f);
-    Engine::Options eopts;
-    eopts.calib_context_tokens = 600;
-    eopts.calib_num_contexts = 4;
-    Engine engine(eopts, fab);
+    Engine engine(SmallEngineOptions(), fab);
     ClusterServer::Options copts;
     copts.num_workers = 1;
     copts.default_slo_s = 0.45;
@@ -473,9 +490,9 @@ TEST(ClusterFabric, ServingOutcomesAreBitIdenticalAcrossRuns) {
                          BandwidthTrace::Constant(2.0), copts);
 
     PrefixTraceOptions topts;
-    topts.prefix_tokens = 3000;
-    topts.suffix_min_tokens = 1500;
-    topts.suffix_max_tokens = 1500;
+    topts.prefix_tokens = 2 * kServeChunkTokens;
+    topts.suffix_min_tokens = kServeChunkTokens;
+    topts.suffix_max_tokens = kServeChunkTokens;
     std::vector<ClusterRequest> trace;
     for (size_t i = 0; i < 8; ++i) {
       ClusterRequest rq;
@@ -486,11 +503,23 @@ TEST(ClusterFabric, ServingOutcomesAreBitIdenticalAcrossRuns) {
       rq.slo_s = 0.45;
       trace.push_back(std::move(rq));
     }
-    return server.Serve(std::move(trace));
+    Run r;
+    r.outcomes = server.Serve(std::move(trace));
+    r.remote_chunk_fetches = fab->stats().remote_chunk_fetches;
+    return r;
   };
 
-  const auto a = run();
-  const auto b = run();
+  const Run run_a = run();
+  const Run run_b = run();
+  const auto& a = run_a.outcomes;
+  const auto& b = run_b.outcomes;
+  // The trace must exercise the path it pins: prefix hits served from
+  // shared chunks, some fetched from peer nodes.
+  EXPECT_GT(std::count_if(a.begin(), a.end(),
+                          [](const RequestOutcome& o) { return o.prefix_hit; }),
+            0);
+  EXPECT_GT(run_a.remote_chunk_fetches, 0u);
+  EXPECT_EQ(run_a.remote_chunk_fetches, run_b.remote_chunk_fetches);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     // Bitwise-equal virtual-time outcomes: placement, routing, replica

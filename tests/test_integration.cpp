@@ -7,7 +7,6 @@
 #include "baselines/quant_baseline.h"
 #include "net/link.h"
 #include "serving/engine.h"
-#include "streamer/batch.h"
 #include "streamer/streamer.h"
 #include "workload/datasets.h"
 #include "workload/qoe.h"
@@ -81,20 +80,6 @@ TEST(Integration, TextFallbackIsExact) {
   const KVCache all_text = engine.AssembleKV("it-text", ctx, {-1, -1});
   const KVCache ref = engine.CalculateKV(ctx);
   EXPECT_DOUBLE_EQ(all_text.Mse(ref), 0.0);
-}
-
-TEST(Integration, BatchedRequestsShareLink) {
-  Engine& engine = SharedEngine();
-  const ContextPlan p1 = engine.StoreKV("it-b1", {9004, 600});
-  const ContextPlan p2 = engine.StoreKV("it-b2", {9005, 900});
-  Link link(BandwidthTrace::Constant(5.0));
-  const BatchStreamer bs(engine.cost(), engine.model(), /*slo_s=*/4.0,
-                         DefaultEncodingLevels().size());
-  const BatchResult r = bs.Stream({p1, p2}, link);
-  EXPECT_EQ(r.per_request[0].steps.size(), 2u);
-  EXPECT_EQ(r.per_request[1].steps.size(), 3u);
-  // Transfers interleave on one link: total bytes move sequentially.
-  EXPECT_GE(r.makespan_s, r.per_request[0].load_finish_s);
 }
 
 TEST(Integration, WorkloadSweepProducesConsistentOrdering) {

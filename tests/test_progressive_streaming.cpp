@@ -417,7 +417,6 @@ TEST(LayeredStorePath, EnhancementEstimateEqualsScalarReference) {
       const double ref = ScalarEnhancementEstimate(engine, lv, chunk, enc);
       EXPECT_EQ(layered.EstimateEnhancementBytes(chunk, enc), ref);
       EXPECT_EQ(layered.EstimateEnhancementBytes(chunk, recon), ref);
-      EXPECT_EQ(layered.EstimateEnhancementBytes(chunk), ref);
       EXPECT_EQ(plan.chunks[i].enh_bytes_per_level[static_cast<size_t>(lv)],
                 ref * scale)
           << "chunk " << i << " level " << lv;

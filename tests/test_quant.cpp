@@ -9,7 +9,6 @@
 #include "quant/binned_quant.h"
 #include "quant/symbol_kernels.h"
 #include "quant/uniform_quant.h"
-#include "quant/vectorwise_quant.h"
 
 namespace cachegen {
 namespace {
@@ -245,63 +244,6 @@ TEST(BinnedQuant, RejectsBadParams) {
   EXPECT_THROW(BinnedQuantizer(0.0), std::invalid_argument);
   EXPECT_THROW(BinnedQuantizer(-1.0), std::invalid_argument);
   EXPECT_THROW(BinnedQuantizer(1.0, 0), std::invalid_argument);
-}
-
-TEST(VectorwiseQuant, PerChannelScales) {
-  // One tiny-magnitude channel next to a huge one: per-channel scaling keeps
-  // the small channel's relative error low, unlike a global 8-bit grid.
-  Tensor t(100, 2);
-  Rng rng(4);
-  for (size_t r = 0; r < 100; ++r) {
-    t.At(r, 0) = static_cast<float>(rng.Gaussian(0, 0.01));
-    t.At(r, 1) = static_cast<float>(rng.Gaussian(0, 100.0));
-  }
-  const VectorwiseQuantizer q(8);
-  const Tensor rt = q.RoundTrip(t);
-  double err_small = 0, sig_small = 0;
-  for (size_t r = 0; r < 100; ++r) {
-    err_small += std::pow(rt.At(r, 0) - t.At(r, 0), 2);
-    sig_small += std::pow(t.At(r, 0), 2);
-  }
-  EXPECT_LT(err_small / sig_small, 1e-3);  // relative error ~ (1/127)^2
-}
-
-TEST(VectorwiseQuant, RoundTripBounded) {
-  Rng rng(5);
-  Tensor t(64, 16);
-  for (auto& x : t.Data()) x = static_cast<float>(rng.Gaussian(1.0, 3.0));
-  const VectorwiseQuantizer q(8);
-  const auto quantized = q.Quantize(t);
-  const Tensor back = q.Dequantize(quantized);
-  for (size_t r = 0; r < t.rows(); ++r) {
-    for (size_t c = 0; c < t.cols(); ++c) {
-      EXPECT_LE(std::fabs(back.At(r, c) - t.At(r, c)),
-                quantized.scales[c] / 2.0f + 1e-5f);
-    }
-  }
-}
-
-TEST(VectorwiseQuant, SymbolsWithinBits) {
-  Rng rng(6);
-  Tensor t(32, 4);
-  for (auto& x : t.Data()) x = static_cast<float>(rng.Gaussian(0, 10));
-  const VectorwiseQuantizer q(4);
-  const auto quantized = q.Quantize(t);
-  for (int32_t s : quantized.symbols) {
-    EXPECT_LE(std::abs(s), q.max_symbol());
-  }
-}
-
-TEST(VectorwiseQuant, ByteSizeAccounting) {
-  const VectorwiseQuantizer q(8);
-  Tensor t(10, 4);
-  const auto quantized = q.Quantize(t);
-  EXPECT_EQ(quantized.ByteSize(), 10u * 4u + 4u * 4u);
-}
-
-TEST(VectorwiseQuant, RejectsBadBits) {
-  EXPECT_THROW(VectorwiseQuantizer(1), std::invalid_argument);
-  EXPECT_THROW(VectorwiseQuantizer(20), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include "llm/cost_model.h"
 #include "net/link.h"
 #include "streamer/adaptation.h"
-#include "streamer/batch.h"
 #include "streamer/chunking.h"
 #include "streamer/streamer.h"
 
@@ -189,54 +188,6 @@ TEST(Streamer, QualityReflectsChosenLevels) {
   const double q_fast = streamer.Stream(plan, fast).quality;
   const double q_slow = streamer.Stream(plan, slow).quality;
   EXPECT_GE(q_fast, q_slow);
-}
-
-TEST(BatchStreamer, SingleRequestMatchesStreamerShape) {
-  const CostModel cost;
-  const ModelConfig m = ModelConfig::Preset("mistral-7b");
-  const std::vector<ContextPlan> plans = {MakePlan(3)};
-  Link link(BandwidthTrace::Constant(10.0));
-  const BatchStreamer bs(cost, m, /*slo_s=*/2.0, 4);
-  const BatchResult r = bs.Stream(plans, link);
-  ASSERT_EQ(r.per_request.size(), 1u);
-  EXPECT_EQ(r.per_request[0].steps.size(), 3u);
-  EXPECT_DOUBLE_EQ(r.makespan_s, r.per_request[0].load_finish_s);
-}
-
-TEST(BatchStreamer, MoreRequestsHigherTTFT) {
-  const CostModel cost;
-  const ModelConfig m = ModelConfig::Preset("mistral-7b");
-  const BatchStreamer bs(cost, m, /*slo_s=*/8.0, 4);
-  double prev = 0.0;
-  for (size_t n : {1u, 2u, 4u}) {
-    std::vector<ContextPlan> plans(n, MakePlan(3));
-    Link link(BandwidthTrace::Constant(10.0));
-    const BatchResult r = bs.Stream(plans, link);
-    EXPECT_GT(r.makespan_s, prev);
-    prev = r.makespan_s;
-  }
-}
-
-TEST(BatchStreamer, UnevenRequestLengths) {
-  const CostModel cost;
-  const ModelConfig m = ModelConfig::Preset("mistral-7b");
-  const std::vector<ContextPlan> plans = {MakePlan(2), MakePlan(5)};
-  Link link(BandwidthTrace::Constant(20.0));
-  const BatchStreamer bs(cost, m, /*slo_s=*/4.0, 4);
-  const BatchResult r = bs.Stream(plans, link);
-  EXPECT_EQ(r.per_request[0].steps.size(), 2u);
-  EXPECT_EQ(r.per_request[1].steps.size(), 5u);
-  EXPECT_LE(r.per_request[0].load_finish_s, r.per_request[1].load_finish_s);
-}
-
-TEST(BatchStreamer, EmptyBatch) {
-  const CostModel cost;
-  const ModelConfig m = ModelConfig::Preset("mistral-7b");
-  Link link(BandwidthTrace::Constant(1.0));
-  const BatchStreamer bs(cost, m, 1.0, 4);
-  const BatchResult r = bs.Stream({}, link);
-  EXPECT_TRUE(r.per_request.empty());
-  EXPECT_DOUBLE_EQ(r.makespan_s, 0.0);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "llm/cost_model.h"
 #include "net/link.h"
-#include "streamer/batch.h"
 #include "streamer/streamer.h"
 
 namespace cachegen {
@@ -100,23 +99,6 @@ TEST(ChunkLengthTradeoff, ShorterChunksAdaptFasterUnderDip) {
   // (too-optimistic) default level up front.
   EXPECT_LE(fine.steps[0].bytes, coarse.steps[0].bytes);
   EXPECT_LE(fine.load_finish_s, coarse.load_finish_s + 1.0);
-}
-
-TEST(BatchFairness, EqualRequestsFinishTogether) {
-  const CostModel cost;
-  const ModelConfig m = ModelConfig::Preset("mistral-7b");
-  const std::vector<ContextPlan> plans(3, MakePlan(4500, 1500));
-  Link link(BandwidthTrace::Constant(10.0));
-  const BatchStreamer bs(cost, m, /*slo_s=*/5.0, 4);
-  const BatchResult r = bs.Stream(plans, link);
-  // Identical requests interleaved round-robin: finish times within one
-  // chunk's transfer of each other.
-  double min_finish = 1e18, max_finish = 0.0;
-  for (const auto& rr : r.per_request) {
-    min_finish = std::min(min_finish, rr.load_finish_s);
-    max_finish = std::max(max_finish, rr.load_finish_s);
-  }
-  EXPECT_LT(max_finish - min_finish, max_finish / 2.0);
 }
 
 TEST(SloBoundary, ExactFitIsNotViolation) {
