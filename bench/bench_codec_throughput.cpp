@@ -7,17 +7,17 @@
 // Emits machine-readable JSON (default BENCH_codec_throughput.json) so the
 // perf trajectory is tracked across PRs.
 //
-// Also times store_kv's write-path pricing of one chunk at every level, both
-// ways: encode then EstimateEnhancementBytes(chunk, encoded), which decodes
-// the bits just written, against encode with the encoder's own
+// Also times the §9 enhancement-size estimate of one chunk at every level,
+// both ways: encode then EstimateEnhancementBytes(chunk, encoded), which
+// decodes the bits just written, against encode with the encoder's own
 // reconstruction then EstimateEnhancementBytes(chunk, recon).
 //
 // Flags:
 //   --quick       small sweep + loud assertions (CI regression gate):
 //                 fast single-thread decode must stay >= 1.5x the reference
-//                 coder, the quantize kernel >= 20 Melem/s, and write-path
-//                 pricing from the encoder's reconstruction >= 1.3x the
-//                 decode-based form with equal estimates.
+//                 coder, the quantize kernel >= 20 Melem/s, and the
+//                 enhancement estimate from the encoder's reconstruction
+//                 >= 1.3x the decode-based form with equal estimates.
 //   --out PATH    JSON output path.
 #include <algorithm>
 #include <chrono>
@@ -67,8 +67,8 @@ struct Result {
   double dec_speedup = 0;                         // fast vs reference, 1-thread
 };
 
-// Write-path pricing of one chunk at one level (what store_kv does per
-// level): the decode-based form against the encoder-reconstruction form.
+// Enhancement-size estimate of one chunk at one level: the decode-based form
+// against the encoder-reconstruction form.
 struct WritePathResult {
   std::string level;
   size_t tokens = 0;
@@ -319,9 +319,9 @@ int main(int argc, char** argv) {
                    kernel_melem_s);
       ok = false;
     }
-    // Write path: skipping the decode of just-written bits must keep the
-    // estimate exactly and save a clear margin (measured ~1.7x on one
-    // thread and ~2.1x on four, 4-vCPU Xeon VM); the ratio is within one
+    // Enhancement estimate: skipping the decode of just-written bits must
+    // keep the estimate exactly and save a clear margin (measured ~1.7x on
+    // one thread and ~2.1x on four, 4-vCPU Xeon VM); the ratio is within one
     // process, so runner speed cancels.
     for (const auto& r : write_path) {
       if (r.decode_estimate != r.recon_estimate) {

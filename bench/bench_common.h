@@ -30,11 +30,4 @@ inline void PrintHeader(const std::string& title, const std::string& setup) {
 
 inline std::string Mb(double bytes) { return TablePrinter::Fmt(bytes / 1e6, 1); }
 
-// Build a streaming plan from the engine's codec calibration instead of
-// re-encoding the context — used by the streaming/TTFT sweeps where only
-// sizes and quality factors matter.
-inline ContextPlan PlanFromCalibration(Engine& engine, size_t tokens) {
-  return engine.PlanFromCalibration(tokens);
-}
-
 }  // namespace cachegen::bench

@@ -23,7 +23,7 @@ int main() {
       for (const ContextSpec& ctx : contexts) {
         const auto trace =
             BandwidthTrace::Random(trace_seed * 131 + ctx.seed, 0.1, 10.0, 0.25, 60.0);
-        const ContextPlan plan = bench::PlanFromCalibration(engine, ctx.num_tokens);
+        const ContextPlan plan = engine.PlanFromCalibration(ctx.num_tokens);
 
         // Quantization baseline: fixed 8-bit tensor transfer.
         const double quant_bytes =

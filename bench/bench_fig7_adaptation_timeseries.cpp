@@ -45,7 +45,7 @@ int main() {
   bench::PrintHeader("Figure 7: streaming adaptation walkthrough",
                      "Mistral-7B, 9.6K tokens, trace 0.6->0.06->0.3 Gbps, SLO 4 s,\n       GPU at 30% (busy server: recompute alone would take ~6.4 s)");
   Engine engine(bench::FastEngineOptions("mistral-7b"));
-  const ContextPlan plan = bench::PlanFromCalibration(engine, 9600);
+  const ContextPlan plan = engine.PlanFromCalibration(9600);
   const BandwidthTrace trace =
       BandwidthTrace::FromSegments({{0.0, 0.6}, {1.2, 0.06}, {2.4, 0.3}});
   const double kGpuShare = 0.3;

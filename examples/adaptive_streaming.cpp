@@ -38,7 +38,8 @@ int main() {
   std::printf("== Adaptive KV streaming under bandwidth variation ==\n");
 
   const ContextSpec ctx{31337, 9000};
-  const ContextPlan plan = engine.StoreKV("adaptive-demo", ctx);
+  engine.StoreKV("adaptive-demo", ctx);
+  const ContextPlan plan = engine.PlanFromCalibration(ctx.num_tokens);
   std::printf("context: %zu tokens in %zu chunks\n\n", ctx.num_tokens,
               plan.chunks.size());
 
@@ -53,7 +54,7 @@ int main() {
   // Progressive delivery (§9): the same dip trace, but every KV chunk ships
   // as a layered base; after the base pass makes the context usable, the
   // recovered link upgrades chunks until the SLO budget runs out. The
-  // StoreKV plan already prices the per-chunk enhancement layers.
+  // calibration plan already prices the per-chunk enhancement layers.
   std::printf("\n-- progressive (two-pass layered) delivery --\n");
   const auto dip_trace =
       BandwidthTrace::FromSegments({{0.0, 3.0}, {0.25, 0.06}, {1.2, 1.0}});

@@ -34,7 +34,8 @@ int main() {
     // In a production system only the newly appended chunks are encoded;
     // chunk encodings are independent (§5.3), so earlier chunks are reused.
     const std::string ctx_id = "chat-" + std::to_string(session_seed);
-    const ContextPlan plan = engine.StoreKV(ctx_id, history);
+    engine.StoreKV(ctx_id, history);
+    const ContextPlan plan = engine.PlanFromCalibration(history_tokens);
 
     // Online: user sends the next message; history KV streams back.
     Link link(BandwidthTrace::Constant(3.0));

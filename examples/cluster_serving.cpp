@@ -381,9 +381,7 @@ int main(int argc, char** argv) {
   ClusterServer::Options copts;
   copts.num_workers = 4;
   copts.policy = SchedulerPolicyKind::kSloDeadlineFirst;
-  copts.assemble_kv = true;      // actually decode the delivered bitstreams
-  copts.cold_read_gbps = 1.25;   // the cold device's per-stream read rate
-  copts.cold_seek_s = 0.015;
+  copts.assemble_kv = true;  // actually decode the delivered bitstreams
   ClusterServer cluster(engine, tier, BandwidthTrace::Constant(3.0), copts);
 
   std::vector<ClusterRequest> trace;

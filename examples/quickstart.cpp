@@ -24,7 +24,10 @@ int main() {
               ctx.num_tokens, engine.model().RawKVBytes(ctx.num_tokens) / 1e6);
 
   // Offline: encode every chunk at every level and store the bitstreams.
-  const ContextPlan plan = engine.StoreKV("chat-history-1234", ctx);
+  engine.StoreKV("chat-history-1234", ctx);
+  // The streaming plan (per-chunk sizes and quality at every level) comes
+  // from the engine's codec calibration.
+  const ContextPlan plan = engine.PlanFromCalibration(ctx.num_tokens);
   std::printf("stored %zu chunks; default-level size = %.1f MB (%.1fx vs 8-bit)\n",
               plan.chunks.size(), plan.BytesAtLevel(0, 1) / 1e6,
               engine.model().RawKVBytes(ctx.num_tokens) / 2.0 /

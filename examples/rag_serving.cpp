@@ -28,12 +28,11 @@ int main() {
       {"wiki-transformers", {2003, 4200}},
   };
   for (const auto& [doc_id, ctx] : corpus) {
-    const ContextPlan plan = engine.StoreKV(doc_id, ctx);
+    engine.StoreKV(doc_id, ctx);
     std::printf("stored %-20s %5zu tokens, %6.1f MB encoded (all levels)\n",
                 doc_id.c_str(), ctx.num_tokens,
                 static_cast<double>(engine.store().ContextBytes(doc_id)) *
                     engine.model().size_scale() / 1e6);
-    (void)plan;
   }
 
   // Queries retrieve documents (RAG retrieval itself is out of scope, §2.2
@@ -54,21 +53,8 @@ int main() {
   std::printf("\n%-48s %-22s %9s %9s\n", "query", "document", "CacheGen", "re-prefill");
   for (const auto& [question, doc_id] : queries) {
     const ContextSpec ctx = corpus.at(doc_id);
-    // Rebuild the plan from the store (sizes are already known offline).
-    ContextPlan plan;
-    plan.total_tokens = ctx.num_tokens;
-    plan.quality_per_level = engine.calibration().quality_per_level;
-    const auto ranges = SplitIntoChunks(ctx.num_tokens, engine.options().chunk_tokens);
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      ChunkPlan cp;
-      cp.range = ranges[i];
-      for (const auto& level : DefaultEncodingLevels()) {
-        const auto chunk = engine.GetKV(doc_id, static_cast<uint32_t>(i), level.id);
-        cp.bytes_per_level.push_back(static_cast<double>(chunk->WireBytes()) *
-                                     engine.model().size_scale());
-      }
-      plan.chunks.push_back(std::move(cp));
-    }
+    // The stored document's plan: calibrated per-chunk sizes and quality.
+    const ContextPlan plan = engine.PlanFromCalibration(ctx.num_tokens);
 
     Link link(BandwidthTrace::Constant(3.0));
     const StreamResult r = streamer.Stream(plan, link);

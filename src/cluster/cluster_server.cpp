@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -19,6 +20,28 @@
 namespace cachegen {
 
 namespace {
+
+// Cold-tier read model, charged whenever any streamed chunk was promoted
+// from the cold tier: the cold device's per-stream read bandwidth caps the
+// stream's effective throughput (and the first-chunk hint), and the seek
+// penalty delays the first byte. The values model a shared HDD/object-store
+// read path that is slower than the 3 Gbps network but far cheaper than a
+// re-prefill.
+constexpr double kColdReadGbps = 1.25;
+constexpr double kColdSeekS = 0.015;
+
+// Metric-name prefixes sampled into the telemetry time-series: only series
+// the coordinator itself records in completion order. Worker-recorded
+// metrics (codec wall timings, channel depth gauges) are wall-order racy and
+// would break replay byte-identity.
+const char* const kTelemetrySeries[] = {
+    "cluster.admission_batches", "cluster.bytes_sent",
+    "cluster.hits.",             "cluster.in_flight",
+    "cluster.misses",            "cluster.queue_delay_us",
+    "cluster.remote_streams",    "cluster.requests",
+    "cluster.slo_violations",    "cluster.ttft_us",
+    "cluster.write_back",        "obs.slo.",
+};
 
 uint64_t PackPayload(size_t worker, size_t slot) {
   return (static_cast<uint64_t>(worker) << 32) | static_cast<uint64_t>(slot);
@@ -67,9 +90,6 @@ ClusterServer::ClusterServer(Engine& engine, std::shared_ptr<CacheTier> tier,
         "ClusterServer: engine must be constructed with the cluster tier's "
         "kv() store");
   }
-  if (!(opts_.cold_read_gbps > 0.0)) {
-    throw std::invalid_argument("ClusterServer: cold_read_gbps must be > 0");
-  }
   if (!(opts_.remote_read_gbps > 0.0) || opts_.remote_rtt_s < 0.0) {
     throw std::invalid_argument(
         "ClusterServer: remote_read_gbps must be > 0 and remote_rtt_s >= 0");
@@ -93,6 +113,9 @@ void ClusterServer::Prestore(const RequestTraceOptions& trace_opts) {
 
 void ClusterServer::Prestore(
     std::span<const std::pair<std::string, ContextSpec>> contexts) {
+  // Stored contexts stream from the calibration plan: build it with the warm
+  // cache rather than inside the first Serve().
+  engine_.calibration();
   for (const auto& [id, spec] : contexts) {
     tier_->BeginStore(id, spec);
     try {
@@ -392,16 +415,16 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   // picked for the slower path.
   double hint = link_->CapacityGbpsAt(admit_s) * gpu_share;
   if (remote) hint = std::min(hint, opts_.remote_read_gbps);
-  if (cold) hint = std::min(hint, opts_.cold_read_gbps);
+  if (cold) hint = std::min(hint, kColdReadGbps);
 
   // Scenario -> streaming mode. A partial-prefix hit streams adaptively up
-  // to the covered chunk count; everything past it is forced text (those
+  // to the covered chunk count; everything past it ships as text (those
   // tokens exist nowhere as bitstreams), which is exactly where the GPU
-  // prefill bill for the uncovered tail comes from.
-  const StreamMode mode =
-      hit ? (opts_.progressive ? StreamMode::kProgressive : StreamMode::kAdaptive)
-          : (prefix ? StreamMode::kAdaptive : StreamMode::kForceText);
-  const size_t kv_limit = prefix ? look.covered_chunks : SIZE_MAX;
+  // prefill bill for the uncovered tail comes from. A miss covers no chunk,
+  // so all of it ships as text.
+  const StreamMode mode = hit && opts_.progressive ? StreamMode::kProgressive
+                                                   : StreamMode::kAdaptive;
+  const size_t kv_limit = hit ? SIZE_MAX : look.covered_chunks;
   ClientLink client(*link_, flow);
   // A remote hit streams through the fabric interconnect first (bandwidth
   // cap + one RTT to first byte); a cold promotion, on a remote node too,
@@ -413,7 +436,7 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   }
   Link& net = remote ? static_cast<Link&>(*remote_client) : client;
   std::optional<ThrottledLink> cold_client;
-  if (cold) cold_client.emplace(net, opts_.cold_read_gbps, opts_.cold_seek_s);
+  if (cold) cold_client.emplace(net, kColdReadGbps, kColdSeekS);
   Link& path = cold ? static_cast<Link&>(*cold_client) : net;
 
   StreamHooks hooks;
@@ -580,8 +603,7 @@ void ClusterServer::StartTelemetry() {
   if (t.sample_period_s <= 0.0) return;
   obs::TimeSeriesCollector::Options copts;
   copts.period_s = t.sample_period_s;
-  copts.max_windows = t.max_windows;
-  copts.include = t.include;
+  copts.include.assign(std::begin(kTelemetrySeries), std::end(kTelemetrySeries));
   series_ = std::make_unique<obs::TimeSeriesCollector>(std::move(copts));
   monitor_ = std::make_unique<obs::SloMonitor>(t.slo);
   recorder_ = std::make_unique<obs::FlightRecorder>(t.recorder);

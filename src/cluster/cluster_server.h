@@ -31,8 +31,8 @@
 // Cache behavior — five scenarios, priced by one CacheTier lookup:
 //   hot full hit    — stream encoded KV from RAM (kAdaptive/kProgressive);
 //   cold full hit   — same stream through a ThrottledLink modelling the cold
-//                     device's read bandwidth (Options::cold_read_gbps) and
-//                     first-byte seek (Options::cold_seek_s);
+//                     device's read bandwidth (1.25 Gbps per stream) and
+//                     first-byte seek (15 ms);
 //   remote hit      — the tier is a multi-node CacheFabric and the covered
 //                     bytes live on a peer node: the stream additionally
 //                     pays the interconnect model (Options::remote_read_gbps
@@ -42,7 +42,7 @@
 //                     chunk-aligned prefix of the request's token sequence:
 //                     covered chunks stream as KV, only the uncovered suffix
 //                     ships as text and pays GPU prefill for the tail;
-//   miss            — full text + re-prefill (StreamMode::kForceText), then
+//   miss            — full text + re-prefill (KV chunk limit 0), then
 //                     optionally written back (content-addressed and dedup'd
 //                     when the tier is prefix-aware).
 //
@@ -93,19 +93,6 @@ class ClusterServer {
   struct TelemetryOptions {
     // Virtual-time sampling window; <= 0 disables the continuous layer.
     double sample_period_s = 0.0;
-    size_t max_windows = 4096;
-    // Metric-name prefixes sampled into the time-series. Restricted by
-    // default to series the coordinator itself records in completion order —
-    // worker-recorded metrics (codec wall timings, channel depth gauges) are
-    // wall-order racy and would break replay byte-identity.
-    std::vector<std::string> include = {
-        "cluster.admission_batches", "cluster.bytes_sent",
-        "cluster.hits.",             "cluster.in_flight",
-        "cluster.misses",            "cluster.queue_delay_us",
-        "cluster.remote_streams",    "cluster.requests",
-        "cluster.slo_violations",    "cluster.ttft_us",
-        "cluster.write_back",        "obs.slo.",
-    };
     obs::SloMonitor::Options slo;
     obs::FlightRecorder::Options recorder;
   };
@@ -125,14 +112,6 @@ class ClusterServer {
     // to base-only quality instead of missing its SLO, and upgrades chunks
     // when the shared path has slack.
     bool progressive = false;
-    // Cold-tier read model, charged whenever any streamed chunk was promoted
-    // from the cold tier: the cold device's per-stream read bandwidth caps
-    // the stream's effective throughput (and the first-chunk hint), and the
-    // seek penalty delays the first byte. Defaults model a shared
-    // HDD/object-store read path that is slower than the 3 Gbps network but
-    // far cheaper than a re-prefill.
-    double cold_read_gbps = 1.25;
-    double cold_seek_s = 0.015;
     // Remote-read model, charged whenever any streamed byte lives on a peer
     // node of a multi-node CacheFabric (TierLookup::any_remote): the
     // interconnect's per-stream bandwidth caps the effective throughput and

@@ -53,8 +53,8 @@ class LayeredEncoder {
   // which tracks the adaptive model's coded length closely (the model
   // converges to the empirical distribution within a few rebuild windows).
   // The core form takes the base layer's reconstruction, as
-  // KVEncoder::EncodeChunk(..., &recon) returns it next to the bitstream
-  // (store_kv's write path); the other decodes an already-encoded base.
+  // KVEncoder::EncodeChunk(..., &recon) returns it next to the bitstream;
+  // the other decodes an already-encoded base.
   double EstimateEnhancementBytes(const KVCache& chunk,
                                   const KVCache& base_recon) const;
   double EstimateEnhancementBytes(const KVCache& chunk,

@@ -132,7 +132,7 @@ double CacheFabric::Stats::max_read_share() const {
 }
 
 CacheFabric::CacheFabric(Options opts)
-    : opts_(std::move(opts)), ring_(opts_.num_nodes, opts_.ring) {
+    : opts_(std::move(opts)), ring_(opts_.num_nodes) {
   if (opts_.num_nodes == 0 || opts_.num_nodes > 64) {
     throw std::invalid_argument(
         "CacheFabric: num_nodes must be in [1, 64] (holders are a 64-bit "
@@ -152,7 +152,6 @@ CacheFabric::CacheFabric(Options opts)
       TieredKVStore::Options t;
       t.hot = opts_.node_store;
       t.cold_root = opts_.cold_root / ("node" + std::to_string(i));
-      t.cold_capacity_bytes = opts_.node_cold_capacity_bytes;
       node.store = std::make_shared<TieredKVStore>(t);
     } else {
       node.store = std::make_shared<ShardedKVStore>(opts_.node_store);

@@ -71,17 +71,14 @@ class CacheFabric final : public KVStore, public CacheTier {
     size_t num_nodes = 4;
     // Replica stripe width for cas- chunks (clamped to num_nodes).
     size_t chunk_replicas = 2;
-    // Placement ring (contexts and cas chunks).
-    HashRing::Options ring;
     // Per-node local store: the hot slice every node owns. Leave
     // capacity_bytes 0 when the prefix layer owns existence (its per-node
     // capacity_bytes is the real budget).
     ShardedKVStore::Options node_store;
     // Non-empty: each node's store is a hot/cold TieredKVStore rooted at
-    // cold_root/"node<i>" — cold promotions then price through the cold
-    // read model exactly as on a single node.
+    // cold_root/"node<i>", with an unbounded cold tier — cold promotions
+    // then price through the cold read model exactly as on a single node.
     std::filesystem::path cold_root;
-    uint64_t node_cold_capacity_bytes = 0;
     // Per-node prefix layer (content addressing + node-local radix index).
     // Off = contexts store whole on their home node, no peer chunk fetch.
     bool prefix = true;

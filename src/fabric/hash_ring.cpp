@@ -6,6 +6,9 @@ namespace cachegen {
 
 namespace {
 
+// Virtual points each node projects onto the circle.
+constexpr size_t kVnodesPerNode = 128;
+
 // FNV-1a 64 seeded: the seed replaces the standard offset basis, then the
 // bytes fold in as usual. Matches storage's Fnv1a64 discipline (stable
 // across platforms, not collision-resistant) without depending on it, so
@@ -36,15 +39,12 @@ HashRing::HashRing(size_t num_nodes, Options opts) : opts_(opts) {
   if (num_nodes == 0) {
     throw std::invalid_argument("HashRing: need at least one node");
   }
-  if (opts_.vnodes_per_node == 0) {
-    throw std::invalid_argument("HashRing: need at least one vnode per node");
-  }
   for (size_t i = 0; i < num_nodes; ++i) AddNode();
 }
 
 void HashRing::InsertNodePoints(uint32_t id) {
   const std::string prefix = "node:" + std::to_string(id) + ":vnode:";
-  for (size_t v = 0; v < opts_.vnodes_per_node; ++v) {
+  for (size_t v = 0; v < kVnodesPerNode; ++v) {
     uint64_t point = HashKey(prefix + std::to_string(v), opts_.seed);
     // A point collision between distinct vnodes is ~impossible (64-bit) but
     // would silently drop a vnode; probe linearly so the census is exact.

@@ -1,8 +1,8 @@
 // HashRing: consistent-hash placement of context ids and cas- chunk
 // addresses over N cache nodes — the routing core of the cache fabric.
 //
-// Classic Karger-style ring: every node projects `vnodes_per_node` virtual
-// points onto a 64-bit circle; a key is owned by the first node point at or
+// Classic Karger-style ring: every node projects 128 virtual points onto a
+// 64-bit circle; a key is owned by the first node point at or
 // clockwise-after the key's own point. Virtual points smooth the per-node
 // share (the balance bound tests assert it over 10k contexts) and make node
 // arrival/departure move only ~1/N of the keyspace — the property that lets
@@ -26,7 +26,6 @@ namespace cachegen {
 class HashRing {
  public:
   struct Options {
-    size_t vnodes_per_node = 128;
     // Folded into every point hash; two rings with equal node sets and equal
     // seeds are identical, different seeds are independent placements.
     uint64_t seed = 0x66ab0fab51cd0001ull;

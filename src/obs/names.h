@@ -78,7 +78,6 @@ inline constexpr const char* kMetricNames[] = {
     "storage.demotions",
     "storage.pending_demotion_bytes",
     "storage.promotions",
-    "storage.reverse_map.size",
     "streamer.chunk_bytes",
     "streamer.chunks_kv",
     "streamer.chunks_text",

@@ -8,6 +8,13 @@
 
 namespace cachegen::obs {
 
+namespace {
+// The cluster's per-window series the monitor reads.
+constexpr const char* kViolationCounter = "cluster.slo_violations";
+constexpr const char* kRequestCounter = "cluster.requests";
+constexpr const char* kTtftHistogram = "cluster.ttft_us";  // microseconds
+}  // namespace
+
 const char* AlertLevelName(AlertLevel level) {
   switch (level) {
     case AlertLevel::kOk:
@@ -61,15 +68,15 @@ double SloMonitor::FastP95TtftS() const {
 
 std::optional<AlertRecord> SloMonitor::OnWindow(const WindowRecord& win) {
   WindowStats stats;
-  if (const auto it = win.counters.find(opts_.violation_counter);
+  if (const auto it = win.counters.find(kViolationCounter);
       it != win.counters.end()) {
     stats.violations = it->second;
   }
-  if (const auto it = win.counters.find(opts_.request_counter);
+  if (const auto it = win.counters.find(kRequestCounter);
       it != win.counters.end()) {
     stats.requests = it->second;
   }
-  if (const auto it = win.histograms.find(opts_.ttft_histogram);
+  if (const auto it = win.histograms.find(kTtftHistogram);
       it != win.histograms.end()) {
     stats.ttft = it->second;
   }

@@ -29,7 +29,6 @@
 #include <deque>
 #include <filesystem>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "obs/json_writer.h"
@@ -63,9 +62,6 @@ class SloMonitor {
     double page_burn = 10.0;     // both views >= this -> PAGE
     double ttft_slo_s = 0.0;     // fast-window p95 TTFT bound; 0 disables
     size_t hold_windows = 3;     // calm windows required before a downgrade
-    std::string violation_counter = "cluster.slo_violations";
-    std::string request_counter = "cluster.requests";
-    std::string ttft_histogram = "cluster.ttft_us";  // microsecond values
   };
 
   explicit SloMonitor(Options opts);

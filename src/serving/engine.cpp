@@ -30,7 +30,7 @@ void PutEncodedBatch(
 Engine::Engine(Options opts, std::shared_ptr<KVStore> store)
     : opts_(std::move(opts)),
       model_(ModelConfig::Preset(opts_.model_name)),
-      llm_(std::make_unique<SyntheticModel>(model_, opts_.model_seed)),
+      llm_(std::make_unique<SyntheticModel>(model_)),
       store_(store ? std::move(store) : std::make_shared<MemoryKVStore>()) {
   BuildProfile();
   const auto& levels = DefaultEncodingLevels();
@@ -41,8 +41,7 @@ Engine::Engine(Options opts, std::shared_ptr<KVStore> store)
     auto tables = std::make_shared<TableSet>(*profile_, levels[i], opts_.codec);
     encoders_[i] = std::make_unique<KVEncoder>(profile_, tables);
     decoders_[i] = std::make_unique<KVDecoder>(profile_, tables);
-    layered_[i] = std::make_unique<LayeredEncoder>(profile_, tables, levels[i],
-                                                   opts_.fine_bin_sigma);
+    layered_[i] = std::make_unique<LayeredEncoder>(profile_, tables, levels[i]);
   }
 }
 
@@ -73,7 +72,7 @@ const LayeredEncoder& Engine::LayeredFor(int level) const {
   return *layered_.at(static_cast<size_t>(level));
 }
 
-ContextPlan Engine::StoreKV(const std::string& context_id, const ContextSpec& ctx) {
+void Engine::StoreKV(const std::string& context_id, const ContextSpec& ctx) {
   const auto ranges = SplitIntoChunks(ctx.num_tokens, opts_.chunk_tokens);
   const auto& levels = DefaultEncodingLevels();
 
@@ -90,16 +89,6 @@ ContextPlan Engine::StoreKV(const std::string& context_id, const ContextSpec& ct
   const size_t covered_count = static_cast<size_t>(
       std::count(covered.begin(), covered.end(), true));
 
-  ContextPlan plan;
-  plan.total_tokens = ctx.num_tokens;
-  plan.quality_per_level = calibration().quality_per_level;
-  plan.quality_enhanced_per_level = calibration().quality_enhanced_per_level;
-  // When the engine carries a layered calibration, the returned plan prices
-  // per-chunk enhancement layers too (entropy estimate over the residual the
-  // just-encoded base leaves behind), so it can drive kProgressive directly.
-  const bool layered = !plan.quality_enhanced_per_level.empty();
-  plan.chunks.reserve(ranges.size());
-
   // Encode everything first, persist in one PutBatch at the end: the store
   // makes the whole context visible atomically, so a concurrent lookup (or a
   // mid-write failure) never observes a half-written context. Deliberate
@@ -114,60 +103,34 @@ ContextPlan Engine::StoreKV(const std::string& context_id, const ContextSpec& ct
   std::optional<KVCache> cache;
   if (covered_count == 0) cache = CalculateKV(ctx);
 
-  const CodecCalibration& calib = calibration();
-  // The encoder hands back the receiver's reconstruction of each level, so
-  // pricing the enhancement layer never decodes the bits just written. One
-  // buffer serves every level and chunk.
-  KVCache recon;
-  uint64_t skipped_bytes = 0;
   std::vector<std::pair<ChunkKey, std::vector<uint8_t>>> encoded;
   encoded.reserve((ranges.size() - covered_count) * levels.size());
+  uint64_t skipped_bytes = 0;
   for (size_t i = 0; i < ranges.size(); ++i) {
-    ChunkPlan cp;
-    cp.range = ranges[i];
-    cp.bytes_per_level.resize(levels.size());
-    if (layered) cp.enh_bytes_per_level.resize(levels.size());
     if (covered[i]) {
-      // Skipped encode: the plan prices this chunk from calibration (the
-      // stored bytes exist but were never rematerialized here).
+      // The skipped bytes are counted at their calibrated size: the stored
+      // bitstreams exist but are never rematerialized here.
       const double tokens = static_cast<double>(ranges[i].size());
-      for (size_t lv = 0; lv < levels.size(); ++lv) {
-        cp.bytes_per_level[lv] = calib.bytes_per_token_per_level[lv] * tokens;
-        if (layered) {
-          cp.enh_bytes_per_level[lv] =
-              calib.enh_bytes_per_token_per_level[lv] * tokens;
-        }
-        skipped_bytes += static_cast<uint64_t>(cp.bytes_per_level[lv]);
+      for (const double bpt : calibration().bytes_per_token_per_level) {
+        skipped_bytes += static_cast<uint64_t>(bpt * tokens);
       }
-      plan.chunks.push_back(std::move(cp));
       continue;
     }
     const KVCache chunk_kv =
         cache ? cache->SliceTokens(ranges[i].begin, ranges[i].end)
               : llm_->PrefillRange(ctx, ranges[i].begin, ranges[i].end);
     for (size_t lv = 0; lv < levels.size(); ++lv) {
-      const EncodedChunk enc = encoders_[lv]->EncodeChunk(
-          chunk_kv, static_cast<uint32_t>(i), ranges[i].begin, /*threads=*/0,
-          layered ? &recon : nullptr);
       encoded.emplace_back(
           ChunkKey{context_id, static_cast<uint32_t>(i), levels[lv].id},
-          SerializeChunk(enc));
-      cp.bytes_per_level[lv] =
-          static_cast<double>(enc.WireBytes()) * model_.size_scale();
-      if (layered) {
-        cp.enh_bytes_per_level[lv] =
-            layered_[lv]->EstimateEnhancementBytes(chunk_kv, recon) *
-            model_.size_scale();
-      }
+          SerializeChunk(encoders_[lv]->EncodeChunk(
+              chunk_kv, static_cast<uint32_t>(i), ranges[i].begin)));
     }
-    plan.chunks.push_back(std::move(cp));
   }
   if (covered_count > 0) {
     CG_METRIC_COUNT("engine.encode.skipped_chunks", covered_count);
     CG_METRIC_COUNT("engine.encode.skipped_bytes", skipped_bytes);
   }
   PutEncodedBatch(*store_, context_id, encoded);
-  return plan;
 }
 
 std::optional<EncodedChunk> Engine::GetKV(const std::string& context_id,

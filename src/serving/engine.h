@@ -33,15 +33,13 @@ class Engine {
  public:
   struct Options {
     std::string model_name = "mistral-7b";
-    uint64_t model_seed = 0x5eed;
     size_t chunk_tokens = kDefaultChunkTokens;
     size_t calib_context_tokens = 1200;
     size_t calib_num_contexts = 10;
     CodecOptions codec;
-    // Layered (§9 progressive streaming) extension: residual bin width of
-    // the enhancement layer, and the validation-slice length used to
-    // calibrate per-level enhancement sizes and enhanced quality.
-    double fine_bin_sigma = 0.25;
+    // Layered (§9 progressive streaming) extension: the validation-slice
+    // length used to calibrate per-level enhancement sizes and enhanced
+    // quality.
     size_t layered_calib_tokens = 512;
   };
 
@@ -64,11 +62,12 @@ class Engine {
   KVCache CalculateKV(const ContextSpec& ctx) const;
 
   // store_kv (§6): prefill, chunk, encode at every level, persist to the
-  // store under `context_id`. Returns the streaming plan (per-chunk sizes at
-  // every level, per-level quality factors; with a layered calibration the
-  // plan also carries estimated per-chunk enhancement sizes, so it can drive
-  // StreamMode::kProgressive directly).
-  ContextPlan StoreKV(const std::string& context_id, const ContextSpec& ctx);
+  // store under `context_id` in one PutBatch. Chunks a prefix-aware store
+  // already holds (PreStoreCoverage) are neither prefilled nor encoded; the
+  // rest of a partly covered context is prefilled chunk by chunk
+  // (PrefillRange). To stream the stored context, plan it with
+  // PlanFromCalibration.
+  void StoreKV(const std::string& context_id, const ContextSpec& ctx);
 
   // get_kv (§6): fetch one chunk's bitstream at one level.
   std::optional<EncodedChunk> GetKV(const std::string& context_id, uint32_t chunk,
@@ -108,9 +107,11 @@ class Engine {
 
   TTFTModel MakeTTFTModel();
 
-  // Streaming plan for a context of `tokens`, priced from the codec
-  // calibration instead of re-encoding — what the cluster and the sweeps use
-  // when only sizes and quality factors matter (thread-safe).
+  // The streaming plan of a stored context of `tokens` (§5.3): per-chunk
+  // sizes at every level, per-level quality factors and, with a layered
+  // calibration, enhancement sizes for StreamMode::kProgressive. Priced from
+  // the codec calibration, which tracks what StoreKV persists to within 1%
+  // per level (test_serving). Thread-safe.
   ContextPlan PlanFromCalibration(size_t tokens);
 
   // Encoder/decoder for a given level id (shared TableSets). The full ladder

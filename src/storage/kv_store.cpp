@@ -4,14 +4,10 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <list>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "common/sha256.h"
-#include "common/thread_annotations.h"
-#include "obs/metrics.h"
 
 namespace cachegen {
 
@@ -24,66 +20,7 @@ bool IsSafeIdChar(char c) {
          (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
 }
 
-// Process-wide mangled -> original map, bounded by an LRU cap: a long trace
-// over millions of distinct unsafe tenant ids used to grow this without
-// limit. Entries past the cap are the ids least recently sanitized OR
-// recovered; persistence across restarts is the cold tier manifest's job
-// (which re-primes this map on adoption), so evicting here only costs the
-// ability to reverse an id nothing has touched in kReverseMapCap distinct
-// sanitizations. The current size is exported as the
-// `storage.reverse_map.size` gauge.
-constexpr size_t kReverseMapCap = 4096;
-
-class ReverseMapLru {
- public:
-  void Insert(const std::string& mangled, const std::string& original) {
-    MutexLock lock(mu_);
-    const auto it = index_.find(mangled);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return;  // content is immutable per mangled id
-    }
-    lru_.emplace_front(mangled, original);
-    index_[mangled] = lru_.begin();
-    while (index_.size() > kReverseMapCap) {
-      index_.erase(lru_.back().first);
-      lru_.pop_back();
-    }
-    CG_METRIC_GAUGE_SET("storage.reverse_map.size", index_.size());
-  }
-
-  std::optional<std::string> Find(const std::string& mangled) {
-    MutexLock lock(mu_);
-    const auto it = index_.find(mangled);
-    if (it == index_.end()) return std::nullopt;
-    lru_.splice(lru_.begin(), lru_, it->second);  // recovery refreshes recency
-    return it->second->second;
-  }
-
-  size_t Size() const {
-    MutexLock lock(mu_);
-    return index_.size();
-  }
-
- private:
-  mutable Mutex mu_;
-  // Front = most recently used. The index points into the list, so moves
-  // (splice) never invalidate it.
-  std::list<std::pair<std::string, std::string>> lru_ CG_GUARDED_BY(mu_);
-  std::unordered_map<
-      std::string,
-      std::list<std::pair<std::string, std::string>>::iterator>
-      index_ CG_GUARDED_BY(mu_);
-};
-
-ReverseMapLru& ReverseMap() {
-  static ReverseMapLru* map = new ReverseMapLru();  // never destroyed
-  return *map;
-}
-
 }  // namespace
-
-size_t ReverseMapSizeForTest() { return ReverseMap().Size(); }
 
 uint64_t Fnv1a64(const std::string& s) {
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -119,17 +56,7 @@ std::string SanitizeContextId(const std::string& context_id) {
   // short enough to stay well inside filesystem name limits. '%' is not in
   // the pass-through alphabet, so no safe id can ever forge a mangled name
   // and collide with a different mangled id.
-  std::string mangled = cleaned + "%" + Sha256Hex(Sha256Of(context_id), 16);
-  ReverseMap().Insert(mangled, context_id);
-  return mangled;
-}
-
-std::optional<std::string> RecoverContextId(const std::string& sanitized) {
-  if (sanitized.find('%') == std::string::npos) {
-    // Pass-through namespace: sanitization was the identity.
-    return sanitized;
-  }
-  return ReverseMap().Find(sanitized);
+  return cleaned + "%" + Sha256Hex(Sha256Of(context_id), 16);
 }
 
 std::vector<bool> KVStore::PreStoreCoverage(

@@ -32,21 +32,9 @@ uint64_t Fnv1a64(const std::string& s);
 // disjoint from the pass-through namespace, and no id can escape the store
 // root. The digest is cryptographic (128 bits of SHA-256), so an adversarial
 // tenant cannot engineer a mangled-id collision to poison another tenant's
-// cache entry. Every mangling is additionally remembered in a process-wide
-// reverse map so mangled ids stay recoverable (RecoverContextId); restart
-// recovery across processes uses the cold tier's persistent manifest.
+// cache entry. Mangling is one-way: restart recovery maps directories back
+// to ids through the cold tier's persistent manifest.
 std::string SanitizeContextId(const std::string& context_id);
-
-// The original id behind a '%'-mangled name produced by SanitizeContextId in
-// this process; pass-through names return themselves. nullopt for mangled
-// names this process never produced (e.g. directories adopted from a
-// previous run without a manifest entry) or whose entry aged out of the
-// bounded reverse map (capped LRU; size exported as the
-// `storage.reverse_map.size` gauge).
-std::optional<std::string> RecoverContextId(const std::string& sanitized);
-
-// Current entry count of the process-wide reverse map (test hook).
-size_t ReverseMapSizeForTest();
 
 struct ChunkKey {
   std::string context_id;

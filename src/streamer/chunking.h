@@ -22,8 +22,8 @@ struct ChunkRange {
 std::vector<ChunkRange> SplitIntoChunks(size_t num_tokens,
                                         size_t chunk_tokens = kDefaultChunkTokens);
 
-// Offline per-chunk encoding results: the sizes of this chunk's bitstream at
-// every level of the ladder, plus the quality factor each level achieves.
+// One chunk's streaming costs: the size of its bitstream at every level of
+// the ladder.
 struct ChunkPlan {
   ChunkRange range;
   std::vector<double> bytes_per_level;    // indexed by EncodingLevel::id
@@ -32,9 +32,10 @@ struct ChunkPlan {
   std::vector<double> enh_bytes_per_level;
 };
 
-// Everything the streamer needs to know about one context, computed offline
-// by store_kv: chunk table, per-level quality factors, and the cost of the
-// text fallback.
+// Everything the streamer needs to know about one context: chunk table,
+// per-level quality factors, and the cost of the text fallback. Stored
+// contexts are planned from the offline codec calibration
+// (Engine::PlanFromCalibration).
 struct ContextPlan {
   std::vector<ChunkPlan> chunks;
   std::vector<double> quality_per_level;  // distortion quality factor per level

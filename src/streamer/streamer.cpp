@@ -60,7 +60,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
   for (size_t i = 0; i < plan.chunks.size(); ++i) {
     const ChunkPlan& chunk = plan.chunks[i];
     StreamConfig config{false, kDefaultFirstLevel, progressive};
-    if (mode == StreamMode::kForceText || i >= kv_chunk_limit) {
+    if (i >= kv_chunk_limit) {
       // Either a full miss, or the uncovered tail past a cached prefix:
       // these tokens exist nowhere as bitstreams, so text + GPU prefill is
       // the only configuration.

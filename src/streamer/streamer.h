@@ -79,7 +79,6 @@ struct StreamHooks {
 // Per-chunk configuration policy for one stream.
 enum class StreamMode {
   kAdaptive,     // Algorithm-1 adapter picks text/level per chunk (default)
-  kForceText,    // every chunk ships as text + recompute — the cache-miss path
   // §9 progressive delivery: a base pass (identical decisions and timeline
   // to kAdaptive) makes every chunk usable, then an enhancement pass
   // upgrades chunks in quality-gain-per-byte order until the SLO budget or
@@ -97,10 +96,11 @@ class KVStreamer {
   // in for prior knowledge of the path (§5.3); without it the first chunk
   // goes out at the default medium encoding level.
   //
-  // `kv_chunk_limit` is the partial-prefix-hit knob: chunks with index >=
-  // the limit are NOT cached and must ship as text + tail re-prefill, while
-  // chunks below it stream under the adaptive policy. The default (no limit)
-  // leaves every chunk adaptive; 0 is equivalent to kForceText.
+  // `kv_chunk_limit` is the cache-coverage knob: chunks with index >= the
+  // limit are NOT cached and must ship as text + re-prefill, while chunks
+  // below it stream under the chosen mode. The default (no limit) leaves
+  // every chunk to the mode; a partial prefix hit passes its covered chunk
+  // count, and a cache miss passes 0, so every chunk ships as text.
   StreamResult Stream(const ContextPlan& plan, Link& link, double gpu_share = 1.0,
                       std::optional<double> throughput_hint_gbps = std::nullopt,
                       StreamMode mode = StreamMode::kAdaptive,

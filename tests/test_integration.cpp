@@ -31,7 +31,8 @@ Engine& SharedEngine() {
 TEST(Integration, StoreStreamAssembleGenerate) {
   Engine& engine = SharedEngine();
   const ContextSpec ctx{9001, 1200};
-  const ContextPlan plan = engine.StoreKV("it-ctx", ctx);
+  engine.StoreKV("it-ctx", ctx);
+  const ContextPlan plan = engine.PlanFromCalibration(ctx.num_tokens);
 
   Link link(BandwidthTrace::Constant(3.0));
   const KVStreamer streamer(engine.cost(), engine.model(), /*slo_s=*/1.0,
@@ -63,7 +64,8 @@ TEST(Integration, AdaptationUnderFig7Trace) {
   // degrading, and the delivered quality reflects the degradation.
   Engine& engine = SharedEngine();
   const ContextSpec ctx{9002, 1500};
-  const ContextPlan plan = engine.StoreKV("it-fig7", ctx);
+  engine.StoreKV("it-fig7", ctx);
+  const ContextPlan plan = engine.PlanFromCalibration(ctx.num_tokens);
 
   Link link(BandwidthTrace::FromSegments({{0.0, 1.0}, {0.3, 0.08}, {1.5, 0.5}}));
   const KVStreamer streamer(engine.cost(), engine.model(), /*slo_s=*/2.5,

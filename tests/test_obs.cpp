@@ -12,7 +12,6 @@
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/kv_store.h"
 
 namespace cachegen {
 namespace {
@@ -362,35 +361,6 @@ TEST(JsonWriterTest, EscapesAndNestsCorrectly) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
-}
-
-// ---- RecoverContextId LRU bound (satellite) ---------------------------------
-
-TEST(ReverseMapLru, BoundedWithRecentIdsRecoverable) {
-  constexpr size_t kCap = 4096;  // kReverseMapCap in kv_store.cpp
-  const std::string victim = "tenant/very first unsafe id";
-  const std::string victim_mangled = SanitizeContextId(victim);
-  ASSERT_NE(victim_mangled, victim);  // '/' forces mangling
-  ASSERT_EQ(RecoverContextId(victim_mangled), victim);
-
-  // Flood with enough distinct unsafe ids to wrap the cap several times.
-  std::string last, last_mangled;
-  for (size_t i = 0; i < kCap + 512; ++i) {
-    last = "tenant/flood #" + std::to_string(i);
-    last_mangled = SanitizeContextId(last);
-  }
-  EXPECT_LE(ReverseMapSizeForTest(), kCap);
-  EXPECT_GE(ReverseMapSizeForTest(), kCap / 2);  // it did actually fill
-  // The oldest id aged out; the newest is still recoverable.
-  EXPECT_EQ(RecoverContextId(victim_mangled), std::nullopt);
-  EXPECT_EQ(RecoverContextId(last_mangled), last);
-#ifndef CACHEGEN_OBS_DISABLED
-  // The gauge tracks the bounded size.
-  const auto snap = MetricsRegistry::Instance().SnapshotAll();
-  ASSERT_TRUE(snap.gauges.count("storage.reverse_map.size"));
-  EXPECT_LE(snap.gauges.at("storage.reverse_map.size"),
-            static_cast<int64_t>(kCap));
-#endif
 }
 
 }  // namespace

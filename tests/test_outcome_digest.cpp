@@ -13,6 +13,8 @@
 // can admit a lookup at a later virtual instant that runs, in wall time,
 // before an earlier request's write-back, so hit/miss outcomes would depend
 // on OS scheduling (the timing-dependent corners in cluster_server.h).
+//
+// Two more digests pin the bytes Engine::StoreKV persists (StoredBytesDigest).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -286,6 +288,75 @@ TEST(OutcomeDigest, FourNodeFabric) {
   EXPECT_GT(fab->stats().remote_chunk_fetches, 0u);
   EXPECT_EQ(OutcomeDigest(outcomes),
             "81aa428903d44e744c734e50861e1520bdda0ad641ec4158679dc83e8d5aaed7");
+}
+
+// ---- What Engine::StoreKV persists ------------------------------------------
+// One SHA-256 over the serialized bytes of every chunk at every level of the
+// named contexts, read back through the engine's store. A change to the
+// write path that keeps the codec must leave both digests unchanged.
+
+std::string StoredDigest(
+    Engine& engine,
+    const std::vector<std::pair<std::string, ContextSpec>>& contexts) {
+  Sha256 h;
+  for (const auto& [id, spec] : contexts) {
+    const size_t chunks =
+        SplitIntoChunks(spec.num_tokens, engine.options().chunk_tokens).size();
+    for (uint32_t c = 0; c < chunks; ++c) {
+      for (const EncodingLevel& level : DefaultEncodingLevels()) {
+        const auto bytes = engine.store().Get({id, c, level.id});
+        EXPECT_TRUE(bytes.has_value()) << id << " chunk " << c << " level "
+                                       << level.id;
+        if (!bytes) continue;
+        h.UpdateU64(bytes->size());
+        h.Update(*bytes);
+      }
+    }
+  }
+  return Sha256Hex(h.Finish());
+}
+
+TEST(StoredBytesDigest, PlainStoreWithPartialLastChunk) {
+  Engine engine(SmallEngineOptions());
+  // 700 tokens: two full 256-token chunks and a 188-token one, encoded from
+  // one full prefill.
+  const std::pair<std::string, ContextSpec> ctx{"stored-plain", {0x700, 700}};
+  engine.StoreKV(ctx.first, ctx.second);
+  EXPECT_EQ(StoredDigest(engine, {ctx}),
+            "1608089011dd070fc4ef32cbe94629ad5a0c48c55ffc7ca37c88aa0c4797fb44");
+}
+
+TEST(StoredBytesDigest, PrefixFamilySkipsCoveredChunks) {
+  auto inner = std::make_shared<ShardedKVStore>(
+      ShardedKVStore::Options{.num_shards = 2, .capacity_bytes = 0});
+  auto pc = std::make_shared<PrefixCache>(
+      inner, PrefixCache::Options{.chunk_tokens = kChunkTokens});
+  Engine engine(SmallEngineOptions(), pc);
+  // Two members of one family: a two-chunk shared prefix and a one-chunk
+  // suffix each.
+  const PrefixTraceOptions t = FamilyTraceOptions(0);
+  const std::vector<std::pair<std::string, ContextSpec>> members = {
+      {PrefixFamilyContextId(0, 0), PrefixFamilySpec(t, 0, 0)},
+      {PrefixFamilyContextId(0, 1), PrefixFamilySpec(t, 0, 1)},
+  };
+  std::vector<int32_t> level_ids;
+  for (const EncodingLevel& level : DefaultEncodingLevels()) {
+    level_ids.push_back(level.id);
+  }
+  for (size_t m = 0; m < members.size(); ++m) {
+    const auto& [id, spec] = members[m];
+    ASSERT_EQ(SplitIntoChunks(spec.num_tokens, kChunkTokens).size(), 3u);
+    pc->BeginStore(id, spec);
+    // The second member finds its prefix chunks stored already: StoreKV
+    // skips them and prefills only the suffix chunk (PrefillRange).
+    const std::vector<bool> expect_covered =
+        m == 0 ? std::vector<bool>{false, false, false}
+               : std::vector<bool>{true, true, false};
+    EXPECT_EQ(pc->PreStoreCoverage(id, 3, level_ids), expect_covered);
+    engine.StoreKV(id, spec);
+  }
+  EXPECT_EQ(StoredDigest(engine, members),
+            "cbf410ba6ba8bb448d759ce71469d2266a68726712b8a1d62f5fd922d523b576");
 }
 
 }  // namespace

@@ -56,9 +56,7 @@ TEST_F(ServingTest, CalibrationSane) {
 
 TEST_F(ServingTest, StoreKVPersistsAllChunksAndLevels) {
   const ContextSpec ctx{500, 900};
-  const ContextPlan plan = engine().StoreKV("ctx-500", ctx);
-  EXPECT_EQ(plan.chunks.size(), 3u);
-  EXPECT_EQ(plan.total_tokens, 900u);
+  engine().StoreKV("ctx-500", ctx);
   for (uint32_t c = 0; c < 3; ++c) {
     for (const auto& level : DefaultEncodingLevels()) {
       EXPECT_TRUE(engine().GetKV("ctx-500", c, level.id).has_value())
@@ -69,12 +67,42 @@ TEST_F(ServingTest, StoreKVPersistsAllChunksAndLevels) {
   EXPECT_FALSE(engine().GetKV("other", 0, 0).has_value());
 }
 
-TEST_F(ServingTest, PlanSizesDecreaseWithLevel) {
+TEST_F(ServingTest, StoredSizesDecreaseWithLevel) {
   const ContextSpec ctx{501, 600};
-  const ContextPlan plan = engine().StoreKV("ctx-501", ctx);
-  for (const auto& chunk : plan.chunks) {
-    for (size_t lv = 1; lv < chunk.bytes_per_level.size(); ++lv) {
-      EXPECT_LT(chunk.bytes_per_level[lv], chunk.bytes_per_level[lv - 1]);
+  engine().StoreKV("ctx-501", ctx);
+  for (uint32_t c = 0; c < 2; ++c) {
+    const auto& levels = DefaultEncodingLevels();
+    for (size_t lv = 1; lv < levels.size(); ++lv) {
+      const auto finer = engine().GetKV("ctx-501", c, levels[lv - 1].id);
+      const auto coarser = engine().GetKV("ctx-501", c, levels[lv].id);
+      ASSERT_TRUE(finer.has_value() && coarser.has_value());
+      EXPECT_LT(coarser->WireBytes(), finer->WireBytes())
+          << "chunk " << c << " level " << levels[lv].id;
+    }
+  }
+}
+
+TEST_F(ServingTest, PlanFromCalibrationMatchesStoredBytes) {
+  // Every stored context streams from the calibration plan, so its per-level
+  // bytes must track what StoreKV persisted. 700 tokens ends in a partial
+  // chunk.
+  const double scale = engine().model().size_scale();
+  const auto& levels = DefaultEncodingLevels();
+  for (const size_t tokens : {600u, 700u, 1500u}) {
+    const std::string id = "ctx-plan-" + std::to_string(tokens);
+    engine().StoreKV(id, {505 + tokens, tokens});
+    const ContextPlan plan = engine().PlanFromCalibration(tokens);
+    for (size_t lv = 0; lv < levels.size(); ++lv) {
+      double planned = 0.0;
+      double stored = 0.0;
+      for (uint32_t c = 0; c < plan.chunks.size(); ++c) {
+        planned += plan.chunks[c].bytes_per_level[lv];
+        const auto chunk = engine().GetKV(id, c, levels[lv].id);
+        ASSERT_TRUE(chunk.has_value()) << id << " chunk " << c;
+        stored += static_cast<double>(chunk->WireBytes()) * scale;
+      }
+      EXPECT_NEAR(planned, stored, 0.01 * stored)
+          << tokens << " tokens, level " << levels[lv].id;
     }
   }
 }

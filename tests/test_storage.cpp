@@ -134,7 +134,7 @@ TEST(SanitizeContextId, UnsafeIdsAreMangledButDistinct) {
   EXPECT_NE(SanitizeContextId(lookalike), forged);
 }
 
-TEST(SanitizeContextId, MangledIdsUseSha256AndAreRecoverable) {
+TEST(SanitizeContextId, MangledIdsUseSha256Suffix) {
   const std::string original = "tenant-7/../secret prompt\n";
   const std::string mangled = SanitizeContextId(original);
   // Cryptographic digest suffix: 32 hex chars (128 bits of SHA-256) after
@@ -142,15 +142,6 @@ TEST(SanitizeContextId, MangledIdsUseSha256AndAreRecoverable) {
   const size_t pct = mangled.find('%');
   ASSERT_NE(pct, std::string::npos);
   EXPECT_EQ(mangled.size() - pct - 1, 32u);
-  // The reverse map recovers the original id in-process.
-  const auto recovered = RecoverContextId(mangled);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(*recovered, original);
-  // Pass-through names recover as themselves; unknown mangled names do not.
-  ASSERT_TRUE(RecoverContextId("plain-id").has_value());
-  EXPECT_EQ(*RecoverContextId("plain-id"), "plain-id");
-  EXPECT_FALSE(RecoverContextId("never-produced%0123456789abcdef0123456789abcdef")
-                   .has_value());
 }
 
 TEST(FileKVStore, TraversalIdsCannotEscapeRoot) {
