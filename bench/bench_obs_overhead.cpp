@@ -103,7 +103,6 @@ double TimedServe(const RequestTraceOptions& topts, bool tracing,
     std::exit(1);
   }
   // Sanity: the switch actually switched.
-#ifndef CACHEGEN_OBS_DISABLED
   const size_t events = obs::Tracer::Instance().Snapshot().size();
   if (tracing && events == 0) {
     std::fprintf(stderr, "FAIL: tracing enabled but no events recorded\n");
@@ -114,7 +113,6 @@ double TimedServe(const RequestTraceOptions& topts, bool tracing,
                  events);
     std::exit(1);
   }
-#endif
   if (telemetry) {
     const obs::TimeSeriesCollector* series = server.timeseries();
     if (series == nullptr || series->windows().empty()) {

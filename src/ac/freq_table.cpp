@@ -91,32 +91,4 @@ double FreqTable::BitsFor(uint32_t symbol) const {
   return -std::log2(p);
 }
 
-void FreqTable::Serialize(ByteWriter& w) const {
-  w.PutVarU64(freq_.size());
-  for (uint32_t f : freq_) w.PutVarU64(f);
-}
-
-FreqTable FreqTable::Deserialize(ByteReader& r) {
-  const uint64_t n = r.GetVarU64();
-  // Every frequency takes at least one varint byte, so the count is checked
-  // against the bytes left before anything is allocated.
-  if (n == 0 || n >= kTotal || n > r.remaining()) {
-    throw std::runtime_error("FreqTable: corrupt alphabet size");
-  }
-  FreqTable t;
-  t.freq_.resize(n);
-  uint64_t total = 0;
-  for (uint64_t s = 0; s < n; ++s) {
-    const uint64_t f = r.GetVarU64();
-    // A zero frequency would make its symbol unencodable (the range coder
-    // never terminates on it).
-    if (f == 0 || f > kTotal) throw std::runtime_error("FreqTable: corrupt frequency");
-    t.freq_[s] = static_cast<uint32_t>(f);
-    total += f;
-  }
-  if (total != kTotal) throw std::runtime_error("FreqTable: corrupt table");
-  t.BuildCum();
-  return t;
-}
-
 }  // namespace cachegen

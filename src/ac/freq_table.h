@@ -28,8 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "bitstream/serialize.h"
-
 namespace cachegen {
 
 class FreqTable {
@@ -76,14 +74,6 @@ class FreqTable {
   // Expected bits to code `symbol` under this model (-log2 p): the oracle
   // the range coder's compression is checked against.
   double BitsFor(uint32_t symbol) const;
-
-  void Serialize(ByteWriter& w) const;
-  // Throws std::runtime_error unless the input is a table FromCounts could
-  // have built: 1 <= alphabet < kTotal, every frequency in [1, kTotal], and
-  // a sum of kTotal.
-  static FreqTable Deserialize(ByteReader& r);
-
-  bool operator==(const FreqTable& o) const { return freq_ == o.freq_; }
 
  private:
   void BuildCum();

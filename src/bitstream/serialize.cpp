@@ -1,34 +1,8 @@
 #include "bitstream/serialize.h"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace cachegen {
-
-void ByteWriter::PutU16(uint16_t v) {
-  PutU8(static_cast<uint8_t>(v));
-  PutU8(static_cast<uint8_t>(v >> 8));
-}
-
-void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::PutF32(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU32(bits);
-}
-
-void ByteWriter::PutF64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
 
 void ByteWriter::PutVarU64(uint64_t v) {
   while (v >= 0x80) {
@@ -48,13 +22,10 @@ void ByteWriter::PutBlob(std::span<const uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-void ByteWriter::PutString(const std::string& s) {
-  PutVarU64(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
 void ByteReader::Require(size_t n) const {
-  if (pos_ + n > buf_.size()) {
+  // Compared against the bytes left: n comes from the input, and pos_ + n
+  // could wrap past a blob length near 2^64.
+  if (n > buf_.size() - pos_) {
     throw std::out_of_range("ByteReader: truncated input");
   }
 }
@@ -62,38 +33,6 @@ void ByteReader::Require(size_t n) const {
 uint8_t ByteReader::GetU8() {
   Require(1);
   return buf_[pos_++];
-}
-
-uint16_t ByteReader::GetU16() {
-  const uint16_t lo = GetU8();
-  const uint16_t hi = GetU8();
-  return static_cast<uint16_t>(lo | (hi << 8));
-}
-
-uint32_t ByteReader::GetU32() {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(GetU8()) << (8 * i);
-  return v;
-}
-
-uint64_t ByteReader::GetU64() {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(GetU8()) << (8 * i);
-  return v;
-}
-
-float ByteReader::GetF32() {
-  const uint32_t bits = GetU32();
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-double ByteReader::GetF64() {
-  const uint64_t bits = GetU64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 uint64_t ByteReader::GetVarU64() {
@@ -118,14 +57,6 @@ std::vector<uint8_t> ByteReader::GetBlob() {
   Require(n);
   std::vector<uint8_t> out(buf_.begin() + static_cast<ptrdiff_t>(pos_),
                            buf_.begin() + static_cast<ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-std::string ByteReader::GetString() {
-  const uint64_t n = GetVarU64();
-  Require(n);
-  std::string out(reinterpret_cast<const char*>(buf_.data() + pos_), n);
   pos_ += n;
   return out;
 }

@@ -1,12 +1,10 @@
 // Little serialization layer for the on-disk / on-wire container format:
-// LEB128 varints, fixed-width integers, floats, and length-prefixed blobs
-// over a growable byte buffer. All multi-byte fixed-width values are
-// little-endian, written byte-by-byte so the format is host-independent.
+// single bytes, LEB128 varints and varint-length-prefixed blobs over a
+// growable byte buffer.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace cachegen {
@@ -14,15 +12,9 @@ namespace cachegen {
 class ByteWriter {
  public:
   void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU16(uint16_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutF32(float v);
-  void PutF64(double v);
   void PutVarU64(uint64_t v);        // unsigned LEB128
   void PutVarI64(int64_t v);         // zigzag + LEB128
   void PutBlob(std::span<const uint8_t> data);  // varint length + bytes
-  void PutString(const std::string& s);
 
   const std::vector<uint8_t>& bytes() const { return buf_; }
   std::vector<uint8_t> TakeBytes() { return std::move(buf_); }
@@ -37,18 +29,11 @@ class ByteReader {
   explicit ByteReader(std::span<const uint8_t> bytes) : buf_(bytes) {}
 
   uint8_t GetU8();
-  uint16_t GetU16();
-  uint32_t GetU32();
-  uint64_t GetU64();
-  float GetF32();
-  double GetF64();
   uint64_t GetVarU64();
   int64_t GetVarI64();
   std::vector<uint8_t> GetBlob();
-  std::string GetString();
 
   size_t remaining() const { return buf_.size() - pos_; }
-  bool AtEnd() const { return pos_ >= buf_.size(); }
 
  private:
   void Require(size_t n) const;

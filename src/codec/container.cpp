@@ -8,7 +8,6 @@ namespace cachegen {
 
 namespace {
 constexpr char kMagic[4] = {'C', 'G', 'K', 'V'};
-constexpr char kLayeredMagic[4] = {'C', 'G', 'K', 'L'};
 }
 
 std::vector<uint8_t> SerializeChunk(const EncodedChunk& chunk) {
@@ -56,38 +55,6 @@ EncodedChunk ParseChunk(std::span<const uint8_t> bytes) {
   }
   c.streams.reserve(n);
   for (uint64_t i = 0; i < n; ++i) c.streams.push_back(r.GetBlob());
-  return c;
-}
-
-std::vector<uint8_t> SerializeLayeredChunk(const LayeredChunk& chunk) {
-  ByteWriter w;
-  for (char m : kLayeredMagic) w.PutU8(static_cast<uint8_t>(m));
-  w.PutU8(kLayeredContainerVersion);
-  w.PutF64(chunk.fine_bin_sigma);
-  w.PutBlob(SerializeChunk(chunk.base));
-  w.PutBlob(chunk.enhancement);
-  return w.TakeBytes();
-}
-
-LayeredChunk ParseLayeredChunk(std::span<const uint8_t> bytes) {
-  ByteReader r(bytes);
-  for (char m : kLayeredMagic) {
-    if (r.GetU8() != static_cast<uint8_t>(m)) {
-      throw std::runtime_error("ParseLayeredChunk: bad magic");
-    }
-  }
-  const uint8_t version = r.GetU8();
-  if (version != kLayeredContainerVersion) {
-    throw std::runtime_error("ParseLayeredChunk: unsupported version");
-  }
-  LayeredChunk c;
-  c.fine_bin_sigma = r.GetF64();
-  if (!(c.fine_bin_sigma > 0.0)) {
-    throw std::runtime_error("ParseLayeredChunk: non-positive fine bin");
-  }
-  const std::vector<uint8_t> base = r.GetBlob();
-  c.base = ParseChunk(base);
-  c.enhancement = r.GetBlob();
   return c;
 }
 

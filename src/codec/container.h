@@ -2,37 +2,22 @@
 // on the storage server and travels the network (§6's {chunk_id -> encoded
 // bitstream} dictionary values).
 //
-// Layout (all integers varint or fixed little-endian):
+// Layout (integers are LEB128 varints except the u8 fields):
 //   magic "CGKV" | version u8 | chunk_index | token_begin | num_tokens |
 //   num_layers | num_channels | level_id | option_flags u8 | group_size |
 //   stream_count | { stream blob }*
-//
-// Layered (§9 progressive-streaming) container: the base layer is a full
-// "CGKV" container nested as a blob, followed by the enhancement stream —
-// so a receiver that only got the base blob still holds a valid container.
-//   magic "CGKL" | version u8 | fine_bin_sigma f64 | base blob | enh blob
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "codec/kv_encoder.h"
-#include "codec/layered_encoder.h"
 
 namespace cachegen {
 
 inline constexpr uint8_t kContainerVersion = 1;
-inline constexpr uint8_t kLayeredContainerVersion = 1;
 
 std::vector<uint8_t> SerializeChunk(const EncodedChunk& chunk);
 EncodedChunk ParseChunk(std::span<const uint8_t> bytes);
-
-std::vector<uint8_t> SerializeLayeredChunk(const LayeredChunk& chunk);
-LayeredChunk ParseLayeredChunk(std::span<const uint8_t> bytes);
-
-// KVStore level-id key under which the layered stream for `base_level` is
-// stored. Plain levels use ids >= 0 and the streamer's text decision is -1,
-// so layered streams live in the negative range below that.
-constexpr int32_t LayeredLevelKey(int32_t base_level) { return -2 - base_level; }
 
 }  // namespace cachegen

@@ -187,7 +187,7 @@ KVCache KVDecoder::DecodeChunk(const EncodedChunk& chunk, unsigned threads) cons
 void KVDecoder::DecodeChunkInto(const EncodedChunk& chunk, KVCache& out,
                                 size_t row0, unsigned threads) const {
   CG_TRACE_SPAN("codec", "decode_chunk");
-  [[maybe_unused]] const uint64_t dec_start_us = obs::Tracer::NowUs();
+  const uint64_t dec_start_us = obs::Tracer::NowUs();
   CheckChunk(chunk);
   if (out.num_layers() != chunk.num_layers ||
       out.num_channels() != chunk.num_channels ||

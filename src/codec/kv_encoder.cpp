@@ -120,7 +120,7 @@ EncodedChunk KVEncoder::EncodeChunk(const KVCache& chunk, uint32_t chunk_index,
                                     uint64_t token_begin, unsigned threads,
                                     KVCache* recon) const {
   CG_TRACE_SPAN("codec", "encode_chunk");
-  [[maybe_unused]] const uint64_t enc_start_us = obs::Tracer::NowUs();
+  const uint64_t enc_start_us = obs::Tracer::NowUs();
   EncodedChunk out;
   out.chunk_index = chunk_index;
   out.token_begin = token_begin;

@@ -36,15 +36,6 @@ uint8_t CodecOptions::Flags() const {
   return f;
 }
 
-CodecOptions CodecOptions::FromFlags(uint8_t flags) {
-  CodecOptions o;
-  o.delta_encoding = flags & 1;
-  o.layerwise_bins = flags & 2;
-  o.granularity = static_cast<ProfileGranularity>((flags >> 2) & 3);
-  o.anchor_mode = (flags & 16) ? AnchorMode::kConsecutive : AnchorMode::kAnchor;
-  return o;
-}
-
 KVProfile KVProfile::Build(const ModelConfig& cfg,
                            std::span<const KVCache* const> caches,
                            size_t token_group_size) {
@@ -131,52 +122,6 @@ std::span<const uint64_t> KVProfile::DeltaHist(size_t l, size_t c, int kind) con
 std::span<const uint64_t> KVProfile::RawHist(size_t l, size_t c, int kind) const {
   return {raw_hist_.data() + Idx(l, c, kind) * kHistBins,
           static_cast<size_t>(kHistBins)};
-}
-
-void KVProfile::Serialize(ByteWriter& w) const {
-  w.PutVarU64(num_layers_);
-  w.PutVarU64(num_channels_);
-  for (const auto& s : stats_) {
-    w.PutF64(s.raw_mean);
-    w.PutF64(s.raw_std);
-    w.PutF64(s.delta_std);
-    w.PutF64(s.anchor_scale);
-  }
-  for (uint64_t v : anchor_hist_) w.PutVarU64(v);
-  for (uint64_t v : delta_hist_) w.PutVarU64(v);
-  for (uint64_t v : raw_hist_) w.PutVarU64(v);
-}
-
-KVProfile KVProfile::Deserialize(ByteReader& r) {
-  KVProfile p;
-  p.num_layers_ = r.GetVarU64();
-  p.num_channels_ = r.GetVarU64();
-  // Each (layer, channel, kind) entry takes four f64 stats plus at least
-  // one varint byte per histogram bin, so the claimed geometry must fit in
-  // the bytes left; the check divides so the product cannot wrap. A shape
-  // with exactly one zero dimension would claim layers (or channels) that
-  // hold no statistics.
-  constexpr size_t kMinEntryBytes = 4 * sizeof(double) + kAnchorBins + 2 * kHistBins;
-  const size_t max_entries = r.remaining() / kMinEntryBytes;
-  if ((p.num_layers_ == 0) != (p.num_channels_ == 0) ||
-      (p.num_channels_ != 0 && p.num_layers_ > max_entries / 2 / p.num_channels_)) {
-    throw std::runtime_error("KVProfile: corrupt geometry");
-  }
-  const size_t n = p.num_layers_ * p.num_channels_ * 2;
-  p.stats_.resize(n);
-  for (auto& s : p.stats_) {
-    s.raw_mean = r.GetF64();
-    s.raw_std = r.GetF64();
-    s.delta_std = r.GetF64();
-    s.anchor_scale = r.GetF64();
-  }
-  p.anchor_hist_.resize(n * kAnchorBins);
-  for (auto& v : p.anchor_hist_) v = r.GetVarU64();
-  p.delta_hist_.resize(n * kHistBins);
-  for (auto& v : p.delta_hist_) v = r.GetVarU64();
-  p.raw_hist_.resize(n * kHistBins);
-  for (auto& v : p.raw_hist_) v = r.GetVarU64();
-  return p;
 }
 
 TableSet::TableSet(const KVProfile& profile, const EncodingLevel& level,

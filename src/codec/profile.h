@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "ac/freq_table.h"
-#include "bitstream/serialize.h"
 #include "codec/delta.h"
 #include "codec/encoding_level.h"
 #include "llm/model_config.h"
@@ -58,7 +57,6 @@ struct CodecOptions {
   size_t token_group_size = kTokenGroupSize;
 
   uint8_t Flags() const;
-  static CodecOptions FromFlags(uint8_t flags);
 };
 
 class KVProfile {
@@ -90,11 +88,6 @@ class KVProfile {
   std::span<const uint64_t> AnchorHist(size_t l, size_t c, int kind) const;
   std::span<const uint64_t> DeltaHist(size_t l, size_t c, int kind) const;
   std::span<const uint64_t> RawHist(size_t l, size_t c, int kind) const;
-
-  void Serialize(ByteWriter& w) const;
-  // Throws std::runtime_error when the claimed geometry cannot fit the
-  // input, before allocating for it.
-  static KVProfile Deserialize(ByteReader& r);
 
  private:
   friend class TableSet;

@@ -151,9 +151,6 @@ class CacheFabric final : public KVStore, public CacheTier {
   const HashRing& ring() const { return ring_; }
   const Options& options() const { return opts_; }
   size_t num_nodes() const { return nodes_.size(); }
-  // Node i's serving tier (its prefix layer when enabled, else its store).
-  CacheTier& node_tier(size_t i) { return *nodes_[i].tier; }
-  const CacheTier& node_tier(size_t i) const { return *nodes_[i].tier; }
 
   Stats stats() const;
 

@@ -21,9 +21,6 @@
 // use only). Tests compare HistogramSnapshot::Quantile() against
 // ExactQuantile() over the captured samples to bound the bucketing error;
 // see tests/test_obs.cpp.
-//
-// Compile-time switch: defining CACHEGEN_OBS_DISABLED turns the CG_METRIC_*
-// macros below into no-ops (the classes stay available for direct use).
 #pragma once
 
 #include <array>
@@ -179,8 +176,6 @@ class MetricsRegistry {
 // Each site resolves its metric once (thread-safe function-local static) and
 // then records lock-free. `name` must be a string literal (or otherwise have
 // static storage duration).
-#ifndef CACHEGEN_OBS_DISABLED
-
 #define CG_METRIC_COUNT(name, n)                                       \
   do {                                                                 \
     static ::cachegen::obs::Counter& cg_obs_c =                        \
@@ -215,13 +210,3 @@ class MetricsRegistry {
         ::cachegen::obs::MetricsRegistry::Instance().GetHistogram(name); \
     cg_obs_h.Record(static_cast<uint64_t>(v));                           \
   } while (0)
-
-#else  // CACHEGEN_OBS_DISABLED
-
-#define CG_METRIC_COUNT(name, n) do {} while (0)
-#define CG_METRIC_GAUGE_SET(name, v) do {} while (0)
-#define CG_METRIC_GAUGE_ADD(name, d) do {} while (0)
-#define CG_METRIC_GAUGE_MAX(name, v) do {} while (0)
-#define CG_METRIC_HIST(name, v) do {} while (0)
-
-#endif  // CACHEGEN_OBS_DISABLED

@@ -23,10 +23,9 @@
 // lands on the right virtual track and carries the id in its args.
 //
 // Cost when disabled: every CG_TRACE_* macro starts with one relaxed atomic
-// load (a few ns — bench_obs_overhead gates it); defining
-// CACHEGEN_OBS_DISABLED compiles the macros away entirely. The runtime
-// switch is Tracer::SetEnabled or the CACHEGEN_TRACE environment variable
-// (any value but "0"), read once at first use.
+// load (a few ns — bench_obs_overhead gates it). The switch is
+// Tracer::SetEnabled or the CACHEGEN_TRACE environment variable (any value
+// but "0"), read once at first use.
 #pragma once
 
 #include <atomic>
@@ -171,8 +170,6 @@ class SpanGuard {
 
 }  // namespace cachegen::obs
 
-#ifndef CACHEGEN_OBS_DISABLED
-
 #define CG_OBS_CONCAT_IMPL(a, b) a##b
 #define CG_OBS_CONCAT(a, b) CG_OBS_CONCAT_IMPL(a, b)
 
@@ -184,13 +181,3 @@ class SpanGuard {
   ::cachegen::obs::TraceCounterSample(cat, name, v)
 #define CG_TRACE_VSPAN(...) ::cachegen::obs::TraceVirtualSpan(__VA_ARGS__)
 #define CG_TRACE_VINSTANT(...) ::cachegen::obs::TraceVirtualInstant(__VA_ARGS__)
-
-#else  // CACHEGEN_OBS_DISABLED
-
-#define CG_TRACE_SPAN(cat, name) do {} while (0)
-#define CG_TRACE_INSTANT(...) do {} while (0)
-#define CG_TRACE_COUNTER(cat, name, v) do {} while (0)
-#define CG_TRACE_VSPAN(...) do {} while (0)
-#define CG_TRACE_VINSTANT(...) do {} while (0)
-
-#endif  // CACHEGEN_OBS_DISABLED

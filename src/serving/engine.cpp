@@ -140,32 +140,6 @@ std::optional<EncodedChunk> Engine::GetKV(const std::string& context_id,
   return ParseChunk(*bytes);
 }
 
-void Engine::StoreLayeredKV(const std::string& context_id, const ContextSpec& ctx,
-                            int base_level) {
-  const KVCache cache = CalculateKV(ctx);
-  const LayeredEncoder& codec = LayeredFor(base_level);
-  const auto ranges = SplitIntoChunks(ctx.num_tokens, opts_.chunk_tokens);
-  std::vector<std::pair<ChunkKey, std::vector<uint8_t>>> encoded;
-  encoded.reserve(ranges.size());
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    const KVCache chunk_kv = cache.SliceTokens(ranges[i].begin, ranges[i].end);
-    const LayeredChunk lc =
-        codec.Encode(chunk_kv, static_cast<uint32_t>(i), ranges[i].begin);
-    encoded.emplace_back(
-        ChunkKey{context_id, static_cast<uint32_t>(i), LayeredLevelKey(base_level)},
-        SerializeLayeredChunk(lc));
-  }
-  PutEncodedBatch(*store_, context_id, encoded);
-}
-
-std::optional<LayeredChunk> Engine::GetLayeredKV(const std::string& context_id,
-                                                 uint32_t chunk,
-                                                 int base_level) const {
-  const auto bytes = store_->Get({context_id, chunk, LayeredLevelKey(base_level)});
-  if (!bytes) return std::nullopt;
-  return ParseLayeredChunk(*bytes);
-}
-
 KVCache Engine::AssembleKV(const std::string& context_id, const ContextSpec& ctx,
                            const std::vector<int>& level_per_chunk) const {
   KVCache out;

@@ -14,6 +14,7 @@
 #include "codec/container.h"
 #include "codec/kv_decoder.h"
 #include "codec/kv_encoder.h"
+#include "codec/layered_encoder.h"
 #include "llm/cost_model.h"
 #include "llm/quality_model.h"
 #include "llm/synthetic_model.h"
@@ -72,15 +73,6 @@ class Engine {
   // get_kv (§6): fetch one chunk's bitstream at one level.
   std::optional<EncodedChunk> GetKV(const std::string& context_id, uint32_t chunk,
                                     int level) const;
-
-  // Layered store_kv/get_kv pair (§9 progressive streaming): prefill, chunk,
-  // encode base + enhancement at `base_level`, persist the layered container
-  // under LayeredLevelKey(base_level). A request can then stream the base now
-  // and the enhancement when slack remains.
-  void StoreLayeredKV(const std::string& context_id, const ContextSpec& ctx,
-                      int base_level);
-  std::optional<LayeredChunk> GetLayeredKV(const std::string& context_id,
-                                           uint32_t chunk, int base_level) const;
 
   // Reassemble a context's KV from per-chunk streaming decisions: encoded
   // chunks are fetched from the store and decoded; text chunks are

@@ -126,7 +126,6 @@ class ShardedKVStore final : public KVStore, public CacheTier {
   const ShardedKVStore* hot_tier() const override { return this; }
 
   Stats stats() const;
-  size_t num_shards() const { return shards_.size(); }
   uint64_t capacity_bytes() const { return opts_.capacity_bytes; }
 
  private:

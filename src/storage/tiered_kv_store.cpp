@@ -145,13 +145,17 @@ void TieredKVStore::AdoptPersistedColdContexts() {
       const std::string dir_name = dir.path().filename().string();
       // Recover the original id: the manifest is authoritative (it is the
       // only way back from a '%'-mangled name, and it carries the LRU
-      // stamp); unlisted directories fall back to the pass-through
-      // round-trip rule; names neither recovers are unreachable forever —
-      // reclaim them rather than leaking dead bytes against the budget.
+      // stamp), but only for a row whose id sanitizes to this directory —
+      // any other row would register the bytes under an id whose reads
+      // and erases go elsewhere. Other directories fall back to the
+      // pass-through round-trip rule; names neither recovers are
+      // unreachable forever — reclaim them rather than leaking dead bytes
+      // against the budget.
       std::string id;
       double last_touch = 0.0;
       const auto mit = manifest.find(dir_name);
-      if (mit != manifest.end()) {
+      if (mit != manifest.end() &&
+          SanitizeContextId(mit->second.original_id) == dir_name) {
         id = mit->second.original_id;
         last_touch = mit->second.last_touch_s;
       } else if (SanitizeContextId(dir_name) == dir_name) {

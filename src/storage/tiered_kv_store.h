@@ -161,8 +161,6 @@ class TieredKVStore final : public KVStore, public CacheTier {
   Stats stats() const;
   ShardedKVStore& hot() { return *hot_; }
   const ShardedKVStore& hot() const { return *hot_; }
-  uint64_t cold_capacity_bytes() const { return opts_.cold_capacity_bytes; }
-  const std::filesystem::path& cold_root() const { return opts_.cold_root; }
 
  private:
   // All ColdEntry fields are protected by the owning store's cold_mu_, with

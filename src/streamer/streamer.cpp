@@ -103,7 +103,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
     step.bytes = tx_bytes;
     step.observed_gbps = rec.ThroughputGbps();
 
-    [[maybe_unused]] const uint64_t track = obs::ScopedRequestId::Current();
+    const uint64_t track = obs::ScopedRequestId::Current();
     if (lane) {
       // Post the GPU stage to the flow's lane: the overhead part drains at
       // rate 1, the compute part at the share in effect while it drains.
@@ -215,7 +215,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
       step.observed_gbps = span_s > 0.0 ? sent * 8.0 / 1e9 / span_s : 0.0;
       result.bytes_sent += sent;
 
-      [[maybe_unused]] const uint64_t track = obs::ScopedRequestId::Current();
+      const uint64_t track = obs::ScopedRequestId::Current();
       CG_TRACE_VSPAN("streamer", "enh_tx", track, step.tx_start_s,
                      step.tx_end_s, "bytes", sent);
       if (step.aborted) {
@@ -257,7 +257,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
   if (lane && !lane_items.empty()) {
     const std::vector<double> done = hooks->drain_gpu();
     const size_t n = std::min(done.size(), lane_items.size());
-    [[maybe_unused]] const uint64_t track = obs::ScopedRequestId::Current();
+    const uint64_t track = obs::ScopedRequestId::Current();
     double prev_done = t0;
     for (size_t i = 0; i < n; ++i) {
       const LaneItemRef& it = lane_items[i];

@@ -107,8 +107,6 @@ class KVStreamer {
                       size_t kv_chunk_limit = SIZE_MAX,
                       const StreamHooks* hooks = nullptr) const;
 
-  const Adapter& adapter() const { return adapter_; }
-
  private:
   const CostModel& cost_;
   ModelConfig model_;

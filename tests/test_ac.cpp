@@ -59,16 +59,6 @@ TEST(FreqTable, BitsForMatchesProbability) {
   EXPECT_NEAR(t.BitsFor(0), 3.0, 0.01);
 }
 
-TEST(FreqTable, SerializeRoundTrip) {
-  const std::vector<uint64_t> counts = {42, 17, 9000, 3};
-  const FreqTable t = FreqTable::FromCounts(counts);
-  ByteWriter w;
-  t.Serialize(w);
-  ByteReader r(w.bytes());
-  const FreqTable back = FreqTable::Deserialize(r);
-  EXPECT_TRUE(t == back);
-}
-
 TEST(FreqTable, RejectsEmptyAndOversizedAlphabets) {
   EXPECT_THROW(FreqTable::FromCounts({}), std::invalid_argument);
   std::vector<uint64_t> too_big(FreqTable::kTotal, 1);
@@ -101,27 +91,6 @@ TEST(FreqTable, BucketLookupEdges) {
   EXPECT_EQ(t.BucketLookup(FreqTable::kTotal - 1), t.Lookup(FreqTable::kTotal - 1));
   EXPECT_EQ(t.BucketLookup(FreqTable::kTotal - 1), 2u);
   EXPECT_THROW(FreqTable().BucketIndex(), std::logic_error);
-}
-
-// Deserialize sees bytes from outside the program (stored tables): counts
-// are checked before anything is allocated, and only tables FromCounts
-// could have built are accepted.
-TEST(FreqTable, DeserializeRejectsInflatedAlphabet) {
-  ByteWriter w;
-  w.PutVarU64(1ULL << 40);  // 6 bytes claiming 2^40 symbols, none present
-  ASSERT_EQ(w.size(), 6u);
-  ByteReader r(w.bytes());
-  EXPECT_THROW(FreqTable::Deserialize(r), std::runtime_error);
-}
-
-TEST(FreqTable, DeserializeRejectsZeroFrequency) {
-  // Sums to kTotal, but symbol 0 would be unencodable.
-  ByteWriter w;
-  w.PutVarU64(2);
-  w.PutVarU64(0);
-  w.PutVarU64(FreqTable::kTotal);
-  ByteReader r(w.bytes());
-  EXPECT_THROW(FreqTable::Deserialize(r), std::runtime_error);
 }
 
 std::vector<uint32_t> RoundTrip(const FreqTable& table,

@@ -85,21 +85,6 @@ ModelConfig* ExtendedCodecTest::cfg_ = nullptr;
 SyntheticModel* ExtendedCodecTest::model_ = nullptr;
 std::shared_ptr<const KVProfile>* ExtendedCodecTest::profile_holder_ = nullptr;
 
-TEST_F(ExtendedCodecTest, ProfileSerializationPreservesCodingExactly) {
-  // Encoding with a deserialized profile must produce byte-identical
-  // streams — the storage and inference servers exchange profiles this way.
-  ByteWriter w;
-  profile()->Serialize(w);
-  ByteReader r(w.bytes());
-  const auto back = std::make_shared<KVProfile>(KVProfile::Deserialize(r));
-
-  const KVCache chunk = model_->Prefill({777, 60});
-  const EncodedChunk e1 = KVEncoder(profile(), DefaultLevel()).EncodeChunk(chunk);
-  const EncodedChunk e2 = KVEncoder(back, DefaultLevel()).EncodeChunk(chunk);
-  ASSERT_EQ(e1.streams.size(), e2.streams.size());
-  for (size_t g = 0; g < e1.streams.size(); ++g) EXPECT_EQ(e1.streams[g], e2.streams[g]);
-}
-
 TEST_F(ExtendedCodecTest, TruncatedStreamDoesNotCrash) {
   // Failure injection: a truncated group bitstream must decode without UB or
   // exceptions (the range decoder reads zeros past the end) — the damage is

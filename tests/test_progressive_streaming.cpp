@@ -1,6 +1,6 @@
 // Progressive (§9) KV delivery: layered base+enhancement streaming through
-// the adapter and the two-pass KVStreamer timeline, plus the layered store
-// path through Engine and ShardedKVStore.
+// the adapter and the two-pass KVStreamer timeline, plus the layered
+// calibration Engine plans it from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "llm/synthetic_model.h"
 #include "net/link.h"
 #include "serving/engine.h"
-#include "storage/sharded_kv_store.h"
 #include "streamer/streamer.h"
 
 namespace cachegen {
@@ -289,39 +288,8 @@ TEST(ProgressiveCodecProperty, DecodeBaseQualityNeverExceedsDecodeFull) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine + ShardedKVStore: layered streams are storable and retrievable.
+// Engine: the layered calibration reaches the streaming plan.
 // ---------------------------------------------------------------------------
-
-TEST(LayeredStorePath, StoreLayeredKVRoundTripsThroughShardedStore) {
-  Engine::Options eopts;
-  eopts.calib_context_tokens = 400;
-  eopts.calib_num_contexts = 4;
-  eopts.chunk_tokens = 300;
-  eopts.layered_calib_tokens = 0;  // keep this engine's calibration lean
-  auto store = std::make_shared<ShardedKVStore>(ShardedKVStore::Options{});
-  Engine engine(eopts, store);
-
-  const ContextSpec ctx{777, 600};  // two chunks
-  const int base_level = 2;
-  engine.StoreLayeredKV("layered-ctx", ctx, base_level);
-
-  const KVCache cache = engine.CalculateKV(ctx);
-  for (uint32_t chunk = 0; chunk < 2; ++chunk) {
-    const auto lc = engine.GetLayeredKV("layered-ctx", chunk, base_level);
-    ASSERT_TRUE(lc.has_value());
-    EXPECT_GT(lc->enhancement.size(), 0u);
-    const KVCache full = engine.LayeredFor(base_level).DecodeFull(*lc);
-    const KVCache base = engine.LayeredFor(base_level).DecodeBase(*lc);
-    const KVCache ref =
-        cache.SliceTokens(chunk * 300, std::min<size_t>((chunk + 1) * 300, 600));
-    const QualityModel& qm = engine.quality_model();
-    EXPECT_GT(qm.QualityFromKV(ref, full), qm.QualityFromKV(ref, base) - 1e-12);
-  }
-  // Levels are namespaced: the layered container does not shadow the plain
-  // per-level containers, and an un-stored level comes back empty.
-  EXPECT_FALSE(engine.GetLayeredKV("layered-ctx", 0, base_level + 1).has_value());
-  EXPECT_FALSE(engine.GetKV("layered-ctx", 0, base_level).has_value());
-}
 
 TEST(LayeredStorePath, PlanFromCalibrationCarriesLayeredData) {
   Engine::Options eopts;

@@ -356,6 +356,44 @@ TEST_F(TieredStoreTest, UnmanifestedMangledDirectoriesAreReclaimed) {
   EXPECT_FALSE(fs::exists(root_ / orphan_dir));
 }
 
+TEST_F(TieredStoreTest, ManifestRowNamingAnotherDirectoryIsIgnored) {
+  const auto payload_a = Blob(60, 1);
+  const auto payload_b = Blob(70, 2);
+  {
+    TieredKVStore store(Opts(/*hot_capacity=*/100));
+    store.Put({"a", 0, 0}, payload_a);
+    store.Put({"b", 0, 0}, payload_b);  // demotes "a"
+    store.Put({"hot", 0, 0}, Blob(90, 3));  // demotes "b"
+    store.Flush();
+    ASSERT_TRUE(fs::exists(root_ / "a"));
+    ASSERT_TRUE(fs::exists(root_ / "b"));
+  }
+  // The MANIFEST is read back from disk: a row that maps directory "a" to
+  // id "b" (hex 62) must not register a's bytes under b's id.
+  {
+    std::ofstream manifest(root_ / "MANIFEST", std::ios::trunc);
+    manifest << "cachegen-cold-manifest-v1\na 62 0000000000000000\n";
+  }
+  TieredKVStore store(Opts(/*hot_capacity=*/1000));
+  ASSERT_TRUE(store.ContainsContext("a"));
+  ASSERT_TRUE(store.ContainsContext("b"));
+  EXPECT_EQ(store.stats().cold_bytes, 130u);
+  for (const auto& [id, payload] :
+       {std::pair{"a", payload_a}, std::pair{"b", payload_b}}) {
+    ASSERT_EQ(store.LookupAndPin(id, 1.0), KVTier::kCold) << id;
+    ASSERT_TRUE(store.Get({id, 0, 0}).has_value()) << id;
+    EXPECT_EQ(*store.Get({id, 0, 0}), payload) << id;
+    store.Unpin(id);
+  }
+  store.EraseContext("a");
+  store.EraseContext("b");
+  store.Flush();
+  EXPECT_EQ(store.stats().cold_bytes, 0u);
+  EXPECT_EQ(store.TotalBytes(), 0u);
+  EXPECT_FALSE(fs::exists(root_ / "a"));
+  EXPECT_FALSE(fs::exists(root_ / "b"));
+}
+
 TEST_F(TieredStoreTest, ManifestPreservesColdLruOrderAcrossRestart) {
   {
     TieredKVStore store(Opts(/*hot_capacity=*/100));
