@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/parallel_for.h"
 #include "common/stats.h"
 
 namespace cachegen {
@@ -15,6 +16,9 @@ constexpr size_t kBodyAlphabet = 2 * KVProfile::kDeltaMaxSym + 1;  // 129
 inline size_t HistBinOf(double normalized) {
   const double pos = (normalized + KVProfile::kHistRange) /
                      (2.0 * KVProfile::kHistRange) * KVProfile::kHistBins;
+  // In range the bin is the integer part, the same as the general path
+  // below; this skips its lround, a libm call, for nearly every value.
+  if (pos >= 0.0 && pos < KVProfile::kHistBins) return static_cast<size_t>(pos);
   const long b = std::lround(std::floor(pos));
   return static_cast<size_t>(
       std::clamp(b, 0L, static_cast<long>(KVProfile::kHistBins - 1)));
@@ -40,6 +44,13 @@ KVProfile KVProfile::Build(const ModelConfig& cfg,
                            std::span<const KVCache* const> caches,
                            size_t token_group_size) {
   if (caches.empty()) throw std::invalid_argument("KVProfile::Build: no caches");
+  for (const KVCache* cache : caches) {
+    if (cache == nullptr || cache->num_layers() != cfg.num_layers ||
+        cache->num_channels() != cfg.sim_channels) {
+      throw std::invalid_argument(
+          "KVProfile::Build: cache geometry differs from the model's");
+    }
+  }
   KVProfile p;
   p.num_layers_ = cfg.num_layers;
   p.num_channels_ = cfg.sim_channels;
@@ -49,49 +60,63 @@ KVProfile KVProfile::Build(const ModelConfig& cfg,
   p.delta_hist_.assign(n * kHistBins, 0);
   p.raw_hist_.assign(n * kHistBins, 0);
 
-  // Pass 1: scales.
-  std::vector<RunningStats> raw(n), delta(n);
-  std::vector<double> anchor_absmax(n, 0.0);
-  for (const KVCache* cache : caches) {
-    for (size_t l = 0; l < p.num_layers_; ++l) {
+  // One task per layer: a layer's statistics and histograms read only that
+  // layer of each cache and write only that layer's slots. Rows run outer and
+  // channels inner, so the anchor test runs once per row, and every
+  // (channel, kind) still sees its values in (cache, row) order: the Welford
+  // sums, and so the profile, are bit-identical at any pool size.
+  const size_t C = p.num_channels_;
+  ParallelFor(p.num_layers_, [&](size_t l) {
+    const size_t base = p.Idx(l, 0, 0);  // slot (l, c, kind) is base + 2c + kind
+
+    // Pass 1: scales.
+    std::vector<RunningStats> raw(2 * C), delta(2 * C);
+    std::vector<double> anchor_absmax(2 * C, 0.0);
+    for (const KVCache* cache : caches) {
       for (int kind = 0; kind < 2; ++kind) {
         const Tensor& t = kind == 0 ? cache->layer(l).k : cache->layer(l).v;
-        for (size_t c = 0; c < p.num_channels_; ++c) {
-          const size_t idx = p.Idx(l, c, kind);
-          for (size_t r = 0; r < t.rows(); ++r) {
-            const double x = t.At(r, c);
-            raw[idx].Add(x);
-            if (IsAnchor(r, token_group_size)) {
-              anchor_absmax[idx] = std::max(anchor_absmax[idx], std::fabs(x));
-            } else {
-              delta[idx].Add(x - t.At(AnchorOf(r, token_group_size), c));
+        for (size_t r = 0; r < t.rows(); ++r) {
+          const std::span<const float> row = t.Row(r);
+          if (IsAnchor(r, token_group_size)) {
+            for (size_t c = 0, i = static_cast<size_t>(kind); c < C; ++c, i += 2) {
+              const double x = row[c];
+              raw[i].Add(x);
+              anchor_absmax[i] = std::max(anchor_absmax[i], std::fabs(x));
+            }
+          } else {
+            const std::span<const float> anchor = t.Row(AnchorOf(r, token_group_size));
+            for (size_t c = 0, i = static_cast<size_t>(kind); c < C; ++c, i += 2) {
+              const double x = row[c];
+              raw[i].Add(x);
+              delta[i].Add(x - anchor[c]);
             }
           }
         }
       }
     }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    ChannelStats& s = p.stats_[i];
-    s.raw_mean = raw[i].Mean();
-    s.raw_std = std::max(raw[i].StdDev(), 1e-6);
-    s.delta_std = std::max(delta[i].StdDev(), 1e-6);
-    s.anchor_scale =
-        std::max(anchor_absmax[i] * 1.02, 1e-6) / static_cast<double>(kAnchorMaxSym);
-  }
+    for (size_t i = 0; i < 2 * C; ++i) {
+      ChannelStats& s = p.stats_[base + i];
+      s.raw_mean = raw[i].Mean();
+      s.raw_std = std::max(raw[i].StdDev(), 1e-6);
+      s.delta_std = std::max(delta[i].StdDev(), 1e-6);
+      s.anchor_scale = std::max(anchor_absmax[i] * 1.02, 1e-6) /
+                       static_cast<double>(kAnchorMaxSym);
+    }
 
-  // Pass 2: normalized histograms.
-  for (const KVCache* cache : caches) {
-    for (size_t l = 0; l < p.num_layers_; ++l) {
+    // Pass 2: normalized histograms.
+    for (const KVCache* cache : caches) {
       for (int kind = 0; kind < 2; ++kind) {
         const Tensor& t = kind == 0 ? cache->layer(l).k : cache->layer(l).v;
-        for (size_t c = 0; c < p.num_channels_; ++c) {
-          const size_t idx = p.Idx(l, c, kind);
-          const ChannelStats& s = p.stats_[idx];
-          for (size_t r = 0; r < t.rows(); ++r) {
-            const double x = t.At(r, c);
+        for (size_t r = 0; r < t.rows(); ++r) {
+          const std::span<const float> row = t.Row(r);
+          const bool is_anchor = IsAnchor(r, token_group_size);
+          const std::span<const float> anchor = t.Row(AnchorOf(r, token_group_size));
+          for (size_t c = 0; c < C; ++c) {
+            const size_t idx = base + 2 * c + static_cast<size_t>(kind);
+            const ChannelStats& s = p.stats_[idx];
+            const double x = row[c];
             ++p.raw_hist_[idx * kHistBins + HistBinOf((x - s.raw_mean) / s.raw_std)];
-            if (IsAnchor(r, token_group_size)) {
+            if (is_anchor) {
               const long sym = std::lround(x / s.anchor_scale);
               const long clamped = std::clamp(sym, -static_cast<long>(kAnchorMaxSym),
                                               static_cast<long>(kAnchorMaxSym));
@@ -101,14 +126,14 @@ KVProfile KVProfile::Build(const ModelConfig& cfg,
               // Deltas are histogrammed in RAW-sigma units: the bin widths
               // of the encoding levels are defined on the raw value scale so
               // that delta and no-delta modes quantize with identical error.
-              const double d = x - t.At(AnchorOf(r, token_group_size), c);
+              const double d = x - anchor[c];
               ++p.delta_hist_[idx * kHistBins + HistBinOf(d / s.raw_std)];
             }
           }
         }
       }
     }
-  }
+  });
   return p;
 }
 

@@ -69,7 +69,10 @@ class KVProfile {
   KVProfile() = default;
 
   // Two-pass build over calibration caches (all from the same model):
-  // pass 1 estimates scales, pass 2 fills the normalized histograms.
+  // pass 1 estimates scales, pass 2 fills the normalized histograms. One
+  // pool task per layer; the result is bit-identical at any pool size.
+  // Throws std::invalid_argument when `caches` is empty or a cache is null
+  // or lacks cfg's layer or channel count.
   static KVProfile Build(const ModelConfig& cfg,
                          std::span<const KVCache* const> caches,
                          size_t token_group_size = kTokenGroupSize);

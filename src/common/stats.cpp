@@ -95,19 +95,6 @@ double GroupedEntropyBits(std::span<const int32_t> symbols,
   return grand_total ? weighted / static_cast<double>(grand_total) : 0.0;
 }
 
-void RunningStats::Add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 double RunningStats::StdDev() const { return std::sqrt(Variance()); }
 
 }  // namespace cachegen

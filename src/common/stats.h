@@ -4,6 +4,7 @@
 // strategy).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -37,7 +38,23 @@ double GroupedEntropyBits(std::span<const int32_t> symbols,
 // Online accumulator for streaming mean/variance (Welford).
 class RunningStats {
  public:
-  void Add(double x);
+  // Inline because profiling and the quality model call it once per KV
+  // element. Each call ends in a division the next call depends on; inlined,
+  // the compiler can interleave the chains of several independent
+  // accumulators (one per channel or per layer) instead of running them one
+  // call at a time.
+  void Add(double x) {
+    if (n_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
   uint64_t Count() const { return n_; }
   double Mean() const { return n_ ? mean_ : 0.0; }
   double Variance() const { return n_ ? m2_ / static_cast<double>(n_) : 0.0; }

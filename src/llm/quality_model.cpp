@@ -1,6 +1,7 @@
 #include "llm/quality_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -22,14 +23,39 @@ double QualityModel::WeightedNmse(const KVCache& ref, const KVCache& recon) cons
   if (L == 0) return 0.0;
   std::vector<double> per_layer(L);
   const std::vector<double> mse = recon.PerLayerMse(ref);
-  for (size_t l = 0; l < L; ++l) {
-    // Normalize by the layer's signal variance (mean-removed power).
-    const auto& layer = ref.layer(l);
-    RunningStats rs;
-    for (float x : layer.k.Data()) rs.Add(x);
-    for (float x : layer.v.Data()) rs.Add(x);
-    const double var = std::max(rs.Variance(), 1e-12);
-    per_layer[l] = mse[l] / var;
+  // Normalize by each layer's signal variance (mean-removed power): one
+  // Welford pass over the layer's K values, then its V values. Every step of
+  // a pass waits on the previous step's division, so kLanes layers' passes
+  // run in step to keep the divider busy. Each layer still adds its own
+  // values in the same order, so its variance is bit-identical to a pass of
+  // its own.
+  constexpr size_t kLanes = 4;
+  for (size_t l0 = 0; l0 < L; l0 += kLanes) {
+    const size_t lanes = std::min(kLanes, L - l0);
+    std::array<RunningStats, kLanes> rs;
+    for (const bool v : {false, true}) {
+      std::array<std::span<const float>, kLanes> xs;
+      for (size_t j = 0; j < lanes; ++j) {
+        const KVLayer& layer = ref.layer(l0 + j);
+        xs[j] = v ? layer.v.Data() : layer.k.Data();
+      }
+      size_t in_step = 0;
+      if (lanes == kLanes) {
+        in_step = std::min({xs[0].size(), xs[1].size(), xs[2].size(), xs[3].size()});
+        for (size_t i = 0; i < in_step; ++i) {
+          rs[0].Add(xs[0][i]);
+          rs[1].Add(xs[1][i]);
+          rs[2].Add(xs[2][i]);
+          rs[3].Add(xs[3][i]);
+        }
+      }
+      for (size_t j = 0; j < lanes; ++j) {
+        for (size_t i = in_step; i < xs[j].size(); ++i) rs[j].Add(xs[j][i]);
+      }
+    }
+    for (size_t j = 0; j < lanes; ++j) {
+      per_layer[l0 + j] = mse[l0 + j] / std::max(rs[j].Variance(), 1e-12);
+    }
   }
   return WeightedNmse(per_layer);
 }

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/parallel_for.h"
+
 namespace cachegen {
 
 namespace {
@@ -113,10 +115,11 @@ KVCache SyntheticModel::PrefillRange(const ContextSpec& ctx, size_t begin,
 void SyntheticModel::FillRangeInto(KVCache& cache, size_t row_offset,
                                    uint64_t seed, size_t T, size_t begin,
                                    size_t end) const {
-  const size_t L = config_.num_layers;
   const size_t C = config_.sim_channels;
 
-  for (size_t l = 0; l < L; ++l) {
+  // One task per layer: every (layer, channel) is its own AR(1) stream, and a
+  // layer's task writes only that layer's tensors.
+  ParallelFor(config_.num_layers, [&](size_t l) {
     Tensor& K = cache.layer(l).k;
     Tensor& V = cache.layer(l).v;
     for (size_t c = 0; c < C; ++c) {
@@ -160,7 +163,7 @@ void SyntheticModel::FillRangeInto(KVCache& cache, size_t row_offset,
         }
       }
     }
-  }
+  });
 }
 
 std::vector<double> SyntheticModel::TokenImportance(const ContextSpec& ctx) const {

@@ -1,9 +1,11 @@
 #include "serving/engine.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "baselines/quant_baseline.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 
@@ -47,14 +49,13 @@ Engine::Engine(Options opts, std::shared_ptr<KVStore> store)
 
 void Engine::BuildProfile() {
   // Offline profiling pass (§5.2): a handful of calibration contexts from
-  // the same model; distributions are reused for every later context.
-  std::vector<KVCache> caches;
-  caches.reserve(opts_.calib_num_contexts);
+  // the same model; distributions are reused for every later context. One
+  // pool task per context prefill, then one per layer inside Build.
+  std::vector<KVCache> caches(opts_.calib_num_contexts);
+  ParallelFor(caches.size(), [&](size_t i) {
+    caches[i] = llm_->Prefill({0xCA11B000ULL + i * 97ULL, opts_.calib_context_tokens});
+  });
   std::vector<const KVCache*> ptrs;
-  for (size_t i = 0; i < opts_.calib_num_contexts; ++i) {
-    ContextSpec ctx{0xCA11B000ULL + i * 97ULL, opts_.calib_context_tokens};
-    caches.push_back(llm_->Prefill(ctx));
-  }
   for (const auto& c : caches) ptrs.push_back(&c);
   profile_ = std::make_shared<KVProfile>(
       KVProfile::Build(model_, ptrs, opts_.codec.token_group_size));
@@ -96,12 +97,22 @@ void Engine::StoreKV(const std::string& context_id, const ContextSpec& ctx) {
   // in memory until the batch lands — it buys atomicity exactly on the
   // concurrent sharded/tiered stores the cluster serves from; plain
   // Memory/File stores just run the base class's Put loop.
-  // The full-context prefill is computed only when every chunk needs it; a
-  // partially covered context prefills just its uncovered ranges (bit-exact
-  // per chunk, see AssembleKV), and a fully covered one touches no GPU at
-  // all — the store call degenerates to a registration.
-  std::optional<KVCache> cache;
-  if (covered_count == 0) cache = CalculateKV(ctx);
+  // One prefill serves every chunk left to encode: PrefillRange over the
+  // span of chunks [lo, hi) from the first uncovered chunk to the last. It
+  // equals that slice of the full prefill, so each chunk cut from it is
+  // bit-identical, and the AR(1) runs from token 0 once rather than once per
+  // chunk. A fully covered context touches no GPU at all — the store call
+  // degenerates to a registration.
+  size_t lo = ranges.size(), hi = 0;
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    if (!covered[i]) {
+      lo = std::min(lo, i);
+      hi = i + 1;
+    }
+  }
+  const size_t span_begin = lo < hi ? ranges[lo].begin : 0;
+  const KVCache span_kv =
+      lo < hi ? llm_->PrefillRange(ctx, span_begin, ranges[hi - 1].end) : KVCache();
 
   std::vector<std::pair<ChunkKey, std::vector<uint8_t>>> encoded;
   encoded.reserve((ranges.size() - covered_count) * levels.size());
@@ -116,9 +127,8 @@ void Engine::StoreKV(const std::string& context_id, const ContextSpec& ctx) {
       }
       continue;
     }
-    const KVCache chunk_kv =
-        cache ? cache->SliceTokens(ranges[i].begin, ranges[i].end)
-              : llm_->PrefillRange(ctx, ranges[i].begin, ranges[i].end);
+    const KVCache chunk_kv = span_kv.SliceTokens(ranges[i].begin - span_begin,
+                                                 ranges[i].end - span_begin);
     for (size_t lv = 0; lv < levels.size(); ++lv) {
       encoded.emplace_back(
           ChunkKey{context_id, static_cast<uint32_t>(i), levels[lv].id},
@@ -208,45 +218,60 @@ void Engine::BuildCalibration() {
   val.seed = 0xBEEFCAFEULL;
   val.num_tokens = std::min<size_t>(opts_.chunk_tokens, 1500);
   const KVCache cache = llm_->Prefill(val);
+  const double tokens = static_cast<double>(val.num_tokens);
+  const size_t num_levels = DefaultEncodingLevels().size();
 
-  const auto& levels = DefaultEncodingLevels();
-  calib.bytes_per_token_per_level.resize(levels.size());
-  calib.quality_per_level.resize(levels.size());
-  KVCache recon;
-  for (size_t lv = 0; lv < levels.size(); ++lv) {
-    const EncodedChunk enc =
-        encoders_[lv]->EncodeChunk(cache, 0, 0, /*threads=*/0, &recon);
-    calib.bytes_per_token_per_level[lv] =
-        static_cast<double>(enc.WireBytes()) * model_.size_scale() /
-        static_cast<double>(val.num_tokens);
-    calib.quality_per_level[lv] = quality_.QualityFromKV(cache, recon);
+  // One pool task per measurement, each writing only its own slot; the
+  // codec's own ParallelFors run inline inside a task. Every result is a
+  // pure function of its inputs, so the calibration is bit-identical at any
+  // pool size.
+  std::vector<std::function<void()>> tasks;
+  calib.bytes_per_token_per_level.resize(num_levels);
+  calib.quality_per_level.resize(num_levels);
+  for (size_t lv = 0; lv < num_levels; ++lv) {
+    tasks.emplace_back([&, lv] {
+      KVCache recon;
+      const EncodedChunk enc =
+          encoders_[lv]->EncodeChunk(cache, 0, 0, /*threads=*/0, &recon);
+      calib.bytes_per_token_per_level[lv] =
+          static_cast<double>(enc.WireBytes()) * model_.size_scale() / tokens;
+      calib.quality_per_level[lv] = quality_.QualityFromKV(cache, recon);
+    });
   }
 
   // Layered calibration (§9): per base level, the enhancement-layer size and
   // the quality the enhancement lifts that base to. A shorter validation
   // slice keeps the scalar residual coder off the critical path.
+  const size_t lt = std::min(opts_.layered_calib_tokens, val.num_tokens);
+  const KVCache lcache =
+      opts_.layered_calib_tokens > 0 ? cache.SliceTokens(0, lt) : KVCache();
   if (opts_.layered_calib_tokens > 0) {
-    const size_t lt = std::min(opts_.layered_calib_tokens, val.num_tokens);
-    const KVCache lcache = cache.SliceTokens(0, lt);
-    calib.enh_bytes_per_token_per_level.resize(levels.size());
-    calib.quality_enhanced_per_level.resize(levels.size());
-    for (size_t lv = 0; lv < levels.size(); ++lv) {
-      const LayeredChunk lc = layered_[lv]->Encode(lcache);
-      const KVCache full = layered_[lv]->DecodeFull(lc);
-      calib.enh_bytes_per_token_per_level[lv] =
-          static_cast<double>(lc.enhancement.size()) * model_.size_scale() /
-          static_cast<double>(lt);
-      calib.quality_enhanced_per_level[lv] = quality_.QualityFromKV(lcache, full);
+    calib.enh_bytes_per_token_per_level.resize(num_levels);
+    calib.quality_enhanced_per_level.resize(num_levels);
+    for (size_t lv = 0; lv < num_levels; ++lv) {
+      tasks.emplace_back([&, lv] {
+        const LayeredChunk lc = layered_[lv]->Encode(lcache);
+        const KVCache full = layered_[lv]->DecodeFull(lc);
+        calib.enh_bytes_per_token_per_level[lv] =
+            static_cast<double>(lc.enhancement.size()) * model_.size_scale() /
+            static_cast<double>(lt);
+        calib.quality_enhanced_per_level[lv] = quality_.QualityFromKV(lcache, full);
+      });
     }
   }
-  for (int bits : {3, 4, 8}) {
-    const QuantBaseline qb(bits);
-    const QuantBaselineResult r = qb.Apply(cache);
+
+  for (const int bits : {3, 4, 8}) {
     calib.quant_bytes_per_token[bits] =
-        QuantBaseline::Bytes(model_, val.num_tokens, bits) /
-        static_cast<double>(val.num_tokens);
-    calib.quant_quality[bits] = quality_.QualityFromKV(cache, r.recon);
+        QuantBaseline::Bytes(model_, val.num_tokens, bits) / tokens;
+    // The map entry is inserted here, before the fan-out; the task writes
+    // only its value.
+    tasks.emplace_back([&, bits, &quality = calib.quant_quality[bits]] {
+      const QuantBaselineResult r = QuantBaseline(bits).Apply(cache);
+      quality = quality_.QualityFromKV(cache, r.recon);
+    });
   }
+
+  ParallelFor(tasks.size(), [&](size_t i) { tasks[i](); });
   calibration_ = std::move(calib);
 }
 

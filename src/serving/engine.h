@@ -48,6 +48,10 @@ class Engine {
   // FileKVStore, the cluster's ShardedKVStore, or a TieredKVStore — the
   // tiered path gives store_kv/get_kv a hot-RAM/cold-disk hierarchy with
   // the cluster pinning/promoting through the tiered interface.
+  // Construction profiles the model (§5.2) and builds the codec ladder: the
+  // calibration prefills run one per pool task and KVProfile::Build one layer
+  // per task, on the process-wide ThreadPool (CACHEGEN_THREADS sizes it). The
+  // profile is bit-identical at any pool size.
   Engine() : Engine(Options{}) {}
   explicit Engine(Options opts, std::shared_ptr<KVStore> store = nullptr);
 
@@ -65,8 +69,8 @@ class Engine {
   // store_kv (§6): prefill, chunk, encode at every level, persist to the
   // store under `context_id` in one PutBatch. Chunks a prefix-aware store
   // already holds (PreStoreCoverage) are neither prefilled nor encoded; the
-  // rest of a partly covered context is prefilled chunk by chunk
-  // (PrefillRange). To stream the stored context, plan it with
+  // rest of a partly covered context comes from one PrefillRange over the
+  // span of its uncovered chunks. To stream the stored context, plan it with
   // PlanFromCalibration.
   void StoreKV(const std::string& context_id, const ContextSpec& ctx);
 
@@ -92,9 +96,12 @@ class Engine {
   // (context seed, quality threshold).
   GenerateResult GenerateWithKV(const ContextSpec& ctx, double quality) const;
 
-  // Offline codec calibration (lazy, cached): per-level sizes/quality and
-  // the quantization baseline curve, feeding TTFTModel and the benches.
-  // Safe to call from multiple threads; the first caller pays the cost.
+  // Offline codec calibration (lazy, cached): per-level sizes/quality, the
+  // layered enhancement sizes/quality and the quantization baseline curve,
+  // feeding TTFTModel and the benches. Safe to call from multiple threads;
+  // the first caller pays the cost, running the measurements (one per level,
+  // one per layered level, one per quantization baseline) as tasks on the
+  // process-wide ThreadPool. The result is bit-identical at any pool size.
   const CodecCalibration& calibration();
 
   TTFTModel MakeTTFTModel();

@@ -121,6 +121,20 @@ TEST_F(CodecTest, ProfileBuildRejectsEmpty) {
   EXPECT_THROW(KVProfile::Build(*cfg_, {}), std::invalid_argument);
 }
 
+TEST_F(CodecTest, ProfileBuildRejectsMismatchedGeometry) {
+  // Build reads cfg.num_layers x cfg.sim_channels from every cache, so a
+  // smaller cache would be read past its end.
+  const KVCache& good = (*calib_)[0];
+  const KVCache smaller(2, 40, 4);
+  const KVCache more_layers(cfg_->num_layers + 1, 40, cfg_->sim_channels);
+  const KVCache more_channels(cfg_->num_layers, 40, cfg_->sim_channels + 1);
+  for (const KVCache* bad : {&smaller, &more_layers, &more_channels,
+                             static_cast<const KVCache*>(nullptr)}) {
+    const std::vector<const KVCache*> caches = {&good, bad};
+    EXPECT_THROW(KVProfile::Build(*cfg_, caches), std::invalid_argument);
+  }
+}
+
 TEST_F(CodecTest, EncodeDecodeRoundTripShape) {
   const KVCache chunk = model_->Prefill({200, 137});
   const KVEncoder enc(profile_, DefaultLevel());

@@ -3,7 +3,6 @@
 // per-request threads, deterministic outcomes independent of run count and
 // of the codec thread-pool size).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -25,6 +24,7 @@
 #include "net/bandwidth_trace.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
+#include "self_exec.h"
 
 namespace cachegen {
 namespace {
@@ -370,34 +370,15 @@ TEST(EventLoopProbe, PrintSummary) {
   SUCCEED();
 }
 
-std::string RunProbeWithThreads(const char* threads) {
-  // Resolve the symlink HERE: handed to the shell verbatim, /proc/self/exe
-  // would resolve to the shell's own binary at exec time.
-  char self[4096];
-  const ssize_t n = readlink("/proc/self/exe", self, sizeof self - 1);
-  if (n <= 0) return {};
-  self[n] = '\0';
-  const std::string cmd =
-      std::string("CACHEGEN_THREADS=") + threads + " '" + self +
-      "' --gtest_filter=EventLoopProbe.PrintSummary 2>/dev/null";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return {};
-  std::string out;
-  char buf[512];
-  while (fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
-  pclose(pipe);
-  const size_t pos = out.find("CG_SUMMARY ");
-  if (pos == std::string::npos) return {};
-  return out.substr(pos, out.find('\n', pos) - pos);
-}
-
 // Outcomes must not depend on how many codec threads the host grants: the
 // write-back encode fans out across the global pool, but virtual-time
 // results are pool-size independent. Re-execs this binary under two pool
 // sizes and compares the probe's summary bit-for-bit.
 TEST(EventLoop, DeterministicAcrossCodecPoolSizes) {
-  const std::string one = RunProbeWithThreads("1");
-  const std::string many = RunProbeWithThreads("8");
+  const std::string one =
+      RunSelfWithThreads("1", "EventLoopProbe.PrintSummary", "CG_SUMMARY ");
+  const std::string many =
+      RunSelfWithThreads("8", "EventLoopProbe.PrintSummary", "CG_SUMMARY ");
   ASSERT_FALSE(one.empty()) << "probe run with CACHEGEN_THREADS=1 failed";
   ASSERT_FALSE(many.empty()) << "probe run with CACHEGEN_THREADS=8 failed";
   EXPECT_EQ(one, many);

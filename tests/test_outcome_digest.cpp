@@ -14,14 +14,17 @@
 // before an earlier request's write-back, so hit/miss outcomes would depend
 // on OS scheduling (the timing-dependent corners in cluster_server.h).
 //
-// Two more digests pin the bytes Engine::StoreKV persists (StoredBytesDigest).
+// Two more digests pin the bytes Engine::StoreKV persists (StoredBytesDigest),
+// and one pins what Engine bring-up computes (CalibrationDigest).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "common/sha256.h"
 #include "fabric/cache_fabric.h"
 #include "prefix/prefix_cache.h"
+#include "self_exec.h"
 #include "storage/sharded_kv_store.h"
 #include "storage/tiered_kv_store.h"
 #include "workload/prefix_trace.h"
@@ -357,6 +361,77 @@ TEST(StoredBytesDigest, PrefixFamilySkipsCoveredChunks) {
   }
   EXPECT_EQ(StoredDigest(engine, members),
             "cbf410ba6ba8bb448d759ce71469d2266a68726712b8a1d62f5fd922d523b576");
+}
+
+// ---- What Engine bring-up computes ------------------------------------------
+// One SHA-256 over the engine's profile (every statistic by bit pattern, every
+// histogram count) and every CodecCalibration field. Serving reads neither
+// quant field; only the figure benches do, so nothing else pins them. Bring-up
+// fans out to the codec pool, and the digest must not depend on its size.
+
+std::string CalibrationDigest(Engine& engine) {
+  Sha256 h;
+  const auto f64 = [&h](double v) { h.UpdateU64(std::bit_cast<uint64_t>(v)); };
+  const auto f64s = [&](const std::vector<double>& xs) {
+    h.UpdateU64(xs.size());
+    for (const double x : xs) f64(x);
+  };
+  const auto counts = [&h](std::span<const uint64_t> hist) {
+    h.UpdateU64(hist.size());
+    for (const uint64_t n : hist) h.UpdateU64(n);
+  };
+  const KVProfile& p = *engine.profile();
+  h.UpdateU64(p.num_layers());
+  h.UpdateU64(p.num_channels());
+  for (size_t l = 0; l < p.num_layers(); ++l) {
+    for (size_t c = 0; c < p.num_channels(); ++c) {
+      for (int kind = 0; kind < 2; ++kind) {
+        f64(p.RawMean(l, c, kind));
+        f64(p.RawStd(l, c, kind));
+        f64(p.DeltaStd(l, c, kind));
+        f64(p.AnchorScale(l, c, kind));
+        counts(p.AnchorHist(l, c, kind));
+        counts(p.DeltaHist(l, c, kind));
+        counts(p.RawHist(l, c, kind));
+      }
+    }
+  }
+  const CodecCalibration& calib = engine.calibration();
+  f64s(calib.bytes_per_token_per_level);
+  f64s(calib.quality_per_level);
+  f64s(calib.enh_bytes_per_token_per_level);
+  f64s(calib.quality_enhanced_per_level);
+  for (const auto* quant : {&calib.quant_bytes_per_token, &calib.quant_quality}) {
+    h.UpdateU64(quant->size());
+    for (const auto& [bits, v] : *quant) {
+      h.UpdateU64(static_cast<uint64_t>(bits));
+      f64(v);
+    }
+  }
+  f64(calib.text_bytes_per_token);
+  return Sha256Hex(h.Finish());
+}
+
+constexpr char kCalibrationMarker[] = "CG_CALIBRATION ";
+
+TEST(CalibrationDigest, ProfileAndCalibrationAreBitExact) {
+  Engine engine(SmallEngineOptions());
+  const std::string digest = CalibrationDigest(engine);
+  // Read back by CalibrationDigest.SameAtOneAndFourPoolThreads.
+  std::printf("%s%s\n", kCalibrationMarker, digest.c_str());
+  std::fflush(stdout);
+  EXPECT_EQ(digest, "02212ee5bfa03a823438f5d005f4e9ab901c73e3bb457ea349cbe264a9ef9d86");
+}
+
+// Re-execs this binary at two pool sizes: with one executor every bring-up
+// loop runs inline on the calling thread, with four it fans out.
+TEST(CalibrationDigest, SameAtOneAndFourPoolThreads) {
+  const std::string filter = "CalibrationDigest.ProfileAndCalibrationAreBitExact";
+  const std::string one = RunSelfWithThreads("1", filter, kCalibrationMarker);
+  const std::string four = RunSelfWithThreads("4", filter, kCalibrationMarker);
+  ASSERT_FALSE(one.empty()) << "digest run with CACHEGEN_THREADS=1 failed";
+  ASSERT_FALSE(four.empty()) << "digest run with CACHEGEN_THREADS=4 failed";
+  EXPECT_EQ(one, four);
 }
 
 }  // namespace
