@@ -14,7 +14,7 @@ constexpr uint32_t kResidualAlphabet = 2 * KVProfile::kDeltaMaxSym + 1;
 
 // Walk layer `l`'s residual symbols (the exact sequence the enhancement layer
 // codes for that layer: K rows, then V rows) one token row at a time,
-// feeding each row to `fn(const uint32_t* symbols, size_t n)`.
+// feeding each row to `fn(kind, row, const uint32_t* symbols, size_t n)`.
 template <typename Fn>
 void ForEachResidualRow(const TableSet& tables, const KVCache& chunk,
                         const KVCache& base_recon, double fine_bin_sigma,
@@ -29,7 +29,7 @@ void ForEachResidualRow(const TableSet& tables, const KVCache& chunk,
     for (size_t r = 0; r < orig.rows(); ++r) {
       ResidualSymbolRow(orig.Row(r).data(), base.Row(r).data(), sigma.data(),
                         fine_bin_sigma, KVProfile::kDeltaMaxSym, C, syms.data());
-      fn(syms.data(), C);
+      fn(kind, r, syms.data(), C);
     }
   }
 }
@@ -54,24 +54,34 @@ LayeredEncoder::LayeredEncoder(std::shared_ptr<const KVProfile> profile,
       base_level_id_(base_level.id) {}
 
 LayeredChunk LayeredEncoder::Encode(const KVCache& chunk, uint32_t chunk_index,
-                                    uint64_t token_begin) const {
+                                    uint64_t token_begin,
+                                    KVCache* full_recon) const {
   LayeredChunk out;
   out.fine_bin_sigma = fine_bin_sigma_;
   // Residual against what the receiver will reconstruct from the base.
   KVCache base_recon;
   out.base = base_encoder_.EncodeChunk(chunk, chunk_index, token_begin,
                                        /*threads=*/0, &base_recon);
+  if (full_recon) *full_recon = base_recon;
 
   BitWriter writer;
   RangeEncoder enc(writer);
   AdaptiveModel model(kResidualAlphabet);
   for (size_t l = 0; l < chunk.num_layers(); ++l) {
-    ForEachResidualRow(*tables_, chunk, base_recon, fine_bin_sigma_, l,
-                       [&](const uint32_t* syms, size_t n) {
-                         for (size_t i = 0; i < n; ++i) {
-                           model.EncodeAndUpdate(enc, syms[i]);
-                         }
-                       });
+    ForEachResidualRow(
+        *tables_, chunk, base_recon, fine_bin_sigma_, l,
+        [&](int kind, size_t r, const uint32_t* syms, size_t n) {
+          for (size_t i = 0; i < n; ++i) model.EncodeAndUpdate(enc, syms[i]);
+          if (!full_recon) return;
+          // DecodeFull's refinement of the base row, in its exact arithmetic.
+          KVLayer& layer = full_recon->layer(l);
+          float* row = (kind == 0 ? layer.k : layer.v).Row(r).data();
+          for (size_t c = 0; c < n; ++c) {
+            const double sigma = tables_->BodySigma(l, c, kind);
+            const double sn = static_cast<double>(syms[c]) - KVProfile::kDeltaMaxSym;
+            row[c] = static_cast<float>(row[c] + sn * out.fine_bin_sigma * sigma);
+          }
+        });
   }
   enc.Finish();
   out.enhancement = writer.TakeBytes();
@@ -93,7 +103,7 @@ double LayeredEncoder::EstimateEnhancementBytes(const KVCache& chunk,
   ParallelFor(L, [&](size_t l) {
     uint64_t* counts = &layer_counts[l * kResidualAlphabet];
     ForEachResidualRow(*tables_, chunk, base_recon, fine_bin_sigma_, l,
-                       [&](const uint32_t* syms, size_t n) {
+                       [&](int, size_t, const uint32_t* syms, size_t n) {
                          for (size_t i = 0; i < n; ++i) ++counts[syms[i]];
                        });
   });

@@ -39,8 +39,14 @@ class LayeredEncoder {
                  std::shared_ptr<const TableSet> tables,
                  const EncodingLevel& base_level, double fine_bin_sigma = 0.25);
 
+  // `full_recon`, when non-null, receives DecodeFull's reconstruction of
+  // the result, bit for bit, built from the base reconstruction and the
+  // residual symbols the encoder already holds (the role `recon` plays for
+  // KVEncoder::EncodeChunk); a buffer that already has the chunk's shape is
+  // overwritten in place.
   LayeredChunk Encode(const KVCache& chunk, uint32_t chunk_index = 0,
-                      uint64_t token_begin = 0) const;
+                      uint64_t token_begin = 0,
+                      KVCache* full_recon = nullptr) const;
 
   // Decode using the base layer only (coarse reconstruction).
   KVCache DecodeBase(const LayeredChunk& chunk) const;

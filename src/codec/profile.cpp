@@ -40,6 +40,18 @@ uint8_t CodecOptions::Flags() const {
   return f;
 }
 
+KVProfile KVProfile::Sized(const ModelConfig& cfg) {
+  KVProfile p;
+  p.num_layers_ = cfg.num_layers;
+  p.num_channels_ = cfg.sim_channels;
+  const size_t n = p.num_layers_ * p.num_channels_ * 2;
+  p.stats_.assign(n, {});
+  p.anchor_hist_.assign(n * kAnchorBins, 0);
+  p.delta_hist_.assign(n * kHistBins, 0);
+  p.raw_hist_.assign(n * kHistBins, 0);
+  return p;
+}
+
 KVProfile KVProfile::Build(const ModelConfig& cfg,
                            std::span<const KVCache* const> caches,
                            size_t token_group_size) {
@@ -51,90 +63,116 @@ KVProfile KVProfile::Build(const ModelConfig& cfg,
           "KVProfile::Build: cache geometry differs from the model's");
     }
   }
-  KVProfile p;
-  p.num_layers_ = cfg.num_layers;
-  p.num_channels_ = cfg.sim_channels;
-  const size_t n = p.num_layers_ * p.num_channels_ * 2;
-  p.stats_.assign(n, {});
-  p.anchor_hist_.assign(n * kAnchorBins, 0);
-  p.delta_hist_.assign(n * kHistBins, 0);
-  p.raw_hist_.assign(n * kHistBins, 0);
-
+  KVProfile p = Sized(cfg);
   // One task per layer: a layer's statistics and histograms read only that
-  // layer of each cache and write only that layer's slots. Rows run outer and
-  // channels inner, so the anchor test runs once per row, and every
-  // (channel, kind) still sees its values in (cache, row) order: the Welford
-  // sums, and so the profile, are bit-identical at any pool size.
-  const size_t C = p.num_channels_;
+  // layer of each cache and write only that layer's slots, so the profile
+  // is bit-identical at any pool size.
   ParallelFor(p.num_layers_, [&](size_t l) {
-    const size_t base = p.Idx(l, 0, 0);  // slot (l, c, kind) is base + 2c + kind
-
-    // Pass 1: scales.
-    std::vector<RunningStats> raw(2 * C), delta(2 * C);
-    std::vector<double> anchor_absmax(2 * C, 0.0);
-    for (const KVCache* cache : caches) {
-      for (int kind = 0; kind < 2; ++kind) {
-        const Tensor& t = kind == 0 ? cache->layer(l).k : cache->layer(l).v;
-        for (size_t r = 0; r < t.rows(); ++r) {
-          const std::span<const float> row = t.Row(r);
-          if (IsAnchor(r, token_group_size)) {
-            for (size_t c = 0, i = static_cast<size_t>(kind); c < C; ++c, i += 2) {
-              const double x = row[c];
-              raw[i].Add(x);
-              anchor_absmax[i] = std::max(anchor_absmax[i], std::fabs(x));
-            }
-          } else {
-            const std::span<const float> anchor = t.Row(AnchorOf(r, token_group_size));
-            for (size_t c = 0, i = static_cast<size_t>(kind); c < C; ++c, i += 2) {
-              const double x = row[c];
-              raw[i].Add(x);
-              delta[i].Add(x - anchor[c]);
-            }
-          }
-        }
-      }
-    }
-    for (size_t i = 0; i < 2 * C; ++i) {
-      ChannelStats& s = p.stats_[base + i];
-      s.raw_mean = raw[i].Mean();
-      s.raw_std = std::max(raw[i].StdDev(), 1e-6);
-      s.delta_std = std::max(delta[i].StdDev(), 1e-6);
-      s.anchor_scale = std::max(anchor_absmax[i] * 1.02, 1e-6) /
-                       static_cast<double>(kAnchorMaxSym);
-    }
-
-    // Pass 2: normalized histograms.
-    for (const KVCache* cache : caches) {
-      for (int kind = 0; kind < 2; ++kind) {
-        const Tensor& t = kind == 0 ? cache->layer(l).k : cache->layer(l).v;
-        for (size_t r = 0; r < t.rows(); ++r) {
-          const std::span<const float> row = t.Row(r);
-          const bool is_anchor = IsAnchor(r, token_group_size);
-          const std::span<const float> anchor = t.Row(AnchorOf(r, token_group_size));
-          for (size_t c = 0; c < C; ++c) {
-            const size_t idx = base + 2 * c + static_cast<size_t>(kind);
-            const ChannelStats& s = p.stats_[idx];
-            const double x = row[c];
-            ++p.raw_hist_[idx * kHistBins + HistBinOf((x - s.raw_mean) / s.raw_std)];
-            if (is_anchor) {
-              const long sym = std::lround(x / s.anchor_scale);
-              const long clamped = std::clamp(sym, -static_cast<long>(kAnchorMaxSym),
-                                              static_cast<long>(kAnchorMaxSym));
-              ++p.anchor_hist_[idx * kAnchorBins +
-                               static_cast<size_t>(clamped + kAnchorMaxSym)];
-            } else {
-              // Deltas are histogrammed in RAW-sigma units: the bin widths
-              // of the encoding levels are defined on the raw value scale so
-              // that delta and no-delta modes quantize with identical error.
-              const double d = x - anchor[c];
-              ++p.delta_hist_[idx * kHistBins + HistBinOf(d / s.raw_std)];
-            }
-          }
-        }
-      }
-    }
+    std::vector<const KVLayer*> layers;
+    layers.reserve(caches.size());
+    for (const KVCache* cache : caches) layers.push_back(&cache->layer(l));
+    p.ProfileLayer(l, layers, token_group_size);
   });
   return p;
+}
+
+KVProfile KVProfile::BuildByLayer(const ModelConfig& cfg, size_t num_caches,
+                                  const LayerSource& fill,
+                                  size_t token_group_size) {
+  if (num_caches == 0) {
+    throw std::invalid_argument("KVProfile::BuildByLayer: no caches");
+  }
+  KVProfile p = Sized(cfg);
+  ParallelFor(p.num_layers_, [&](size_t l) {
+    std::vector<KVLayer> filled(num_caches);
+    std::vector<const KVLayer*> layers;
+    layers.reserve(num_caches);
+    for (size_t i = 0; i < num_caches; ++i) {
+      fill(l, i, filled[i]);
+      if (filled[i].k.cols() != cfg.sim_channels ||
+          filled[i].v.cols() != cfg.sim_channels) {
+        throw std::invalid_argument(
+            "KVProfile::BuildByLayer: layer geometry differs from the model's");
+      }
+      layers.push_back(&filled[i]);
+    }
+    p.ProfileLayer(l, layers, token_group_size);
+  });
+  return p;
+}
+
+void KVProfile::ProfileLayer(size_t l, std::span<const KVLayer* const> layers,
+                             size_t token_group_size) {
+  // Rows run outer and channels inner, so the anchor test runs once per row,
+  // and every (channel, kind) still sees its values in (cache, row) order:
+  // the Welford sums are the same whichever thread runs the layer.
+  const size_t C = num_channels_;
+  const size_t base = Idx(l, 0, 0);  // slot (l, c, kind) is base + 2c + kind
+
+  // Pass 1: scales.
+  std::vector<RunningStats> raw(2 * C), delta(2 * C);
+  std::vector<double> anchor_absmax(2 * C, 0.0);
+  for (const KVLayer* layer : layers) {
+    for (int kind = 0; kind < 2; ++kind) {
+      const Tensor& t = kind == 0 ? layer->k : layer->v;
+      for (size_t r = 0; r < t.rows(); ++r) {
+        const std::span<const float> row = t.Row(r);
+        if (IsAnchor(r, token_group_size)) {
+          for (size_t c = 0, i = static_cast<size_t>(kind); c < C; ++c, i += 2) {
+            const double x = row[c];
+            raw[i].Add(x);
+            anchor_absmax[i] = std::max(anchor_absmax[i], std::fabs(x));
+          }
+        } else {
+          const std::span<const float> anchor = t.Row(AnchorOf(r, token_group_size));
+          for (size_t c = 0, i = static_cast<size_t>(kind); c < C; ++c, i += 2) {
+            const double x = row[c];
+            raw[i].Add(x);
+            delta[i].Add(x - anchor[c]);
+          }
+        }
+      }
+    }
+  }
+  for (size_t i = 0; i < 2 * C; ++i) {
+    ChannelStats& s = stats_[base + i];
+    s.raw_mean = raw[i].Mean();
+    s.raw_std = std::max(raw[i].StdDev(), 1e-6);
+    s.delta_std = std::max(delta[i].StdDev(), 1e-6);
+    s.anchor_scale = std::max(anchor_absmax[i] * 1.02, 1e-6) /
+                     static_cast<double>(kAnchorMaxSym);
+  }
+
+  // Pass 2: normalized histograms.
+  for (const KVLayer* layer : layers) {
+    for (int kind = 0; kind < 2; ++kind) {
+      const Tensor& t = kind == 0 ? layer->k : layer->v;
+      for (size_t r = 0; r < t.rows(); ++r) {
+        const std::span<const float> row = t.Row(r);
+        const bool is_anchor = IsAnchor(r, token_group_size);
+        const std::span<const float> anchor = t.Row(AnchorOf(r, token_group_size));
+        for (size_t c = 0; c < C; ++c) {
+          const size_t idx = base + 2 * c + static_cast<size_t>(kind);
+          const ChannelStats& s = stats_[idx];
+          const double x = row[c];
+          ++raw_hist_[idx * kHistBins + HistBinOf((x - s.raw_mean) / s.raw_std)];
+          if (is_anchor) {
+            const long sym = std::lround(x / s.anchor_scale);
+            const long clamped = std::clamp(sym, -static_cast<long>(kAnchorMaxSym),
+                                            static_cast<long>(kAnchorMaxSym));
+            ++anchor_hist_[idx * kAnchorBins +
+                           static_cast<size_t>(clamped + kAnchorMaxSym)];
+          } else {
+            // Deltas are histogrammed in RAW-sigma units: the bin widths
+            // of the encoding levels are defined on the raw value scale so
+            // that delta and no-delta modes quantize with identical error.
+            const double d = x - anchor[c];
+            ++delta_hist_[idx * kHistBins + HistBinOf(d / s.raw_std)];
+          }
+        }
+      }
+    }
+  }
 }
 
 std::span<const uint64_t> KVProfile::AnchorHist(size_t l, size_t c, int kind) const {

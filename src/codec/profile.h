@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -77,6 +78,21 @@ class KVProfile {
                          std::span<const KVCache* const> caches,
                          size_t token_group_size = kTokenGroupSize);
 
+  // fill(layer, i, out) writes layer `layer` of calibration cache i into
+  // `out`, reshaping it as needed.
+  using LayerSource =
+      std::function<void(size_t layer, size_t cache, KVLayer& out)>;
+
+  // The profile Build computes over `num_caches` caches, bit for bit,
+  // without holding them: each per-layer task asks `fill` for that layer of
+  // every cache, profiles it and frees it, so memory grows with one layer
+  // per executor rather than with every cache. Throws
+  // std::invalid_argument when `num_caches` is 0 or a filled layer lacks
+  // cfg's channel count.
+  static KVProfile BuildByLayer(const ModelConfig& cfg, size_t num_caches,
+                                const LayerSource& fill,
+                                size_t token_group_size = kTokenGroupSize);
+
   size_t num_layers() const { return num_layers_; }
   size_t num_channels() const { return num_channels_; }
 
@@ -105,6 +121,13 @@ class KVProfile {
   size_t Idx(size_t l, size_t c, int kind) const {
     return (l * num_channels_ + c) * 2 + static_cast<size_t>(kind);
   }
+
+  // An all-zero profile with cfg's geometry.
+  static KVProfile Sized(const ModelConfig& cfg);
+  // Both passes over layer `l` of every calibration cache (`layers[i]` is
+  // cache i's layer `l`): writes only that layer's slots.
+  void ProfileLayer(size_t l, std::span<const KVLayer* const> layers,
+                    size_t token_group_size);
 
   size_t num_layers_ = 0;
   size_t num_channels_ = 0;

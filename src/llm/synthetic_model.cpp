@@ -89,81 +89,91 @@ KVCache SyntheticModel::PrefillRange(const ContextSpec& ctx, size_t begin,
   if (begin > end || end > ctx.num_tokens) {
     throw std::out_of_range("SyntheticModel::PrefillRange: bad token range");
   }
-  const size_t L = config_.num_layers;
-  const size_t C = config_.sim_channels;
-  KVCache cache(L, end - begin, C);
+  KVCache cache(config_.num_layers, end - begin, config_.sim_channels);
+  // One task per layer: every (layer, channel) is its own AR(1) stream, and a
+  // layer's task writes only that layer's tensors.
+  ParallelFor(config_.num_layers,
+              [&](size_t l) { FillLayer(ctx, l, cache.layer(l), begin, end); });
+  return cache;
+}
 
+void SyntheticModel::PrefillLayer(const ContextSpec& ctx, size_t layer,
+                                  KVLayer& out) const {
+  if (layer >= config_.num_layers) {
+    throw std::out_of_range("SyntheticModel::PrefillLayer: bad layer");
+  }
+  out.k.Reshape(ctx.num_tokens, config_.sim_channels);
+  out.v.Reshape(ctx.num_tokens, config_.sim_channels);
+  FillLayer(ctx, layer, out, 0, ctx.num_tokens);
+}
+
+void SyntheticModel::FillLayer(const ContextSpec& ctx, size_t l, KVLayer& out,
+                               size_t begin, size_t end) const {
   const size_t pt = std::min(ctx.prefix_tokens, ctx.num_tokens);
   if (pt == 0) {
-    FillRangeInto(cache, 0, ctx.seed, ctx.num_tokens, begin, end);
-    return cache;
+    FillPlainLayer(l, out, 0, ctx.seed, ctx.num_tokens, begin, end);
+    return;
   }
   // Composed context: the prefix span is generated exactly as the standalone
   // family context {prefix_seed, pt} — bit-identical across every member —
   // and the suffix from the member's own seed over its absolute positions.
   if (begin < pt) {
-    FillRangeInto(cache, 0, ctx.prefix_seed, pt, begin, std::min(end, pt));
+    FillPlainLayer(l, out, 0, ctx.prefix_seed, pt, begin, std::min(end, pt));
   }
   if (end > pt) {
     const size_t sfx_begin = std::max(begin, pt);
-    FillRangeInto(cache, sfx_begin - begin, ctx.seed, ctx.num_tokens, sfx_begin,
-                  end);
+    FillPlainLayer(l, out, sfx_begin - begin, ctx.seed, ctx.num_tokens,
+                   sfx_begin, end);
   }
-  return cache;
 }
 
-void SyntheticModel::FillRangeInto(KVCache& cache, size_t row_offset,
-                                   uint64_t seed, size_t T, size_t begin,
-                                   size_t end) const {
+void SyntheticModel::FillPlainLayer(size_t l, KVLayer& out, size_t row_offset,
+                                    uint64_t seed, size_t T, size_t begin,
+                                    size_t end) const {
   const size_t C = config_.sim_channels;
+  Tensor& K = out.k;
+  Tensor& V = out.v;
+  for (size_t c = 0; c < C; ++c) {
+    const ChannelParams& p = Params(l, c);
+    const uint64_t chan_key = Mix(model_seed_, (l << 20) | c);
+    // Context-specific offset and slow drift: shared-across-contexts AC
+    // tables must absorb these for raw values, but deltas cancel them.
+    const uint64_t ctx_key = Mix(seed, chan_key);
+    const double off_k = NoiseGaussian(Mix(ctx_key, 1)) * 0.8 * p.scale_k;
+    const double off_v = NoiseGaussian(Mix(ctx_key, 2)) * 0.8 * p.scale_v;
+    const double slope_k = NoiseGaussian(Mix(ctx_key, 3)) * 0.5 * p.scale_k;
+    const double slope_v = NoiseGaussian(Mix(ctx_key, 4)) * 0.5 * p.scale_v;
 
-  // One task per layer: every (layer, channel) is its own AR(1) stream, and a
-  // layer's task writes only that layer's tensors.
-  ParallelFor(config_.num_layers, [&](size_t l) {
-    Tensor& K = cache.layer(l).k;
-    Tensor& V = cache.layer(l).v;
-    for (size_t c = 0; c < C; ++c) {
-      const ChannelParams& p = Params(l, c);
-      const uint64_t chan_key = Mix(model_seed_, (l << 20) | c);
-      // Context-specific offset and slow drift: shared-across-contexts AC
-      // tables must absorb these for raw values, but deltas cancel them.
-      const uint64_t ctx_key = Mix(seed, chan_key);
-      const double off_k = NoiseGaussian(Mix(ctx_key, 1)) * 0.8 * p.scale_k;
-      const double off_v = NoiseGaussian(Mix(ctx_key, 2)) * 0.8 * p.scale_v;
-      const double slope_k = NoiseGaussian(Mix(ctx_key, 3)) * 0.5 * p.scale_k;
-      const double slope_v = NoiseGaussian(Mix(ctx_key, 4)) * 0.5 * p.scale_v;
-
-      // AR(1) along tokens; run from t=0 so any [begin,end) slice matches
-      // the full prefill exactly (the self-attention analogy: each token's
-      // KV depends on all preceding tokens).
-      const double rho = p.rho;
-      const double innov = std::sqrt(1.0 - rho * rho);
-      double yk = 0.0, yv = 0.0;
-      for (size_t t = 0; t < end; ++t) {
-        const double ek = NoiseGaussian(Mix(ctx_key, 0x1000 + 2 * t));
-        const double ev = NoiseGaussian(Mix(ctx_key, 0x1000 + 2 * t + 1));
-        if (t == 0) {
-          yk = ek;
-          yv = ev;
-        } else {
-          yk = rho * yk + innov * ek;
-          yv = rho * yv + innov * ev;
-        }
-        if (t >= begin) {
-          const double pos = T > 1 ? 2.0 * static_cast<double>(t) /
-                                             static_cast<double>(T - 1) -
-                                         1.0
-                                   : 0.0;
-          K.At(row_offset + t - begin, c) =
-              static_cast<float>(p.mean_k + off_k + slope_k * pos +
-                                 p.scale_k * yk);
-          V.At(row_offset + t - begin, c) =
-              static_cast<float>(p.mean_v + off_v + slope_v * pos +
-                                 p.scale_v * yv);
-        }
+    // AR(1) along tokens; run from t=0 so any [begin,end) slice matches
+    // the full prefill exactly (the self-attention analogy: each token's
+    // KV depends on all preceding tokens).
+    const double rho = p.rho;
+    const double innov = std::sqrt(1.0 - rho * rho);
+    double yk = 0.0, yv = 0.0;
+    for (size_t t = 0; t < end; ++t) {
+      const double ek = NoiseGaussian(Mix(ctx_key, 0x1000 + 2 * t));
+      const double ev = NoiseGaussian(Mix(ctx_key, 0x1000 + 2 * t + 1));
+      if (t == 0) {
+        yk = ek;
+        yv = ev;
+      } else {
+        yk = rho * yk + innov * ek;
+        yv = rho * yv + innov * ev;
+      }
+      if (t >= begin) {
+        const double pos = T > 1 ? 2.0 * static_cast<double>(t) /
+                                           static_cast<double>(T - 1) -
+                                       1.0
+                                 : 0.0;
+        K.At(row_offset + t - begin, c) =
+            static_cast<float>(p.mean_k + off_k + slope_k * pos +
+                               p.scale_k * yk);
+        V.At(row_offset + t - begin, c) =
+            static_cast<float>(p.mean_v + off_v + slope_v * pos +
+                               p.scale_v * yv);
       }
     }
-  });
+  }
 }
 
 std::vector<double> SyntheticModel::TokenImportance(const ContextSpec& ctx) const {

@@ -73,6 +73,11 @@ class SyntheticModel {
   // corresponding slice of Prefill(ctx).
   KVCache PrefillRange(const ContextSpec& ctx, size_t begin, size_t end) const;
 
+  // One layer of Prefill(ctx), bit-identical to Prefill(ctx).layer(layer),
+  // written into `out` (reshaped to num_tokens x channels, keeping its
+  // allocations). Runs on the calling thread.
+  void PrefillLayer(const ContextSpec& ctx, size_t layer, KVLayer& out) const;
+
   // Per-token attention importance for the context (sums to 1): a Zipf-like
   // heavy-hitter profile with a recency boost, used by the token-dropping
   // baselines (H2O, Scissorhands) and by QualityModel.
@@ -90,11 +95,15 @@ class SyntheticModel {
     float rho;
   };
 
-  // Generate tokens [begin, end) of the PLAIN context (seed, T) into cache
-  // rows starting at row_offset. PrefillRange composes prefix and suffix
-  // segments out of this.
-  void FillRangeInto(KVCache& cache, size_t row_offset, uint64_t seed, size_t T,
-                     size_t begin, size_t end) const;
+  // Tokens [begin, end) of layer `l` of `ctx` into rows [0, end - begin) of
+  // `out`: the prefix and suffix segments composed out of FillPlainLayer.
+  void FillLayer(const ContextSpec& ctx, size_t l, KVLayer& out, size_t begin,
+                 size_t end) const;
+
+  // Generate tokens [begin, end) of layer `l` of the PLAIN context (seed, T)
+  // into rows of `out` starting at row_offset.
+  void FillPlainLayer(size_t l, KVLayer& out, size_t row_offset, uint64_t seed,
+                      size_t T, size_t begin, size_t end) const;
 
   const ChannelParams& Params(size_t layer, size_t channel) const {
     return params_[layer * config_.sim_channels + channel];

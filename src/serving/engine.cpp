@@ -50,15 +50,15 @@ Engine::Engine(Options opts, std::shared_ptr<KVStore> store)
 void Engine::BuildProfile() {
   // Offline profiling pass (§5.2): a handful of calibration contexts from
   // the same model; distributions are reused for every later context. One
-  // pool task per context prefill, then one per layer inside Build.
-  std::vector<KVCache> caches(opts_.calib_num_contexts);
-  ParallelFor(caches.size(), [&](size_t i) {
-    caches[i] = llm_->Prefill({0xCA11B000ULL + i * 97ULL, opts_.calib_context_tokens});
-  });
-  std::vector<const KVCache*> ptrs;
-  for (const auto& c : caches) ptrs.push_back(&c);
-  profile_ = std::make_shared<KVProfile>(
-      KVProfile::Build(model_, ptrs, opts_.codec.token_group_size));
+  // pool task per layer prefills that layer of every context and profiles
+  // it, so no calibration context is ever held whole.
+  profile_ = std::make_shared<KVProfile>(KVProfile::BuildByLayer(
+      model_, opts_.calib_num_contexts,
+      [this](size_t layer, size_t i, KVLayer& out) {
+        llm_->PrefillLayer({0xCA11B000ULL + i * 97ULL, opts_.calib_context_tokens},
+                           layer, out);
+      },
+      opts_.codec.token_group_size));
 }
 
 KVCache Engine::CalculateKV(const ContextSpec& ctx) const { return llm_->Prefill(ctx); }
@@ -250,8 +250,9 @@ void Engine::BuildCalibration() {
     calib.quality_enhanced_per_level.resize(num_levels);
     for (size_t lv = 0; lv < num_levels; ++lv) {
       tasks.emplace_back([&, lv] {
-        const LayeredChunk lc = layered_[lv]->Encode(lcache);
-        const KVCache full = layered_[lv]->DecodeFull(lc);
+        KVCache full;
+        const LayeredChunk lc =
+            layered_[lv]->Encode(lcache, 0, 0, /*full_recon=*/&full);
         calib.enh_bytes_per_token_per_level[lv] =
             static_cast<double>(lc.enhancement.size()) * model_.size_scale() /
             static_cast<double>(lt);

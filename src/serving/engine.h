@@ -48,10 +48,11 @@ class Engine {
   // FileKVStore, the cluster's ShardedKVStore, or a TieredKVStore — the
   // tiered path gives store_kv/get_kv a hot-RAM/cold-disk hierarchy with
   // the cluster pinning/promoting through the tiered interface.
-  // Construction profiles the model (§5.2) and builds the codec ladder: the
-  // calibration prefills run one per pool task and KVProfile::Build one layer
-  // per task, on the process-wide ThreadPool (CACHEGEN_THREADS sizes it). The
-  // profile is bit-identical at any pool size.
+  // Construction profiles the model (§5.2) and builds the codec ladder: one
+  // task per layer prefills that layer of every calibration context and
+  // profiles it (KVProfile::BuildByLayer), on the process-wide ThreadPool
+  // (CACHEGEN_THREADS sizes it). The profile is bit-identical at any pool
+  // size.
   Engine() : Engine(Options{}) {}
   explicit Engine(Options opts, std::shared_ptr<KVStore> store = nullptr);
 

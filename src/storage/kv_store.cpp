@@ -75,8 +75,26 @@ void KVStore::PutBatch(const std::string& context_id,
   }
 }
 
+void KVStore::Insert(const ChunkKey& key, std::vector<uint8_t>&& bytes) {
+  Put(key, bytes);
+}
+
+std::optional<std::vector<uint8_t>> KVStore::Take(const ChunkKey& key) {
+  return Get(key);
+}
+
 void MemoryKVStore::Put(const ChunkKey& key, std::span<const uint8_t> bytes) {
-  data_[key] = std::vector<uint8_t>(bytes.begin(), bytes.end());
+  Insert(key, std::vector<uint8_t>(bytes.begin(), bytes.end()));
+}
+
+void MemoryKVStore::Insert(const ChunkKey& key, std::vector<uint8_t>&& bytes) {
+  data_.insert_or_assign(key, std::move(bytes));
+}
+
+std::optional<std::vector<uint8_t>> MemoryKVStore::Take(const ChunkKey& key) {
+  auto node = data_.extract(key);
+  if (node.empty()) return std::nullopt;
+  return std::move(node.mapped());
 }
 
 std::optional<std::vector<uint8_t>> MemoryKVStore::Get(const ChunkKey& key) const {

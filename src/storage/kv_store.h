@@ -48,6 +48,11 @@ struct ChunkKey {
 // bytes (the caller keeps the bytes alive for the duration of the call).
 using ChunkView = std::pair<ChunkKey, std::span<const uint8_t>>;
 
+// One chunk together with the buffer that holds its bytes: the unit a
+// bitstream crosses a tier boundary in (eviction hand-off, demotion buffer,
+// promotion), moved rather than copied.
+using OwnedChunk = std::pair<ChunkKey, std::vector<uint8_t>>;
+
 class KVStore {
  public:
   virtual ~KVStore() = default;
@@ -76,6 +81,15 @@ class KVStore {
   virtual bool ContainsContext(const std::string& context_id) const = 0;
   virtual void EraseContext(const std::string& context_id) = 0;
 
+  // Ownership-passing forms of Put and Get, so a tier hand-off moves a
+  // bitstream instead of copying it. Insert stores `bytes` as Put would;
+  // Take hands a stored chunk's bytes to a caller that erases the context
+  // next, and may leave the chunk stored until that erase. The defaults
+  // copy (Put over the bytes, Get); MemoryKVStore moves the buffer in and
+  // out.
+  virtual void Insert(const ChunkKey& key, std::vector<uint8_t>&& bytes);
+  virtual std::optional<std::vector<uint8_t>> Take(const ChunkKey& key);
+
   // Total stored bytes (all levels) — the Fig. 14d storage-cost metric.
   virtual uint64_t TotalBytes() const = 0;
   virtual uint64_t ContextBytes(const std::string& context_id) const = 0;
@@ -83,7 +97,12 @@ class KVStore {
 
 class MemoryKVStore final : public KVStore {
  public:
+  // A copy of `bytes` handed to Insert.
   void Put(const ChunkKey& key, std::span<const uint8_t> bytes) override;
+  // Keeps the caller's buffer as the stored chunk.
+  void Insert(const ChunkKey& key, std::vector<uint8_t>&& bytes) override;
+  // Removes the chunk and returns its buffer.
+  std::optional<std::vector<uint8_t>> Take(const ChunkKey& key) override;
   std::optional<std::vector<uint8_t>> Get(const ChunkKey& key) const override;
   bool ContainsContext(const std::string& context_id) const override;
   void EraseContext(const std::string& context_id) override;

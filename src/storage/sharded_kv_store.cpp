@@ -5,6 +5,23 @@
 
 namespace cachegen {
 
+namespace {
+
+// The one step where the two PutBatch forms differ: a view is copied into
+// the backend, an owned buffer is handed to it. Returns the chunk's size.
+uint64_t StoreChunk(KVStore& backend, const ChunkView& chunk) {
+  backend.Put(chunk.first, chunk.second);
+  return chunk.second.size();
+}
+
+uint64_t StoreChunk(KVStore& backend, OwnedChunk& chunk) {
+  const uint64_t size = chunk.second.size();
+  backend.Insert(chunk.first, std::move(chunk.second));
+  return size;
+}
+
+}  // namespace
+
 ShardedKVStore::ShardedKVStore(Options opts, BackendFactory factory)
     : opts_(opts) {
   if (opts_.num_shards == 0) throw std::invalid_argument("ShardedKVStore: 0 shards");
@@ -66,13 +83,14 @@ void ShardedKVStore::EnforceCapacityLocked(Shard& shard, const std::string* keep
     }
     if (!victim) return;  // everything left is pinned or the context being written
     const uint64_t freed = victim_meta->bytes;
-    // Demotion hand-off: gather the victim's bitstreams before they are
-    // erased. The gather is memory-to-memory for the default backend; the
-    // sink contract is enqueue-only, so the shard lock is never held across
-    // disk I/O. If any chunk cannot be read back (a failing file backend),
-    // the demotion is abandoned — handing a silently incomplete context to
-    // the cold tier would resurface later as a corrupt promotion, far from
-    // the cause — and the eviction proceeds as a plain erase.
+    // Demotion hand-off: take the victim's bitstreams before the context is
+    // erased. For the default backend Take moves each buffer out, so the
+    // sink receives the very buffers the store held; the sink contract is
+    // enqueue-only, so the shard lock is never held across disk I/O. If any
+    // chunk cannot be read back (a failing file backend), the demotion is
+    // abandoned — handing a silently incomplete context to the cold tier
+    // would resurface later as a corrupt promotion, far from the cause —
+    // and the eviction proceeds as a plain erase.
     bool demote = false;
     EvictedContext evicted;
     if (sink) {
@@ -84,7 +102,7 @@ void ShardedKVStore::EnforceCapacityLocked(Shard& shard, const std::string* keep
       demote = !victim_meta->chunk_bytes.empty();
       for (const auto& [chunk_id, size] : victim_meta->chunk_bytes) {
         ChunkKey key{*victim, chunk_id.first, chunk_id.second};
-        auto bytes = shard.backend->Get(key);
+        auto bytes = shard.backend->Take(key);
         if (!bytes) {
           demote = false;
           break;
@@ -108,13 +126,25 @@ void ShardedKVStore::Put(const ChunkKey& key, std::span<const uint8_t> bytes) {
 
 void ShardedKVStore::PutBatch(const std::string& context_id,
                               std::span<const ChunkView> chunks) {
+  PutBatchImpl(context_id, chunks);
+}
+
+void ShardedKVStore::PutBatch(const std::string& context_id,
+                              std::vector<OwnedChunk> chunks) {
+  PutBatchImpl(context_id, std::span<OwnedChunk>(chunks));
+}
+
+template <typename Chunk>
+void ShardedKVStore::PutBatchImpl(const std::string& context_id,
+                                  std::span<Chunk> chunks) {
   Shard& shard = ShardFor(context_id);
   MutexLock lock(shard.mu);
   const auto [ctx_it, inserted] = shard.contexts.try_emplace(context_id);
   ContextMeta& meta = ctx_it->second;
   const bool was_absent = meta.chunk_bytes.empty();
   try {
-    for (const auto& [key, bytes] : chunks) {
+    for (Chunk& chunk : chunks) {
+      const ChunkKey& key = chunk.first;
       if (key.context_id != context_id) {
         throw std::invalid_argument(
             "ShardedKVStore::PutBatch: key names a different context");
@@ -122,10 +152,10 @@ void ShardedKVStore::PutBatch(const std::string& context_id,
       const auto chunk_id = std::make_pair(key.chunk_index, key.level_id);
       const auto it = meta.chunk_bytes.find(chunk_id);
       const uint64_t old_size = it == meta.chunk_bytes.end() ? 0 : it->second;
-      shard.backend->Put(key, bytes);
-      meta.chunk_bytes[chunk_id] = static_cast<uint32_t>(bytes.size());
-      meta.bytes += bytes.size() - old_size;
-      shard.bytes += bytes.size() - old_size;
+      const uint64_t size = StoreChunk(*shard.backend, chunk);
+      meta.chunk_bytes[chunk_id] = static_cast<uint32_t>(size);
+      meta.bytes += size - old_size;
+      shard.bytes += size - old_size;
     }
   } catch (...) {
     // A previously-absent context never becomes visible half-populated

@@ -52,11 +52,13 @@ class ShardedKVStore final : public KVStore, public CacheTier {
 
   // A context removed by capacity eviction, bytes included, handed to the
   // eviction sink so a tiered wrapper can demote it instead of losing it.
+  // The chunks are the backend's own buffers, taken out by KVStore::Take
+  // (moved for the default MemoryKVStore backend).
   struct EvictedContext {
     std::string context_id;
     double last_touch_s = 0.0;  // LRU stamp at eviction time
     uint64_t bytes = 0;
-    std::vector<std::pair<ChunkKey, std::vector<uint8_t>>> chunks;
+    std::vector<OwnedChunk> chunks;
   };
 
   // Invoked for every capacity eviction (never for explicit EraseContext),
@@ -95,6 +97,11 @@ class ShardedKVStore final : public KVStore, public CacheTier {
   // the memory-backed default holds the lock only for memcpys.
   void PutBatch(const std::string& context_id,
                 std::span<const ChunkView> chunks) override;
+  // The same batch insert with the buffers handed over: each chunk's buffer
+  // goes to the backend through KVStore::Insert, so the default
+  // MemoryKVStore keeps it without a copy. Checks, rollback and capacity
+  // enforcement are the span form's.
+  void PutBatch(const std::string& context_id, std::vector<OwnedChunk> chunks);
   std::optional<std::vector<uint8_t>> Get(const ChunkKey& key) const override;
   bool ContainsContext(const std::string& context_id) const override;
   void EraseContext(const std::string& context_id) override;
@@ -147,6 +154,10 @@ class ShardedKVStore final : public KVStore, public CacheTier {
 
   Shard& ShardFor(const std::string& context_id);
   const Shard& ShardFor(const std::string& context_id) const;
+  // The body both PutBatch forms share; `Chunk` is `const ChunkView` or
+  // `OwnedChunk`.
+  template <typename Chunk>
+  void PutBatchImpl(const std::string& context_id, std::span<Chunk> chunks);
   // Evict LRU unpinned contexts (never `*keep` when non-null) until the
   // shard fits its capacity slice. Caller holds the shard lock.
   void EnforceCapacityLocked(Shard& shard, const std::string* keep)

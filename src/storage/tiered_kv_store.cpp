@@ -375,7 +375,7 @@ void TieredKVStore::EnforceColdCapacityLocked(
 
 KVTier TieredKVStore::LookupAndPin(const std::string& context_id, double t_s) {
   ColdEntryPtr entry;
-  std::vector<std::pair<ChunkKey, std::vector<uint8_t>>> chunks;
+  std::vector<OwnedChunk> chunks;
   std::vector<ChunkKey> persisted_keys;
   bool retried = false;
   for (;;) {
@@ -420,6 +420,8 @@ KVTier TieredKVStore::LookupAndPin(const std::string& context_id, double t_s) {
       // copy instead of stealing it (it will discard its files on `dead`).
       chunks = entry->buffer;
     } else {
+      // Reclaim the demotion's buffers: the bytes the eviction handed over
+      // go back to the hot tier without a copy.
       chunks = std::move(entry->buffer);
     }
     promoting_.insert(context_id);
@@ -456,21 +458,18 @@ KVTier TieredKVStore::LookupAndPin(const std::string& context_id, double t_s) {
       }
       chunks.emplace_back(key, std::move(*bytes));
     }
-    if (ok && !chunks.empty()) {
+    ok = ok && !chunks.empty();
+    if (ok) {
+      for (const auto& [key, bytes] : chunks) bytes_promoted += bytes.size();
       // Atomic w.r.t. concurrent lookups: the context is never observable
-      // half-populated.
-      std::vector<ChunkView> views;
-      views.reserve(chunks.size());
-      for (const auto& [key, bytes] : chunks) {
-        views.emplace_back(key, std::span<const uint8_t>(bytes));
-        bytes_promoted += bytes.size();
-      }
-      hot_->PutBatch(context_id, views);
+      // half-populated. The buffers (read from disk, or reclaimed from the
+      // demotion) become the hot tier's own.
+      hot_->PutBatch(context_id, std::move(chunks));
     }
   } catch (...) {
     ok = false;
   }
-  if (!ok || chunks.empty()) {
+  if (!ok) {
     // Cold copy unreadable (lost files, refused hot insert): back out and
     // degrade to a plain miss — the request recomputes from text.
     try {
@@ -532,8 +531,7 @@ TierLookup TieredKVStore::LookupAndPin(const std::string& context_id,
 void TieredKVStore::EnqueuePersist(const std::string& context_id,
                                    ColdEntryPtr entry) {
   EnqueueJob([this, context_id, entry = std::move(entry)] {
-    const std::vector<std::pair<ChunkKey, std::vector<uint8_t>>>* buffer =
-        nullptr;
+    const std::vector<OwnedChunk>* buffer = nullptr;
     {
       MutexLock lock(cold_mu_);
       if (entry->dead || entry->persisted) return;

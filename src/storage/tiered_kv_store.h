@@ -34,6 +34,12 @@
 //     tests and for persistence-across-restart. When the pool has no
 //     background workers (CACHEGEN_THREADS=1) jobs simply wait for the next
 //     Flush() rather than writing inline under the evicting shard's lock.
+//   * Bitstreams cross the tier boundary by move (with the default
+//     MemoryKVStore hot backend): a demotion keeps the buffers the hot
+//     tier's eviction took out, and a promotion hands the hot tier the
+//     buffers it read from disk or reclaimed from a demotion not yet
+//     persisted. Only a promotion racing the writer mid-persist copies,
+//     since the writer reads that buffer outside the lock.
 //   * Context content is immutable per id in this system, so the rare
 //     hot/cold duplication windows (e.g. a write-back racing a demotion of
 //     the same context) waste budget but never serve stale data.
@@ -174,7 +180,7 @@ class TieredKVStore final : public KVStore, public CacheTier {
     std::map<std::pair<uint32_t, int32_t>, uint32_t> chunk_bytes;
     // Bitstreams until persisted; reads/promotions are served from here
     // while the background writer works.
-    std::vector<std::pair<ChunkKey, std::vector<uint8_t>>> buffer;
+    std::vector<OwnedChunk> buffer;
     uint64_t bytes = 0;
     double last_touch_s = 0.0;
     bool persisted = false;  // bytes live on disk; buffer released

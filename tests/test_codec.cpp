@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <set>
 
@@ -11,11 +13,47 @@
 #include "codec/layer_groups.h"
 #include "codec/layered_encoder.h"
 #include "codec/profile.h"
+#include "common/parallel_for.h"
 #include "llm/quality_model.h"
 #include "llm/synthetic_model.h"
 
 namespace cachegen {
 namespace {
+
+// `a` and `b` hold the same floats bit for bit, not just within epsilon.
+void ExpectSameBits(const KVCache& a, const KVCache& b) {
+  ASSERT_EQ(a.num_layers(), b.num_layers());
+  for (size_t l = 0; l < a.num_layers(); ++l) {
+    for (int kind = 0; kind < 2; ++kind) {
+      const Tensor& ta = kind == 0 ? a.layer(l).k : a.layer(l).v;
+      const Tensor& tb = kind == 0 ? b.layer(l).k : b.layer(l).v;
+      ASSERT_TRUE(ta.SameShape(tb)) << "layer " << l << " kind " << kind;
+      ASSERT_EQ(std::memcmp(ta.Data().data(), tb.Data().data(),
+                            ta.size() * sizeof(float)),
+                0)
+          << "layer " << l << " kind " << kind;
+    }
+  }
+}
+
+// Every statistic and histogram count of the two profiles is equal.
+void ExpectSameProfile(const KVProfile& a, const KVProfile& b) {
+  ASSERT_EQ(a.num_layers(), b.num_layers());
+  ASSERT_EQ(a.num_channels(), b.num_channels());
+  for (size_t l = 0; l < a.num_layers(); ++l) {
+    for (size_t c = 0; c < a.num_channels(); ++c) {
+      for (int k = 0; k < 2; ++k) {
+        ASSERT_EQ(a.RawMean(l, c, k), b.RawMean(l, c, k));
+        ASSERT_EQ(a.RawStd(l, c, k), b.RawStd(l, c, k));
+        ASSERT_EQ(a.DeltaStd(l, c, k), b.DeltaStd(l, c, k));
+        ASSERT_EQ(a.AnchorScale(l, c, k), b.AnchorScale(l, c, k));
+        ASSERT_TRUE(std::ranges::equal(a.AnchorHist(l, c, k), b.AnchorHist(l, c, k)));
+        ASSERT_TRUE(std::ranges::equal(a.DeltaHist(l, c, k), b.DeltaHist(l, c, k)));
+        ASSERT_TRUE(std::ranges::equal(a.RawHist(l, c, k), b.RawHist(l, c, k)));
+      }
+    }
+  }
+}
 
 class CodecTest : public ::testing::Test {
  protected:
@@ -133,6 +171,29 @@ TEST_F(CodecTest, ProfileBuildRejectsMismatchedGeometry) {
     const std::vector<const KVCache*> caches = {&good, bad};
     EXPECT_THROW(KVProfile::Build(*cfg_, caches), std::invalid_argument);
   }
+}
+
+TEST_F(CodecTest, ProfileBuildByLayerEqualsBuild) {
+  // The per-layer form sees each cache one layer at a time and must land on
+  // the same profile, bit for bit, at the default and another group size.
+  std::vector<const KVCache*> ptrs;
+  for (const auto& c : *calib_) ptrs.push_back(&c);
+  const auto copy = [&](size_t layer, size_t i, KVLayer& out) {
+    out = (*calib_)[i].layer(layer);
+  };
+  ExpectSameProfile(*profile_,
+                    KVProfile::BuildByLayer(*cfg_, calib_->size(), copy));
+  ExpectSameProfile(KVProfile::Build(*cfg_, ptrs, 4),
+                    KVProfile::BuildByLayer(*cfg_, calib_->size(), copy, 4));
+}
+
+TEST_F(CodecTest, ProfileBuildByLayerRejectsBadInput) {
+  const KVCache more_channels(cfg_->num_layers, 40, cfg_->sim_channels + 1);
+  const auto fill = [&](size_t layer, size_t i, KVLayer& out) {
+    out = i == 0 ? (*calib_)[0].layer(layer) : more_channels.layer(layer);
+  };
+  EXPECT_THROW(KVProfile::BuildByLayer(*cfg_, 0, fill), std::invalid_argument);
+  EXPECT_THROW(KVProfile::BuildByLayer(*cfg_, 2, fill), std::invalid_argument);
 }
 
 TEST_F(CodecTest, EncodeDecodeRoundTripShape) {
@@ -401,6 +462,39 @@ TEST_F(CodecTest, LayeredEncoderBaseAndFull) {
   const double base_nmse = qm.WeightedNmse(chunk, layered.DecodeBase(lc));
   const double full_nmse = qm.WeightedNmse(chunk, layered.DecodeFull(lc));
   EXPECT_LT(full_nmse, base_nmse * 0.5);  // enhancement refines substantially
+}
+
+TEST_F(CodecTest, LayeredFullReconMatchesDecodeFull) {
+  // Encode's full_recon stands in for DecodeFull in the calibration, so it
+  // must equal DecodeFull of the same result bit for bit at every level:
+  // called from the test thread (the base encode fans out over the pool)
+  // and from pool tasks (every codec loop inline), as the calibration calls
+  // it. The serial pass writes into buffers that hold another chunk's
+  // reconstruction, so every element must be overwritten.
+  const KVCache chunk = model_->Prefill({221, 130});
+  const KVCache other = model_->Prefill({222, 130});
+  const auto& levels = DefaultEncodingLevels();
+  std::vector<std::unique_ptr<LayeredEncoder>> encoders;
+  for (const auto& level : levels) {
+    encoders.push_back(std::make_unique<LayeredEncoder>(profile_, level, 0.25));
+  }
+  std::vector<KVCache> full(levels.size());
+  std::vector<LayeredChunk> pooled(levels.size()), serial(levels.size());
+  for (size_t lv = 0; lv < levels.size(); ++lv) {
+    pooled[lv] = encoders[lv]->Encode(chunk, 3, 390, &full[lv]);
+    ExpectSameBits(encoders[lv]->DecodeFull(pooled[lv]), full[lv]);
+    (void)encoders[lv]->Encode(other, 0, 0, &full[lv]);
+  }
+  ParallelFor(levels.size(), [&](size_t lv) {
+    serial[lv] = encoders[lv]->Encode(chunk, 3, 390, &full[lv]);
+  });
+  for (size_t lv = 0; lv < levels.size(); ++lv) {
+    EXPECT_EQ(serial[lv].enhancement, pooled[lv].enhancement) << "level " << lv;
+    EXPECT_EQ(SerializeChunk(serial[lv].base), SerializeChunk(pooled[lv].base));
+    ExpectSameBits(encoders[lv]->DecodeFull(serial[lv]), full[lv]);
+  }
+  // Asking for the reconstruction leaves the layered chunk unchanged.
+  EXPECT_EQ(encoders[2]->Encode(chunk, 3, 390).enhancement, pooled[2].enhancement);
 }
 
 TEST_F(CodecTest, LayeredTotalCostModest) {

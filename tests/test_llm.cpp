@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "common/stats.h"
@@ -79,6 +80,38 @@ TEST(SyntheticModel, PrefillRangeMatchesSlice) {
   const KVCache full = model.Prefill(ctx);
   const KVCache part = model.PrefillRange(ctx, 37, 95);
   EXPECT_DOUBLE_EQ(part.Mse(full.SliceTokens(37, 95)), 0.0);
+}
+
+TEST(SyntheticModel, PrefillLayerMatchesPrefillBitForBit) {
+  // Engine bring-up profiles one layer at a time from PrefillLayer, so each
+  // layer must be exactly that layer of the full prefill, for a plain and a
+  // prefix-composed context, into a fresh and into a reused buffer.
+  const ModelConfig cfg = ModelConfig::Preset("mistral-7b");
+  const SyntheticModel model(cfg);
+  KVLayer reused;
+  for (const ContextSpec& ctx :
+       {ContextSpec{42, 120}, ContextSpec{43, 150, 9, 64}}) {
+    const KVCache full = model.Prefill(ctx);
+    for (size_t l = 0; l < cfg.num_layers; ++l) {
+      KVLayer fresh;
+      model.PrefillLayer(ctx, l, fresh);
+      model.PrefillLayer(ctx, l, reused);
+      for (const KVLayer* got : {&fresh, &reused}) {
+        for (int kind = 0; kind < 2; ++kind) {
+          const Tensor& want = kind == 0 ? full.layer(l).k : full.layer(l).v;
+          const Tensor& have = kind == 0 ? got->k : got->v;
+          ASSERT_TRUE(have.SameShape(want)) << "layer " << l;
+          ASSERT_EQ(std::memcmp(have.Data().data(), want.Data().data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "seed " << ctx.seed << " layer " << l << " kind " << kind;
+        }
+      }
+    }
+  }
+  KVLayer out;
+  EXPECT_THROW(model.PrefillLayer({1, 10}, cfg.num_layers, out),
+               std::out_of_range);
 }
 
 TEST(SyntheticModel, PrefillRangeValidation) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -252,28 +253,80 @@ TEST(ShardedKVStore, FailedBatchInsertRollsBackCompletely) {
     int puts_ = 0;
   };
 
-  ShardedKVStore store({.num_shards = 1},
-                       [](size_t) -> std::unique_ptr<KVStore> {
-                         return std::make_unique<FailSecondPut>();
-                       });
-  store.Pin("ctx");  // a write-back-style placeholder pin is in flight
+  // Both PutBatch forms share this rollback. The owning form hands each
+  // buffer to the backend through KVStore::Insert, whose default is this
+  // backend's failing Put.
   const std::vector<uint8_t> payload(16, 7);
   const std::vector<ChunkView> chunks = {
       {{"ctx", 0, 0}, payload}, {{"ctx", 1, 0}, payload}, {{"ctx", 2, 0}, payload}};
-  EXPECT_THROW(store.PutBatch("ctx", chunks), std::runtime_error);
+  const auto owned = [&payload](const std::string& id, size_t n) {
+    std::vector<OwnedChunk> out;
+    for (uint32_t i = 0; i < n; ++i) out.emplace_back(ChunkKey{id, i, 0}, payload);
+    return out;
+  };
+  for (const bool owning : {false, true}) {
+    SCOPED_TRACE(owning ? "owning PutBatch" : "span PutBatch");
+    ShardedKVStore store({.num_shards = 1},
+                         [](size_t) -> std::unique_ptr<KVStore> {
+                           return std::make_unique<FailSecondPut>();
+                         });
+    store.Pin("ctx");  // a write-back-style placeholder pin is in flight
+    if (owning) {
+      EXPECT_THROW(store.PutBatch("ctx", owned("ctx", 3)), std::runtime_error);
+    } else {
+      EXPECT_THROW(store.PutBatch("ctx", chunks), std::runtime_error);
+    }
 
-  // Chunk 0 landed before the failure but must not be visible: no partial
-  // context, exact accounting, and the pin placeholder stays invisible.
-  EXPECT_FALSE(store.ContainsContext("ctx"));
-  EXPECT_FALSE(store.Get({"ctx", 0, 0}).has_value());
-  EXPECT_EQ(store.TotalBytes(), 0u);
-  EXPECT_FALSE(store.LookupAndPin("ctx", 1.0));
-  store.Unpin("ctx");  // placeholder dropped
-  EXPECT_EQ(store.TotalBytes(), 0u);
+    // Chunk 0 landed before the failure but must not be visible: no partial
+    // context, exact accounting, and the pin placeholder stays invisible.
+    EXPECT_FALSE(store.ContainsContext("ctx"));
+    EXPECT_FALSE(store.Get({"ctx", 0, 0}).has_value());
+    EXPECT_EQ(store.TotalBytes(), 0u);
+    EXPECT_FALSE(store.LookupAndPin("ctx", 1.0));
+    store.Unpin("ctx");  // placeholder dropped
+    EXPECT_EQ(store.TotalBytes(), 0u);
 
-  // The batch interface also rejects keys naming a different context.
-  const std::vector<ChunkView> wrong = {{{"other", 0, 0}, payload}};
-  EXPECT_THROW(store.PutBatch("ctx", wrong), std::invalid_argument);
+    // The batch interface also rejects keys naming a different context.
+    if (owning) {
+      EXPECT_THROW(store.PutBatch("ctx", owned("other", 1)),
+                   std::invalid_argument);
+    } else {
+      const std::vector<ChunkView> wrong = {{{"other", 0, 0}, payload}};
+      EXPECT_THROW(store.PutBatch("ctx", wrong), std::invalid_argument);
+    }
+  }
+}
+
+// The owning PutBatch and the eviction gather move buffers instead of
+// copying them: an evicted context reaches the sink in the very buffers it
+// was inserted with.
+TEST(ShardedKVStore, OwningPutBatchBuffersReachTheEvictionSink) {
+  ShardedKVStore store({.num_shards = 1, .capacity_bytes = 250});
+  std::vector<const uint8_t*> sunk;
+  std::vector<std::vector<uint8_t>> sunk_bytes;
+  store.set_eviction_sink([&](ShardedKVStore::EvictedContext&& victim) {
+    for (auto& [key, bytes] : victim.chunks) {
+      sunk.push_back(bytes.data());
+      sunk_bytes.push_back(std::move(bytes));
+    }
+  });
+  std::vector<OwnedChunk> chunks;
+  chunks.emplace_back(ChunkKey{"a", 0, 0}, Blob(60, 1));
+  chunks.emplace_back(ChunkKey{"a", 1, 0}, Blob(60, 2));
+  const std::vector<const uint8_t*> inserted = {chunks[0].second.data(),
+                                                chunks[1].second.data()};
+  store.PutBatch("a", std::move(chunks));
+  EXPECT_EQ(store.ContextBytes("a"), 120u);
+  EXPECT_EQ(*store.Get({"a", 1, 0}), Blob(60, 2));
+
+  store.Put({"b", 0, 0}, Blob(200, 3));  // 320 > 250: evicts "a"
+  ASSERT_FALSE(store.ContainsContext("a"));
+  EXPECT_EQ(sunk, inserted);
+  ASSERT_EQ(sunk_bytes.size(), 2u);
+  EXPECT_EQ(sunk_bytes[0], Blob(60, 1));
+  EXPECT_EQ(sunk_bytes[1], Blob(60, 2));
+  EXPECT_EQ(store.TotalBytes(), 200u);
+  EXPECT_EQ(store.stats().evicted_bytes, 120u);
 }
 
 // ---------------------------------------------------------------------------

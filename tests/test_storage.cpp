@@ -97,6 +97,40 @@ TYPED_TEST(KVStoreTest, ByteAccounting) {
   EXPECT_EQ(this->store_->ContextBytes("c"), 0u);
 }
 
+TYPED_TEST(KVStoreTest, InsertAndTakeHandOverBytes) {
+  // Every backend honours the ownership-passing calls' contract, whether it
+  // moves (MemoryKVStore) or copies (the KVStore defaults FileKVStore uses):
+  // Insert stores the bytes, Take returns them, and the erase that follows
+  // a Take leaves nothing behind.
+  const std::vector<uint8_t> payload = {5, 6, 7};
+  this->store_->Insert({"ctx", 0, 0}, std::vector<uint8_t>(payload));
+  this->store_->Insert({"ctx", 1, 0}, std::vector<uint8_t>{8});
+  EXPECT_EQ(*this->store_->Get({"ctx", 0, 0}), payload);
+  EXPECT_EQ(this->store_->ContextBytes("ctx"), 4u);
+  EXPECT_FALSE(this->store_->Take({"ctx", 2, 0}).has_value());
+  const auto taken = this->store_->Take({"ctx", 0, 0});
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(*taken, payload);
+  this->store_->EraseContext("ctx");
+  EXPECT_FALSE(this->store_->ContainsContext("ctx"));
+  EXPECT_FALSE(this->store_->Get({"ctx", 0, 0}).has_value());
+  EXPECT_EQ(this->store_->TotalBytes(), 0u);
+}
+
+TEST(MemoryKVStore, InsertAndTakeMoveTheBuffer) {
+  MemoryKVStore store;
+  std::vector<uint8_t> bytes(64, 3);
+  const uint8_t* buffer = bytes.data();
+  store.Insert({"ctx", 0, 0}, std::move(bytes));
+  auto taken = store.Take({"ctx", 0, 0});
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->data(), buffer);
+  EXPECT_EQ(*taken, std::vector<uint8_t>(64, 3));
+  // Take removed the chunk.
+  EXPECT_FALSE(store.Get({"ctx", 0, 0}).has_value());
+  EXPECT_EQ(store.TotalBytes(), 0u);
+}
+
 TYPED_TEST(KVStoreTest, EraseOnlyTargetContext) {
   this->store_->Put({"a", 0, 0}, std::vector<uint8_t>{1});
   this->store_->Put({"b", 0, 0}, std::vector<uint8_t>{2});
