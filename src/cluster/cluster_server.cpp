@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "cluster/request_fsm.h"
 #include "common/thread_annotations.h"
 #include "codec/encoding_level.h"
 #include "obs/metrics.h"
@@ -227,9 +226,9 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
   WorkChannel channel;
 
   // The fixed pool: admissions first (they gate virtual time), then
-  // continuations; exit only once the channel is closed and drained. Every
-  // tail is enqueued by a worker before that worker's next channel wait, so
-  // by the time the pool unwinds no continuation can be stranded.
+  // continuations; exit only once the channel is closed and both queues are
+  // empty. Only ServeOne pushes a tail, on a pool thread that then comes
+  // back to this loop, so once the pool has joined no tail is left.
   //
   // Each pool thread owns the KV buffer every tail it runs assembles into,
   // so decoded contexts reuse one allocation per thread instead of
@@ -345,22 +344,6 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
 
   channel.Close();
   for (std::thread& t : pool) t.join();
-  // Belt and braces: nothing should remain (each worker drains before
-  // exiting), but a continuation enqueued between another worker's final
-  // check and its exit is still run here. Pop under the lock, run outside
-  // it: a tail may itself push a continuation. The drain assembles into a
-  // buffer of its own.
-  KVCache assembly;
-  for (;;) {
-    WorkChannel::Tail fn;
-    {
-      MutexLock lk(channel.mu);
-      if (channel.continuations.empty()) break;
-      fn = std::move(channel.continuations.front());
-      channel.continuations.pop_front();
-    }
-    fn(assembly);
-  }
 }
 
 void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
@@ -375,8 +358,18 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   obs::ScopedRequestId rid(track);
   CG_TRACE_VSPAN("cluster", "queue_wait", track, rq.arrival_s, admit_s);
 
-  RequestFsm fsm(track);
-  fsm.Feed(RequestEvent::kAdmit, admit_s);
+  // The request's lifecycle instants (cluster.event), each clamped to the
+  // one before so the track never goes backwards: admission, transfer ends,
+  // drained GPU completions and free_s come from different arithmetic whose
+  // rounding may disagree by ulps (ci/check_trace.py requires per-track
+  // monotone timestamps). Every one is recorded before CompleteFlow, so the
+  // coordinator pops a completion whose track is whole.
+  double last_event_s = 0.0;
+  const auto lifecycle = [&](const char* name, double t_s) {
+    last_event_s = std::max(last_event_s, t_s);
+    CG_TRACE_VINSTANT("cluster.event", name, track, last_event_s);
+  };
+  lifecycle("admit", admit_s);
 
   const SharedLink::FlowId flow = link_->Register(admit_s, rq.weight);
   // Our unparked flow now freezes virtual time; the admission hold can go.
@@ -444,19 +437,22 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
     link_->PostGpuWork(flow, arrival_s, const_s, shared_s);
   };
   hooks.drain_gpu = [&] { return link_->DrainGpu(flow); };
-  hooks.on_transfer = [&](const StreamStep& step) {
-    if (step.enhancement && fsm.state() == RequestState::kKvStreaming) {
-      fsm.Feed(RequestEvent::kEnhance, step.tx_start_s);
-    }
-    fsm.Feed(RequestEvent::kChunkTransferDone, step.tx_end_s);
-  };
   const StreamResult sr =
       streamer.Stream(plan, path, gpu_share, hint, mode, kv_limit, &hooks);
 
-  // Transfers are done (last chunk_transfer_done instant) and the GPU lane
-  // has drained inside Stream(); stamp the two tail events.
-  fsm.Feed(RequestEvent::kDecode, fsm.last_event_s());
-  fsm.Feed(RequestEvent::kDecodeDone, admit_s + sr.stream_finish_s);
+  // One instant per transfer, in stream order: the first enhancement step
+  // also marks where the enhancement pass began. The GPU lane has drained
+  // inside Stream(), so the decode tail starts at the last transfer's end.
+  bool enhancing = false;
+  for (const StreamStep& step : sr.steps) {
+    if (step.enhancement && !enhancing) {
+      enhancing = true;
+      lifecycle("enhance", step.tx_start_s);
+    }
+    lifecycle("chunk_transfer_done", step.tx_end_s);
+  }
+  lifecycle("decode", last_event_s);
+  lifecycle("decode_done", admit_s + sr.stream_finish_s);
 
   // The worker (and its link flow) stays occupied through the enhancement
   // pass, which overlaps the prompt pass that runs right after load_finish;
@@ -546,7 +542,7 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
     CG_TRACE_VSPAN("cluster", "write_back", track, free_s, free_s);
   }
   // Commit (or trivial skip) settled: the request's terminal event.
-  fsm.Feed(RequestEvent::kWriteBackCommitted, free_s);
+  lifecycle("write_back_committed", free_s);
 
   const bool keep_pin_for_assembly = hit && opts_.assemble_kv;
   if (look.pinned && !keep_pin_for_assembly) pin.Release();

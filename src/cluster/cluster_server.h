@@ -1,20 +1,24 @@
 // ClusterServer: the concurrent serving layer above the single-request
 // substrate (codec -> streamer -> engine). One Engine, one CacheTier, one
-// shared network path, and a fixed pool of W worker threads driving a
-// completion-queue / progress-engine loop:
+// shared network path, and a fixed pool of W worker threads:
 //
-//   coordinator --admission queue--> worker pool --stream--> SharedLink
-//        ^                             |   ^
+//   coordinator --admission queue--> pool thread: ServeOne --> SharedLink
+//        ^                             |   ^                (parks here)
 //        |                             |   +-- continuation queue (codec
 //        |                             |       tails: assemble/generate)
 //        |                             +-- Engine::AssembleKV / StoreKV
 //        +---- completion channel (virtual-time ordered) ----+
 //
-// Each request is a RequestFsm advanced by events (admission, chunk-transfer
-// done, decode done, write-back committed); no thread is ever spawned per
-// request, so 100k+-request traces run on num_workers OS threads. Workers
-// that go idle drain the continuation queue, so post-completion codec tails
-// parallelize without outliving any slot.
+// A pool thread runs one request's ServeOne straight through: lookup and
+// pin, stream (parking in SharedLink whenever virtual time must advance),
+// write back, complete the flow, enqueue the codec tail. ServeOne records
+// the request's lifecycle on its trace track as cluster.event instants —
+// admit, chunk_transfer_done per transfer, enhance, decode, decode_done,
+// write_back_committed — all before it completes the flow. No thread is
+// ever spawned per request, so 100k+-request traces run on num_workers OS
+// threads. Pool threads with no admission to take run the continuation
+// queue's tails, so post-completion codec work parallelizes without
+// outliving any slot.
 //
 // Admission: when a worker frees at virtual instant t, the scheduler policy
 // (FIFO / shortest-load-first / SLO-deadline-first) picks among requests
@@ -160,7 +164,8 @@ class ClusterServer {
   void ServeEventLoop(RequestQueue& queue, size_t n,
                       std::vector<RequestOutcome>* outcomes);
   // One request end to end on a pool worker: stream (GPU priced per event),
-  // write back, complete the flow, enqueue the codec tail.
+  // write back, trace the lifecycle instants, complete the flow, enqueue the
+  // codec tail.
   void ServeOne(ClusterRequest rq, size_t worker, size_t slot, double admit_s,
                 SharedLink::HoldId admit_hold, double gpu_share,
                 std::vector<RequestOutcome>* outcomes, WorkChannel& channel);

@@ -56,7 +56,6 @@ class RequestQueue {
   explicit RequestQueue(std::vector<ClusterRequest> trace);
 
   bool Empty() const { return remaining_ == 0; }
-  size_t Remaining() const { return remaining_; }
 
   // Earliest arrival among unadmitted requests. Only valid when !Empty().
   double NextArrival() const;

@@ -193,14 +193,4 @@ std::vector<double> SyntheticModel::TokenImportance(const ContextSpec& ctx) cons
   return w;
 }
 
-double SyntheticModel::ChannelMean(size_t layer, size_t channel) const {
-  return Params(layer, channel).mean_k;
-}
-double SyntheticModel::ChannelScale(size_t layer, size_t channel) const {
-  return Params(layer, channel).scale_k;
-}
-double SyntheticModel::ChannelRho(size_t layer, size_t channel) const {
-  return Params(layer, channel).rho;
-}
-
 }  // namespace cachegen

@@ -83,11 +83,6 @@ class SyntheticModel {
   // baselines (H2O, Scissorhands) and by QualityModel.
   std::vector<double> TokenImportance(const ContextSpec& ctx) const;
 
-  // Per-(layer, channel) stationary statistics (shared by all contexts).
-  double ChannelMean(size_t layer, size_t channel) const;
-  double ChannelScale(size_t layer, size_t channel) const;
-  double ChannelRho(size_t layer, size_t channel) const;
-
  private:
   struct ChannelParams {
     float mean_k, mean_v;

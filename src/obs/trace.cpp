@@ -119,12 +119,14 @@ std::vector<TraceEvent> Tracer::Snapshot() const {
       out.insert(out.end(), ring->events.begin(), ring->events.end());
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.clock != b.clock) return a.clock < b.clock;
-              if (a.track != b.track) return a.track < b.track;
-              return a.ts_us < b.ts_us;
-            });
+  // Stable: events with equal (clock, track, ts) keep their recording order,
+  // so instants one thread stamps at one timestamp export in sequence.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     if (a.clock != b.clock) return a.clock < b.clock;
+                     if (a.track != b.track) return a.track < b.track;
+                     return a.ts_us < b.ts_us;
+                   });
   return out;
 }
 

@@ -76,7 +76,8 @@ class Tracer {
   // and helpers below take care of that.
   void Record(TraceEvent ev);
 
-  // Merge every thread's ring, sorted by (clock, track, ts). Events recorded
+  // Merge every thread's ring, sorted by (clock, track, ts); events of one
+  // ring with equal keys keep their recording order. Events recorded
   // concurrently with the snapshot may or may not be included.
   std::vector<TraceEvent> Snapshot() const;
 

@@ -40,7 +40,8 @@ Engine::Engine(Options opts, std::shared_ptr<KVStore> store)
   decoders_.resize(levels.size());
   layered_.resize(levels.size());
   for (size_t i = 0; i < levels.size(); ++i) {
-    auto tables = std::make_shared<TableSet>(*profile_, levels[i], opts_.codec);
+    auto tables =
+        std::make_shared<TableSet>(*profile_, levels[i], CodecOptions{});
     encoders_[i] = std::make_unique<KVEncoder>(profile_, tables);
     decoders_[i] = std::make_unique<KVDecoder>(profile_, tables);
     layered_[i] = std::make_unique<LayeredEncoder>(profile_, tables, levels[i]);
@@ -57,8 +58,7 @@ void Engine::BuildProfile() {
       [this](size_t layer, size_t i, KVLayer& out) {
         llm_->PrefillLayer({0xCA11B000ULL + i * 97ULL, opts_.calib_context_tokens},
                            layer, out);
-      },
-      opts_.codec.token_group_size));
+      }));
 }
 
 KVCache Engine::CalculateKV(const ContextSpec& ctx) const { return llm_->Prefill(ctx); }

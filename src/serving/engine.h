@@ -37,7 +37,6 @@ class Engine {
     size_t chunk_tokens = kDefaultChunkTokens;
     size_t calib_context_tokens = 1200;
     size_t calib_num_contexts = 10;
-    CodecOptions codec;
     // Layered (§9 progressive streaming) extension: the validation-slice
     // length used to calibrate per-level enhancement sizes and enhanced
     // quality.

@@ -230,28 +230,22 @@ uint64_t ShardedKVStore::ContextBytes(const std::string& context_id) const {
   return it == shard.contexts.end() ? 0 : it->second.bytes;
 }
 
-bool ShardedKVStore::LookupAndPin(const std::string& context_id, double t_s) {
+TierLookup ShardedKVStore::LookupAndPin(const std::string& context_id,
+                                        const ContextSpec& spec, double t_s) {
+  TierLookup out;
   Shard& shard = ShardFor(context_id);
   MutexLock lock(shard.mu);
   const auto it = shard.contexts.find(context_id);
   if (it == shard.contexts.end() || it->second.chunk_bytes.empty()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return out;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   TouchLocked(it->second, t_s);
   ++it->second.pins;
-  return true;
-}
-
-TierLookup ShardedKVStore::LookupAndPin(const std::string& context_id,
-                                        const ContextSpec& spec, double t_s) {
-  TierLookup out;
-  if (LookupAndPin(context_id, t_s)) {
-    out.tier = KVTier::kHot;
-    out.covered_tokens = spec.num_tokens;
-    out.pinned = true;
-  }
+  out.tier = KVTier::kHot;
+  out.covered_tokens = spec.num_tokens;
+  out.pinned = true;
   return out;
 }
 

@@ -111,11 +111,8 @@ class ShardedKVStore final : public KVStore, public CacheTier {
   // --- cluster-facing cache operations (CacheTier) --------------------------
   // Atomically: test presence, count hit/miss, LRU-touch at time `t_s`
   // (virtual time from the cluster clock keeps eviction order deterministic),
-  // and pin on hit so the context survives until Unpin.
-  bool LookupAndPin(const std::string& context_id, double t_s);
-
-  // CacheTier view of the same operation: all-or-nothing (no partial
-  // coverage), kHot on hit. `spec` is only used to report token/chunk totals.
+  // and pin on hit so the context survives until Unpin. All-or-nothing (no
+  // partial coverage), kHot on hit; `spec` only sets covered_tokens.
   TierLookup LookupAndPin(const std::string& context_id, const ContextSpec& spec,
                           double t_s) override;
 

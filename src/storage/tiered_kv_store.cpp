@@ -373,15 +373,25 @@ void TieredKVStore::EnforceColdCapacityLocked(
 
 // --- promotion (cold -> hot) -------------------------------------------------
 
-KVTier TieredKVStore::LookupAndPin(const std::string& context_id, double t_s) {
+TierLookup TieredKVStore::LookupAndPin(const std::string& context_id,
+                                       const ContextSpec& spec, double t_s) {
+  // A hit covers the whole context and leaves it pinned.
+  const auto hit = [&](KVTier tier) {
+    TierLookup out;
+    out.tier = tier;
+    out.covered_tokens = spec.num_tokens;
+    out.any_cold = tier == KVTier::kCold;
+    out.pinned = true;
+    return out;
+  };
   ColdEntryPtr entry;
   std::vector<OwnedChunk> chunks;
   std::vector<ChunkKey> persisted_keys;
   bool retried = false;
   for (;;) {
-    if (hot_->LookupAndPin(context_id, t_s)) {
+    if (hot_->LookupAndPin(context_id, spec, t_s).hit()) {
       hot_hits_.fetch_add(1, std::memory_order_relaxed);
-      return KVTier::kHot;
+      return hit(KVTier::kHot);
     }
     cold_mu_.lock();
     if (promoting_.count(context_id) > 0) {
@@ -404,7 +414,7 @@ KVTier TieredKVStore::LookupAndPin(const std::string& context_id, double t_s) {
         continue;
       }
       misses_.fetch_add(1, std::memory_order_relaxed);
-      return KVTier::kMiss;
+      return TierLookup{};
     }
     entry = it->second;
     entry->dead = true;  // claimed by this promotion
@@ -498,7 +508,7 @@ KVTier TieredKVStore::LookupAndPin(const std::string& context_id, double t_s) {
     } catch (...) {
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return KVTier::kMiss;
+    return TierLookup{};
   }
   hot_->Touch(context_id, t_s);
   // Exclusive tiering: reclaim the cold files once the context lives hot
@@ -511,19 +521,7 @@ KVTier TieredKVStore::LookupAndPin(const std::string& context_id, double t_s) {
   CG_METRIC_COUNT("storage.promotions", 1);
   CG_TRACE_INSTANT("storage", "promote", "bytes",
                    static_cast<double>(bytes_promoted));
-  return KVTier::kCold;
-}
-
-TierLookup TieredKVStore::LookupAndPin(const std::string& context_id,
-                                       const ContextSpec& spec, double t_s) {
-  TierLookup out;
-  out.tier = LookupAndPin(context_id, t_s);
-  if (out.tier != KVTier::kMiss) {
-    out.covered_tokens = spec.num_tokens;
-    out.any_cold = out.tier == KVTier::kCold;
-    out.pinned = true;
-  }
-  return out;
+  return hit(KVTier::kCold);
 }
 
 // --- background writer -------------------------------------------------------

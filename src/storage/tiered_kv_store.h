@@ -118,6 +118,9 @@ class TieredKVStore final : public KVStore, public CacheTier {
     ShardedKVStore::Stats hot_tier;  // raw hot-tier counters
   };
 
+  // `hot_factory` builds the hot tier's shard backends (default: one
+  // MemoryKVStore per shard); a test passes a recording backend to see which
+  // buffers demotions take and promotions insert.
   explicit TieredKVStore(Options opts,
                          ShardedKVStore::BackendFactory hot_factory = nullptr);
   ~TieredKVStore() override;
@@ -143,10 +146,7 @@ class TieredKVStore final : public KVStore, public CacheTier {
   // on hot miss, a cold-manifest hit promotes the context into the hot tier
   // — pinned, LRU-stamped at t_s, evicting (demoting) colder hot contexts as
   // needed — and reports kCold. The caller owns one Unpin either way.
-  KVTier LookupAndPin(const std::string& context_id, double t_s);
-
-  // CacheTier view of the same operation: all-or-nothing coverage, kHot or
-  // kCold on hit. `spec` is only used to report token totals.
+  // All-or-nothing coverage; `spec` only sets covered_tokens.
   TierLookup LookupAndPin(const std::string& context_id, const ContextSpec& spec,
                           double t_s) override;
 

@@ -145,7 +145,6 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
     if (!config.text) kv_tokens += static_cast<double>(tokens);
 
     result.steps.push_back(step);
-    if (hooks && hooks->on_transfer) hooks->on_transfer(result.steps.back());
   }
 
   result.load_finish_s = result.steps.empty() ? 0.0 : gpu_free_s - t0;
@@ -249,7 +248,6 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
         CG_METRIC_COUNT("streamer.enhancements_sent", 1);
       }
       result.steps.push_back(step);
-      if (hooks && hooks->on_transfer) hooks->on_transfer(result.steps.back());
     }
   }
 

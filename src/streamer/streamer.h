@@ -57,23 +57,20 @@ struct StreamResult {
   size_t enhancements_aborted = 0;
 };
 
-// Optional wiring of one stream into the cluster's event loop. Every field
-// may be empty; a default-constructed (or null) hooks object reproduces the
-// standalone analytic timeline bit for bit.
+// Optional per-event GPU accounting: the cluster wires one stream's GPU
+// stages into its SharedLink lane. When both are set, each chunk's GPU stage
+// (decode or prefill) is posted as a lane work item — `const_s` drains at
+// rate 1 (per-call overhead), `shared_s` at the share in effect while it
+// drains — instead of being priced analytically at the frozen `gpu_share`
+// argument (which then only seeds the adapter's decision heuristics).
+// `drain_gpu` parks until the lane is empty and returns the completion
+// instant of every posted item in post order; the streamer back-fills
+// per-step gpu_done_s, load_finish and the GPU lifecycle spans from it.
+// Empty (or null) hooks reproduce the standalone analytic timeline bit for
+// bit.
 struct StreamHooks {
-  // Per-event GPU accounting. When both are set, each chunk's GPU stage
-  // (decode or prefill) is posted as a lane work item — `const_s` drains at
-  // rate 1 (per-call overhead), `shared_s` at the share in effect while it
-  // drains — instead of being priced analytically at the frozen `gpu_share`
-  // argument (which then only seeds the adapter's decision heuristics).
-  // `drain_gpu` parks until the lane is empty and returns the completion
-  // instant of every posted item in post order; the streamer back-fills
-  // per-step gpu_done_s, load_finish and the GPU lifecycle spans from it.
   std::function<void(double arrival_s, double const_s, double shared_s)> post_gpu;
   std::function<std::vector<double>()> drain_gpu;
-  // Fired after each transfer completes (base chunks and enhancement
-  // segments alike) — the event-loop FSM advances on these.
-  std::function<void(const StreamStep& step)> on_transfer;
 };
 
 // Per-chunk configuration policy for one stream.

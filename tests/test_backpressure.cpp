@@ -60,7 +60,7 @@ TEST_F(BackpressureTest, PendingBytesAreCappedByDroppingOldestUncommitted) {
   store.Put({"a", 0, 0}, Blob(100, 1));
   store.Put({"b", 0, 0}, Blob(100, 2));
   // Keep "a" recent so "b" is the first eviction victim.
-  ASSERT_EQ(store.LookupAndPin("a", 1.0), KVTier::kHot);
+  ASSERT_EQ(store.LookupAndPin("a", {}, 1.0).tier, KVTier::kHot);
   store.Unpin("a");
 
   // Evict "b": its 100 pending bytes fit the 150-byte cap.
@@ -75,7 +75,7 @@ TEST_F(BackpressureTest, PendingBytesAreCappedByDroppingOldestUncommitted) {
   // the cap — so the OLDEST uncommitted demotion ("b") is dropped, counted,
   // and leaves the cold tier entirely. Nothing has touched the disk: no
   // Flush ran and no background worker exists.
-  ASSERT_EQ(store.LookupAndPin("a", 2.0), KVTier::kHot);
+  ASSERT_EQ(store.LookupAndPin("a", {}, 2.0).tier, KVTier::kHot);
   store.Unpin("a");
   store.Put({"d", 0, 0}, Blob(100, 4));
   stats = store.stats();
@@ -121,14 +121,14 @@ TEST_F(BackpressureTest, PromotionOfPendingEntryReleasesItsPendingBytes) {
   TieredKVStore store(opts);
   store.Put({"a", 0, 0}, Blob(100, 1));
   store.Put({"b", 0, 0}, Blob(100, 2));
-  ASSERT_EQ(store.LookupAndPin("a", 1.0), KVTier::kHot);
+  ASSERT_EQ(store.LookupAndPin("a", {}, 1.0).tier, KVTier::kHot);
   store.Unpin("a");
   store.Put({"c", 0, 0}, Blob(100, 3));  // demote b (pending 100)
   ASSERT_EQ(store.stats().pending_demotion_bytes, 100u);
 
   // Promoting "b" claims the pending buffer: its bytes stop counting
   // against the cap without any disk traffic.
-  ASSERT_EQ(store.LookupAndPin("b", 2.0), KVTier::kCold);
+  ASSERT_EQ(store.LookupAndPin("b", {}, 2.0).tier, KVTier::kCold);
   store.Unpin("b");
   const auto stats = store.stats();
   EXPECT_EQ(stats.promotions, 1u);
@@ -188,14 +188,14 @@ TEST_F(BackpressureTest, PromotionReinsertsTheDemotedBuffers) {
   });
   store.Put({"a", 0, 0}, Blob(100, 1));
   store.Put({"b", 0, 0}, Blob(100, 2));
-  ASSERT_EQ(store.LookupAndPin("a", 1.0), KVTier::kHot);
+  ASSERT_EQ(store.LookupAndPin("a", {}, 1.0).tier, KVTier::kHot);
   store.Unpin("a");
   store.Put({"c", 0, 0}, Blob(100, 3));  // demotes "b"; no writer runs
   ASSERT_EQ(moves.taken.size(), 1u);
   EXPECT_EQ(moves.taken[0].first, "b");
   EXPECT_EQ(store.stats().pending_demotion_bytes, 100u);
 
-  ASSERT_EQ(store.LookupAndPin("b", 2.0), KVTier::kCold);
+  ASSERT_EQ(store.LookupAndPin("b", {}, 2.0).tier, KVTier::kCold);
   ASSERT_EQ(moves.inserted.size(), 1u);
   EXPECT_EQ(moves.inserted[0], moves.taken[0]);
   EXPECT_EQ(*store.Get({"b", 0, 0}), Blob(100, 2));

@@ -1,117 +1,33 @@
-// The event-driven serving core: RequestFsm legality, per-event GPU-share
-// accounting in SharedLink, and the fixed worker pool's guarantees (no
-// per-request threads, deterministic outcomes independent of run count and
-// of the codec thread-pool size).
+// The event-driven serving core: per-event GPU-share accounting in
+// SharedLink, the fixed worker pool's guarantees (no per-request threads,
+// deterministic outcomes independent of run count and of the codec
+// thread-pool size), and the lifecycle instants every request's trace track
+// carries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "cluster/cluster_metrics.h"
 #include "cluster/cluster_server.h"
-#include "cluster/request_fsm.h"
 #include "cluster/shared_link.h"
 #include "net/bandwidth_trace.h"
+#include "obs/trace.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
 #include "self_exec.h"
 
 namespace cachegen {
 namespace {
-
-// ---------------------------------------------------------------------------
-// RequestFsm: the transition table, exhaustively.
-// ---------------------------------------------------------------------------
-
-TEST(RequestFsm, ExhaustiveTransitionSweepMatchesTheDesign) {
-  using S = RequestState;
-  using E = RequestEvent;
-  // The full set of legal (state, event) -> next transitions. Everything not
-  // listed must be rejected.
-  const std::set<std::tuple<S, E, S>> legal = {
-      {S::kAdmitted, E::kAdmit, S::kKvStreaming},
-      {S::kKvStreaming, E::kChunkTransferDone, S::kKvStreaming},
-      {S::kKvStreaming, E::kEnhance, S::kEnhancing},
-      {S::kKvStreaming, E::kDecode, S::kDecoding},
-      {S::kEnhancing, E::kChunkTransferDone, S::kEnhancing},
-      {S::kEnhancing, E::kDecode, S::kDecoding},
-      {S::kDecoding, E::kDecodeDone, S::kWriteBack},
-      {S::kWriteBack, E::kWriteBackCommitted, S::kDone},
-  };
-  size_t legal_seen = 0;
-  for (size_t si = 0; si < kNumRequestStates; ++si) {
-    for (size_t ei = 0; ei < kNumRequestEvents; ++ei) {
-      const S s = static_cast<S>(si);
-      const E e = static_cast<E>(ei);
-      S next;
-      const bool ok = LegalTransition(s, e, &next);
-      bool expected = false;
-      for (const auto& [ls, le, ln] : legal) {
-        if (ls == s && le == e) {
-          expected = true;
-          EXPECT_TRUE(ok) << RequestStateName(s) << " + " << RequestEventName(e);
-          if (ok) {
-            EXPECT_EQ(next, ln)
-                << RequestStateName(s) << " + " << RequestEventName(e);
-          }
-        }
-      }
-      if (!expected) {
-        EXPECT_FALSE(ok) << RequestStateName(s) << " + " << RequestEventName(e)
-                         << " should be illegal";
-      }
-      if (ok) ++legal_seen;
-    }
-  }
-  EXPECT_EQ(legal_seen, legal.size());
-}
-
-TEST(RequestFsm, FeedWalksBothPathsThrowsOnIllegalAndClampsMonotone) {
-  // Plain (non-progressive) path.
-  RequestFsm plain(/*track=*/1);
-  plain.Feed(RequestEvent::kAdmit, 0.5);
-  plain.Feed(RequestEvent::kChunkTransferDone, 1.0);
-  plain.Feed(RequestEvent::kChunkTransferDone, 0.25);  // rounding backwards
-  EXPECT_GE(plain.last_event_s(), 1.0);                // clamped monotone
-  plain.Feed(RequestEvent::kDecode, 1.0);
-  plain.Feed(RequestEvent::kDecodeDone, 2.0);
-  plain.Feed(RequestEvent::kWriteBackCommitted, 2.0);
-  EXPECT_EQ(plain.state(), RequestState::kDone);
-
-  // Progressive path through Enhancing.
-  RequestFsm prog(/*track=*/2);
-  prog.Feed(RequestEvent::kAdmit, 0.0);
-  prog.Feed(RequestEvent::kChunkTransferDone, 0.5);
-  prog.Feed(RequestEvent::kEnhance, 0.6);
-  prog.Feed(RequestEvent::kChunkTransferDone, 0.9);
-  prog.Feed(RequestEvent::kDecode, 0.9);
-  prog.Feed(RequestEvent::kDecodeDone, 1.4);
-  prog.Feed(RequestEvent::kWriteBackCommitted, 1.4);
-  EXPECT_EQ(prog.state(), RequestState::kDone);
-
-  // Mis-sequenced workers fail loudly.
-  RequestFsm bad(/*track=*/3);
-  EXPECT_THROW(bad.Feed(RequestEvent::kDecodeDone, 0.0), std::logic_error);
-  bad.Feed(RequestEvent::kAdmit, 0.0);
-  EXPECT_THROW(bad.Feed(RequestEvent::kWriteBackCommitted, 1.0),
-               std::logic_error);
-  RequestFsm done(/*track=*/4);
-  done.Feed(RequestEvent::kAdmit, 0.0);
-  done.Feed(RequestEvent::kDecode, 0.0);
-  done.Feed(RequestEvent::kDecodeDone, 0.0);
-  done.Feed(RequestEvent::kWriteBackCommitted, 0.0);
-  EXPECT_THROW(done.Feed(RequestEvent::kAdmit, 1.0), std::logic_error);
-}
 
 // ---------------------------------------------------------------------------
 // SharedLink GPU lanes: per-event share accounting.
@@ -339,6 +255,129 @@ TEST(EventLoop, DeterministicAcrossRuns) {
     EXPECT_DOUBLE_EQ(a[i].quality, b[i].quality);
     EXPECT_EQ(a[i].worker, b[i].worker);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Request lifecycle: the cluster.event instants ServeOne records on every
+// request's virtual track.
+// ---------------------------------------------------------------------------
+
+class LifecycleTrace : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::Tracer::Instance().Clear();
+    obs::Tracer::Instance().SetEnabled(true);
+  }
+  void TearDown() override {
+    obs::Tracer::Instance().SetEnabled(false);
+    obs::Tracer::Instance().Clear();
+  }
+
+  struct Instant {
+    uint64_t ts_us;
+    std::string name;
+  };
+
+  // Every virtual track's cluster.event instants in export order: by
+  // timestamp, instants stamped at one timestamp in recording order.
+  static std::map<uint64_t, std::vector<Instant>> Lifecycles() {
+    EXPECT_EQ(obs::Tracer::Instance().DroppedEvents(), 0u);
+    std::map<uint64_t, std::vector<Instant>> tracks;
+    for (const obs::TraceEvent& ev : obs::Tracer::Instance().Snapshot()) {
+      if (ev.clock == obs::TraceClock::kVirtual &&
+          std::string(ev.cat) == "cluster.event") {
+        tracks[ev.track].push_back({ev.ts_us, ev.name});
+      }
+    }
+    return tracks;
+  }
+
+  // admit, then chunk_transfer_done per transfer with at most one enhance
+  // after the first, then decode, decode_done, write_back_committed; the
+  // timestamps never decrease. Returns whether the track has an enhance.
+  static bool ExpectLegalLifecycle(uint64_t track,
+                                   const std::vector<Instant>& seq) {
+    SCOPED_TRACE("track " + std::to_string(track));
+    std::vector<std::string> names;
+    for (const Instant& i : seq) names.push_back(i.name);
+    const auto count = [&](const char* name) {
+      return std::count(names.begin(), names.end(), name);
+    };
+    EXPECT_GE(names.size(), 5u);
+    if (names.size() < 5) return false;
+    const size_t n = names.size();
+    EXPECT_EQ(count("admit"), 1);
+    EXPECT_EQ(names.front(), "admit");
+    EXPECT_EQ(names[1], "chunk_transfer_done");
+    EXPECT_LE(count("enhance"), 1);
+    for (size_t i = 1; i + 3 < n; ++i) {
+      EXPECT_TRUE(names[i] == "chunk_transfer_done" || names[i] == "enhance")
+          << names[i] << " at " << i;
+    }
+    EXPECT_EQ(count("decode"), 1);
+    EXPECT_EQ(count("decode_done"), 1);
+    EXPECT_EQ(names[n - 3], "decode");
+    EXPECT_EQ(names[n - 2], "decode_done");
+    EXPECT_EQ(count("write_back_committed"), 1);
+    EXPECT_EQ(names.back(), "write_back_committed");
+    for (size_t i = 1; i < n; ++i) {
+      EXPECT_LE(seq[i - 1].ts_us, seq[i].ts_us)
+          << names[i - 1] << " -> " << names[i];
+    }
+    return count("enhance") > 0;
+  }
+};
+
+TEST_F(LifecycleTrace, ProgressiveWarmServeOnFourWorkers) {
+  EventLoopFixture& fx = WarmFixture();
+  RequestTraceOptions topts = fx.trace_opts;
+  topts.num_requests = 24;
+  topts.arrival_rate_hz = 8.0;
+  // Tight enough that base passes pick coarse levels, loose enough that the
+  // link has slack left to upgrade them.
+  topts.slo_s = 0.3;
+  ClusterServer::Options copts;
+  copts.num_workers = 4;
+  copts.progressive = true;
+  copts.write_back_on_miss = false;
+  ClusterServer server(*fx.engine, fx.store, BandwidthTrace::Constant(2.0),
+                       copts);
+  const auto outcomes = server.Serve(PoissonTrace(topts));
+
+  const auto tracks = Lifecycles();
+  ASSERT_EQ(tracks.size(), outcomes.size());
+  size_t enhanced = 0;
+  for (const RequestOutcome& o : outcomes) {
+    EXPECT_TRUE(o.cache_hit);
+    const auto it = tracks.find(o.request.id + 1);
+    ASSERT_NE(it, tracks.end()) << "request " << o.request.id;
+    if (ExpectLegalLifecycle(it->first, it->second)) ++enhanced;
+  }
+  EXPECT_GT(enhanced, 0u);
+}
+
+TEST_F(LifecycleTrace, WriteBackServeOnOneWorker) {
+  EventLoopFixture fx;  // fresh fixture: cold cache, misses write back
+  RequestTraceOptions topts = fx.trace_opts;
+  topts.num_requests = 12;
+  topts.arrival_rate_hz = 4.0;
+  ClusterServer::Options copts;
+  copts.num_workers = 1;
+  copts.write_back_on_miss = true;
+  ClusterServer server(*fx.engine, fx.store, BandwidthTrace::Constant(2.0),
+                       copts);
+  const auto outcomes = server.Serve(PoissonTrace(topts));
+
+  const auto tracks = Lifecycles();
+  ASSERT_EQ(tracks.size(), outcomes.size());
+  size_t written = 0;
+  for (const RequestOutcome& o : outcomes) {
+    if (o.write_back_done) ++written;
+    const auto it = tracks.find(o.request.id + 1);
+    ASSERT_NE(it, tracks.end()) << "request " << o.request.id;
+    EXPECT_FALSE(ExpectLegalLifecycle(it->first, it->second));
+  }
+  EXPECT_GT(written, 0u);
 }
 
 // Probe for the CACHEGEN_THREADS determinism check below: serve a fixed

@@ -47,7 +47,7 @@ TEST(ShardedKVStore, LruEvictionRespectsCapacityAndRecency) {
   store.Put({"a", 0, 0}, Blob(100, 1));
   store.Put({"b", 0, 0}, Blob(100, 2));
   // Touch "a" so "b" is the LRU victim.
-  EXPECT_TRUE(store.LookupAndPin("a", 1.0));
+  EXPECT_TRUE(store.LookupAndPin("a", {}, 1.0).hit());
   store.Unpin("a");
   store.Put({"c", 0, 0}, Blob(100, 3));  // 300 > 250 -> evict "b"
   EXPECT_TRUE(store.ContainsContext("a"));
@@ -62,7 +62,7 @@ TEST(ShardedKVStore, LruEvictionRespectsCapacityAndRecency) {
 TEST(ShardedKVStore, PinnedContextsSurviveEviction) {
   ShardedKVStore store({.num_shards = 1, .capacity_bytes = 150});
   store.Put({"hot", 0, 0}, Blob(100, 1));
-  ASSERT_TRUE(store.LookupAndPin("hot", 1.0));  // pinned
+  ASSERT_TRUE(store.LookupAndPin("hot", {}, 1.0).hit());  // pinned
   store.Put({"cold", 0, 0}, Blob(100, 2));      // over capacity
   // "hot" is pinned and "cold" is the context being written: nothing
   // evictable, so the store temporarily overflows rather than corrupting an
@@ -81,9 +81,9 @@ TEST(ShardedKVStore, PinnedContextsSurviveEviction) {
 
 TEST(ShardedKVStore, LookupCountsHitsAndMisses) {
   ShardedKVStore store({.num_shards = 2});
-  EXPECT_FALSE(store.LookupAndPin("nope", 0.0));
+  EXPECT_FALSE(store.LookupAndPin("nope", {}, 0.0).hit());
   store.Put({"yes", 0, 0}, Blob(4, 1));
-  EXPECT_TRUE(store.LookupAndPin("yes", 1.0));
+  EXPECT_TRUE(store.LookupAndPin("yes", {}, 1.0).hit());
   store.Unpin("yes");
   const auto stats = store.stats();
   EXPECT_EQ(stats.context_hits, 1u);
@@ -93,7 +93,7 @@ TEST(ShardedKVStore, LookupCountsHitsAndMisses) {
 TEST(ShardedKVStore, EraseRespectsPins) {
   ShardedKVStore store({.num_shards = 1});
   store.Put({"ctx", 0, 0}, Blob(8, 1));
-  ASSERT_TRUE(store.LookupAndPin("ctx", 1.0));
+  ASSERT_TRUE(store.LookupAndPin("ctx", {}, 1.0).hit());
   store.EraseContext("ctx");  // refused: in use
   EXPECT_TRUE(store.ContainsContext("ctx"));
   EXPECT_TRUE(store.Get({"ctx", 0, 0}).has_value());
@@ -141,7 +141,7 @@ TEST(ShardedKVStore, ConcurrentStressKeepsInvariants) {
             break;
           default:
             lookups.fetch_add(1);
-            if (store.LookupAndPin(id, static_cast<double>(i))) {
+            if (store.LookupAndPin(id, {}, static_cast<double>(i)).hit()) {
               (void)store.Get({id, 0, 0});
               store.Unpin(id);
             }
@@ -282,7 +282,7 @@ TEST(ShardedKVStore, FailedBatchInsertRollsBackCompletely) {
     EXPECT_FALSE(store.ContainsContext("ctx"));
     EXPECT_FALSE(store.Get({"ctx", 0, 0}).has_value());
     EXPECT_EQ(store.TotalBytes(), 0u);
-    EXPECT_FALSE(store.LookupAndPin("ctx", 1.0));
+    EXPECT_FALSE(store.LookupAndPin("ctx", {}, 1.0).hit());
     store.Unpin("ctx");  // placeholder dropped
     EXPECT_EQ(store.TotalBytes(), 0u);
 
@@ -358,7 +358,7 @@ TEST(PinGuard, ReleasesOnScopeExitEvenOnThrow) {
 TEST(PinGuard, AdoptMoveAndEarlyRelease) {
   ShardedKVStore store({.num_shards = 1});
   store.Put({"ctx", 0, 0}, Blob(8, 1));
-  ASSERT_TRUE(store.LookupAndPin("ctx", 1.0));
+  ASSERT_TRUE(store.LookupAndPin("ctx", {}, 1.0).hit());
   PinGuard guard = PinGuard::Adopt(store, "ctx");  // owns the lookup's pin
   PinGuard moved = std::move(guard);
   EXPECT_FALSE(guard.active());  // NOLINT(bugprone-use-after-move): tested
@@ -413,7 +413,7 @@ TEST_F(ShardedOverFilesTest, RoundTripAndAccounting) {
   EXPECT_TRUE(store.ContainsContext("doc-a"));
   EXPECT_EQ(store.TotalBytes(), 175u);
   EXPECT_EQ(store.ContextBytes("doc-a"), 150u);
-  EXPECT_TRUE(store.LookupAndPin("doc-a", 1.0));
+  EXPECT_TRUE(store.LookupAndPin("doc-a", {}, 1.0).hit());
   store.Unpin("doc-a");
 
   store.EraseContext("doc-a");
@@ -438,7 +438,7 @@ TEST_F(ShardedOverFilesTest, EvictionRemovesContextDirectory) {
 TEST_F(ShardedOverFilesTest, PinnedContextSurvivesCapacityPressure) {
   ShardedKVStore store({.num_shards = 1, .capacity_bytes = 150}, Factory());
   store.Put({"hot", 0, 0}, Blob(100, 1));
-  ASSERT_TRUE(store.LookupAndPin("hot", 1.0));
+  ASSERT_TRUE(store.LookupAndPin("hot", {}, 1.0).hit());
   store.Put({"c1", 0, 0}, Blob(100, 2));
   store.Put({"c2", 0, 0}, Blob(100, 3));
 

@@ -53,7 +53,7 @@ TEST_F(TieredStoreTest, EvictionDemotesInsteadOfErasing) {
   store.Put({"a", 0, 0}, Blob(100, 1));
   store.Put({"b", 0, 0}, payload_b);
   // Touch "a" so "b" is the hot LRU victim.
-  ASSERT_EQ(store.LookupAndPin("a", 1.0), KVTier::kHot);
+  ASSERT_EQ(store.LookupAndPin("a", {}, 1.0).tier, KVTier::kHot);
   store.Unpin("a");
   store.Put({"c", 0, 0}, Blob(100, 3));  // 300 > 250 -> evict "b"
 
@@ -84,7 +84,7 @@ TEST_F(TieredStoreTest, LookupPromotesColdContextPinned) {
   const auto payload_b = Blob(100, 2);
   store.Put({"a", 0, 0}, Blob(100, 1));
   store.Put({"b", 0, 0}, payload_b);
-  ASSERT_EQ(store.LookupAndPin("a", 1.0), KVTier::kHot);
+  ASSERT_EQ(store.LookupAndPin("a", {}, 1.0).tier, KVTier::kHot);
   store.Unpin("a");
   store.Put({"c", 0, 0}, Blob(100, 3));  // demotes "b"
   store.Flush();
@@ -93,7 +93,7 @@ TEST_F(TieredStoreTest, LookupPromotesColdContextPinned) {
   // Cold hit: "b" promoted back into the hot tier, pinned; the promotion's
   // inserts push the tier over capacity again and demote the LRU ("c",
   // never touched) — cascading correctly, not erasing.
-  ASSERT_EQ(store.LookupAndPin("b", 2.0), KVTier::kCold);
+  ASSERT_EQ(store.LookupAndPin("b", {}, 2.0).tier, KVTier::kCold);
   EXPECT_TRUE(store.hot().ContainsContext("b"));
   EXPECT_EQ(*store.Get({"b", 0, 0}), payload_b);
   auto stats = store.stats();
@@ -129,7 +129,7 @@ TEST_F(TieredStoreTest, ColdCapacityEvictsLruForReal) {
   EXPECT_EQ(stats.cold_evicted_bytes, 100u);
   EXPECT_LE(stats.cold_bytes, 150u);
   EXPECT_FALSE(store.ContainsContext("a"));
-  EXPECT_EQ(store.LookupAndPin("a", 5.0), KVTier::kMiss);
+  EXPECT_EQ(store.LookupAndPin("a", {}, 5.0).tier, KVTier::kMiss);
   EXPECT_TRUE(store.ContainsContext("b"));
   EXPECT_FALSE(fs::exists(root_ / "a"));
 }
@@ -158,7 +158,7 @@ TEST_F(TieredStoreTest, ColdTierSurvivesRestart) {
     // The committed context was adopted from disk at construction...
     EXPECT_TRUE(store.ContainsContext("keep-me"));
     EXPECT_EQ(store.stats().cold_bytes, 128u);
-    ASSERT_EQ(store.LookupAndPin("keep-me", 1.0), KVTier::kCold);
+    ASSERT_EQ(store.LookupAndPin("keep-me", {}, 1.0).tier, KVTier::kCold);
     ASSERT_TRUE(store.Get({"keep-me", 0, 2}).has_value());
     EXPECT_EQ(*store.Get({"keep-me", 0, 2}), payload);
     EXPECT_EQ(*store.Get({"keep-me", 1, 2}), payload);
@@ -213,7 +213,7 @@ TEST_F(TieredStoreTest, ConcurrentDemoteWhileLookupKeepsInvariants) {
             break;
           default:
             lookups.fetch_add(1);
-            if (store.LookupAndPin(id, static_cast<double>(i)) != KVTier::kMiss) {
+            if (store.LookupAndPin(id, {}, static_cast<double>(i)).hit()) {
               (void)store.Get({id, 0, 0});
               store.Unpin(id);
             }
@@ -236,8 +236,7 @@ TEST_F(TieredStoreTest, ConcurrentDemoteWhileLookupKeepsInvariants) {
   // lookup lands it in the hot tier, pinned and readable.
   for (size_t c = 0; c < kContexts; ++c) {
     const std::string id = "ctx-" + std::to_string(c);
-    const KVTier tier = store.LookupAndPin(id, 1e6);
-    if (tier == KVTier::kMiss) {
+    if (!store.LookupAndPin(id, {}, 1e6).hit()) {
       EXPECT_FALSE(store.ContainsContext(id));
       continue;
     }
@@ -329,7 +328,7 @@ TEST_F(TieredStoreTest, ManifestRecoversMangledIdsAndLruStampsAcrossRestart) {
     // Adopted under its ORIGINAL id, LRU stamp intact — a cold hit, where
     // the pre-manifest store could only miss.
     EXPECT_TRUE(store.ContainsContext(evil));
-    ASSERT_EQ(store.LookupAndPin(evil, 10.0), KVTier::kCold);
+    ASSERT_EQ(store.LookupAndPin(evil, {}, 10.0).tier, KVTier::kCold);
     ASSERT_TRUE(store.Get({evil, 0, 0}).has_value());
     EXPECT_EQ(*store.Get({evil, 0, 0}), payload);
     store.Unpin(evil);
@@ -380,7 +379,7 @@ TEST_F(TieredStoreTest, ManifestRowNamingAnotherDirectoryIsIgnored) {
   EXPECT_EQ(store.stats().cold_bytes, 130u);
   for (const auto& [id, payload] :
        {std::pair{"a", payload_a}, std::pair{"b", payload_b}}) {
-    ASSERT_EQ(store.LookupAndPin(id, 1.0), KVTier::kCold) << id;
+    ASSERT_EQ(store.LookupAndPin(id, {}, 1.0).tier, KVTier::kCold) << id;
     ASSERT_TRUE(store.Get({id, 0, 0}).has_value()) << id;
     EXPECT_EQ(*store.Get({id, 0, 0}), payload) << id;
     store.Unpin(id);
