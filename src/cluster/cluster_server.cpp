@@ -218,7 +218,6 @@ struct ClusterServer::WorkChannel {
 
 void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
                                    std::vector<RequestOutcome>* outcomes) {
-  const auto policy = MakeSchedulerPolicy(opts_.policy);
   std::vector<double> free_at(opts_.num_workers, 0.0);
   std::vector<bool> busy(opts_.num_workers, false);
   size_t in_flight = 0;
@@ -292,7 +291,7 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
       }
       if (w == opts_.num_workers) break;  // all busy
       const double admit_s = std::max(free_at[w], queue.NextArrival());
-      ClusterRequest rq = queue.PopReady(*policy, admit_s);
+      ClusterRequest rq = queue.PopReady(opts_.policy, admit_s);
       // Cap virtual time at the admission instant until the worker's flow
       // registers, so no in-flight stream races past it unshared — and
       // record the GPU ledger +1 under the same hold, so every lane segment

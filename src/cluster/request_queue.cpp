@@ -80,19 +80,19 @@ double RequestQueue::NextArrival() const {
   throw std::logic_error("RequestQueue::NextArrival on empty queue");
 }
 
-ClusterRequest RequestQueue::PopReady(const SchedulerPolicy& policy, double t_s) {
-  std::vector<const ClusterRequest*> candidates;
-  std::vector<size_t> indices;
+ClusterRequest RequestQueue::PopReady(SchedulerPolicyKind kind, double t_s) {
+  size_t pick = requests_.size();
   for (size_t i = first_unadmitted_; i < requests_.size(); ++i) {
     if (admitted_[i]) continue;
     if (requests_[i].arrival_s > t_s) break;  // sorted by arrival
-    candidates.push_back(&requests_[i]);
-    indices.push_back(i);
+    if (pick == requests_.size() ||
+        AdmitsBefore(kind, requests_[i], requests_[pick])) {
+      pick = i;
+    }
   }
-  if (candidates.empty()) {
+  if (pick == requests_.size()) {
     throw std::logic_error("RequestQueue::PopReady: no eligible request");
   }
-  const size_t pick = indices.at(policy.Pick(candidates, t_s));
   admitted_[pick] = true;
   --remaining_;
   while (first_unadmitted_ < requests_.size() && admitted_[first_unadmitted_]) {

@@ -46,11 +46,11 @@ std::string PoolContextId(size_t pool_index);
 // Requests come back sorted by arrival with dense ids 0..n-1.
 std::vector<ClusterRequest> PoissonTrace(const RequestTraceOptions& opts);
 
-class SchedulerPolicy;
+enum class SchedulerPolicyKind;
 
 // Pending-request pool the coordinator admits from: requests become eligible
-// once their arrival instant has been reached; the scheduler policy picks
-// among eligible ones.
+// once their arrival instant has been reached; the scheduler policy's
+// ordering picks among eligible ones.
 class RequestQueue {
  public:
   explicit RequestQueue(std::vector<ClusterRequest> trace);
@@ -60,9 +60,10 @@ class RequestQueue {
   // Earliest arrival among unadmitted requests. Only valid when !Empty().
   double NextArrival() const;
 
-  // Remove and return the policy's pick among requests with
-  // arrival <= t_s (guaranteed non-empty when t_s >= NextArrival()).
-  ClusterRequest PopReady(const SchedulerPolicy& policy, double t_s);
+  // Remove and return the request `kind` admits first (AdmitsBefore) among
+  // requests with arrival <= t_s (guaranteed non-empty when
+  // t_s >= NextArrival()).
+  ClusterRequest PopReady(SchedulerPolicyKind kind, double t_s);
 
  private:
   std::vector<ClusterRequest> requests_;  // sorted by (arrival, id)

@@ -5,76 +5,32 @@
 
 namespace cachegen {
 
-namespace {
-
-class FifoPolicy final : public SchedulerPolicy {
- public:
-  std::string name() const override { return "fifo"; }
-  size_t Pick(const std::vector<const ClusterRequest*>& candidates,
-              double /*now_s*/) const override {
-    size_t best = 0;
-    for (size_t i = 1; i < candidates.size(); ++i) {
-      if (std::make_tuple(candidates[i]->arrival_s, candidates[i]->id) <
-          std::make_tuple(candidates[best]->arrival_s, candidates[best]->id)) {
-        best = i;
-      }
-    }
-    return best;
-  }
-};
-
-class ShortestLoadFirstPolicy final : public SchedulerPolicy {
- public:
-  std::string name() const override { return "shortest-load-first"; }
-  size_t Pick(const std::vector<const ClusterRequest*>& candidates,
-              double /*now_s*/) const override {
-    size_t best = 0;
-    for (size_t i = 1; i < candidates.size(); ++i) {
-      if (std::make_tuple(candidates[i]->spec.num_tokens, candidates[i]->arrival_s,
-                          candidates[i]->id) <
-          std::make_tuple(candidates[best]->spec.num_tokens,
-                          candidates[best]->arrival_s, candidates[best]->id)) {
-        best = i;
-      }
-    }
-    return best;
-  }
-};
-
-class SloDeadlineFirstPolicy final : public SchedulerPolicy {
- public:
-  std::string name() const override { return "slo-deadline-first"; }
-  size_t Pick(const std::vector<const ClusterRequest*>& candidates,
-              double /*now_s*/) const override {
-    size_t best = 0;
-    for (size_t i = 1; i < candidates.size(); ++i) {
-      const double di = candidates[i]->arrival_s + candidates[i]->slo_s;
-      const double db = candidates[best]->arrival_s + candidates[best]->slo_s;
-      if (std::make_tuple(di, candidates[i]->id) <
-          std::make_tuple(db, candidates[best]->id)) {
-        best = i;
-      }
-    }
-    return best;
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<SchedulerPolicy> MakeSchedulerPolicy(SchedulerPolicyKind kind) {
+bool AdmitsBefore(SchedulerPolicyKind kind, const ClusterRequest& a,
+                  const ClusterRequest& b) {
   switch (kind) {
     case SchedulerPolicyKind::kFifo:
-      return std::make_unique<FifoPolicy>();
+      return std::make_tuple(a.arrival_s, a.id) <
+             std::make_tuple(b.arrival_s, b.id);
     case SchedulerPolicyKind::kShortestLoadFirst:
-      return std::make_unique<ShortestLoadFirstPolicy>();
+      return std::make_tuple(a.spec.num_tokens, a.arrival_s, a.id) <
+             std::make_tuple(b.spec.num_tokens, b.arrival_s, b.id);
     case SchedulerPolicyKind::kSloDeadlineFirst:
-      return std::make_unique<SloDeadlineFirstPolicy>();
+      return std::make_tuple(a.arrival_s + a.slo_s, a.id) <
+             std::make_tuple(b.arrival_s + b.slo_s, b.id);
   }
   throw std::invalid_argument("unknown scheduler policy");
 }
 
 std::string SchedulerPolicyName(SchedulerPolicyKind kind) {
-  return MakeSchedulerPolicy(kind)->name();
+  switch (kind) {
+    case SchedulerPolicyKind::kFifo:
+      return "fifo";
+    case SchedulerPolicyKind::kShortestLoadFirst:
+      return "shortest-load-first";
+    case SchedulerPolicyKind::kSloDeadlineFirst:
+      return "slo-deadline-first";
+  }
+  throw std::invalid_argument("unknown scheduler policy");
 }
 
 }  // namespace cachegen

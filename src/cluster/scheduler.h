@@ -1,8 +1,9 @@
 // SLO-aware admission policies for the cluster coordinator.
 //
 // When a worker frees up, the coordinator has a set of queued requests whose
-// arrival instants have passed; the policy decides which one is admitted.
-// Three classics, each optimizing a different aggregate:
+// arrival instants have passed; the policy's ordering decides which one is
+// admitted (RequestQueue::PopReady). Three classics, each optimizing a
+// different aggregate:
 //
 //   FIFO                 — fairness / worst-case queueing delay.
 //   ShortestLoadFirst    — mean TTFT: admit the request with the least KV
@@ -11,9 +12,7 @@
 //                          arrival + SLO budget.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "cluster/request_queue.h"
 
@@ -25,18 +24,11 @@ enum class SchedulerPolicyKind {
   kSloDeadlineFirst,
 };
 
-class SchedulerPolicy {
- public:
-  virtual ~SchedulerPolicy() = default;
-  virtual std::string name() const = 0;
+// Whether `kind` admits `a` before `b`. Every policy's key ends in the
+// request id, so this is a strict total order over a trace.
+bool AdmitsBefore(SchedulerPolicyKind kind, const ClusterRequest& a,
+                  const ClusterRequest& b);
 
-  // Pick one of `candidates` (never empty; all arrived by `now_s`). Returns
-  // an index into the vector. Must be deterministic.
-  virtual size_t Pick(const std::vector<const ClusterRequest*>& candidates,
-                      double now_s) const = 0;
-};
-
-std::unique_ptr<SchedulerPolicy> MakeSchedulerPolicy(SchedulerPolicyKind kind);
 std::string SchedulerPolicyName(SchedulerPolicyKind kind);
 
 }  // namespace cachegen

@@ -5,26 +5,19 @@
 
 namespace cachegen {
 
-PipelineResult PipelineTimeline(std::span<const double> tx_s,
-                                std::span<const double> decode_s) {
-  if (tx_s.size() != decode_s.size()) {
+std::vector<double> PipelineTimeline(std::span<const double> ready_s,
+                                     std::span<const double> work_s,
+                                     double start_s) {
+  if (ready_s.size() != work_s.size()) {
     throw std::invalid_argument("PipelineTimeline: length mismatch");
   }
-  PipelineResult r;
-  double tx_done = 0.0;
-  double dec_done = 0.0;
-  r.chunk_ready_s.reserve(tx_s.size());
-  for (size_t i = 0; i < tx_s.size(); ++i) {
-    tx_done += tx_s[i];
-    dec_done = std::max(tx_done, dec_done) + decode_s[i];
-    r.chunk_ready_s.push_back(dec_done);
-    r.transfer_s += tx_s[i];
-    r.decode_s += decode_s[i];
+  std::vector<double> done(ready_s.size());
+  double prev = start_s;
+  for (size_t i = 0; i < ready_s.size(); ++i) {
+    prev = std::max(ready_s[i], prev) + work_s[i];
+    done[i] = prev;
   }
-  r.total_s = dec_done;
-  r.sequential_s = r.transfer_s + r.decode_s;
-  r.exposed_decode_s = r.total_s - r.transfer_s;
-  return r;
+  return done;
 }
 
 }  // namespace cachegen

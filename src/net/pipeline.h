@@ -1,9 +1,14 @@
-// Two-stage transfer/decode pipeline model (§6: "we also pipeline the
-// transmission of context chunk i with the decoding of context chunk i-1").
+// The §6 transfer/decode pipeline at a fixed GPU share ("we also pipeline
+// the transmission of context chunk i with the decoding of context chunk
+// i-1"): one GPU works through a FIFO of stages, each ready once its chunk
+// has arrived. Stage i starts when it is ready and stage i-1 is done:
 //
-// Given per-chunk transmission and decode durations, computes the finish
-// time with and without pipelining — the quantity behind Fig. 14a's
-// negligible decode bar.
+//   done[i] = max(ready[i], done[i-1]) + work[i],   done[-1] = start_s.
+//
+// TTFTModel::CacheGen prices Fig. 14a's exposed decode tail with it, and
+// KVStreamer resolves every private-link stream's GPU lane with it. Streams
+// on a SharedLink drain their lane at a time-varying share instead
+// (SharedLink::DrainGpu).
 #pragma once
 
 #include <span>
@@ -11,19 +16,11 @@
 
 namespace cachegen {
 
-struct PipelineResult {
-  double total_s = 0.0;          // pipelined completion time
-  double sequential_s = 0.0;     // naive transfer-then-decode completion
-  double transfer_s = 0.0;       // sum of transmission times
-  double decode_s = 0.0;         // sum of decode times
-  double exposed_decode_s = 0.0; // decode time not hidden by transmission
-  std::vector<double> chunk_ready_s;  // per-chunk decoded-and-ready times
-};
-
-// `tx_s[i]` and `decode_s[i]` are the transmission and decode durations of
-// chunk i; transmission is sequential on one connection, decode of chunk i
-// starts once chunk i is fully received and the decoder is free.
-PipelineResult PipelineTimeline(std::span<const double> tx_s,
-                                std::span<const double> decode_s);
+// Completion instant of every stage, in order. `ready_s[i]` is when stage i
+// can start at the earliest, `work_s[i]` its GPU seconds at the share in
+// effect, and `start_s` when the GPU becomes free.
+std::vector<double> PipelineTimeline(std::span<const double> ready_s,
+                                     std::span<const double> work_s,
+                                     double start_s = 0.0);
 
 }  // namespace cachegen

@@ -127,10 +127,6 @@ JsonWriter& JsonWriter::Field(std::string_view key, int64_t value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Field(std::string_view key, uint32_t value) {
-  return Field(key, static_cast<uint64_t>(value));
-}
-
 JsonWriter& JsonWriter::Field(std::string_view key, int value) {
   return Field(key, static_cast<int64_t>(value));
 }

@@ -51,7 +51,6 @@ class JsonWriter {
   JsonWriter& Field(std::string_view key, double value, int decimals = -1);
   JsonWriter& Field(std::string_view key, uint64_t value);
   JsonWriter& Field(std::string_view key, int64_t value);
-  JsonWriter& Field(std::string_view key, uint32_t value);
   JsonWriter& Field(std::string_view key, int value);
 
   // Array elements.

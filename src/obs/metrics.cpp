@@ -60,10 +60,6 @@ void Histogram::Record(uint64_t v) {
   s.count.fetch_add(1, std::memory_order_relaxed);
   s.sum.fetch_add(v, std::memory_order_relaxed);
   s.buckets[HistBucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  if (capture_.load(std::memory_order_relaxed)) {
-    MutexLock lock(capture_mu_);
-    if (samples_.size() < capture_cap_) samples_.push_back(v);
-  }
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
@@ -85,20 +81,6 @@ void Histogram::Reset() {
     s.sum.store(0, std::memory_order_relaxed);
     for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
   }
-  MutexLock lock(capture_mu_);
-  samples_.clear();
-}
-
-void Histogram::EnableExactCapture(size_t max_samples) {
-  MutexLock lock(capture_mu_);
-  capture_cap_ = max_samples;
-  samples_.reserve(std::min<size_t>(max_samples, 4096));
-  capture_.store(true, std::memory_order_relaxed);
-}
-
-std::vector<uint64_t> Histogram::ExactSamples() const {
-  MutexLock lock(capture_mu_);
-  return samples_;
 }
 
 double HistogramSnapshot::Quantile(double q) const {

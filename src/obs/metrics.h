@@ -16,11 +16,8 @@
 // snapshot concurrent with recording sees each update or not — no tearing,
 // no locks on the write path).
 //
-// Exact-quantile validation hook: Histogram::EnableExactCapture() makes the
-// histogram additionally retain raw samples (bounded, mutex-guarded — test
-// use only). Tests compare HistogramSnapshot::Quantile() against
-// ExactQuantile() over the captured samples to bound the bucketing error;
-// see tests/test_obs.cpp.
+// ExactQuantile() over raw samples is the reference the bucketed
+// HistogramSnapshot::Quantile() is validated against (tests/test_obs.cpp).
 #pragma once
 
 #include <array>
@@ -108,12 +105,6 @@ class Histogram {
   HistogramSnapshot Snapshot() const;
   void Reset();
 
-  // Validation hook: additionally retain up to `max_samples` raw values
-  // (mutex on the record path — tests only). Samples beyond the cap are
-  // dropped (the bucket counts still see them).
-  void EnableExactCapture(size_t max_samples = 1u << 20);
-  std::vector<uint64_t> ExactSamples() const;
-
  private:
   struct alignas(64) Shard {
     std::atomic<uint64_t> count{0};
@@ -121,13 +112,6 @@ class Histogram {
     std::array<std::atomic<uint64_t>, kHistNumBuckets> buckets{};
   };
   Shard shards_[kMetricShards];
-
-  // capture_ gates the locked sample path: Record() takes capture_mu_ only
-  // when the (relaxed) flag is set, keeping the default record path lock-free.
-  std::atomic<bool> capture_{false};
-  mutable cachegen::Mutex capture_mu_;
-  size_t capture_cap_ CG_GUARDED_BY(capture_mu_) = 0;
-  std::vector<uint64_t> samples_ CG_GUARDED_BY(capture_mu_);
 };
 
 // Exact quantile over raw samples (sorts a copy): the reference the

@@ -28,11 +28,4 @@ void BinnedQuantizer::Quantize(std::span<const float> xs, std::vector<int32_t>& 
   for (float x : xs) out.push_back(QuantizeOne(x));
 }
 
-void BinnedQuantizer::Dequantize(std::span<const int32_t> symbols,
-                                 std::vector<float>& out) const {
-  out.clear();
-  out.reserve(symbols.size());
-  for (int32_t s : symbols) out.push_back(DequantizeOne(s));
-}
-
 }  // namespace cachegen

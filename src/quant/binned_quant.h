@@ -33,7 +33,6 @@ class BinnedQuantizer {
   int32_t FromAlphabet(uint32_t a) const { return static_cast<int32_t>(a) - max_symbol_; }
 
   void Quantize(std::span<const float> xs, std::vector<int32_t>& out) const;
-  void Dequantize(std::span<const int32_t> symbols, std::vector<float>& out) const;
 
  private:
   double bin_width_;

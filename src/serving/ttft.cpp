@@ -46,17 +46,23 @@ TTFTBreakdown TTFTModel::CacheGen(size_t tokens, double bw_gbps, double gpu_shar
   b.quality = calib_.quality_per_level.at(static_cast<size_t>(level));
   b.prompt_s = cost_.PromptPassSeconds();
 
+  // Chunks go out back to back on one connection; each decode is ready once
+  // its chunk has arrived.
   const auto ranges = SplitIntoChunks(tokens, chunk_tokens_);
-  std::vector<double> tx(ranges.size()), dec(ranges.size());
+  std::vector<double> arrived(ranges.size()), dec(ranges.size());
   const double bytes_per_sec = bw_gbps * 1e9 / 8.0;
+  double decode_s = 0.0;
   for (size_t i = 0; i < ranges.size(); ++i) {
-    tx[i] = bytes_per_token * static_cast<double>(ranges[i].size()) / bytes_per_sec;
+    b.network_s +=
+        bytes_per_token * static_cast<double>(ranges[i].size()) / bytes_per_sec;
+    arrived[i] = b.network_s;
     dec[i] = cost_.DecodeSeconds(model_.RawKVBytes(ranges[i].size()), gpu_share);
+    decode_s += dec[i];
   }
-  const PipelineResult pr = PipelineTimeline(tx, dec);
-  b.network_s = pr.transfer_s;
-  b.decode_exposed_s = cost_.params().decode_setup_s +
-                       (pipelined ? pr.exposed_decode_s : pr.decode_s);
+  const std::vector<double> done = PipelineTimeline(arrived, dec);
+  const double exposed_s = done.empty() ? 0.0 : done.back() - b.network_s;
+  b.decode_exposed_s =
+      cost_.params().decode_setup_s + (pipelined ? exposed_s : decode_s);
   return b;
 }
 

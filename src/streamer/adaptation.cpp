@@ -48,24 +48,15 @@ AdaptDecision Adapter::Choose(const ContextPlan& plan, size_t next_chunk,
   // meets the SLO.
   for (const auto& [config, expected] : options) {
     if (expected <= remaining_s) {
-      return {config, expected, true, remaining_s - expected};
+      return {config, expected, true};
     }
   }
   // Nothing fits: minimize the damage (fastest configuration).
-  AdaptDecision best{options.front().first, options.front().second, false, 0.0};
+  AdaptDecision best{options.front().first, options.front().second, false};
   for (const auto& [config, expected] : options) {
-    if (expected < best.expected_remaining_s) best = {config, expected, false, 0.0};
+    if (expected < best.expected_remaining_s) best = {config, expected, false};
   }
   return best;
-}
-
-AdaptDecision Adapter::ChooseBase(const ContextPlan& plan, size_t next_chunk,
-                                  double throughput_bytes_per_s, double elapsed_s,
-                                  double gpu_share) const {
-  AdaptDecision d =
-      Choose(plan, next_chunk, throughput_bytes_per_s, elapsed_s, gpu_share);
-  if (!d.config.text && plan.HasLayered()) d.config.layered = true;
-  return d;
 }
 
 std::optional<size_t> Adapter::ChooseEnhancement(

@@ -35,9 +35,6 @@ struct AdaptDecision {
   StreamConfig config;
   double expected_remaining_s = 0.0;  // projected completion of all remaining work
   bool feasible = false;              // fit within the SLO's remaining time
-  // Projected SLO time left once all remaining base layers have landed —
-  // the budget an enhancement pass could spend (0 when infeasible).
-  double enhancement_slack_s = 0.0;
 };
 
 class Adapter {
@@ -54,14 +51,6 @@ class Adapter {
   AdaptDecision Choose(const ContextPlan& plan, size_t next_chunk,
                        double throughput_bytes_per_s, double elapsed_s,
                        double gpu_share = 1.0) const;
-
-  // Progressive (§9) base-pass decision: the same least-loss-within-deadline
-  // rule as Choose(), with a KV pick marked `layered` when the plan carries
-  // enhancement streams, and the projected post-base slack filled in so the
-  // caller knows how much budget an enhancement pass would have.
-  AdaptDecision ChooseBase(const ContextPlan& plan, size_t next_chunk,
-                           double throughput_bytes_per_s, double elapsed_s,
-                           double gpu_share = 1.0) const;
 
   // One enhanceable chunk after the base pass.
   struct EnhancementOption {

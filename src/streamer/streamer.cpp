@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "net/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -19,10 +20,7 @@ constexpr int kEnhancementSegments = 4;
 
 KVStreamer::KVStreamer(const CostModel& cost, const ModelConfig& model,
                        double slo_s, size_t num_levels)
-    : cost_(cost),
-      model_(model),
-      adapter_(cost_, model_, slo_s, num_levels),
-      num_levels_(num_levels) {}
+    : cost_(cost), model_(model), adapter_(cost_, model_, slo_s, num_levels) {}
 
 StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
                                 double gpu_share,
@@ -31,24 +29,31 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
                                 const StreamHooks* hooks) const {
   StreamResult result;
   const double t0 = link.now();
-  double gpu_free_s = t0;
   double measured_bytes_per_s =
       throughput_hint_gbps ? *throughput_hint_gbps * 1e9 / 8.0 : 0.0;
   const bool progressive = mode == StreamMode::kProgressive && plan.HasLayered();
+  const uint64_t track = obs::ScopedRequestId::Current();
 
-  // Per-event GPU accounting: post every GPU stage to the arbiter's lane and
-  // resolve the whole queue once at end of stream, so chunk transfers keep
-  // overlapping the GPU tail exactly as in the analytic model — only the
-  // share each item drains at becomes time-varying.
-  const bool lane = hooks && hooks->post_gpu && hooks->drain_gpu;
-  struct LaneItemRef {
-    size_t step_idx;
-    double arrival_s;
-    bool text;
-    bool enhancement;
-  };
-  std::vector<LaneItemRef> lane_items;
+  // The GPU lane (§6): every step but an aborted enhancement posts one GPU
+  // stage (a base chunk's decode or prefill, an applied enhancement's
+  // decode), ready when its transfer ends, and the whole lane is resolved
+  // once at end of stream, so chunk transfers overlap the GPU tail. With
+  // hooks the cluster arbiter drains it at the share in effect while each
+  // stage runs, so stages are priced at share 1 here; without, they are
+  // priced at the fixed `gpu_share`.
+  std::vector<double> gpu_ready_s;
+  std::vector<double> gpu_work_s;
+  gpu_ready_s.reserve(plan.chunks.size());
+  gpu_work_s.reserve(plan.chunks.size());
+  const double pricing_share = hooks ? 1.0 : gpu_share;
   const double decode_overhead_s = cost_.params().decode_call_overhead_s;
+  // `const_s` of the stage's seconds is per-call overhead, which a shared
+  // lane drains at rate 1 whatever the share.
+  const auto post_gpu = [&](double ready_s, double seconds, double const_s) {
+    gpu_ready_s.push_back(ready_s);
+    gpu_work_s.push_back(seconds);
+    if (hooks) hooks->post_gpu(ready_s, const_s, seconds - const_s);
+  };
 
   double quality_tokens = 0.0;
   double kv_tokens = 0.0;  // tokens delivered as KV bitstreams (not text)
@@ -66,13 +71,10 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
       // the only configuration.
       config = StreamConfig{true, kDefaultFirstLevel};
     } else if (measured_bytes_per_s > 0.0) {
-      const AdaptDecision d =
-          progressive
-              ? adapter_.ChooseBase(plan, i, measured_bytes_per_s,
-                                    link.now() - t0, gpu_share)
-              : adapter_.Choose(plan, i, measured_bytes_per_s, link.now() - t0,
-                                gpu_share);
+      const AdaptDecision d = adapter_.Choose(plan, i, measured_bytes_per_s,
+                                              link.now() - t0, gpu_share);
       config = d.config;
+      config.layered = progressive && !config.text;
     }
 
     StreamStep step;
@@ -80,10 +82,6 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
     step.config = config;
 
     const size_t tokens = chunk.range.size();
-    // Lane mode prices GPU work at share 1 here; the arbiter applies the
-    // per-event share while the item drains. The analytic path divides by
-    // the frozen admission share as before.
-    const double pricing_share = lane ? 1.0 : gpu_share;
     double gpu_seconds = 0.0;
     double tx_bytes = 0.0;
     if (config.text) {
@@ -101,32 +99,11 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
     step.tx_start_s = rec.start_s;
     step.tx_end_s = rec.end_s;
     step.bytes = tx_bytes;
-    step.observed_gbps = rec.ThroughputGbps();
-
-    const uint64_t track = obs::ScopedRequestId::Current();
-    if (lane) {
-      // Post the GPU stage to the flow's lane: the overhead part drains at
-      // rate 1, the compute part at the share in effect while it drains.
-      // gpu_done_s is back-filled from the drained instants at end of
-      // stream; the lifecycle span is emitted then too.
-      const double const_s = config.text ? 0.0 : decode_overhead_s;
-      const double shared_s = gpu_seconds - const_s;  // gpu_seconds at share 1
-      hooks->post_gpu(rec.end_s, const_s, shared_s);
-      lane_items.push_back({result.steps.size(), rec.end_s, config.text, false});
-      step.gpu_done_s = rec.end_s;  // provisional until the drain resolves it
-    } else {
-      // GPU stage: starts when the chunk has arrived and the GPU is free.
-      step.gpu_done_s = std::max(rec.end_s, gpu_free_s) + gpu_seconds;
-      gpu_free_s = step.gpu_done_s;
-      CG_TRACE_VSPAN("streamer",
-                     config.text ? "chunk_gpu_prefill" : "chunk_gpu_decode",
-                     track, std::max(rec.end_s, step.gpu_done_s - gpu_seconds),
-                     step.gpu_done_s);
-    }
+    post_gpu(rec.end_s, gpu_seconds, config.text ? 0.0 : decode_overhead_s);
 
     // Per-chunk lifecycle on the serving thread's request track: the
-    // transfer, then the GPU stage (prefill for text chunks, bitstream
-    // decode for KV chunks) that may lag it while the GPU drains peers.
+    // transfer here, the GPU stage (prefill for text chunks, bitstream
+    // decode for KV chunks) once the lane is resolved.
     CG_TRACE_VSPAN("streamer", config.text ? "chunk_tx_text" : "chunk_tx",
                    track, rec.start_s, rec.end_s, "bytes", tx_bytes);
     CG_METRIC_COUNT(config.text ? "streamer.chunks_text"
@@ -147,13 +124,9 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
     result.steps.push_back(step);
   }
 
-  result.load_finish_s = result.steps.empty() ? 0.0 : gpu_free_s - t0;
-  result.ttft_s = result.load_finish_s + cost_.PromptPassSeconds();
-  result.slo_violated = result.load_finish_s > adapter_.slo_s();
   const double total_tokens = static_cast<double>(plan.total_tokens);
   result.base_quality =
       plan.total_tokens ? quality_tokens / total_tokens : 1.0;
-  result.stream_finish_s = result.load_finish_s;
 
   // ---- enhancement pass: upgrade in quality-gain-per-byte order ----------
   double enhanced_tokens = 0.0;
@@ -210,38 +183,19 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
         step.aborted = true;
       }
       step.bytes = sent;
-      const double span_s = step.tx_end_s - step.tx_start_s;
-      step.observed_gbps = span_s > 0.0 ? sent * 8.0 / 1e9 / span_s : 0.0;
       result.bytes_sent += sent;
 
-      const uint64_t track = obs::ScopedRequestId::Current();
       CG_TRACE_VSPAN("streamer", "enh_tx", track, step.tx_start_s,
                      step.tx_end_s, "bytes", sent);
       if (step.aborted) {
-        step.gpu_done_s = step.tx_end_s;  // nothing applied
-        // The link was still held through the wasted segments.
-        result.stream_finish_s =
-            std::max(result.stream_finish_s, step.tx_end_s - t0);
         ++result.enhancements_aborted;
         CG_TRACE_VINSTANT("streamer", "enh_abort", track, step.tx_end_s);
         CG_METRIC_COUNT("streamer.enhancements_aborted", 1);
       } else {
         const size_t tokens = plan.chunks[opt.chunk_index].range.size();
-        const double gpu_seconds = cost_.DecodeSeconds(
-            model_.RawKVBytes(tokens), lane ? 1.0 : gpu_share);
-        if (lane) {
-          hooks->post_gpu(step.tx_end_s, decode_overhead_s,
-                          gpu_seconds - decode_overhead_s);
-          lane_items.push_back({result.steps.size(), step.tx_end_s, false, true});
-          step.gpu_done_s = step.tx_end_s;  // provisional
-        } else {
-          step.gpu_done_s = std::max(step.tx_end_s, gpu_free_s) + gpu_seconds;
-          gpu_free_s = step.gpu_done_s;
-          result.stream_finish_s =
-              std::max(result.stream_finish_s, gpu_free_s - t0);
-          CG_TRACE_VSPAN("streamer", "enh_gpu_decode", track,
-                         step.gpu_done_s - gpu_seconds, step.gpu_done_s);
-        }
+        post_gpu(step.tx_end_s,
+                 cost_.DecodeSeconds(model_.RawKVBytes(tokens), pricing_share),
+                 decode_overhead_s);
         quality_tokens += opt.gain_tokens;
         enhanced_tokens += static_cast<double>(tokens);
         ++result.enhancements_sent;
@@ -251,34 +205,43 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
     }
   }
 
-  // ---- lane resolution: back-fill per-event-priced GPU completions -------
-  if (lane && !lane_items.empty()) {
-    const std::vector<double> done = hooks->drain_gpu();
-    const size_t n = std::min(done.size(), lane_items.size());
-    const uint64_t track = obs::ScopedRequestId::Current();
+  // ---- GPU lane resolution: back-fill every posted stage -----------------
+  if (!gpu_work_s.empty()) {
+    const std::vector<double> done =
+        hooks ? hooks->drain_gpu()
+              : PipelineTimeline(gpu_ready_s, gpu_work_s, t0);
     double prev_done = t0;
-    for (size_t i = 0; i < n; ++i) {
-      const LaneItemRef& it = lane_items[i];
-      StreamStep& step = result.steps[it.step_idx];
+    size_t i = 0;
+    for (StreamStep& step : result.steps) {
+      if (step.aborted) {
+        // Nothing applied, so no stage was posted; the link was still held
+        // through the wasted segments.
+        step.gpu_done_s = step.tx_end_s;
+        result.stream_finish_s =
+            std::max(result.stream_finish_s, step.tx_end_s - t0);
+        continue;
+      }
+      if (i == done.size()) break;
       step.gpu_done_s = done[i];
-      // The true GPU occupancy span: from when the item reached the lane
-      // head (chunk arrived and the previous stage finished) to its drained
-      // completion — possibly longer than the share-1 duration when peers
-      // held the GPU part-way.
+      // The GPU occupancy span: from when the stage reached the lane head
+      // (its chunk arrived and the previous stage finished) to its
+      // completion; on a shared lane possibly longer than its share-1
+      // seconds, when peers held the GPU part-way.
       CG_TRACE_VSPAN("streamer",
-                     it.enhancement
-                         ? "enh_gpu_decode"
-                         : (it.text ? "chunk_gpu_prefill" : "chunk_gpu_decode"),
-                     track, std::max(it.arrival_s, prev_done), done[i]);
+                     step.enhancement ? "enh_gpu_decode"
+                     : step.config.text ? "chunk_gpu_prefill"
+                                        : "chunk_gpu_decode",
+                     track, std::max(gpu_ready_s[i], prev_done), done[i]);
       prev_done = done[i];
-      // The base pass makes every chunk usable; the last base item is the
+      // The base pass makes every chunk usable; its last stage is the
       // load-finish instant. Enhancements only extend the stream tail.
-      if (!it.enhancement) result.load_finish_s = done[i] - t0;
+      if (!step.enhancement) result.load_finish_s = done[i] - t0;
       result.stream_finish_s = std::max(result.stream_finish_s, done[i] - t0);
+      ++i;
     }
-    result.ttft_s = result.load_finish_s + cost_.PromptPassSeconds();
-    result.slo_violated = result.load_finish_s > adapter_.slo_s();
   }
+  result.ttft_s = result.load_finish_s + cost_.PromptPassSeconds();
+  result.slo_violated = result.load_finish_s > adapter_.slo_s();
 
   result.quality = plan.total_tokens ? quality_tokens / total_tokens : 1.0;
   if (plan.total_tokens && progressive) {

@@ -26,7 +26,6 @@ struct StreamStep {
   double tx_end_s = 0.0;
   double gpu_done_s = 0.0;   // chunk decoded (KV) or prefilled (text)
   double bytes = 0.0;
-  double observed_gbps = 0.0;
   // Progressive delivery: this step shipped an enhancement layer on top of
   // an already-delivered base (aborted = cut off mid-transfer because the
   // measured throughput collapsed, or completed past the SLO window and
@@ -57,17 +56,17 @@ struct StreamResult {
   size_t enhancements_aborted = 0;
 };
 
-// Optional per-event GPU accounting: the cluster wires one stream's GPU
-// stages into its SharedLink lane. When both are set, each chunk's GPU stage
-// (decode or prefill) is posted as a lane work item — `const_s` drains at
-// rate 1 (per-call overhead), `shared_s` at the share in effect while it
-// drains — instead of being priced analytically at the frozen `gpu_share`
-// argument (which then only seeds the adapter's decision heuristics).
+// Per-event GPU accounting: the cluster wires one stream's GPU lane into its
+// SharedLink. With hooks, both must be set: each GPU stage (a chunk's decode
+// or prefill, an applied enhancement's decode) is posted right after its
+// transfer as a lane work item — `const_s` drains at rate 1 (per-call
+// overhead), `shared_s` at the share in effect while it drains — and
 // `drain_gpu` parks until the lane is empty and returns the completion
-// instant of every posted item in post order; the streamer back-fills
-// per-step gpu_done_s, load_finish and the GPU lifecycle spans from it.
-// Empty (or null) hooks reproduce the standalone analytic timeline bit for
-// bit.
+// instant of every posted item in post order. The `gpu_share` argument then
+// only seeds the adapter's decision heuristics. Without hooks, the lane
+// resolves at the fixed `gpu_share` (PipelineTimeline). Either way the
+// streamer back-fills per-step gpu_done_s, load_finish and the GPU lifecycle
+// spans from the completion instants.
 struct StreamHooks {
   std::function<void(double arrival_s, double const_s, double shared_s)> post_gpu;
   std::function<std::vector<double>()> drain_gpu;
@@ -108,7 +107,6 @@ class KVStreamer {
   const CostModel& cost_;
   ModelConfig model_;
   Adapter adapter_;
-  size_t num_levels_;
 };
 
 }  // namespace cachegen

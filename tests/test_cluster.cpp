@@ -141,25 +141,37 @@ TEST(SchedulerPolicy, PolicyPicksMatchTheirObjectives) {
   const ClusterRequest a = MakeReq(0, 0.0, 9000, 10.0);  // early, long, lax
   const ClusterRequest b = MakeReq(1, 0.5, 1000, 9.0);   // later, short
   const ClusterRequest c = MakeReq(2, 0.8, 5000, 0.5);   // latest, tight SLO
-  const std::vector<const ClusterRequest*> cands = {&a, &b, &c};
+  const auto first_pick = [&](SchedulerPolicyKind kind) {
+    RequestQueue queue({a, b, c});
+    return queue.PopReady(kind, 1.0).id;
+  };
+  EXPECT_EQ(first_pick(SchedulerPolicyKind::kFifo), 0u);
+  EXPECT_EQ(first_pick(SchedulerPolicyKind::kShortestLoadFirst), 1u);
+  // deadline 0.8 + 0.5 = 1.3, earliest
+  EXPECT_EQ(first_pick(SchedulerPolicyKind::kSloDeadlineFirst), 2u);
+}
 
-  EXPECT_EQ(MakeSchedulerPolicy(SchedulerPolicyKind::kFifo)->Pick(cands, 1.0), 0u);
-  EXPECT_EQ(
-      MakeSchedulerPolicy(SchedulerPolicyKind::kShortestLoadFirst)->Pick(cands, 1.0),
-      1u);
-  EXPECT_EQ(
-      MakeSchedulerPolicy(SchedulerPolicyKind::kSloDeadlineFirst)->Pick(cands, 1.0),
-      2u);  // deadline 0.8 + 0.5 = 1.3, earliest
+TEST(SchedulerPolicy, EqualKeysAdmitTheLowerIdFirst) {
+  // Same arrival, length and SLO: every policy falls back to the id.
+  const ClusterRequest a = MakeReq(3, 1.0, 2000, 1.0);
+  const ClusterRequest b = MakeReq(7, 1.0, 2000, 1.0);
+  for (const SchedulerPolicyKind kind :
+       {SchedulerPolicyKind::kFifo, SchedulerPolicyKind::kShortestLoadFirst,
+        SchedulerPolicyKind::kSloDeadlineFirst}) {
+    EXPECT_TRUE(AdmitsBefore(kind, a, b)) << SchedulerPolicyName(kind);
+    EXPECT_FALSE(AdmitsBefore(kind, b, a)) << SchedulerPolicyName(kind);
+    EXPECT_FALSE(AdmitsBefore(kind, a, a)) << SchedulerPolicyName(kind);
+  }
 }
 
 TEST(RequestQueue, PopReadyOnlyConsidersArrived) {
   RequestQueue queue({MakeReq(0, 0.0, 100, 1), MakeReq(1, 5.0, 50, 1)});
-  const auto policy = MakeSchedulerPolicy(SchedulerPolicyKind::kShortestLoadFirst);
+  const SchedulerPolicyKind slf = SchedulerPolicyKind::kShortestLoadFirst;
   // At t=1 only request 0 is eligible even though 1 is shorter.
-  const ClusterRequest first = queue.PopReady(*policy, 1.0);
+  const ClusterRequest first = queue.PopReady(slf, 1.0);
   EXPECT_EQ(first.id, 0u);
   EXPECT_EQ(queue.NextArrival(), 5.0);
-  const ClusterRequest second = queue.PopReady(*policy, 6.0);
+  const ClusterRequest second = queue.PopReady(slf, 6.0);
   EXPECT_EQ(second.id, 1u);
   EXPECT_TRUE(queue.Empty());
 }

@@ -106,39 +106,46 @@ TEST(Link, SendAcrossBandwidthDrop) {
 }
 
 TEST(Pipeline, NoDecodeEqualsTransfer) {
-  const std::vector<double> tx = {1.0, 1.0, 1.0};
+  const std::vector<double> ready = {1.0, 2.0, 3.0};
   const std::vector<double> dec = {0.0, 0.0, 0.0};
-  const PipelineResult r = PipelineTimeline(tx, dec);
-  EXPECT_DOUBLE_EQ(r.total_s, 3.0);
-  EXPECT_DOUBLE_EQ(r.exposed_decode_s, 0.0);
+  EXPECT_EQ(PipelineTimeline(ready, dec), ready);
 }
 
 TEST(Pipeline, DecodeHiddenWhenFasterThanTransfer) {
-  // Decode of chunk i overlaps transfer of chunk i+1: only the last chunk's
-  // decode is exposed.
-  const std::vector<double> tx = {1.0, 1.0, 1.0, 1.0};
+  // Decode of chunk i overlaps transfer of chunk i+1: every decode starts
+  // on arrival, so only the last chunk's decode is exposed.
+  const std::vector<double> ready = {1.0, 2.0, 3.0, 4.0};
   const std::vector<double> dec = {0.2, 0.2, 0.2, 0.2};
-  const PipelineResult r = PipelineTimeline(tx, dec);
-  EXPECT_NEAR(r.total_s, 4.2, 1e-12);
-  EXPECT_NEAR(r.exposed_decode_s, 0.2, 1e-12);
-  EXPECT_DOUBLE_EQ(r.sequential_s, 4.8);
+  const std::vector<double> done = PipelineTimeline(ready, dec);
+  ASSERT_EQ(done.size(), 4u);
+  for (size_t i = 0; i < done.size(); ++i) {
+    EXPECT_DOUBLE_EQ(done[i], ready[i] + 0.2);
+  }
 }
 
 TEST(Pipeline, DecodeBoundWhenSlowerThanTransfer) {
-  const std::vector<double> tx = {0.1, 0.1, 0.1};
+  const std::vector<double> ready = {0.1, 0.2, 0.3};
   const std::vector<double> dec = {1.0, 1.0, 1.0};
-  const PipelineResult r = PipelineTimeline(tx, dec);
-  EXPECT_NEAR(r.total_s, 0.1 + 3.0, 1e-12);
+  EXPECT_NEAR(PipelineTimeline(ready, dec).back(), 0.1 + 3.0, 1e-12);
 }
 
 TEST(Pipeline, ChunkReadyTimesMonotone) {
-  const std::vector<double> tx = {0.5, 0.2, 0.9};
+  const std::vector<double> ready = {0.5, 0.7, 1.6};
   const std::vector<double> dec = {0.3, 0.4, 0.1};
-  const PipelineResult r = PipelineTimeline(tx, dec);
-  ASSERT_EQ(r.chunk_ready_s.size(), 3u);
-  EXPECT_LT(r.chunk_ready_s[0], r.chunk_ready_s[1]);
-  EXPECT_LT(r.chunk_ready_s[1], r.chunk_ready_s[2]);
-  EXPECT_DOUBLE_EQ(r.chunk_ready_s.back(), r.total_s);
+  const std::vector<double> done = PipelineTimeline(ready, dec);
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_LT(done[0], done[1]);
+  EXPECT_LT(done[1], done[2]);
+  // The second decode waits for the first; the third starts on arrival.
+  EXPECT_NEAR(done[1], 0.8 + 0.4, 1e-12);
+  EXPECT_NEAR(done[2], 1.7, 1e-12);
+}
+
+TEST(Pipeline, StartDelaysEarlyStages) {
+  // A GPU busy until t=5 holds stages that arrived before then.
+  const std::vector<double> ready = {1.0, 7.0};
+  const std::vector<double> dec = {1.0, 1.0};
+  EXPECT_EQ(PipelineTimeline(ready, dec, 5.0), (std::vector<double>{6.0, 8.0}));
 }
 
 TEST(Pipeline, MismatchThrows) {
@@ -147,8 +154,7 @@ TEST(Pipeline, MismatchThrows) {
 }
 
 TEST(Pipeline, EmptyIsZero) {
-  const PipelineResult r = PipelineTimeline({}, {});
-  EXPECT_DOUBLE_EQ(r.total_s, 0.0);
+  EXPECT_TRUE(PipelineTimeline({}, {}).empty());
 }
 
 }  // namespace

@@ -76,20 +76,17 @@ TEST(HistBuckets, BucketsAreAtMost12Point5PercentWide) {
 
 // ---- quantile estimates vs exact quantiles ----------------------------------
 
-// Records `samples` into a histogram with exact capture on and checks the
-// bucketed p50/p95/p99 against the exact nearest-rank quantiles: within 10%
+// Records `samples` into a histogram and checks the bucketed p50/p95/p99
+// against the exact nearest-rank quantiles of the same samples: within 10%
 // relative (bucket midpoints are within ~6.7%) plus a small absolute slack
 // for the unit buckets.
 void CheckQuantiles(const std::vector<uint64_t>& samples, const char* what) {
   Histogram h;
-  h.EnableExactCapture(samples.size());
   for (uint64_t v : samples) h.Record(v);
   const HistogramSnapshot snap = h.Snapshot();
   ASSERT_EQ(snap.count, samples.size());
-  const std::vector<uint64_t> captured = h.ExactSamples();
-  ASSERT_EQ(captured.size(), samples.size());
   for (double q : {0.50, 0.95, 0.99}) {
-    const double exact = ExactQuantile(captured, q);
+    const double exact = ExactQuantile(samples, q);
     const double est = snap.Quantile(q);
     EXPECT_NEAR(est, exact, exact * 0.10 + 1.0)
         << what << " q=" << q << " exact=" << exact << " est=" << est;

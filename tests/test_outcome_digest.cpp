@@ -15,7 +15,9 @@
 // on OS scheduling (the timing-dependent corners in cluster_server.h).
 //
 // Two more digests pin the bytes Engine::StoreKV persists (StoredBytesDigest),
-// and one pins what Engine bring-up computes (CalibrationDigest).
+// one pins what Engine bring-up computes (CalibrationDigest), and two pin the
+// fixed-share GPU timeline of private-link streams and of TTFTModel
+// (StreamTimelineDigest).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -24,6 +26,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,10 +34,14 @@
 #include "cluster/cluster_server.h"
 #include "common/sha256.h"
 #include "fabric/cache_fabric.h"
+#include "llm/cost_model.h"
+#include "net/link.h"
 #include "prefix/prefix_cache.h"
 #include "self_exec.h"
+#include "serving/ttft.h"
 #include "storage/sharded_kv_store.h"
 #include "storage/tiered_kv_store.h"
+#include "streamer/streamer.h"
 #include "workload/prefix_trace.h"
 
 namespace cachegen {
@@ -361,6 +368,196 @@ TEST(StoredBytesDigest, PrefixFamilySkipsCoveredChunks) {
   }
   EXPECT_EQ(StoredDigest(engine, members),
             "cbf410ba6ba8bb448d759ce71469d2266a68726712b8a1d62f5fd922d523b576");
+}
+
+// ---- Fixed-share GPU timelines ----------------------------------------------
+// One SHA-256 over every StreamStep and StreamResult field (doubles by bit
+// pattern) of KVStreamer::Stream over private links, and one over every
+// TTFTBreakdown field of TTFTModel::CacheGen and CacheGenAuto. Both price GPU
+// work at a fixed share with the §6 transfer/decode pipeline; a change to how
+// that timeline is computed must leave both digests unchanged.
+
+// Per-level base and enhancement sizes at the real Mistral-7B geometry; the
+// last chunk is partial unless `tokens` is a multiple of the chunk size.
+ContextPlan TimelinePlan(size_t tokens, bool layered) {
+  const ModelConfig m = ModelConfig::Preset("mistral-7b");
+  const std::vector<double> bits = {3.2, 2.3, 1.7, 1.2};
+  const std::vector<double> enh_bits = {1.2, 1.6, 2.0, 2.4};
+  ContextPlan plan;
+  plan.total_tokens = tokens;
+  plan.quality_per_level = {0.995, 0.98, 0.93, 0.85};
+  if (layered) plan.quality_enhanced_per_level = {0.999, 0.997, 0.99, 0.97};
+  for (const ChunkRange& range : SplitIntoChunks(tokens)) {
+    ChunkPlan cp;
+    cp.range = range;
+    const double raw = m.RawKVBytes(range.size()) / 16.0;
+    for (const double b : bits) cp.bytes_per_level.push_back(raw * b);
+    if (layered) {
+      for (const double b : enh_bits) cp.enh_bytes_per_level.push_back(raw * b);
+    }
+    plan.chunks.push_back(std::move(cp));
+  }
+  return plan;
+}
+
+// Every StreamStep and StreamResult field, in declaration order.
+void HashStream(Sha256& h, const StreamResult& r) {
+  const auto f64 = [&h](double v) { h.UpdateU64(std::bit_cast<uint64_t>(v)); };
+  h.UpdateU64(r.steps.size());
+  for (const StreamStep& s : r.steps) {
+    h.UpdateU64(s.chunk_index);
+    h.UpdateU32(s.config.text ? 1u : 0u);
+    h.UpdateU64(static_cast<uint64_t>(static_cast<int64_t>(s.config.level_id)));
+    h.UpdateU32(s.config.layered ? 1u : 0u);
+    f64(s.tx_start_s);
+    f64(s.tx_end_s);
+    f64(s.gpu_done_s);
+    f64(s.bytes);
+    h.UpdateU32((s.enhancement ? 1u : 0u) | (s.aborted ? 2u : 0u));
+  }
+  f64(r.load_finish_s);
+  f64(r.ttft_s);
+  h.UpdateU32(r.slo_violated ? 1u : 0u);
+  f64(r.quality);
+  f64(r.bytes_sent);
+  f64(r.base_quality);
+  f64(r.stream_finish_s);
+  f64(r.base_token_fraction);
+  f64(r.enhanced_token_fraction);
+  h.UpdateU64(r.enhancements_sent);
+  h.UpdateU64(r.enhancements_aborted);
+}
+
+TEST(StreamTimelineDigest, PrivateLinkStreams) {
+  const CostModel cost;
+  const ModelConfig model = ModelConfig::Preset("mistral-7b");
+  struct TraceCase {
+    BandwidthTrace trace;
+    double start_s;
+  };
+  const std::vector<TraceCase> traces = {
+      {BandwidthTrace::Constant(3.0), 0.0},
+      {BandwidthTrace::Figure7(), 0.0},
+      {BandwidthTrace::Random(0x5EED, 0.1, 10.0, 0.5, 60.0), 0.0},
+      // Low bandwidth, joined after the link has been up for a while.
+      {BandwidthTrace::FromSegments({{0.0, 4.0}, {1.0, 0.3}, {5.0, 0.1}}), 2.5},
+  };
+  // One chunk, a partial last chunk, and many chunks; each with and without
+  // layered data.
+  std::vector<ContextPlan> plans;
+  for (const size_t tokens : {1500u, 4000u, 15000u}) {
+    for (const bool layered : {false, true}) {
+      plans.push_back(TimelinePlan(tokens, layered));
+    }
+  }
+  const std::vector<std::optional<double>> hints = {std::nullopt, 0.1, 20.0};
+
+  Sha256 h;
+  size_t streams = 0, violated = 0, enhanced = 0, aborted = 0, text = 0;
+  size_t gpu_queued = 0, gpu_idle = 0;
+  for (const double slo : {0.3, 1.0, 4.0}) {
+    const KVStreamer streamer(cost, model, slo, 4);
+    for (const ContextPlan& plan : plans) {
+      for (const TraceCase& tc : traces) {
+        for (const bool throttled : {false, true}) {
+          for (const double share : {1.0, 0.5, 0.25}) {
+            for (const std::optional<double>& hint : hints) {
+              for (const StreamMode mode :
+                   {StreamMode::kAdaptive, StreamMode::kProgressive}) {
+                for (const size_t limit : {SIZE_MAX, size_t{0}, size_t{1}, size_t{3}}) {
+                  Link link(tc.trace, tc.start_s);
+                  std::optional<ThrottledLink> cold;
+                  if (throttled) cold.emplace(link, 1.5, 0.02);
+                  Link& path = throttled ? static_cast<Link&>(*cold) : link;
+                  const StreamResult r =
+                      streamer.Stream(plan, path, share, hint, mode, limit);
+                  HashStream(h, r);
+                  ++streams;
+                  if (r.slo_violated) ++violated;
+                  enhanced += r.enhancements_sent;
+                  aborted += r.enhancements_aborted;
+                  for (size_t i = 0; i < r.steps.size(); ++i) {
+                    if (r.steps[i].config.text) ++text;
+                    if (i == 0) continue;
+                    // Whether the GPU was still busy when this step arrived.
+                    if (r.steps[i - 1].gpu_done_s > r.steps[i].tx_end_s) {
+                      ++gpu_queued;
+                    } else {
+                      ++gpu_idle;
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(streams, 10368u);
+  EXPECT_GT(violated, 0u);
+  EXPECT_LT(violated, streams);
+  EXPECT_GT(enhanced, 0u);
+  EXPECT_GT(aborted, 0u);
+  EXPECT_GT(text, 0u);
+  EXPECT_GT(gpu_queued, 0u);
+  EXPECT_GT(gpu_idle, 0u);
+  EXPECT_EQ(Sha256Hex(h.Finish()),
+            "877617c7bd183137f31ef202417144cf8bc1b776e8369ad40c1f5fb5f379d403");
+}
+
+TEST(StreamTimelineDigest, TtftModelCacheGen) {
+  const CostModel cost;
+  const ModelConfig model = ModelConfig::Preset("mistral-7b");
+  CodecCalibration calib;
+  for (const double bits : {3.2, 2.3, 1.7, 1.2}) {
+    calib.bytes_per_token_per_level.push_back(model.RawKVBytes(1) / 16.0 * bits);
+  }
+  calib.quality_per_level = {0.995, 0.98, 0.93, 0.85};
+
+  Sha256 h;
+  const auto hash = [&h](const TTFTBreakdown& b) {
+    const auto f64 = [&h](double v) { h.UpdateU64(std::bit_cast<uint64_t>(v)); };
+    f64(b.network_s);
+    f64(b.compute_s);
+    f64(b.decode_exposed_s);
+    f64(b.dequant_s);
+    f64(b.prompt_s);
+    f64(b.bytes);
+    f64(b.quality);
+  };
+  size_t points = 0, auto_text = 0, auto_kv = 0, hidden = 0;
+  for (const size_t chunk_tokens : {size_t{1500}, size_t{256}}) {
+    const TTFTModel ttft(cost, model, calib, chunk_tokens);
+    for (const size_t tokens : {0u, 700u, 1500u, 5000u, 20000u}) {
+      for (const double bw : {0.2, 1.0, 3.0, 10.0}) {
+        for (const double share : {1.0, 0.5, 0.25}) {
+          for (int level = 0; level < 4; ++level) {
+            const TTFTBreakdown piped = ttft.CacheGen(tokens, bw, share, level);
+            const TTFTBreakdown serial =
+                ttft.CacheGen(tokens, bw, share, level, /*pipelined=*/false);
+            const TTFTBreakdown best = ttft.CacheGenAuto(tokens, bw, share, level);
+            hash(piped);
+            hash(serial);
+            hash(best);
+            points += 3;
+            if (piped.decode_exposed_s < serial.decode_exposed_s) ++hidden;
+            if (best.compute_s > 0.0) {
+              ++auto_text;
+            } else {
+              ++auto_kv;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 1440u);
+  EXPECT_GT(auto_text, 0u);
+  EXPECT_GT(auto_kv, 0u);
+  EXPECT_GT(hidden, 0u);
+  EXPECT_EQ(Sha256Hex(h.Finish()),
+            "dd70e5156372f0d8db5c60597748fe0e9da64fdb59f44d07b869e0c321d4a735");
 }
 
 // ---- What Engine bring-up computes ------------------------------------------

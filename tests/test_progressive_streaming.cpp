@@ -90,27 +90,47 @@ TEST(AdapterEnhancement, NothingFitsReturnsNullopt) {
   EXPECT_THROW(adapter.ChooseEnhancement(opts, 0.0, 0.0), std::invalid_argument);
 }
 
-TEST(AdapterEnhancement, ChooseBaseMarksLayeredAndReportsSlack) {
-  const CostModel cost;
-  const ModelConfig m = ModelConfig::Preset("mistral-7b");
-  const Adapter adapter(cost, m, /*slo_s=*/0.8, 4);
-  const ContextPlan plan = MakeLayeredPlan(4);
-  const AdaptDecision d = adapter.ChooseBase(plan, 0, 20e9 / 8.0, 0.0);
-  EXPECT_FALSE(d.config.text);
-  EXPECT_TRUE(d.config.layered);
-  EXPECT_TRUE(d.feasible);
-  EXPECT_GT(d.enhancement_slack_s, 0.0);
-  // Without layered data, the same pick is not marked layered.
-  ContextPlan bare = plan;
-  bare.quality_enhanced_per_level.clear();
-  const AdaptDecision b = adapter.ChooseBase(bare, 0, 20e9 / 8.0, 0.0);
-  EXPECT_FALSE(b.config.layered);
-  EXPECT_EQ(b.config.level_id, d.config.level_id);
-}
-
 // ---------------------------------------------------------------------------
 // KVStreamer: the two-pass progressive timeline.
 // ---------------------------------------------------------------------------
+
+TEST(ProgressiveStreamer, MarksKVBasePicksLayered) {
+  const CostModel cost;
+  const ModelConfig m = ModelConfig::Preset("mistral-7b");
+  const ContextPlan plan = MakeLayeredPlan(4);
+  const auto trace = BandwidthTrace::Constant(20.0);
+  const KVStreamer streamer(cost, m, /*slo_s=*/0.8, 4);
+
+  // With a throughput hint every cached chunk's pick is the adapter's (here
+  // KV for chunk 0, text for chunks 1 and 2); the last chunk is uncached, so
+  // it ships as text.
+  Link lp(trace);
+  const StreamResult layered = streamer.Stream(
+      plan, lp, 1.0, 20.0, StreamMode::kProgressive, /*kv_chunk_limit=*/3);
+  ASSERT_GE(layered.steps.size(), plan.chunks.size());
+  size_t kv = 0;
+  for (size_t i = 0; i < plan.chunks.size(); ++i) {
+    const StreamConfig& c = layered.steps[i].config;
+    EXPECT_EQ(c.layered, !c.text) << "chunk " << i;
+    if (!c.text) ++kv;
+  }
+  EXPECT_GT(kv, 0u);
+  EXPECT_TRUE(layered.steps[3].config.text);
+
+  // Without layered data, the same stream makes the same picks and marks
+  // none of them layered.
+  ContextPlan bare = plan;
+  bare.quality_enhanced_per_level.clear();
+  Link lb(trace);
+  const StreamResult plain = streamer.Stream(
+      bare, lb, 1.0, 20.0, StreamMode::kProgressive, /*kv_chunk_limit=*/3);
+  ASSERT_EQ(plain.steps.size(), plan.chunks.size());
+  for (size_t i = 0; i < plan.chunks.size(); ++i) {
+    EXPECT_FALSE(plain.steps[i].config.layered) << "chunk " << i;
+    EXPECT_EQ(plain.steps[i].config.text, layered.steps[i].config.text);
+    EXPECT_EQ(plain.steps[i].config.level_id, layered.steps[i].config.level_id);
+  }
+}
 
 TEST(ProgressiveStreamer, BasePassMatchesAdaptiveAndEnhancesWithSlack) {
   // SLO below text-recompute time so the adapter must pick KV levels; ample
