@@ -111,10 +111,6 @@ class CacheFabric::NodeView final : public KVStore, public CacheTier {
   }
   void Flush() override { local_tier().Flush(); }
   KVStore& kv() override { return *this; }
-  const ShardedKVStore* hot_tier() const override {
-    return local_tier().hot_tier();
-  }
-  const TieredKVStore* tiered() const override { return local_tier().tiered(); }
 
  private:
   CacheTier& local_tier() const { return *fab_->nodes_[node_].store; }
@@ -293,14 +289,6 @@ void CacheFabric::AbortStore(const std::string& context_id) {
 
 void CacheFabric::Flush() {
   for (Node& node : nodes_) node.tier->Flush();
-}
-
-const ShardedKVStore* CacheFabric::hot_tier() const {
-  return nodes_[0].store->hot_tier();
-}
-
-const TieredKVStore* CacheFabric::tiered() const {
-  return nodes_[0].store->tiered();
 }
 
 const PrefixCache* CacheFabric::prefix() const {

@@ -35,10 +35,10 @@
 // hashing throughout, no RNG, no wall-clock. Reruns are bit-identical (CI
 // gates on it).
 //
-// Lock order: a node's PrefixCache mu_ -> fabric dir_mu_ -> node store
-// locks. NodeViews are only ever called from inside their own node's
-// prefix layer (or the fabric's own routing, which holds no lock), and
-// node stores never call upward, so the order is acyclic.
+// Locks: storage/cache_tier.h states the order. NodeViews are only ever
+// called from inside their own node's prefix layer (or the fabric's own
+// routing, which holds no lock); a node's prefix layer reaches other nodes'
+// stores, never their prefix layers, and node stores never call upward.
 #pragma once
 
 #include <atomic>
@@ -61,8 +61,6 @@ class Counter;
 }  // namespace cachegen::obs
 
 namespace cachegen {
-
-class TieredKVStore;
 
 class CacheFabric final : public KVStore, public CacheTier {
  public:
@@ -139,8 +137,6 @@ class CacheFabric final : public KVStore, public CacheTier {
   void AbortStore(const std::string& context_id) override;
   void Flush() override;
   KVStore& kv() override { return *this; }
-  const ShardedKVStore* hot_tier() const override;
-  const TieredKVStore* tiered() const override;
   const PrefixCache* prefix() const override;
 
   // Routing (deterministic; exposed so tests and benches can predict
@@ -197,8 +193,7 @@ class CacheFabric final : public KVStore, public CacheTier {
   HashRing ring_;
   std::vector<Node> nodes_;
 
-  // Guards only the chunk directory; per-node stores have their own locks
-  // (lock order: node PrefixCache mu_ -> dir_mu_ -> node store locks).
+  // Guards only the chunk directory; per-node stores have their own locks.
   mutable Mutex dir_mu_;
   std::unordered_map<std::string, DirEntry> dir_ CG_GUARDED_BY(dir_mu_);
 

@@ -21,11 +21,6 @@ struct TransferRecord {
   double bytes = 0.0;
 
   double Seconds() const { return end_s - start_s; }
-  // Observed goodput in Gbps.
-  double ThroughputGbps() const {
-    const double dt = Seconds();
-    return dt > 0.0 ? bytes * 8.0 / 1e9 / dt : 0.0;
-  }
 };
 
 class Link {

@@ -74,7 +74,6 @@ inline constexpr const char* kMetricNames[] = {
     "prefix.zombie_deferrals",
     "prefix.zombie_reclaims",
     "storage.cold_evictions",
-    "storage.demotion_drops",
     "storage.demotions",
     "storage.pending_demotion_bytes",
     "storage.promotions",

@@ -80,7 +80,6 @@ void PrefixCache::EraseChunkLocked(const std::string& cas_id) {
   unique_bytes_ -= it->second.bytes;
   CG_METRIC_GAUGE_SET("prefix.unique_bytes", unique_bytes_);
   chunks_.erase(it);
-  // Lock order is prefix mu_ -> inner locks; the inner tier never calls back.
   inner_->kv().EraseContext(cas_id);
 }
 
@@ -431,134 +430,76 @@ uint64_t PrefixCache::ContextBytes(const std::string& context_id) const {
 TierLookup PrefixCache::LookupAndPin(const std::string& context_id,
                                      const ContextSpec& spec, double t_s) {
   // Covers both the registered-context fast path and the radix
-  // longest-prefix walk over the unregistered path.
-  //
-  // The per-chunk inner lookups (which, behind a tiered inner, may promote a
-  // cold chunk — real I/O) deliberately run OUTSIDE mu_ so a cold-promoted
-  // covered chunk no longer serializes every concurrent prefix-layer
-  // operation behind its promotion. Three phases:
-  //   1. (mu_ held)  resolve the candidate chunk run and PRE-PIN each entry —
-  //      the pre-pin makes a concurrent eviction defer erasure (the zombie
-  //      rule), so the cas entries and their bytes survive the unlocked gap;
-  //   2. (unlocked)  per-chunk inner LookupAndPin, coverage ends at the first
-  //      chunk whose bytes the inner tier genuinely lost;
-  //   3. (mu_ held)  reconcile: pre-pins past the covered run are backed out
-  //      (reclaiming any chunk that went zombie under us, invalidating the
-  //      stale entry the inner tier lost), the covered run's pre-pins become
-  //      the lookup's real pins, and the outcome is classified against the
-  //      post-gap context state.
+  // longest-prefix walk over the unregistered path. The per-chunk inner
+  // lookups (which, behind a tiered inner, may promote a cold chunk) run
+  // under mu_, as PutBatch's inner writes do, so no chunk can be evicted
+  // and no registration can change between resolving the run and pinning it.
   CG_TRACE_SPAN("prefix", "radix_lookup");
+  MutexLock lock(mu_);
   TierLookup out;
-  mu_.lock();
-
-  bool registered = contexts_.count(context_id) > 0;
+  const auto it = contexts_.find(context_id);
+  const bool registered = it != contexts_.end();
+  std::vector<ChunkRange> grid;
+  std::vector<std::string> matched;
   if (!registered) {
     // Unregistered id. It may still exist as an opaque pass-through context
-    // in the inner tier (direct users); that probe can also be cold I/O, so
-    // it too runs unlocked.
-    mu_.unlock();
+    // in the inner tier (direct users).
     const TierLookup raw = inner_->LookupAndPin(context_id, spec, t_s);
-    mu_.lock();
     if (raw.pinned) {
       PinRecord rec;
       rec.raw = true;
       pin_records_[context_id].push_back(std::move(rec));
       ++full_hits_;
       CG_METRIC_COUNT("prefix.full_hits", 1);
-      mu_.unlock();
       return raw;
     }
-    // A concurrent write-back may have registered the id during the probe.
-    registered = contexts_.count(context_id) > 0;
-  }
-
-  // Phase 1: candidate run + pre-pins.
-  std::vector<std::string> candidates;
-  std::vector<ChunkRange> cand_ranges;
-  if (registered) {
-    const ContextEntry& entry = contexts_.at(context_id);
-    out.total_chunks = entry.cas_ids.size();
-    candidates = entry.cas_ids;
-    cand_ranges = entry.ranges;
-  } else {
-    const std::vector<uint32_t> tokens = ContextTokenIds(spec);
-    const size_t match_tokens = index_.LongestPrefixTokens(tokens);
-    const auto ranges = SplitIntoChunks(spec.num_tokens, opts_.chunk_tokens);
-    out.total_chunks = ranges.size();
+    grid = SplitIntoChunks(spec.num_tokens, opts_.chunk_tokens);
+    const size_t match_tokens =
+        index_.LongestPrefixTokens(ContextTokenIds(spec));
     // Longest cached CHUNK-ALIGNED prefix: a match ending mid-chunk cannot
     // be served (bitstreams are chunk-granular), so it floors to the
     // boundary.
-    for (size_t j = 0; j < ranges.size() && ranges[j].end <= match_tokens;
-         ++j) {
-      candidates.push_back(ContentAddressFor(spec, j, ranges[j]));
-      cand_ranges.push_back(ranges[j]);
+    for (size_t j = 0; j < grid.size() && grid[j].end <= match_tokens; ++j) {
+      matched.push_back(ContentAddressFor(spec, j, grid[j]));
     }
   }
-  size_t prepinned = 0;
-  for (; prepinned < candidates.size(); ++prepinned) {
-    const auto cit = chunks_.find(candidates[prepinned]);
-    if (cit == chunks_.end()) break;
-    ++cit->second.pins;
-  }
+  // The chunk grid and the candidate run: a registered context's own
+  // addresses, else the request's chunks inside the radix match.
+  const std::vector<ChunkRange>& ranges = registered ? it->second.ranges : grid;
+  const std::vector<std::string>& candidates =
+      registered ? it->second.cas_ids : matched;
+  out.total_chunks = ranges.size();
 
-  // Phase 2: inner lookups (pin + possible cold promotion) without mu_.
   PinRecord rec;
-  size_t covered = 0;
-  bool lost_at_break = false;
-  if (prepinned > 0) {
-    mu_.unlock();
-    for (; covered < prepinned; ++covered) {
-      const TierLookup r =
-          inner_->LookupAndPin(candidates[covered], ContextSpec{}, t_s);
-      if (!r.pinned) {
-        // The inner tier genuinely lost the bytes (e.g. cold-capacity
-        // eviction): coverage ends here.
-        lost_at_break = true;
-        break;
-      }
-      rec.cas_ids.push_back(candidates[covered]);
-      out.any_cold = out.any_cold || r.tier == KVTier::kCold;
-      out.covered_tokens += cand_ranges[covered].size();
-    }
-    mu_.lock();
-  }
-  out.covered_chunks = covered;
-
-  // Phase 3a: back out pre-pins that carry no inner pin.
-  for (size_t j = covered; j < prepinned; ++j) {
+  for (size_t j = 0; j < candidates.size(); ++j) {
     const auto cit = chunks_.find(candidates[j]);
-    if (cit == chunks_.end()) continue;
-    if (cit->second.pins > 0) --cit->second.pins;
-    if (cit->second.refs == 0 && cit->second.pins == 0) {
-      // Its last owner was evicted while we were unlocked: the deferred
-      // erasure lands on us.
-      CG_METRIC_COUNT("prefix.zombie_reclaims", 1);
-      CG_TRACE_INSTANT("prefix", "zombie_reclaim", "bytes",
-                       static_cast<double>(cit->second.bytes));
-      EraseChunkLocked(candidates[j]);
-    } else if (j == covered && lost_at_break && cit->second.pins == 0) {
-      // Unpinned entries the inner tier no longer holds are stale (lost to
-      // a tiered inner's cold eviction): reset their byte/level state now so
-      // accounting is honest and the next write-back re-stores them.
-      InvalidateLostChunkLocked(candidates[j]);
+    if (cit == chunks_.end()) break;
+    const TierLookup r = inner_->LookupAndPin(cit->first, ContextSpec{}, t_s);
+    if (!r.pinned) {
+      // The inner tier genuinely lost the bytes (e.g. a tiered inner's
+      // cold-capacity eviction): coverage ends here. Unless a stream still
+      // pins the entry, reset its byte/level state now so accounting is
+      // honest and the next write-back re-stores it.
+      if (cit->second.pins == 0) InvalidateLostChunkLocked(cit->first);
+      break;
     }
+    ++cit->second.pins;
+    rec.cas_ids.push_back(cit->first);
+    out.any_cold = out.any_cold || r.tier == KVTier::kCold;
+    out.covered_tokens += ranges[j].size();
   }
+  out.covered_chunks = rec.cas_ids.size();
 
-  // Phase 3b: classify. The context entry is re-resolved — an unpinned
-  // registration can be evicted during the unlocked gap; its chunks are kept
-  // alive by our pre-pins, so the covered run degrades to a partial-prefix
-  // hit (a context-level miss: the serving layer re-writes it back, and
-  // dedup makes that re-store nearly free).
-  const auto it = registered ? contexts_.find(context_id) : contexts_.end();
-  if (it != contexts_.end() && covered == out.total_chunks && covered > 0) {
+  if (registered && out.covered_chunks == out.total_chunks &&
+      out.covered_chunks > 0) {
     out.tier = out.any_cold ? KVTier::kCold : KVTier::kHot;
     it->second.last_touch_s = std::max(it->second.last_touch_s, t_s);
     ++it->second.pins;
     rec.context_pin = true;
     ++full_hits_;
     CG_METRIC_COUNT("prefix.full_hits", 1);
-  } else if (covered > 0) {
-    // The inner tier lost a tail chunk (or the registration vanished): serve
+  } else if (out.covered_chunks > 0) {
+    // The inner tier lost a tail chunk (or the id is unregistered): serve
     // what survives as a partial prefix (the serving layer text-recomputes
     // the rest).
     ++prefix_hits_;
@@ -567,12 +508,10 @@ TierLookup PrefixCache::LookupAndPin(const std::string& context_id,
   } else {
     ++misses_;
     CG_METRIC_COUNT("prefix.misses", 1);
-    mu_.unlock();
     return out;  // nothing pinned, no record
   }
   out.pinned = true;
   pin_records_[context_id].push_back(std::move(rec));
-  mu_.unlock();
   return out;
 }
 

@@ -43,16 +43,12 @@
 // Contexts stored without a BeginStore announcement (direct Engine users)
 // pass through untranslated and behave exactly as the inner tier would.
 //
-// Concurrency: one mutex guards the layer's metadata (lock order: prefix
-// mu_ -> inner tier locks; the inner tier never calls back), but no inner
-// I/O runs under it. Chunk READS (Get) resolve the translation under the
-// lock and read the inner tier outside it, and LookupAndPin resolves its
-// candidate chunk run and PRE-PINS it under mu_, then performs the
-// per-chunk inner lookups (cold promotion I/O) unlocked, then re-locks to
-// reconcile — backing out pre-pins past the covered run, completing any
-// deferred zombie erasure that landed on it, and classifying the outcome
-// against the post-gap context state. A cold promotion therefore stalls
-// only its own request, never the layer.
+// Concurrency: one mutex, mu_, guards the layer's metadata; it is the
+// outermost lock of the storage lock order (storage/cache_tier.h).
+// LookupAndPin, PutBatch, Pin, Unpin and Touch call the inner tier under
+// it, so a lookup that promotes a cold chunk holds the layer until the
+// promotion is done. Chunk reads (Get) resolve the translation under mu_
+// and read the inner tier outside it.
 #pragma once
 
 #include <cstdint>
@@ -137,9 +133,8 @@ class PrefixCache final : public KVStore, public CacheTier {
       CG_EXCLUDES(mu_);
 
   // --- CacheTier interface -------------------------------------------------
-  // CG_EXCLUDES(mu_) encodes the layer's core concurrency rule: public entry
-  // points are never called with mu_ held, because inner-tier I/O (possibly
-  // cold-tier disk reads) must run with the prefix lock RELEASED.
+  // CG_EXCLUDES(mu_): public entry points are never called with mu_ held —
+  // the layer never re-enters itself, and no inner tier calls back into it.
   TierLookup LookupAndPin(const std::string& context_id, const ContextSpec& spec,
                           double t_s) override CG_EXCLUDES(mu_);
   void Pin(const std::string& context_id) override CG_EXCLUDES(mu_);
@@ -151,8 +146,6 @@ class PrefixCache final : public KVStore, public CacheTier {
   void AbortStore(const std::string& context_id) override CG_EXCLUDES(mu_);
   void Flush() override { inner_->Flush(); }
   KVStore& kv() override { return *this; }
-  const ShardedKVStore* hot_tier() const override { return inner_->hot_tier(); }
-  const TieredKVStore* tiered() const override { return inner_->tiered(); }
   const PrefixCache* prefix() const override { return this; }
 
   // Content address ("cas-" + 128-bit SHA-256 hex) of chunk `chunk_index`
@@ -212,8 +205,6 @@ class PrefixCache final : public KVStore, public CacheTier {
   std::shared_ptr<CacheTier> inner_;
   Options opts_;
 
-  // Lock order: prefix mu_ -> inner tier locks; the inner tier never calls
-  // back into this layer, so the order cannot invert.
   mutable Mutex mu_;
   std::unordered_map<std::string, ChunkEntry> chunks_
       CG_GUARDED_BY(mu_);  // by cas id

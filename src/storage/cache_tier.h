@@ -26,6 +26,18 @@
 // pins, tier-specific) whenever `pinned` is true in the result; the caller
 // owes exactly one Unpin for it. Pin() pins regardless of presence (the
 // write-back path); Touch() stamps recency with cluster virtual time.
+//
+// Lock order, outermost first, for every arrangement of the tiers:
+//
+//   PrefixCache mu_ -> CacheFabric dir_mu_ -> TieredKVStore promote_mu_
+//     -> ShardedKVStore shard locks -> TieredKVStore cold_mu_
+//
+// A call may skip levels, but never takes an outer lock while it holds an
+// inner one. No inner tier calls back into an outer one: the hot tier's
+// eviction sink only registers the demotion under cold_mu_, and a fabric
+// node's prefix layer reaches other nodes' stores, never their prefix
+// layers. The tiered store's writer queue lock (queue_mu_) is never taken
+// under cold_mu_.
 #pragma once
 
 #include <cstddef>
@@ -108,10 +120,9 @@ class CacheTier {
   // tiering apply.
   virtual KVStore& kv() = 0;
 
-  // The sharded hot tier backing this arrangement (every current tier has
-  // one); null only for exotic tiers without a RAM tier.
+  // hot_tier() and tiered() have no overrides and no readers in the
+  // library; they stay only because perfbench/tracing_tier.h overrides them.
   virtual const ShardedKVStore* hot_tier() const { return nullptr; }
-  // Non-null when a hot/cold TieredKVStore is in the arrangement.
   virtual const TieredKVStore* tiered() const { return nullptr; }
   // Non-null when the prefix-sharing layer is in the arrangement.
   virtual const PrefixCache* prefix() const { return nullptr; }

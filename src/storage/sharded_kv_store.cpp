@@ -22,8 +22,9 @@ uint64_t StoreChunk(KVStore& backend, OwnedChunk& chunk) {
 
 }  // namespace
 
-ShardedKVStore::ShardedKVStore(Options opts, BackendFactory factory)
-    : opts_(opts) {
+ShardedKVStore::ShardedKVStore(Options opts, BackendFactory factory,
+                               EvictionSink sink)
+    : opts_(opts), eviction_sink_(std::move(sink)) {
   if (opts_.num_shards == 0) throw std::invalid_argument("ShardedKVStore: 0 shards");
   shard_capacity_ = opts_.capacity_bytes == 0
                         ? 0
@@ -56,14 +57,6 @@ void ShardedKVStore::TouchLocked(ContextMeta& meta, double t_s) {
 
 void ShardedKVStore::EnforceCapacityLocked(Shard& shard, const std::string* keep) {
   if (shard_capacity_ == 0) return;
-  // Snapshot the demotion sink once per enforcement pass: the setter may run
-  // concurrently with another shard's eviction, so the member itself is
-  // guarded by sink_mu_ (lock order: Shard::mu -> sink_mu_, leaf).
-  EvictionSink sink;
-  {
-    MutexLock sink_lock(sink_mu_);
-    sink = eviction_sink_;
-  }
   // A shard never evicts its last context: a single context larger than the
   // per-shard slice soft-overflows instead of being evicted by its own
   // write-back's Unpin, which would otherwise turn every future request for
@@ -93,7 +86,7 @@ void ShardedKVStore::EnforceCapacityLocked(Shard& shard, const std::string* keep
     // and the eviction proceeds as a plain erase.
     bool demote = false;
     EvictedContext evicted;
-    if (sink) {
+    if (eviction_sink_) {
       evicted.context_id = *victim;
       evicted.last_touch_s = victim_meta->last_touch_s;
       evicted.bytes = freed;
@@ -113,7 +106,7 @@ void ShardedKVStore::EnforceCapacityLocked(Shard& shard, const std::string* keep
     shard.backend->EraseContext(*victim);
     shard.bytes -= freed;
     shard.contexts.erase(*victim);
-    if (demote) sink(std::move(evicted));
+    if (demote) eviction_sink_(std::move(evicted));
     evictions_.fetch_add(1, std::memory_order_relaxed);
     evicted_bytes_.fetch_add(freed, std::memory_order_relaxed);
   }

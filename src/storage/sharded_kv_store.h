@@ -2,6 +2,7 @@
 // per shard (in-memory by default, directory-backed via a custom factory)
 // behind per-shard locks so concurrent workers contend only within a shard —
 // the same sharding-by-key discipline line-rate forwarders use to scale.
+// Where the shard locks sit in the storage lock order: storage/cache_tier.h.
 //
 // On top of plain chunk storage it adds what a serving cluster needs:
 //   * a capacity bound (total bytes across all levels), enforced per shard
@@ -63,18 +64,13 @@ class ShardedKVStore final : public KVStore, public CacheTier {
 
   // Invoked for every capacity eviction (never for explicit EraseContext),
   // while the owning shard's lock is held — the sink must only hand the data
-  // off (enqueue/buffer), never touch this store or block on I/O. The setter
-  // is synchronized against concurrent evictions (sink_mu_), so installing a
-  // sink while traffic is already flowing is safe; evictions that raced
-  // ahead of the install simply don't demote.
+  // off (enqueue/buffer), never touch this store or block on I/O.
   using EvictionSink = std::function<void(EvictedContext&&)>;
-  void set_eviction_sink(EvictionSink sink) {
-    MutexLock lock(sink_mu_);
-    eviction_sink_ = std::move(sink);
-  }
 
-  // Default backend: one MemoryKVStore per shard.
-  explicit ShardedKVStore(Options opts, BackendFactory factory = nullptr);
+  // Default backend: one MemoryKVStore per shard. The sink is fixed for the
+  // store's lifetime; without one, capacity eviction erases.
+  explicit ShardedKVStore(Options opts, BackendFactory factory = nullptr,
+                          EvictionSink sink = nullptr);
 
   // --- KVStore interface (each call locks exactly one shard) ---------------
   void Put(const ChunkKey& key, std::span<const uint8_t> bytes) override;
@@ -127,7 +123,6 @@ class ShardedKVStore final : public KVStore, public CacheTier {
   void Touch(const std::string& context_id, double t_s) override;
 
   KVStore& kv() override { return *this; }
-  const ShardedKVStore* hot_tier() const override { return this; }
 
   Stats stats() const;
   uint64_t capacity_bytes() const { return opts_.capacity_bytes; }
@@ -163,11 +158,7 @@ class ShardedKVStore final : public KVStore, public CacheTier {
 
   Options opts_;
   uint64_t shard_capacity_ = 0;
-  // Lock order: Shard::mu -> sink_mu_ (EnforceCapacityLocked snapshots the
-  // sink under sink_mu_ while holding its shard lock). sink_mu_ is a leaf —
-  // nothing is locked while it is held.
-  mutable Mutex sink_mu_;
-  EvictionSink eviction_sink_ CG_GUARDED_BY(sink_mu_);
+  const EvictionSink eviction_sink_;
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};

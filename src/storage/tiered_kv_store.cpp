@@ -110,13 +110,13 @@ TieredKVStore::TieredKVStore(Options opts,
   if (opts_.cold_root.empty()) {
     throw std::invalid_argument("TieredKVStore: cold_root is required");
   }
-  hot_ = std::make_unique<ShardedKVStore>(opts_.hot, std::move(hot_factory));
+  hot_ = std::make_unique<ShardedKVStore>(
+      opts_.hot, std::move(hot_factory),
+      [this](ShardedKVStore::EvictedContext&& victim) {
+        OnHotEviction(std::move(victim));
+      });
   cold_backend_ = std::make_unique<FileKVStore>(opts_.cold_root);
   AdoptPersistedColdContexts();
-  // Installed last: no eviction can fire before the store is fully built.
-  hot_->set_eviction_sink([this](ShardedKVStore::EvictedContext&& victim) {
-    OnHotEviction(std::move(victim));
-  });
 }
 
 TieredKVStore::~TieredKVStore() {
@@ -259,7 +259,6 @@ void TieredKVStore::OnHotEviction(ShardedKVStore::EvictedContext&& victim) {
     cold_bytes_ += entry->bytes;
     entry->pending_counted = true;
     pending_demotion_bytes_ += entry->bytes;
-    pending_fifo_.emplace_back(id, entry);
     demotions_.fetch_add(1, std::memory_order_relaxed);
     demoted_bytes_.fetch_add(entry->bytes, std::memory_order_relaxed);
     CG_METRIC_COUNT("storage.demotions", 1);
@@ -270,66 +269,18 @@ void TieredKVStore::OnHotEviction(ShardedKVStore::EvictedContext&& victim) {
     CG_TRACE_COUNTER("storage", "pending_demotion_bytes",
                      static_cast<double>(pending_demotion_bytes_));
     EnforceColdCapacityLocked(&id, &erase_ids);
-    EnforcePendingCapLocked(&erase_ids);
   }
   for (std::string& eid : erase_ids) EnqueueErase(std::move(eid));
   EnqueuePersist(id, std::move(entry));
 }
 
 void TieredKVStore::ReleasePendingLocked(ColdEntry& entry) {
-  if (entry.pending_counted) {
-    entry.pending_counted = false;
-    pending_demotion_bytes_ -= entry.bytes;
-    CG_METRIC_GAUGE_SET("storage.pending_demotion_bytes",
-                        pending_demotion_bytes_);
-    CG_TRACE_COUNTER("storage", "pending_demotion_bytes",
-                     static_cast<double>(pending_demotion_bytes_));
-  }
-  // Lazily trim rows whose entries stopped pending (persisted, claimed,
-  // replaced, dropped). Rows leave in roughly the same FIFO order they
-  // entered, so front-trimming on every state change keeps the deque
-  // proportional to the entries still awaiting the writer — without it,
-  // every demotion of a long-lived store would leak its row forever (the
-  // over-cap walk alone never runs when the cap is 0 or never exceeded).
-  while (!pending_fifo_.empty() && !pending_fifo_.front().second->pending_counted) {
-    pending_fifo_.pop_front();
-  }
-}
-
-void TieredKVStore::EnforcePendingCapLocked(
-    std::vector<std::string>* erase_ids) {
-  if (opts_.max_pending_demotion_bytes == 0) return;
-  // Drop-oldest-uncommitted: the entries that have waited longest for the
-  // writer are sacrificed first — deterministic (FIFO demotion order, not
-  // drain speed) because `pending_counted` only flips under cold_mu_ and a
-  // dropped entry's persist job is guaranteed to still be behind us in the
-  // job FIFO (it clears pending only at completion). Dropping removes the
-  // context from the cold tier entirely: exactly what a bare sharded
-  // eviction would have done, so the failure mode under a demotion burst is
-  // a cold MISS later, not unbounded RAM now.
-  while (pending_demotion_bytes_ > opts_.max_pending_demotion_bytes &&
-         !pending_fifo_.empty()) {
-    auto [drop_id, drop] = std::move(pending_fifo_.front());
-    pending_fifo_.pop_front();
-    // Stale FIFO rows: already persisted, claimed by a promotion, replaced,
-    // or evicted — their bytes no longer count.
-    if (!drop->pending_counted || drop->dead || drop->persisted) continue;
-    ReleasePendingLocked(*drop);
-    drop->dead = true;
-    cold_bytes_ -= drop->bytes;
-    const auto it = cold_.find(drop_id);
-    if (it != cold_.end() && it->second == drop) cold_.erase(it);
-    demotion_drops_.fetch_add(1, std::memory_order_relaxed);
-    demotion_dropped_bytes_.fetch_add(drop->bytes, std::memory_order_relaxed);
-    CG_METRIC_COUNT("storage.demotion_drops", 1);
-    CG_TRACE_INSTANT("storage", "demotion_drop", "bytes",
-                     static_cast<double>(drop->bytes));
-    // Nothing of THIS incarnation reached disk, but an older persisted
-    // incarnation's files may be shadowed under the same directory; the
-    // erase job reclaims them (FIFO order makes it run after our dead
-    // persist job no-ops).
-    erase_ids->push_back(drop_id);
-  }
+  if (!entry.pending_counted) return;
+  entry.pending_counted = false;
+  pending_demotion_bytes_ -= entry.bytes;
+  CG_METRIC_GAUGE_SET("storage.pending_demotion_bytes", pending_demotion_bytes_);
+  CG_TRACE_COUNTER("storage", "pending_demotion_bytes",
+                   static_cast<double>(pending_demotion_bytes_));
 }
 
 void TieredKVStore::EnforceColdCapacityLocked(
@@ -384,74 +335,45 @@ TierLookup TieredKVStore::LookupAndPin(const std::string& context_id,
     out.pinned = true;
     return out;
   };
-  ColdEntryPtr entry;
+  if (hot_->LookupAndPin(context_id, spec, t_s).hit()) {
+    hot_hits_.fetch_add(1, std::memory_order_relaxed);
+    return hit(KVTier::kHot);
+  }
+  MutexLock promote_lock(promote_mu_);
+  // A promotion that finished while this lookup waited moved the context
+  // hot; with none in flight, a context in neither tier is absent.
+  if (hot_->LookupAndPin(context_id, spec, t_s).hit()) {
+    hot_hits_.fetch_add(1, std::memory_order_relaxed);
+    return hit(KVTier::kHot);
+  }
   std::vector<OwnedChunk> chunks;
   std::vector<ChunkKey> persisted_keys;
-  bool retried = false;
-  for (;;) {
-    if (hot_->LookupAndPin(context_id, spec, t_s).hit()) {
-      hot_hits_.fetch_add(1, std::memory_order_relaxed);
-      return hit(KVTier::kHot);
-    }
-    cold_mu_.lock();
-    if (promoting_.count(context_id) > 0) {
-      // Another thread is moving this context hot; wait and retry the hot
-      // lookup so concurrent requests for one cold context agree.
-      while (promoting_.count(context_id) > 0) promote_cv_.Wait(cold_mu_);
-      cold_mu_.unlock();
-      continue;
-    }
+  {
+    MutexLock lock(cold_mu_);
     const auto it = cold_.find(context_id);
     if (it == cold_.end()) {
-      // A racing promotion can have completed wholesale between the hot
-      // check and this manifest check; one clean retry of both tiers
-      // settles it (a demotion registers in the manifest under the shard
-      // lock before the hot tier forgets the context, so two consecutive
-      // double misses mean genuinely absent).
-      cold_mu_.unlock();
-      if (!retried) {
-        retried = true;
-        continue;
-      }
       misses_.fetch_add(1, std::memory_order_relaxed);
       return TierLookup{};
     }
-    entry = it->second;
-    entry->dead = true;  // claimed by this promotion
-    ReleasePendingLocked(*entry);
-    cold_bytes_ -= entry->bytes;
-    cold_.erase(it);
-    if (entry->persisted) {
-      for (const auto& [chunk_id, size] : entry->chunk_bytes) {
+    ColdEntry& entry = *it->second;
+    entry.dead = true;  // claimed by this promotion
+    ReleasePendingLocked(entry);
+    cold_bytes_ -= entry.bytes;
+    if (entry.persisted) {
+      for (const auto& [chunk_id, size] : entry.chunk_bytes) {
         persisted_keys.push_back({context_id, chunk_id.first, chunk_id.second});
       }
-    } else if (entry->writing) {
+    } else if (entry.writing) {
       // The background writer is reading the buffer outside the lock;
       // copy instead of stealing it (it will discard its files on `dead`).
-      chunks = entry->buffer;
+      chunks = entry.buffer;
     } else {
       // Reclaim the demotion's buffers: the bytes the eviction handed over
       // go back to the hot tier without a copy.
-      chunks = std::move(entry->buffer);
+      chunks = std::move(entry.buffer);
     }
-    promoting_.insert(context_id);
-    cold_mu_.unlock();
-    break;
+    cold_.erase(it);
   }
-  // Scope guard, not a manual call: the id must leave promoting_ on EVERY
-  // exit — a throw that skipped it would park all future lookups for this
-  // context on promote_cv_ forever.
-  struct FinishPromotion {
-    TieredKVStore* store;
-    const std::string& id;
-    ~FinishPromotion() {
-      {
-        MutexLock lock(store->cold_mu_);
-        store->promoting_.erase(id);
-      }
-      store->promote_cv_.NotifyAll();
-    }
-  } finish_promotion{this, context_id};
 
   // Placeholder pin first so the context survives concurrent evictions while
   // its chunks are re-inserted (the established write-back discipline). All
@@ -499,6 +421,7 @@ TierLookup TieredKVStore::LookupAndPin(const std::string& context_id,
       const auto it = cold_.find(context_id);
       if (it != cold_.end()) {
         it->second->dead = true;
+        ReleasePendingLocked(*it->second);
         cold_bytes_ -= it->second->bytes;
         cold_.erase(it);
       }
@@ -578,8 +501,8 @@ void TieredKVStore::EnqueuePersist(const std::string& context_id,
         entry->buffer.shrink_to_fit();
       }
       // !ok && !dead: disk refused (full/unwritable). The entry simply
-      // stays memory-resident (and keeps counting against the pending cap);
-      // reads and promotions keep using the buffer.
+      // stays memory-resident (and keeps counting as pending); reads and
+      // promotions keep using the buffer.
     }
     if (discard_files) {
       // Inline is safe: this runs at the front of the FIFO, so a newer
@@ -704,69 +627,34 @@ void TieredKVStore::PutBatch(const std::string& context_id,
 
 std::optional<std::vector<uint8_t>> TieredKVStore::Get(
     const ChunkKey& key) const {
-  bool retried = false;
-  for (;;) {
-    if (auto from_hot = hot_->Get(key)) return from_hot;
-    cold_mu_.lock();
-    if (promoting_.count(key.context_id) > 0) {
-      // Mid-promotion the bytes live in the promoter's hands — neither
-      // tier would answer. Wait and retry the hot tier.
-      while (promoting_.count(key.context_id) > 0) promote_cv_.Wait(cold_mu_);
-      cold_mu_.unlock();
-      continue;
-    }
+  if (auto from_hot = hot_->Get(key)) return from_hot;
+  MutexLock promote_lock(promote_mu_);
+  if (auto from_hot = hot_->Get(key)) return from_hot;
+  {
+    MutexLock lock(cold_mu_);
     const auto it = cold_.find(key.context_id);
-    if (it == cold_.end()) {
-      // A racing promotion can have completed wholesale between the hot
-      // check and here; one clean retry of both tiers settles it.
-      cold_mu_.unlock();
-      if (!retried) {
-        retried = true;
-        continue;
-      }
-      return std::nullopt;
-    }
+    if (it == cold_.end()) return std::nullopt;
     if (!it->second->persisted) {
-      std::optional<std::vector<uint8_t>> found;
       for (const auto& [chunk_key, chunk_bytes] : it->second->buffer) {
         if (chunk_key.chunk_index == key.chunk_index &&
             chunk_key.level_id == key.level_id) {
-          found = chunk_bytes;  // copy out of the pending buffer
-          break;
+          return chunk_bytes;  // copy out of the pending buffer
         }
       }
-      cold_mu_.unlock();
-      return found;
+      return std::nullopt;
     }
-    cold_mu_.unlock();
-    if (auto from_cold = cold_backend_->Get(key)) return from_cold;
-    // The files vanished between the manifest check and the read: a
-    // concurrent promotion erased them after copying the context into the
-    // hot tier (or it was re-demoted already). Go around once; a second
-    // failure means the bytes are genuinely lost (corrupt cold copy).
-    if (retried) return hot_->Get(key);
-    retried = true;
   }
+  // With no promotion in flight, the files go only with the context itself
+  // (cold eviction, EraseContext).
+  return cold_backend_->Get(key);
 }
 
 bool TieredKVStore::ContainsContext(const std::string& context_id) const {
-  bool retried = false;
-  for (;;) {
-    if (hot_->ContainsContext(context_id)) return true;
-    cold_mu_.lock();
-    if (promoting_.count(context_id) > 0) {
-      while (promoting_.count(context_id) > 0) promote_cv_.Wait(cold_mu_);
-      cold_mu_.unlock();
-      continue;  // promoted (or backed out): re-check the hot tier
-    }
-    const bool in_cold = cold_.count(context_id) > 0;
-    cold_mu_.unlock();
-    if (in_cold) return true;
-    // A racing promotion can have completed wholesale between the hot check
-    // and here; one clean retry of both tiers settles it.
-    if (retried) return false;
-    retried = true;
-  }
+  if (hot_->ContainsContext(context_id)) return true;
+  MutexLock promote_lock(promote_mu_);
+  if (hot_->ContainsContext(context_id)) return true;
+  MutexLock lock(cold_mu_);
+  return cold_.count(context_id) > 0;
 }
 
 void TieredKVStore::EraseContext(const std::string& context_id) {
@@ -830,9 +718,6 @@ TieredKVStore::Stats TieredKVStore::stats() const {
   s.promoted_bytes = promoted_bytes_.load(std::memory_order_relaxed);
   s.cold_evictions = cold_evictions_.load(std::memory_order_relaxed);
   s.cold_evicted_bytes = cold_evicted_bytes_.load(std::memory_order_relaxed);
-  s.demotion_drops = demotion_drops_.load(std::memory_order_relaxed);
-  s.demotion_dropped_bytes =
-      demotion_dropped_bytes_.load(std::memory_order_relaxed);
   s.hot_tier = hot_->stats();
   s.hot_bytes = s.hot_tier.stored_bytes;
   {

@@ -21,11 +21,16 @@
 //   hot LRU eviction ──demote (background writer)──▶ cold tier
 //   cold LRU eviction ──────────────────────────────▶ gone for real
 //
-// Concurrency & determinism:
+// Concurrency & determinism (lock order: storage/cache_tier.h):
 //   * The manifest entry for a demotion is registered synchronously (under
 //     the evicting shard's lock via the sink, then the cold mutex), so a
 //     lookup racing the eviction still sees the context as cold — outcomes
 //     do not depend on disk speed.
+//   * One promotion runs at a time, under promote_mu_. A promotion takes the
+//     context out of the manifest before its bytes reach the hot tier, so
+//     every read that misses the hot tier (LookupAndPin, Get,
+//     ContainsContext) takes promote_mu_ and asks the hot tier again before
+//     it asks the manifest: it sees the context in one tier or the other.
 //   * Only the byte persistence is asynchronous: a FIFO queue drained by a
 //     single ThreadPool::Submit job writes the chunks to disk, so the
 //     eviction path never blocks a shard lock on disk I/O. Until an entry is
@@ -64,7 +69,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -86,19 +90,12 @@ class TieredKVStore final : public KVStore, public CacheTier {
     // Cold-tier byte budget; 0 = unbounded. Like the hot tier, the cold
     // tier never evicts its last context.
     uint64_t cold_capacity_bytes = 0;
-    // Demotion-queue backpressure: deterministic cap on the bytes of evicted
-    // bitstreams buffered in RAM awaiting the background writer (0 =
-    // unbounded). When a demotion would exceed it, pending-but-uncommitted
-    // entries are dropped OLDEST FIRST (counted in Stats::demotion_drops) —
-    // those contexts fall out of the cold tier entirely, exactly what a bare
-    // sharded eviction would have done, so an eviction burst faster than the
-    // disk degrades gracefully instead of growing RAM without bound.
-    uint64_t max_pending_demotion_bytes = 0;
   };
 
   struct Stats {
     // Tiered-level lookup outcome counters (authoritative: the hot tier's
-    // own hit/miss counters additionally see promotion-internal traffic).
+    // own hit/miss counters also count the second hot-tier probe a lookup
+    // makes under promote_mu_).
     uint64_t hot_hits = 0;
     uint64_t cold_hits = 0;
     uint64_t misses = 0;
@@ -108,10 +105,7 @@ class TieredKVStore final : public KVStore, public CacheTier {
     uint64_t promoted_bytes = 0;
     uint64_t cold_evictions = 0;
     uint64_t cold_evicted_bytes = 0;
-    // Backpressure: demotions dropped (with their bytes) because the pending
-    // buffer cap was hit, and the bytes currently awaiting the writer.
-    uint64_t demotion_drops = 0;
-    uint64_t demotion_dropped_bytes = 0;
+    // Bytes of demoted bitstreams still in RAM, awaiting the writer.
     uint64_t pending_demotion_bytes = 0;  // current
     uint64_t hot_bytes = 0;   // current
     uint64_t cold_bytes = 0;  // current (manifest accounting, incl. pending)
@@ -128,8 +122,6 @@ class TieredKVStore final : public KVStore, public CacheTier {
   // --- KVStore interface ---------------------------------------------------
   // Writes land in the hot tier; reads fall through to the cold tier
   // (read-only, no promotion) so Engine::GetKV works wherever the bytes are.
-  // Reads racing an in-flight promotion of the same context wait for it
-  // rather than reporting a spurious absence.
   void Put(const ChunkKey& key, std::span<const uint8_t> bytes) override;
   void PutBatch(const std::string& context_id,
                 std::span<const ChunkView> chunks) override;
@@ -161,8 +153,6 @@ class TieredKVStore final : public KVStore, public CacheTier {
   void Flush() override;
 
   KVStore& kv() override { return *this; }
-  const ShardedKVStore* hot_tier() const override { return hot_.get(); }
-  const TieredKVStore* tiered() const override { return this; }
 
   Stats stats() const;
   ShardedKVStore& hot() { return *hot_; }
@@ -186,8 +176,8 @@ class TieredKVStore final : public KVStore, public CacheTier {
     bool persisted = false;  // bytes live on disk; buffer released
     bool writing = false;    // writer is reading buffer outside the lock
     bool dead = false;       // evicted/promoted/replaced; writer must discard
-    // Counted against the pending-demotion byte cap; cleared exactly once
-    // when the entry stops being RAM-buffered (persisted, claimed, dropped).
+    // Counted in pending_demotion_bytes_; cleared exactly once when the
+    // entry stops being RAM-buffered (persisted, claimed, evicted).
     bool pending_counted = false;
   };
   using ColdEntryPtr = std::shared_ptr<ColdEntry>;
@@ -198,14 +188,9 @@ class TieredKVStore final : public KVStore, public CacheTier {
   void EnforceColdCapacityLocked(const std::string* keep,
                                  std::vector<std::string>* erase_ids)
       CG_REQUIRES(cold_mu_);
-  // Caller holds cold_mu_. Uncounts the entry from the pending-demotion cap
-  // (idempotent).
+  // Caller holds cold_mu_. Uncounts the entry from the pending-demotion
+  // bytes (idempotent).
   void ReleasePendingLocked(ColdEntry& entry) CG_REQUIRES(cold_mu_);
-  // Caller holds cold_mu_. Drops oldest-uncommitted pending entries until
-  // the pending buffer fits the cap; dropped ids are appended to erase_ids
-  // (stale files of older incarnations still need reclaiming).
-  void EnforcePendingCapLocked(std::vector<std::string>* erase_ids)
-      CG_REQUIRES(cold_mu_);
   void EnqueuePersist(const std::string& context_id, ColdEntryPtr entry);
   void EnqueueErase(std::string context_id);
   void EnqueueJob(std::function<void()> job);
@@ -218,20 +203,13 @@ class TieredKVStore final : public KVStore, public CacheTier {
   std::unique_ptr<ShardedKVStore> hot_;
   std::unique_ptr<FileKVStore> cold_backend_;
 
+  // Held for a whole promotion, and by every read that missed the hot tier.
+  mutable Mutex promote_mu_;
   mutable Mutex cold_mu_;
   std::unordered_map<std::string, ColdEntryPtr> cold_ CG_GUARDED_BY(cold_mu_);
   uint64_t cold_bytes_ CG_GUARDED_BY(cold_mu_) = 0;
-  // Demotion backpressure state (cold_mu_): RAM-buffered bytes awaiting the
-  // writer, and the FIFO the drop-oldest policy walks. Entries go stale in
-  // place (persisted/claimed/dropped); the walk skips them lazily.
+  // RAM-buffered demotion bytes awaiting the writer.
   uint64_t pending_demotion_bytes_ CG_GUARDED_BY(cold_mu_) = 0;
-  std::deque<std::pair<std::string, ColdEntryPtr>> pending_fifo_
-      CG_GUARDED_BY(cold_mu_);
-  // Contexts mid-promotion: a racing lookup for the same id waits for the
-  // winner instead of reporting a spurious miss (the entry leaves the
-  // manifest before the bytes reach the hot tier).
-  std::unordered_set<std::string> promoting_ CG_GUARDED_BY(cold_mu_);
-  mutable CondVar promote_cv_;  // const readers wait too
 
   // FIFO job queue + single-drainer discipline: at most one ThreadPool job
   // runs at a time, so demote/erase jobs for the same context execute in
@@ -255,8 +233,6 @@ class TieredKVStore final : public KVStore, public CacheTier {
   std::atomic<uint64_t> promoted_bytes_{0};
   std::atomic<uint64_t> cold_evictions_{0};
   std::atomic<uint64_t> cold_evicted_bytes_{0};
-  std::atomic<uint64_t> demotion_drops_{0};
-  std::atomic<uint64_t> demotion_dropped_bytes_{0};
 };
 
 }  // namespace cachegen

@@ -1,8 +1,8 @@
-// Demotion-queue backpressure, in deterministic no-background-worker mode:
+// Demotion-queue accounting, in deterministic no-background-worker mode:
 // CACHEGEN_THREADS=1 is pinned before the lazy ThreadPool exists, so queued
 // persist jobs only run at Flush() — pending demotion buffers accumulate
 // exactly as fast as evictions fire, independent of disk or scheduler speed,
-// and the drop-oldest-uncommitted policy can be asserted byte for byte.
+// and the pending bytes can be asserted byte for byte.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,57 +49,10 @@ class BackpressureTest : public ::testing::Test {
   fs::path root_;
 };
 
-TEST_F(BackpressureTest, PendingBytesAreCappedByDroppingOldestUncommitted) {
-  ASSERT_TRUE(kForceSingleThread);
-  TieredKVStore::Options opts;
-  opts.hot = {.num_shards = 1, .capacity_bytes = 250};
-  opts.cold_root = root_;
-  opts.max_pending_demotion_bytes = 150;
-  TieredKVStore store(opts);
-
-  store.Put({"a", 0, 0}, Blob(100, 1));
-  store.Put({"b", 0, 0}, Blob(100, 2));
-  // Keep "a" recent so "b" is the first eviction victim.
-  ASSERT_EQ(store.LookupAndPin("a", {}, 1.0).tier, KVTier::kHot);
-  store.Unpin("a");
-
-  // Evict "b": its 100 pending bytes fit the 150-byte cap.
-  store.Put({"c", 0, 0}, Blob(100, 3));
-  auto stats = store.stats();
-  EXPECT_EQ(stats.demotions, 1u);
-  EXPECT_EQ(stats.demotion_drops, 0u);
-  EXPECT_EQ(stats.pending_demotion_bytes, 100u);
-  EXPECT_TRUE(store.ContainsContext("b"));
-
-  // Keep "a" recent again; evicting "c" would hold 200 pending bytes — over
-  // the cap — so the OLDEST uncommitted demotion ("b") is dropped, counted,
-  // and leaves the cold tier entirely. Nothing has touched the disk: no
-  // Flush ran and no background worker exists.
-  ASSERT_EQ(store.LookupAndPin("a", {}, 2.0).tier, KVTier::kHot);
-  store.Unpin("a");
-  store.Put({"d", 0, 0}, Blob(100, 4));
-  stats = store.stats();
-  EXPECT_EQ(stats.demotions, 2u);
-  EXPECT_EQ(stats.demotion_drops, 1u);
-  EXPECT_EQ(stats.demotion_dropped_bytes, 100u);
-  EXPECT_EQ(stats.pending_demotion_bytes, 100u);  // "c" still buffered
-  EXPECT_FALSE(store.ContainsContext("b"));       // dropped for real
-  EXPECT_TRUE(store.ContainsContext("c"));
-
-  // The survivor persists at Flush and stops counting as pending.
-  store.Flush();
-  stats = store.stats();
-  EXPECT_EQ(stats.pending_demotion_bytes, 0u);
-  EXPECT_EQ(stats.demotion_drops, 1u);
-  EXPECT_TRUE(fs::exists(root_ / "c" / "chunk0_level0.cgkv"));
-  EXPECT_FALSE(fs::exists(root_ / "b" / "chunk0_level0.cgkv"));
-}
-
 TEST_F(BackpressureTest, UncappedStoreNeverDrops) {
   TieredKVStore::Options opts;
   opts.hot = {.num_shards = 1, .capacity_bytes = 250};
   opts.cold_root = root_;
-  opts.max_pending_demotion_bytes = 0;  // unbounded
   TieredKVStore store(opts);
   for (int i = 0; i < 8; ++i) {
     store.Put({"ctx-" + std::to_string(i), 0, 0},
@@ -107,7 +60,6 @@ TEST_F(BackpressureTest, UncappedStoreNeverDrops) {
   }
   const auto stats = store.stats();
   EXPECT_GT(stats.demotions, 0u);
-  EXPECT_EQ(stats.demotion_drops, 0u);
   EXPECT_EQ(stats.pending_demotion_bytes, stats.cold_bytes);
   store.Flush();
   EXPECT_EQ(store.stats().pending_demotion_bytes, 0u);
@@ -117,7 +69,6 @@ TEST_F(BackpressureTest, PromotionOfPendingEntryReleasesItsPendingBytes) {
   TieredKVStore::Options opts;
   opts.hot = {.num_shards = 1, .capacity_bytes = 250};
   opts.cold_root = root_;
-  opts.max_pending_demotion_bytes = 150;
   TieredKVStore store(opts);
   store.Put({"a", 0, 0}, Blob(100, 1));
   store.Put({"b", 0, 0}, Blob(100, 2));
@@ -126,8 +77,8 @@ TEST_F(BackpressureTest, PromotionOfPendingEntryReleasesItsPendingBytes) {
   store.Put({"c", 0, 0}, Blob(100, 3));  // demote b (pending 100)
   ASSERT_EQ(store.stats().pending_demotion_bytes, 100u);
 
-  // Promoting "b" claims the pending buffer: its bytes stop counting
-  // against the cap without any disk traffic.
+  // Promoting "b" claims the pending buffer: its bytes stop counting as
+  // pending without any disk traffic.
   ASSERT_EQ(store.LookupAndPin("b", {}, 2.0).tier, KVTier::kCold);
   store.Unpin("b");
   const auto stats = store.stats();
@@ -135,7 +86,6 @@ TEST_F(BackpressureTest, PromotionOfPendingEntryReleasesItsPendingBytes) {
   // b's promotion re-evicted something (hot back over capacity), so pending
   // holds exactly that one re-demotion — never b's stale buffer too.
   EXPECT_LE(stats.pending_demotion_bytes, 100u);
-  EXPECT_EQ(stats.demotion_drops, 0u);
 }
 
 // A promotion of a demotion still waiting for the writer reclaims the

@@ -32,7 +32,8 @@ TEST(SharedLink, SingleFlowMatchesPrivateLinkTiming) {
   const TransferRecord rec = link.Transfer(flow, bytes);
   EXPECT_DOUBLE_EQ(rec.start_s, 0.0);
   EXPECT_NEAR(rec.end_s, 1.0, 1e-9);
-  EXPECT_NEAR(rec.ThroughputGbps(), 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(rec.bytes, bytes);
+  EXPECT_NEAR(rec.bytes * 8.0 / 1e9 / rec.Seconds(), 1.0, 1e-9);  // Gbps
   link.Deregister(flow);
 }
 

@@ -85,8 +85,9 @@ TEST(Link, SequentialTransfersAdvanceClock) {
 TEST(Link, ThroughputObserved) {
   Link link(BandwidthTrace::Constant(3.0));
   const TransferRecord r = link.Send(3e9 / 8.0);  // one second's worth
-  EXPECT_NEAR(r.ThroughputGbps(), 3.0, 1e-9);
+  EXPECT_DOUBLE_EQ(r.bytes, 3e9 / 8.0);
   EXPECT_NEAR(r.Seconds(), 1.0, 1e-9);
+  EXPECT_NEAR(r.bytes * 8.0 / 1e9 / r.Seconds(), 3.0, 1e-9);  // Gbps
 }
 
 TEST(Link, AdvanceToNeverRewinds) {

@@ -1,14 +1,17 @@
 // Prefix-sharing subsystem: SHA-256 primitive, radix-index longest-match
 // properties, content-addressed refcounted dedup in PrefixCache, concurrent
-// insert/lookup (run under TSan in CI), and the cluster-level partial-hit
-// scenario with its suffix-only TTFT.
+// insert/lookup over a sharded and a tiered inner (run under TSan in CI),
+// and the cluster-level partial-hit scenario with its suffix-only TTFT.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cluster/cluster_server.h"
 #include "common/rng.h"
@@ -18,10 +21,13 @@
 #include "prefix/radix_index.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
+#include "storage/tiered_kv_store.h"
 #include "workload/prefix_trace.h"
 
 namespace cachegen {
 namespace {
+
+namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
 // SHA-256 primitive.
@@ -180,20 +186,27 @@ std::vector<uint8_t> LevelBytes(int level, uint8_t fill) {
   return std::vector<uint8_t>(static_cast<size_t>(40 + 10 * level), fill);
 }
 
-// Store `id` through the cache as the announced content-addressed context.
-void StoreMember(PrefixCache& pc, const std::string& id, const ContextSpec& spec,
-                 uint8_t fill) {
-  pc.BeginStore(id, spec);
+// Write both chunks of announced context `id`: the prefix chunk filled with
+// `prefix_fill`, the suffix chunk with `fill`.
+void PutMember(PrefixCache& pc, const std::string& id, uint8_t fill,
+               uint8_t prefix_fill) {
   std::vector<std::vector<uint8_t>> bufs;
   std::vector<ChunkView> views;
   for (uint32_t chunk = 0; chunk < 2; ++chunk) {
     for (int level = 0; level < 2; ++level) {
-      bufs.push_back(LevelBytes(level, fill));
+      bufs.push_back(LevelBytes(level, chunk == 0 ? prefix_fill : fill));
       views.emplace_back(ChunkKey{id, chunk, level},
                          std::span<const uint8_t>(bufs.back()));
     }
   }
   pc.PutBatch(id, views);
+}
+
+// Store `id` through the cache as the announced content-addressed context.
+void StoreMember(PrefixCache& pc, const std::string& id, const ContextSpec& spec,
+                 uint8_t fill) {
+  pc.BeginStore(id, spec);
+  PutMember(pc, id, fill, fill);
 }
 
 std::shared_ptr<PrefixCache> MakeCache(uint64_t capacity_bytes = 0) {
@@ -476,6 +489,134 @@ TEST(PrefixCache, ConcurrentStoreAndLookupKeepsCountsConsistent) {
   EXPECT_EQ(pc->TotalBytes(), (2 + kThreads * kPerThread) * ChunkTotal());
   EXPECT_EQ(stats.full_hits, kThreads * kPerThread);
   EXPECT_EQ(stats.prefix_hits, kThreads * kPerThread);
+}
+
+// The storage lock chain from several threads (storage/cache_tier.h): the
+// tiered inner's hot tier holds three chunks, so lookups promote chunks out
+// of the cold tier under the prefix lock, while read-backs of unpinned
+// chunks take promote_mu_ without it and write-backs demote. The cold tier
+// is unbounded and the prefix layer never evicts, so every count is exact.
+TEST(PrefixCache, ConcurrentLookupsPromoteThroughATieredInner) {
+  constexpr size_t kFamilies = 4;
+  constexpr size_t kMembers = 3;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 12;
+  const fs::path root = fs::temp_directory_path() /
+                        ("cachegen_prefix_tiered_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  TieredKVStore::Options topts;
+  topts.hot = {.num_shards = 1, .capacity_bytes = 3 * ChunkTotal()};
+  topts.cold_root = root;
+  auto tiered = std::make_shared<TieredKVStore>(topts);
+  PrefixCache::Options popts;
+  popts.chunk_tokens = kChunk;
+  PrefixCache pc(tiered, popts);
+
+  // Every writer of an address writes the same bytes: a family's prefix
+  // chunk carries the family's fill, a suffix chunk its member's.
+  const auto spec_of = [](size_t family, uint64_t seed) {
+    ContextSpec spec = Member(seed);
+    spec.prefix_seed = 0xFA000ULL + family;
+    return spec;
+  };
+  const auto family_fill = [](size_t family) {
+    return static_cast<uint8_t>(0xF0 + family);
+  };
+  const auto member_fill = [](uint64_t seed) {
+    return static_cast<uint8_t>(seed % 199);
+  };
+  const auto stored_id = [](size_t family, size_t member) {
+    return "fam" + std::to_string(family) + "-m" + std::to_string(member);
+  };
+  const auto stored_seed = [](size_t family, size_t member) {
+    return static_cast<uint64_t>(10 * family + member);
+  };
+  // Both levels of a chunk read back byte for byte under `id`.
+  const auto chunk_reads_back = [&pc](const std::string& id, uint32_t chunk,
+                                      uint8_t fill) {
+    for (int level = 0; level < 2; ++level) {
+      const auto bytes = pc.Get({id, chunk, level});
+      if (!bytes || *bytes != LevelBytes(level, fill)) return false;
+    }
+    return true;
+  };
+  for (size_t f = 0; f < kFamilies; ++f) {
+    for (size_t m = 0; m < kMembers; ++m) {
+      const uint64_t seed = stored_seed(f, m);
+      pc.BeginStore(stored_id(f, m), spec_of(f, seed));
+      PutMember(pc, stored_id(f, m), member_fill(seed), family_fill(f));
+    }
+  }
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t r = 0; r < kRounds; ++r) {
+        const double now = 1.0 + static_cast<double>(r);
+        const size_t f = (t + r) % kFamilies;
+        const size_t m = r % kMembers;
+        const uint64_t seed = stored_seed(f, m);
+        const std::string id = stored_id(f, m);
+        // Full hit, read back while pinned.
+        const TierLookup full = pc.LookupAndPin(id, spec_of(f, seed), now);
+        EXPECT_TRUE(full.hit());
+        EXPECT_EQ(full.covered_chunks, 2u);
+        EXPECT_TRUE(chunk_reads_back(id, 0, family_fill(f)));
+        EXPECT_TRUE(chunk_reads_back(id, 1, member_fill(seed)));
+        if (full.pinned) pc.Unpin(id);
+
+        // Partial hit of a never-stored sibling: the family prefix chunk.
+        const ContextSpec sibling = spec_of(f, 1000 + 100 * t + r);
+        const std::string sib_id =
+            "sib" + std::to_string(t) + "-" + std::to_string(r);
+        const TierLookup part = pc.LookupAndPin(sib_id, sibling, now);
+        EXPECT_TRUE(part.prefix_hit());
+        EXPECT_EQ(part.covered_chunks, 1u);
+        EXPECT_TRUE(chunk_reads_back(pc.ContentAddress(sibling, 0), 0,
+                                     family_fill(f)));
+        if (part.pinned) pc.Unpin(sib_id);
+
+        // Unpinned read-back of another member: its suffix chunk may be
+        // cold, or mid-promotion on another thread.
+        const size_t f2 = (f + 1) % kFamilies;
+        const uint64_t seed2 = stored_seed(f2, m);
+        EXPECT_TRUE(chunk_reads_back(stored_id(f2, m), 1, member_fill(seed2)));
+        EXPECT_TRUE(pc.ContainsContext(pc.ContentAddress(spec_of(f2, seed2), 1)));
+
+        // Write-back of a fresh member: dedups the prefix chunk, and its
+        // suffix insert demotes colder chunks.
+        const uint64_t wb_seed = 5000 + 100 * t + r;
+        const std::string wb_id =
+            "wb" + std::to_string(t) + "-" + std::to_string(r);
+        pc.BeginStore(wb_id, spec_of(f, wb_seed));
+        pc.Pin(wb_id);
+        PutMember(pc, wb_id, member_fill(wb_seed), family_fill(f));
+        pc.Touch(wb_id, now);
+        pc.Unpin(wb_id);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  constexpr size_t kLookups = kThreads * kRounds;
+  const auto stats = pc.stats();
+  EXPECT_EQ(stats.full_hits, kLookups);
+  EXPECT_EQ(stats.prefix_hits, kLookups);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.contexts, kFamilies * kMembers + kLookups);
+  EXPECT_EQ(stats.unique_chunks, kFamilies + stats.contexts);
+  EXPECT_EQ(pc.TotalBytes(), stats.unique_chunks * ChunkTotal());
+  // Each full hit looks up two chunks and each partial hit one; the
+  // sibling's own id probes the inner tier first and misses.
+  const auto ts = tiered->stats();
+  EXPECT_EQ(ts.hot_hits + ts.cold_hits, 3 * kLookups);
+  EXPECT_EQ(ts.misses, kLookups);
+  EXPECT_EQ(ts.cold_hits, ts.promotions);
+  EXPECT_GT(ts.promotions, 0u);
+  pc.Flush();
+  EXPECT_EQ(tiered->stats().pending_demotion_bytes, 0u);
+  fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------

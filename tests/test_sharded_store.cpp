@@ -173,58 +173,6 @@ TEST(ShardedKVStore, ConcurrentStressKeepsInvariants) {
   EXPECT_EQ(store.Get({"ctx-0", 0, 0})->size(), 128u);
 }
 
-// Regression (TSan-visible before the fix): set_eviction_sink used to write
-// the sink member unsynchronized while EnforceCapacityLocked read and invoked
-// it under shard locks — installing a sink during live eviction traffic was a
-// data race on the std::function. The member is now guarded by its own leaf
-// mutex and each enforcement pass snapshots it, so concurrent installs are
-// safe: every eviction either demotes through a complete sink or skips
-// demotion entirely, never tears.
-TEST(ShardedKVStore, ConcurrentSinkInstallDuringEvictionIsSafe) {
-  constexpr size_t kInstalls = 200;
-  constexpr size_t kWriters = 4;
-  constexpr size_t kPutsPerWriter = 400;
-  ShardedKVStore store({.num_shards = 2, .capacity_bytes = 8 * 1024});
-
-  std::atomic<size_t> writers_done{0};
-  std::atomic<uint64_t> demoted{0};
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (size_t t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&store, &writers_done, t] {
-      Rng rng(0x51DECAFEULL + t);
-      // ~400 puts of >=512 B into an 8 KB store: capacity pressure (and
-      // therefore eviction traffic for the sink installs to race with) is
-      // guaranteed by byte arithmetic, not by timing.
-      for (size_t i = 0; i < kPutsPerWriter; ++i) {
-        const std::string id = "ctx-" + std::to_string(rng.NextBelow(16));
-        store.Put({id, static_cast<uint32_t>(rng.NextBelow(2)), 0},
-                  Blob(512 + rng.NextBelow(1024), static_cast<uint8_t>(t)));
-      }
-      writers_done.fetch_add(1, std::memory_order_release);
-    });
-  }
-  // Re-install the sink continuously for the writers' whole lifetime (every
-  // Put triggers an enforcement pass on its shard, so installs and eviction
-  // passes genuinely overlap).
-  for (size_t i = 0;
-       i < kInstalls || writers_done.load(std::memory_order_acquire) < kWriters;
-       ++i) {
-    store.set_eviction_sink(
-        [&demoted](ShardedKVStore::EvictedContext&& victim) {
-          demoted.fetch_add(victim.chunks.size(), std::memory_order_relaxed);
-        });
-    store.set_eviction_sink(nullptr);
-  }
-  for (auto& th : writers) th.join();
-
-  const auto stats = store.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  // The store survives and keeps serving after the churn.
-  store.Put({"ctx-0", 0, 0}, Blob(64, 9));
-  EXPECT_TRUE(store.Get({"ctx-0", 0, 0}).has_value());
-}
-
 // PutBatch is all-or-nothing for a previously-absent context: a backend
 // failure mid-batch rolls back everything already inserted.
 TEST(ShardedKVStore, FailedBatchInsertRollsBackCompletely) {
@@ -301,15 +249,15 @@ TEST(ShardedKVStore, FailedBatchInsertRollsBackCompletely) {
 // copying them: an evicted context reaches the sink in the very buffers it
 // was inserted with.
 TEST(ShardedKVStore, OwningPutBatchBuffersReachTheEvictionSink) {
-  ShardedKVStore store({.num_shards = 1, .capacity_bytes = 250});
   std::vector<const uint8_t*> sunk;
   std::vector<std::vector<uint8_t>> sunk_bytes;
-  store.set_eviction_sink([&](ShardedKVStore::EvictedContext&& victim) {
-    for (auto& [key, bytes] : victim.chunks) {
-      sunk.push_back(bytes.data());
-      sunk_bytes.push_back(std::move(bytes));
-    }
-  });
+  ShardedKVStore store({.num_shards = 1, .capacity_bytes = 250}, nullptr,
+                       [&](ShardedKVStore::EvictedContext&& victim) {
+                         for (auto& [key, bytes] : victim.chunks) {
+                           sunk.push_back(bytes.data());
+                           sunk_bytes.push_back(std::move(bytes));
+                         }
+                       });
   std::vector<OwnedChunk> chunks;
   chunks.emplace_back(ChunkKey{"a", 0, 0}, Blob(60, 1));
   chunks.emplace_back(ChunkKey{"a", 1, 0}, Blob(60, 2));

@@ -245,6 +245,47 @@ TEST_F(TieredStoreTest, ConcurrentDemoteWhileLookupKeepsInvariants) {
   }
 }
 
+// Lookups and reads racing one promotion of the same cold context all find
+// it: the promotion holds promote_mu_, and a call that missed the hot tier
+// while it ran asks the hot tier again once it holds the lock. Half the
+// threads look the context up (one of them promotes it), half read it.
+TEST_F(TieredStoreTest, CallsRacingAPromotionAllFindTheContext) {
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 40;
+  TieredKVStore store(Opts(/*hot_capacity=*/150));  // one context fits
+  const auto payload = Blob(100, 1);
+  store.Put({"x", 0, 0}, payload);
+  for (size_t r = 0; r < kRounds; ++r) {
+    store.Put({"filler" + std::to_string(r), 0, 0}, Blob(100, 2));
+    ASSERT_FALSE(store.hot().ContainsContext("x"));  // demoted
+    std::atomic<size_t> started{0};
+    std::atomic<size_t> hits{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        started.fetch_add(1);
+        while (started.load() < kThreads) std::this_thread::yield();
+        if (t % 2 == 1) {
+          const auto bytes = store.Get({"x", 0, 0});
+          EXPECT_TRUE(bytes && *bytes == payload);
+          EXPECT_TRUE(store.ContainsContext("x"));
+        } else if (store.LookupAndPin("x", {}, static_cast<double>(r)).hit()) {
+          hits.fetch_add(1);
+          store.Unpin("x");
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(hits.load(), kThreads / 2);
+  }
+  const auto stats = store.stats();
+  EXPECT_EQ(stats.promotions, kRounds);
+  EXPECT_EQ(stats.cold_hits, kRounds);
+  EXPECT_EQ(stats.hot_hits, kRounds * (kThreads / 2 - 1));
+  EXPECT_EQ(stats.misses, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Cluster integration: the cold tier as the third request outcome.
 // ---------------------------------------------------------------------------
