@@ -5,7 +5,7 @@
 #include "bench_common.h"
 #include "common/stats.h"
 #include "llm/synthetic_model.h"
-#include "quant/binned_quant.h"
+#include "quant/symbol_kernels.h"
 
 using namespace cachegen;
 
@@ -16,18 +16,24 @@ int main() {
     const ModelConfig cfg = ModelConfig::Preset(name);
     const SyntheticModel model(cfg);
 
-    // Quantize all values on one global grid (so entropy differences come
-    // from the grouping, not the quantizer).
+    // Quantize all values on one global grid, x / 0.05 rounded and clamped
+    // to +-512 (so entropy differences come from the grouping, not the
+    // quantizer).
+    constexpr uint32_t kMaxSym = 512;
     std::vector<int32_t> symbols;
     std::vector<uint32_t> by_token, by_channel, by_layer;
-    const BinnedQuantizer quant(0.05, 512);
     for (uint64_t seed : {31u, 32u}) {
       const KVCache cache = model.Prefill({seed, 800});
       for (size_t l = 0; l < cfg.num_layers; ++l) {
         const Tensor& k = cache.layer(l).k;
+        const std::vector<double> offset(k.cols(), 0.0), sigma(k.cols(), 1.0);
+        std::vector<uint32_t> row(k.cols());
         for (size_t t = 0; t < k.rows(); ++t) {
+          QuantizeRow(k.Row(t).data(), offset.data(), sigma.data(), 0.05,
+                      kMaxSym, k.cols(), row.data());
           for (size_t c = 0; c < k.cols(); ++c) {
-            symbols.push_back(quant.QuantizeOne(k.At(t, c)));
+            symbols.push_back(static_cast<int32_t>(row[c]) -
+                              static_cast<int32_t>(kMaxSym));
             by_token.push_back(static_cast<uint32_t>(t));
             by_channel.push_back(static_cast<uint32_t>(c));
             by_layer.push_back(static_cast<uint32_t>(l));

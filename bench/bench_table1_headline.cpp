@@ -5,6 +5,12 @@
 // Paper reference values: 8-bit 622 MB / 1.00; CacheGen 176 MB / 0.98;
 // H2O 282 MB / 0.97; CacheGen-on-H2O 71 MB / 0.97; LLMLingua 492 MB / 0.94;
 // CacheGen-on-LLMLingua 183 MB / 0.94.
+//
+// Every run checks the claims the table carries and exits non-zero with a
+// FAIL: line on stderr unless all hold: CacheGen is >= 3.5x smaller than
+// 8-bit quantization (the abstract's lower bound) at accuracy >= 0.98 (the
+// paper's row), and CacheGen on H2O / LLMLingua is smaller than the
+// baseline it composes with at an accuracy loss of at most 0.01.
 #include "baselines/h2o.h"
 #include "baselines/llmlingua.h"
 #include "baselines/quant_baseline.h"
@@ -91,5 +97,39 @@ int main() {
                   i < paper.size() ? paper[i] : ""});
   }
   std::printf("%s", table.Render().c_str());
-  return 0;
+
+  const auto size_mb = [&](size_t i) { return agg[i].kv_bytes / 1e6; };
+  const auto accuracy = [&](size_t i) {
+    return dataset.MetricFromQuality(agg[i].quality);
+  };
+  // Rows in insertion order: 8-bit, CacheGen, H2O, CacheGen on H2O,
+  // LLMLingua, CacheGen on LLMLingua.
+  if (agg.size() != 6) {
+    std::fprintf(stderr, "FAIL: expected 6 rows, got %zu\n", agg.size());
+    return 1;
+  }
+  bool ok = true;
+  if (size_mb(0) / size_mb(1) < 3.5) {
+    std::fprintf(stderr, "FAIL: 8-bit / CacheGen size %.2fx < 3.5x\n",
+                 size_mb(0) / size_mb(1));
+    ok = false;
+  }
+  if (accuracy(1) < 0.98) {
+    std::fprintf(stderr, "FAIL: CacheGen accuracy %.4f < 0.98\n", accuracy(1));
+    ok = false;
+  }
+  for (const size_t base : {2u, 4u}) {
+    const size_t composed = base + 1;
+    if (!(size_mb(composed) < size_mb(base)) ||
+        accuracy(base) - accuracy(composed) > 0.01) {
+      std::fprintf(stderr,
+                   "FAIL: %s is %.2f MB at accuracy %.4f against %s's %.2f MB "
+                   "at %.4f (must be smaller, losing <= 0.01)\n",
+                   agg[composed].method.c_str(), size_mb(composed),
+                   accuracy(composed), agg[base].method.c_str(), size_mb(base),
+                   accuracy(base));
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 }

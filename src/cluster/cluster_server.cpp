@@ -146,8 +146,6 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   }
 
   link_ = std::make_unique<SharedLink>(capacity_);
-  // GPU lanes price work at share(t) = 1/min(num_workers, in_flight(t)).
-  link_->SetGpuSlots(opts_.num_workers);
   RequestQueue queue(std::move(trace));
 
   StartTelemetry();
@@ -312,8 +310,7 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
     if (!batch.empty()) CG_METRIC_COUNT("cluster.admission_batches", 1);
     CG_METRIC_GAUGE_SET("cluster.in_flight", in_flight);
     const double gpu_share =
-        1.0 / static_cast<double>(std::min(opts_.num_workers,
-                                           std::max<size_t>(1, in_flight)));
+        1.0 / static_cast<double>(std::max<size_t>(1, in_flight));
     for (WorkChannel::Admission& a : batch) {
       a.gpu_share = gpu_share;
       channel.PushAdmission(std::move(a));
@@ -370,7 +367,7 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   };
   lifecycle("admit", admit_s);
 
-  const SharedLink::FlowId flow = link_->Register(admit_s, rq.weight);
+  const SharedLink::FlowId flow = link_->Register(admit_s);
   // Our unparked flow now freezes virtual time; the admission hold can go.
   link_->ReleaseHold(admit_hold);
 

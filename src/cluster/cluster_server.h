@@ -28,9 +28,11 @@
 // organically pushes streams to coarser encoding levels, exactly the
 // contention behavior of the paper's Fig. 12/13. GPU time is accounted per
 // event: every chunk's decode/prefill is posted to the request's GPU lane
-// and priced at share(t) = 1/min(W, in_flight(t)) as it drains, so a peer
+// and priced at share(t) = 1/max(1, in_flight(t)) as it drains, so a peer
 // finishing (or being admitted) re-prices every in-flight request from that
 // completion instant onward instead of freezing one snapshot per admission.
+// The W workers never cap that share: each holds at most one request from
+// its admission instant to its free instant, so in_flight(t) <= W.
 //
 // Cache behavior — five scenarios, priced by one CacheTier lookup:
 //   hot full hit    — stream encoded KV from RAM (kAdaptive/kProgressive);

@@ -23,7 +23,6 @@ struct ClusterRequest {
   std::string context_id;
   ContextSpec spec;           // seed + token count of the referenced context
   double slo_s = 0.0;         // KV-load SLO; <= 0 means "use the server default"
-  double weight = 1.0;        // bandwidth weight on the shared link
 };
 
 struct RequestTraceOptions {

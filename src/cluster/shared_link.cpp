@@ -16,23 +16,11 @@ constexpr double kTimeEps = 1e-12;
 
 SharedLink::SharedLink(BandwidthTrace capacity) : capacity_(std::move(capacity)) {}
 
-SharedLink::HoldId SharedLink::HoldAt(double t_s) {
-  MutexLock lk(mu_);
-  const HoldId id = next_hold_++;
-  holds_[id] = std::max(t_s, now_s_);
-  return id;
-}
-
 void SharedLink::ReleaseHold(HoldId id) {
   MutexLock lk(mu_);
   holds_.erase(id);
   AdvanceLocked();
   cv_.NotifyAll();
-}
-
-void SharedLink::SetGpuSlots(size_t n) {
-  MutexLock lk(mu_);
-  gpu_slots_ = n;
 }
 
 SharedLink::HoldId SharedLink::HoldAdmission(double t_s) {
@@ -87,34 +75,15 @@ std::vector<double> SharedLink::DrainGpu(FlowId id) {
   return out;
 }
 
-double SharedLink::GpuShareAt(double t_s) const {
-  MutexLock lk(mu_);
-  int n = gpu_base_inflight_;
-  for (const auto& [t, delta] : gpu_events_) {
-    if (t <= t_s + kTimeEps) n += delta;
-  }
-  size_t eff = static_cast<size_t>(std::max(1, n));
-  if (gpu_slots_ > 0) eff = std::min(eff, gpu_slots_);
-  return 1.0 / static_cast<double>(eff);
-}
-
-SharedLink::FlowId SharedLink::Register(double start_s, double weight) {
+SharedLink::FlowId SharedLink::Register(double start_s) {
   MutexLock lk(mu_);
   const FlowId id = next_flow_++;
   Flow f;
   f.clock = std::max(start_s, now_s_);
-  f.weight = weight > 0.0 ? weight : 1.0;
   flows_[id] = f;
   // No AdvanceLocked: the new flow is unparked, so time is frozen until it
-  // posts its first Transfer (or deregisters).
+  // parks (or completes).
   return id;
-}
-
-void SharedLink::Deregister(FlowId id) {
-  MutexLock lk(mu_);
-  flows_.erase(id);
-  AdvanceLocked();
-  cv_.NotifyAll();
 }
 
 TransferRecord SharedLink::Transfer(FlowId id, double bytes) {
@@ -229,9 +198,7 @@ double SharedLink::MinHoldLocked() const {
 }
 
 double SharedLink::GpuShareLocked() const {
-  size_t eff = static_cast<size_t>(std::max(1, gpu_base_inflight_));
-  if (gpu_slots_ > 0) eff = std::min(eff, gpu_slots_);
-  return 1.0 / static_cast<double>(eff);
+  return 1.0 / static_cast<double>(std::max(1, gpu_base_inflight_));
 }
 
 void SharedLink::FoldGpuLedgerLocked() {
@@ -320,14 +287,14 @@ void SharedLink::AdvanceLocked() {
       min_gpu_finish = std::min(min_gpu_finish, fin);
     }
 
+    // Max-min fair share: every active transfer drains at capacity / n.
     const double cap_bps = capacity_.BytesPerSecAt(now_s_);
-    double weight_sum = 0.0;
-    for (const Flow* f : active) weight_sum += f->weight;
+    const double rate =
+        active.empty() ? 0.0 : cap_bps / static_cast<double>(active.size());
     std::vector<double> finish(active.size(), kInf);
     double min_bw_finish = kInf;
     if (cap_bps > 0.0) {
       for (size_t i = 0; i < active.size(); ++i) {
-        const double rate = cap_bps * active[i]->weight / weight_sum;
         finish[i] = now_s_ + active[i]->remaining / rate;
         min_bw_finish = std::min(min_bw_finish, finish[i]);
       }
@@ -355,7 +322,6 @@ void SharedLink::AdvanceLocked() {
           f->end_s = t_next;
           completed = true;
         } else {
-          const double rate = cap_bps * f->weight / weight_sum;
           f->remaining = std::max(0.0, f->remaining - rate * dt);
         }
       }

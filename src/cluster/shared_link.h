@@ -11,13 +11,13 @@
 //   * Each request registers a Flow; its ClientLink (a Link subclass) turns
 //     KVStreamer's Send() calls into Transfer() calls on the arbiter.
 //   * Aggregate capacity comes from a BandwidthTrace; at any virtual instant
-//     every flow with a pending transfer receives capacity * w_i / sum(w),
-//     i.e. weighted fair sharing (equal weights -> max-min fairness).
+//     each of the n flows with a pending transfer receives capacity / n
+//     (max-min fair sharing: every flow has the same claim on the path).
 //   * Virtual time advances only when every registered flow is parked in
-//     Transfer()/WaitUntil() — a conservative barrier that makes the
-//     simulation deterministic regardless of OS thread scheduling.
-//   * Holds cap virtual time so the cluster coordinator can admit a request
-//     at virtual instant t before other flows stream past t.
+//     Transfer()/WaitUntil()/DrainGpu() — a conservative barrier that makes
+//     the simulation deterministic regardless of OS thread scheduling.
+//   * Admission holds cap virtual time so the cluster coordinator can admit
+//     a request at virtual instant t before other flows stream past t.
 //
 // The completion channel (CompleteFlow / PopCompletion) closes the loop with
 // the coordinator: a finishing worker atomically {queues its completion,
@@ -32,8 +32,10 @@
 //     each CompleteFlow instant), and
 //   * one FIFO *lane* of GPU work items per flow (PostGpuWork). An item has
 //     a constant part (per-call overhead, drains at rate 1) and a shared
-//     part (compute, drains at rate share(t) = 1 / min(gpu_slots,
-//     max(1, in_flight(t)))).
+//     part (compute, drains at rate share(t) = 1 / max(1, in_flight(t))).
+// The cluster's worker count never caps the share: a worker slot holds at
+// most one request between its admission instant and its free instant, so
+// in_flight(t) never exceeds the number of workers.
 // Lanes drain inside AdvanceLocked as virtual time advances, so a work item
 // spanning a peer's completion is priced piecewise: the stale-snapshot
 // mispricing the old per-admission share had is gone. Determinism holds
@@ -63,18 +65,14 @@ class SharedLink {
 
   explicit SharedLink(BandwidthTrace capacity);
 
-  // --- holds (virtual-time caps) -------------------------------------------
-  // Virtual time never advances past the earliest outstanding hold.
-  HoldId HoldAt(double t_s);
-  void ReleaseHold(HoldId id);
-
-  // --- GPU accounting -------------------------------------------------------
-  // Cap on concurrent GPU sharers (the cluster's worker count); 0 = uncapped.
-  void SetGpuSlots(size_t n);
-  // HoldAt plus a ledger entry: one more request contends for the GPU from
-  // `t_s` on. Pair every HoldAdmission with exactly one later CompleteFlow
-  // (which records the matching -1 at its free instant).
+  // --- admission holds and GPU accounting ----------------------------------
+  // Cap virtual time at `t_s` (virtual time never advances past the
+  // earliest outstanding hold) and record a ledger entry: one more request
+  // contends for the GPU from `t_s` on. Pair every HoldAdmission with
+  // exactly one later CompleteFlow (which records the matching -1 at its
+  // free instant).
   HoldId HoldAdmission(double t_s);
+  void ReleaseHold(HoldId id);
   // Append a work item to the flow's GPU lane. `const_s` drains at rate 1
   // (per-call overhead); `shared_s` drains at rate share(t). The item starts
   // at max(arrival_s, previous item's completion). Non-blocking; the lane
@@ -83,16 +81,12 @@ class SharedLink {
   // Park the calling worker until the flow's lane is empty; returns the
   // completion instant of every item posted since Register, in post order.
   std::vector<double> DrainGpu(FlowId id);
-  // Ledger introspection (tests): share in effect at instant t_s. Only
-  // instants <= now() are guaranteed settled.
-  double GpuShareAt(double t_s) const;
 
   // --- flows ----------------------------------------------------------------
   // Register a flow whose first transfer may start at `start_s` (>= now()).
-  // The flow counts against the barrier immediately: until it posts its
-  // first Transfer (or deregisters) virtual time is frozen.
-  FlowId Register(double start_s, double weight = 1.0);
-  void Deregister(FlowId id);
+  // The flow counts against the barrier immediately: until it parks (or
+  // leaves through CompleteFlow) virtual time is frozen.
+  FlowId Register(double start_s);
 
   // Move `bytes` over the shared path; blocks the calling worker thread
   // until the fluid simulation completes the transfer. Returns the record in
@@ -134,7 +128,6 @@ class SharedLink {
 
   struct Flow {
     double clock = 0.0;      // flow-local time: end of last finished transfer
-    double weight = 1.0;
     bool parked = false;     // thread blocked in Transfer/WaitUntil/DrainGpu
     bool done = false;       // pending op finished; thread may resume
     bool draining = false;   // parked in DrainGpu until the lane empties
@@ -170,7 +163,6 @@ class SharedLink {
   std::vector<Completion> completions_ CG_GUARDED_BY(mu_);
   FlowId next_flow_ CG_GUARDED_BY(mu_) = 1;
   HoldId next_hold_ CG_GUARDED_BY(mu_) = 1;
-  size_t gpu_slots_ CG_GUARDED_BY(mu_) = 0;  // 0 = uncapped
   // In-flight count settled through now_s_.
   int gpu_base_inflight_ CG_GUARDED_BY(mu_) = 0;
   // Future ledger deltas, instant -> net.

@@ -16,14 +16,6 @@ namespace {
 // construction, so ~1/N of full hits land on their home node.
 constexpr uint64_t kRouteSeed = 0x10adba1a4ce00001ull;
 
-// Per-thread fetch accounting for the lookup in flight on this thread: the
-// fabric resets both at LookupAndPin entry, the chunk ops below bump them,
-// and the classification reads them back. Per-chunk inner lookups run on
-// the calling thread (the prefix layer never hands them off), so the
-// thread-local is exactly per-request state.
-thread_local uint64_t tl_remote_fetches = 0;
-thread_local uint64_t tl_fetch_slot = 0;
-
 bool IsCasId(const std::string& id) { return id.rfind("cas-", 0) == 0; }
 
 // Reader identity for the CRT replica schedule: the request id when a
@@ -226,14 +218,12 @@ TierLookup CacheFabric::LookupAndPin(const std::string& context_id,
                                      const ContextSpec& spec, double t_s) {
   const uint32_t home = HomeNode(context_id);
   const uint32_t front = FrontNode(context_id);
-  tl_remote_fetches = 0;
-  tl_fetch_slot = 0;
   TierLookup look = nodes_[home].tier->LookupAndPin(context_id, spec, t_s);
   // Remote when any covered byte must cross the interconnect to reach the
   // front node: the request landed away from its home, or the home node's
-  // prefix pulled chunks from peer replicas.
+  // prefix pulled chunks from peer replicas (LookupChunk flags each one).
   const bool covered = look.hit() || look.covered_chunks > 0;
-  look.any_remote = covered && (front != home || tl_remote_fetches > 0);
+  look.any_remote = covered && (front != home || look.any_remote);
   look.home_node = static_cast<int>(home);
 
   CG_METRIC_COUNT("fabric.lookups", 1);
@@ -297,10 +287,10 @@ const PrefixCache* CacheFabric::prefix() const {
 
 // --- chunk directory + peer fetch --------------------------------------------
 
-std::vector<uint32_t> CacheFabric::OwnersOf(const std::string& cas_id) const {
+CacheFabric::DirEntry CacheFabric::EntryOf(const std::string& cas_id) const {
   MutexLock lk(dir_mu_);
   auto it = dir_.find(cas_id);
-  return it != dir_.end() ? it->second.owners : std::vector<uint32_t>{};
+  return it != dir_.end() ? it->second : DirEntry{};
 }
 
 void CacheFabric::NoteChunkRead(uint32_t owner, uint32_t reader_node,
@@ -311,7 +301,6 @@ void CacheFabric::NoteChunkRead(uint32_t owner, uint32_t reader_node,
   if (owner != reader_node) {
     remote_chunk_fetches_.fetch_add(1, std::memory_order_relaxed);
     remote_chunk_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    ++tl_remote_fetches;
     CG_METRIC_COUNT("fabric.chunk_reads.remote", 1);
   }
   const uint64_t total = chunk_reads_.load(std::memory_order_relaxed);
@@ -336,6 +325,7 @@ void CacheFabric::StoreChunk(uint32_t from_node, const std::string& cas_id,
     fresh = inserted;
     if (inserted) {
       it->second.owners = ring_.ReplicaNodes(cas_id, opts_.chunk_replicas);
+      if (!chunks.empty()) it->second.chunk_index = chunks[0].first.chunk_index;
     }
     was_holder = (it->second.holders >> from_node) & 1;
     it->second.holders |= uint64_t{1} << from_node;
@@ -361,13 +351,13 @@ void CacheFabric::PutChunkRaw(uint32_t from_node, const ChunkKey& key,
 
 std::optional<std::vector<uint8_t>> CacheFabric::ReadChunk(
     uint32_t reader_node, const ChunkKey& key) const {
-  const std::vector<uint32_t> owners = OwnersOf(key.context_id);
+  const std::vector<uint32_t> owners = EntryOf(key.context_id).owners;
   if (owners.empty()) {
     // Unknown to the directory (store adopted out-of-band): local only.
     return nodes_[reader_node].store->kv().Get(key);
   }
   const uint32_t start =
-      ReplicaChoice(ReaderFor(key.context_id), tl_fetch_slot++,
+      ReplicaChoice(ReaderFor(key.context_id), key.chunk_index,
                     static_cast<uint32_t>(owners.size()));
   // Schedule-chosen replica first; on a lost replica fall through the rest
   // of the stripe before reporting the chunk gone.
@@ -384,12 +374,13 @@ std::optional<std::vector<uint8_t>> CacheFabric::ReadChunk(
 
 TierLookup CacheFabric::LookupChunk(uint32_t reader_node,
                                     const std::string& cas_id, double t_s) {
-  const std::vector<uint32_t> owners = OwnersOf(cas_id);
+  const DirEntry entry = EntryOf(cas_id);
+  const std::vector<uint32_t>& owners = entry.owners;
   if (owners.empty()) {
     return nodes_[reader_node].store->LookupAndPin(cas_id, ContextSpec{}, t_s);
   }
   const uint32_t start =
-      ReplicaChoice(ReaderFor(cas_id), tl_fetch_slot++,
+      ReplicaChoice(ReaderFor(cas_id), entry.chunk_index,
                     static_cast<uint32_t>(owners.size()));
   TierLookup look;
   for (size_t k = 0; k < owners.size(); ++k) {
@@ -407,13 +398,14 @@ TierLookup CacheFabric::LookupChunk(uint32_t reader_node,
                                ? nodes_[owner].store->kv().ContextBytes(cas_id)
                                : 0;
     NoteChunkRead(owner, reader_node, bytes);
+    look.any_remote = owner != reader_node;
     return look;
   }
   return look;  // every replica lost the bytes: a miss
 }
 
 bool CacheFabric::ChunkPresent(const std::string& cas_id) const {
-  for (uint32_t o : OwnersOf(cas_id)) {
+  for (uint32_t o : EntryOf(cas_id).owners) {
     if (nodes_[o].store->kv().ContainsContext(cas_id)) return true;
   }
   return false;
@@ -446,19 +438,19 @@ void CacheFabric::DerefChunk(uint32_t from_node, const std::string& cas_id) {
 }
 
 void CacheFabric::PinChunk(const std::string& cas_id) {
-  for (uint32_t o : OwnersOf(cas_id)) nodes_[o].store->Pin(cas_id);
+  for (uint32_t o : EntryOf(cas_id).owners) nodes_[o].store->Pin(cas_id);
 }
 
 void CacheFabric::UnpinChunk(const std::string& cas_id) {
-  for (uint32_t o : OwnersOf(cas_id)) nodes_[o].store->Unpin(cas_id);
+  for (uint32_t o : EntryOf(cas_id).owners) nodes_[o].store->Unpin(cas_id);
 }
 
 void CacheFabric::TouchChunk(const std::string& cas_id, double t_s) {
-  for (uint32_t o : OwnersOf(cas_id)) nodes_[o].store->Touch(cas_id, t_s);
+  for (uint32_t o : EntryOf(cas_id).owners) nodes_[o].store->Touch(cas_id, t_s);
 }
 
 uint64_t CacheFabric::ChunkBytes(const std::string& cas_id) const {
-  for (uint32_t o : OwnersOf(cas_id)) {
+  for (uint32_t o : EntryOf(cas_id).owners) {
     const uint64_t b = nodes_[o].store->kv().ContextBytes(cas_id);
     if (b > 0) return b;
   }

@@ -25,15 +25,19 @@
 //     node boundary, which is the whole point of peer fetch.
 //   * Concurrent readers of a hot striped chunk spread over its replicas by
 //     CRT-style deterministic schedules (fabric/replica_schedule.h): reader
-//     k's j-th fetch goes to replica (offset_k + j*step_k) mod R, so two
-//     readers collide on at most one fetch per R and no replica becomes the
-//     convergence point. Per-node read counters feed the replica-load gauge
+//     k's fetch of chunk j (slot j is the chunk's index in its context) goes
+//     to replica (offset_k + j*step_k) mod R, so two readers collide on at
+//     most one chunk per R and no replica becomes the convergence point.
+//     Because the slot is the chunk's, a lookup and a later assembly read
+//     of the same chunk, on whatever thread, pick the same replica.
+//     Per-node read counters feed the replica-load gauge
 //     (`fabric.replica.max_read_share_pct`) the bench gates on.
 //
-// Determinism: placement, routing, replica choice, and therefore every
-// hit/remote/miss outcome are pure functions of (ids, options) — seeded
-// hashing throughout, no RNG, no wall-clock. Reruns are bit-identical (CI
-// gates on it).
+// Determinism: placement, routing, replica choice (a pure function of the
+// request id and the chunk index), and therefore every hit/remote/miss
+// outcome are pure functions of (ids, options) — seeded hashing
+// throughout, no RNG, no wall-clock, no per-thread state. Reruns are
+// bit-identical (CI gates on it).
 //
 // Locks: storage/cache_tier.h states the order. NodeViews are only ever
 // called from inside their own node's prefix layer (or the fabric's own
@@ -126,7 +130,8 @@ class CacheFabric final : public KVStore, public CacheTier {
   // --- CacheTier: routed to the home node, remote-classified ---------------
   // Forwards to the home node's tier, then sets TierLookup::any_remote when
   // the covered bytes will cross the interconnect (front != home, or any
-  // covered chunk was fetched from a peer replica).
+  // covered chunk was fetched from a peer replica: LookupChunk flags it and
+  // the prefix layer ORs the flag over the covered chunks).
   TierLookup LookupAndPin(const std::string& context_id, const ContextSpec& spec,
                           double t_s) override;
   void Pin(const std::string& context_id) override;
@@ -165,6 +170,9 @@ class CacheFabric final : public KVStore, public CacheTier {
   struct DirEntry {
     std::vector<uint32_t> owners;  // replica set, ring order (primary first)
     uint64_t holders = 0;          // bitmask of nodes referencing the chunk
+    // The chunk's index in every context that references it (a content
+    // address covers its placement): the replica schedule's fetch slot.
+    uint32_t chunk_index = 0;
   };
 
   // Chunk ops called by NodeViews (cas- ids only).
@@ -183,7 +191,8 @@ class CacheFabric final : public KVStore, public CacheTier {
   void TouchChunk(const std::string& cas_id, double t_s);
   uint64_t ChunkBytes(const std::string& cas_id) const;
 
-  std::vector<uint32_t> OwnersOf(const std::string& cas_id) const;
+  // A copy of the chunk's directory entry (no owners when it is unknown).
+  DirEntry EntryOf(const std::string& cas_id) const;
   // Count one chunk read served by `owner` on behalf of `reader_node`;
   // refreshes the replica-load gauge.
   void NoteChunkRead(uint32_t owner, uint32_t reader_node,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/stats.h"
 
@@ -85,20 +84,6 @@ double QualityModel::QualityFromDrop(double lost_mass, bool attention_aware) con
   lost_mass = std::clamp(lost_mass, 0.0, 1.0);
   const double beta = attention_aware ? p_.drop_beta_kv : p_.drop_beta_text;
   return std::clamp(1.0 - beta * lost_mass - 0.35 * lost_mass * lost_mass, 0.0, 1.0);
-}
-
-double QualityModel::ToMetric(TaskMetric metric, double q) {
-  q = std::clamp(q, 0.0, 1.0);
-  switch (metric) {
-    case TaskMetric::kAccuracy:
-      return q;
-    case TaskMetric::kF1:
-      return 95.0 * q;  // TriviaQA-like ceiling, in percent
-    case TaskMetric::kPerplexity:
-      // Diverges as quality collapses; 5.9 matches a well-served WikiText run.
-      return 5.9 * std::pow(std::max(q, 0.02), -1.2);
-  }
-  throw std::logic_error("QualityModel::ToMetric: bad metric");
 }
 
 }  // namespace cachegen

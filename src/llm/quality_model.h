@@ -63,13 +63,6 @@ class QualityModel {
   // KV-pruning slope.
   double QualityFromDrop(double lost_mass, bool attention_aware) const;
 
-  // Convert a composed quality factor into the dataset's metric.
-  // accuracy/F1 scale linearly with q; perplexity diverges as q drops.
-  static double ToMetric(TaskMetric metric, double q);
-
-  // Larger-is-better orientation helper for plotting/SLO logic.
-  static bool HigherIsBetter(TaskMetric m) { return m != TaskMetric::kPerplexity; }
-
   const QualityModelParams& params() const { return p_; }
 
  private:

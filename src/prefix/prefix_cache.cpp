@@ -486,6 +486,7 @@ TierLookup PrefixCache::LookupAndPin(const std::string& context_id,
     ++cit->second.pins;
     rec.cas_ids.push_back(cit->first);
     out.any_cold = out.any_cold || r.tier == KVTier::kCold;
+    out.any_remote = out.any_remote || r.any_remote;
     out.covered_tokens += ranges[j].size();
   }
   out.covered_chunks = rec.cas_ids.size();

@@ -25,6 +25,16 @@ namespace {
 // SharedLink: the fluid fair-share arbiter in isolation.
 // ---------------------------------------------------------------------------
 
+// A finished flow leaves the barrier through CompleteFlow from its own
+// thread, as ClusterServer workers do; otherwise it freezes time for the
+// flows still streaming. The test thread plays the coordinator: it pops
+// each completion in virtual-time order and releases the completion's hold.
+void PopAndRelease(SharedLink& link, size_t in_flight) {
+  for (; in_flight > 0; --in_flight) {
+    link.ReleaseHold(link.PopCompletion(in_flight).hold);
+  }
+}
+
 TEST(SharedLink, SingleFlowMatchesPrivateLinkTiming) {
   SharedLink link(BandwidthTrace::Constant(1.0));  // 1 Gbps
   const auto flow = link.Register(0.0);
@@ -34,7 +44,8 @@ TEST(SharedLink, SingleFlowMatchesPrivateLinkTiming) {
   EXPECT_NEAR(rec.end_s, 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(rec.bytes, bytes);
   EXPECT_NEAR(rec.bytes * 8.0 / 1e9 / rec.Seconds(), 1.0, 1e-9);  // Gbps
-  link.Deregister(flow);
+  link.CompleteFlow(flow, rec.end_s, 0);
+  PopAndRelease(link, 1);
 }
 
 TEST(SharedLink, TwoEqualFlowsHalveEachOther) {
@@ -44,45 +55,19 @@ TEST(SharedLink, TwoEqualFlowsHalveEachOther) {
   const double bytes = 1e9 / 8.0;  // 1 s alone, 2 s when shared
 
   TransferRecord r1, r2;
-  // A finished flow must leave the barrier (Deregister) from its own thread,
-  // as ClusterServer workers do via CompleteFlow — otherwise it freezes time
-  // for the flows still streaming.
   std::thread t1([&] {
     r1 = link.Transfer(f1, bytes);
-    link.Deregister(f1);
+    link.CompleteFlow(f1, r1.end_s, 1);
   });
   std::thread t2([&] {
     r2 = link.Transfer(f2, bytes);
-    link.Deregister(f2);
+    link.CompleteFlow(f2, r2.end_s, 2);
   });
+  PopAndRelease(link, 2);
   t1.join();
   t2.join();
   EXPECT_NEAR(r1.end_s, 2.0, 1e-6);
   EXPECT_NEAR(r2.end_s, 2.0, 1e-6);
-}
-
-TEST(SharedLink, WeightedSharingSplitsProportionally) {
-  SharedLink link(BandwidthTrace::Constant(1.0));
-  const auto heavy = link.Register(0.0, 2.0);
-  const auto light = link.Register(0.0, 1.0);
-  const double bytes = 1e9 / 8.0;
-
-  TransferRecord rh, rl;
-  std::thread t1([&] {
-    rh = link.Transfer(heavy, bytes);
-    link.Deregister(heavy);
-  });
-  std::thread t2([&] {
-    rl = link.Transfer(light, bytes);
-    link.Deregister(light);
-  });
-  t1.join();
-  t2.join();
-  // Heavy gets 2/3 of capacity -> finishes at 1.5 s; light then has the
-  // remaining 1/3 spent for 1.5 s (0.5 of its second) and finishes the rest
-  // at full capacity: 1.5 + 0.5 = 2.0 s.
-  EXPECT_NEAR(rh.end_s, 1.5, 1e-6);
-  EXPECT_NEAR(rl.end_s, 2.0, 1e-6);
 }
 
 TEST(SharedLink, LateFlowOnlySharesWhileActive) {
@@ -94,12 +79,13 @@ TEST(SharedLink, LateFlowOnlySharesWhileActive) {
   TransferRecord re, rl;
   std::thread t1([&] {
     re = link.Transfer(early, bytes);
-    link.Deregister(early);
+    link.CompleteFlow(early, re.end_s, 1);
   });
   std::thread t2([&] {
     rl = link.Transfer(late, bytes);
-    link.Deregister(late);
+    link.CompleteFlow(late, rl.end_s, 2);
   });
+  PopAndRelease(link, 2);
   t1.join();
   t2.join();
   // Early runs alone for 1 s (half done), then shares: remaining 1 s of work
@@ -111,17 +97,20 @@ TEST(SharedLink, LateFlowOnlySharesWhileActive) {
 
 TEST(SharedLink, HoldCapsVirtualTimeUntilReleased) {
   SharedLink link(BandwidthTrace::Constant(1.0));
-  const auto hold = link.HoldAt(0.5);
+  const auto hold = link.HoldAdmission(0.5);
   const auto flow = link.Register(0.0);
   TransferRecord rec;
-  std::thread t([&] { rec = link.Transfer(flow, 1e9 / 8.0); });
+  std::thread t([&] {
+    rec = link.Transfer(flow, 1e9 / 8.0);
+    link.CompleteFlow(flow, rec.end_s, 0);
+  });
   // Give the transfer a moment: it must park at the hold, not complete.
   while (link.now() < 0.5 - 1e-9) std::this_thread::yield();
   EXPECT_NEAR(link.now(), 0.5, 1e-9);
   link.ReleaseHold(hold);
+  PopAndRelease(link, 1);
   t.join();
   EXPECT_NEAR(rec.end_s, 1.0, 1e-9);
-  link.Deregister(flow);
 }
 
 // ---------------------------------------------------------------------------

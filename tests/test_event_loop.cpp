@@ -35,14 +35,13 @@ namespace {
 
 // The ROADMAP scenario: a peer finishing early must raise every survivor's
 // GPU share AT THAT INSTANT, not at the survivor's next admission. Two
-// requests contend for 2 GPU slots; the peer frees at t=1 while the survivor
+// requests share the GPU; the peer frees at t=1 while the survivor
 // still has 2.0 shared-seconds of work. Piecewise pricing: [0,1) at share
 // 1/2 drains 0.5 s of it, the remaining 1.5 s drains at share 1 -> done at
 // 2.5. A frozen admission share would have given 4.0 (stale 1/2 throughout);
 // ignoring contention entirely would give 2.0.
 TEST(SharedLinkGpu, PeerCompletionRaisesShareAtThatInstant) {
   SharedLink link(BandwidthTrace::Constant(1.0));
-  link.SetGpuSlots(2);
   const auto h1 = link.HoldAdmission(0.0);
   const auto h2 = link.HoldAdmission(0.0);
   const auto f1 = link.Register(0.0);
@@ -52,11 +51,6 @@ TEST(SharedLinkGpu, PeerCompletionRaisesShareAtThatInstant) {
   // Peer finishes at t=1: its -1 lands in the ledger atomically with a hold
   // at 1.0, so no lane segment past 1.0 is priced without it.
   link.CompleteFlow(f2, 1.0, /*payload=*/42);
-
-  // Ledger introspection before any folding: share is 1/2 while both are in
-  // flight and 1 after the peer frees.
-  EXPECT_DOUBLE_EQ(link.GpuShareAt(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(link.GpuShareAt(1.5), 1.0);
 
   link.PostGpuWork(f1, /*arrival_s=*/0.0, /*const_s=*/0.0, /*shared_s=*/2.0);
   std::vector<double> done;
@@ -83,14 +77,10 @@ TEST(SharedLinkGpu, PeerCompletionRaisesShareAtThatInstant) {
 // 2.0 s at share 1/2 -> done at 5.0.
 TEST(SharedLinkGpu, AdmissionMidItemLowersShareFromItsInstant) {
   SharedLink link(BandwidthTrace::Constant(1.0));
-  link.SetGpuSlots(4);
   const auto h1 = link.HoldAdmission(0.0);
   const auto f1 = link.Register(0.0);
   link.ReleaseHold(h1);
   const auto h2 = link.HoldAdmission(1.0);  // the future peer's +1
-
-  EXPECT_DOUBLE_EQ(link.GpuShareAt(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(link.GpuShareAt(1.5), 0.5);
 
   link.PostGpuWork(f1, 0.0, 0.0, 3.0);
   std::vector<double> done;
@@ -113,7 +103,6 @@ TEST(SharedLinkGpu, AdmissionMidItemLowersShareFromItsInstant) {
 // the lane is FIFO — item i+1 starts at max(arrival, item i's completion).
 TEST(SharedLinkGpu, LaneIsFifoWithUnscaledConstPart) {
   SharedLink link(BandwidthTrace::Constant(1.0));
-  link.SetGpuSlots(2);
   const auto h1 = link.HoldAdmission(0.0);
   const auto h2 = link.HoldAdmission(0.0);
   const auto f1 = link.Register(0.0);

@@ -16,6 +16,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_server.h"
@@ -23,6 +24,7 @@
 #include "fabric/hash_ring.h"
 #include "fabric/replica_schedule.h"
 #include "net/bandwidth_trace.h"
+#include "obs/trace.h"
 #include "prefix/prefix_cache.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
@@ -361,6 +363,40 @@ TEST(CacheFabric, SingleNodeFabricIsAlwaysLocal) {
   EXPECT_EQ(stats.local_hits, 1u);
   EXPECT_EQ(stats.remote_hits, 0u);
   EXPECT_EQ(stats.remote_chunk_fetches, 0u);
+}
+
+// One request's chunk reads can run on different threads: its lookup on the
+// worker serving it, its assembly on whichever pool thread drains the tail.
+// The replica that serves a chunk must depend on the request and the chunk
+// alone, not on how many chunks the reading thread fetched before it.
+TEST(CacheFabric, ReplicaChoiceIsAFunctionOfRequestAndChunk) {
+  CacheFabric fab(SmallFabricOpts(4, 2));
+  StoreMember(fab, "rc", Member(5), 0x5A);
+  // The node whose read counter one read moved.
+  const auto read = [&](uint32_t chunk) {
+    const std::vector<uint64_t> before = fab.stats().node_chunk_reads;
+    EXPECT_TRUE(fab.kv().Get(ChunkKey{"rc", chunk, 0}).has_value());
+    const std::vector<uint64_t> after = fab.stats().node_chunk_reads;
+    int served = -1;
+    for (size_t n = 0; n < after.size(); ++n) {
+      if (after[n] != before[n]) served = static_cast<int>(n);
+    }
+    return served;
+  };
+  int first = -1, second = -1;
+  std::thread a([&] {
+    obs::ScopedRequestId rid(7);
+    first = read(0);
+  });
+  a.join();
+  std::thread b([&] {
+    obs::ScopedRequestId rid(7);
+    read(1);
+    second = read(0);
+  });
+  b.join();
+  ASSERT_GE(first, 0);
+  EXPECT_EQ(first, second);
 }
 
 TEST(CacheFabric, RejectsInvalidTopologies) {

@@ -261,18 +261,6 @@ TEST(QualityModel, DropQualityAttentionAwareGentler) {
   EXPECT_LT(qm.QualityFromDrop(0.5, true), 1.0);
 }
 
-TEST(QualityModel, MetricsOrientation) {
-  EXPECT_GT(QualityModel::ToMetric(TaskMetric::kAccuracy, 0.9),
-            QualityModel::ToMetric(TaskMetric::kAccuracy, 0.5));
-  EXPECT_GT(QualityModel::ToMetric(TaskMetric::kF1, 0.9),
-            QualityModel::ToMetric(TaskMetric::kF1, 0.5));
-  // Perplexity is lower-is-better: must increase as quality drops.
-  EXPECT_LT(QualityModel::ToMetric(TaskMetric::kPerplexity, 0.9),
-            QualityModel::ToMetric(TaskMetric::kPerplexity, 0.5));
-  EXPECT_TRUE(QualityModel::HigherIsBetter(TaskMetric::kAccuracy));
-  EXPECT_FALSE(QualityModel::HigherIsBetter(TaskMetric::kPerplexity));
-}
-
 TEST(QualityModel, WeightedNmseFromCaches) {
   const ModelConfig cfg = ModelConfig::Preset("mistral-7b");
   const SyntheticModel model(cfg);

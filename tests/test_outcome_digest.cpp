@@ -65,7 +65,7 @@ std::string OutcomeDigest(const std::vector<RequestOutcome>& outcomes) {
     h.UpdateU64(rq.spec.prefix_seed);
     h.UpdateU64(rq.spec.prefix_tokens);
     f64(rq.slo_s);
-    f64(rq.weight);
+    f64(1.0);  // retired link weight (always 1.0): the digests keep it
 
     h.UpdateU64(o.worker);
     f64(o.admit_s);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "codec/profile.h"
 #include "common/rng.h"
-#include "quant/binned_quant.h"
 #include "quant/symbol_kernels.h"
 #include "quant/uniform_quant.h"
 
@@ -202,48 +200,6 @@ TEST(UniformQuant, HandlesEmptyInput) {
 TEST(UniformQuant, RejectsBadBits) {
   EXPECT_THROW(UniformQuantizer(0), std::invalid_argument);
   EXPECT_THROW(UniformQuantizer(17), std::invalid_argument);
-}
-
-TEST(BinnedQuant, RoundTripError) {
-  const BinnedQuantizer q(0.5);
-  for (float x : {-3.2f, -0.26f, 0.0f, 0.24f, 0.26f, 7.9f}) {
-    const float back = q.DequantizeOne(q.QuantizeOne(x));
-    EXPECT_LE(std::fabs(back - x), 0.25f + 1e-6f);
-  }
-}
-
-TEST(BinnedQuant, ClampsToMaxSymbol) {
-  const BinnedQuantizer q(1.0, 4);
-  EXPECT_EQ(q.QuantizeOne(100.0f), 4);
-  EXPECT_EQ(q.QuantizeOne(-100.0f), -4);
-}
-
-TEST(BinnedQuant, AlphabetShiftInverse) {
-  const BinnedQuantizer q(1.0, 8);
-  for (int32_t s = -8; s <= 8; ++s) {
-    EXPECT_EQ(q.FromAlphabet(q.ToAlphabet(s)), s);
-  }
-  EXPECT_EQ(q.alphabet_size(), 17u);
-}
-
-TEST(BinnedQuant, LargerBinsFewerSymbols) {
-  Rng rng(3);
-  std::vector<float> xs;
-  for (int i = 0; i < 10000; ++i) xs.push_back(static_cast<float>(rng.Gaussian(0, 1)));
-  std::vector<int32_t> fine, coarse;
-  BinnedQuantizer(0.25).Quantize(xs, fine);
-  BinnedQuantizer(1.0).Quantize(xs, coarse);
-  auto distinct = [](const std::vector<int32_t>& v) {
-    std::set<int32_t> s(v.begin(), v.end());
-    return s.size();
-  };
-  EXPECT_GT(distinct(fine), distinct(coarse));
-}
-
-TEST(BinnedQuant, RejectsBadParams) {
-  EXPECT_THROW(BinnedQuantizer(0.0), std::invalid_argument);
-  EXPECT_THROW(BinnedQuantizer(-1.0), std::invalid_argument);
-  EXPECT_THROW(BinnedQuantizer(1.0, 0), std::invalid_argument);
 }
 
 }  // namespace

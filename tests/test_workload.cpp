@@ -73,6 +73,7 @@ TEST(Datasets, MetricConversion) {
   EXPECT_DOUBLE_EQ(lc.MetricFromQuality(0.5), 0.5);
   const Dataset tq(DatasetKind::kTriviaQA);
   EXPECT_NEAR(tq.MetricFromQuality(1.0), 92.0, 1e-9);
+  EXPECT_GT(tq.MetricFromQuality(0.9), tq.MetricFromQuality(0.5));  // F1 rises
   const Dataset wt(DatasetKind::kWikiText);
   EXPECT_NEAR(wt.MetricFromQuality(1.0), 5.9, 1e-9);
   EXPECT_GT(wt.MetricFromQuality(0.5), wt.MetricFromQuality(1.0));  // ppl rises
