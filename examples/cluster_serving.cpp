@@ -287,8 +287,8 @@ int RunServeRun(const std::string& dir_arg, bool fabric_mode) {
   ts.tier->Flush();
 
   // Artifacts. The exposition omits wall-clock-measured series (codec
-  // timings, tracer ring high-water), the worker-racy channel-depth gauges,
-  // and the pool's submission count: each cold tier submits a demotion
+  // timings, tracer ring high-water) and the pool's submission count: each
+  // cold tier submits a demotion
   // drainer only when its previous one has already finished, which depends
   // on wall timing. Every remaining value is a pure function of the
   // workload, so the CI double-replay compares all four artifacts
@@ -298,9 +298,7 @@ int RunServeRun(const std::string& dir_arg, bool fabric_mode) {
   ok = recorder->WriteIncidents(dir) && ok;
   obs::ExpositionOptions eo;
   eo.exclude = {"codec.encode_us", "codec.decode_us",
-                "obs.trace.ring_highwater_events",
-                "cluster.queue.admission_depth",
-                "cluster.queue.continuation_depth", "pool.submitted"};
+                "obs.trace.ring_highwater_events", "pool.submitted"};
   ok = obs::WritePrometheusText(dir / "metrics.prom", eo) && ok;
   if (!ok) {
     std::fprintf(stderr, "FAIL: could not write artifacts under %s\n",

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <iterator>
+#include <limits>
+#include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/thread_annotations.h"
 #include "codec/encoding_level.h"
@@ -30,9 +33,8 @@ constexpr double kColdReadGbps = 1.25;
 constexpr double kColdSeekS = 0.015;
 
 // Metric-name prefixes sampled into the telemetry time-series: only series
-// the coordinator itself records in completion order. Worker-recorded
-// metrics (codec wall timings, channel depth gauges) are wall-order racy and
-// would break replay byte-identity.
+// the coordinator itself records in completion order. Codec wall timings
+// are machine-speed dependent and would break replay byte-identity.
 const char* const kTelemetrySeries[] = {
     "cluster.admission_batches", "cluster.bytes_sent",
     "cluster.hits.",             "cluster.in_flight",
@@ -72,6 +74,106 @@ void RecordOutcomeMetrics(const RequestOutcome& out) {
   CG_METRIC_HIST("cluster.queue_delay_us",
                  static_cast<uint64_t>(out.queue_delay_s * 1e6));
 }
+
+// Pool threads run only assembly decodes, the codec CPU work of a hit
+// served with assemble_kv. When the hit's stream ends, the coordinator reads
+// the chunks it streamed (Engine::FetchKV, while the lookup's pin still
+// holds them) and hands them over; a thread parses and decodes them
+// (Engine::DecodeKV) without touching the cache tier, so the pin is
+// released at the request's free instant like any other. At most one job
+// per thread is outstanding: handing over one more first waits for the
+// oldest, which bounds the bitstreams held in memory, and the serve ends by
+// draining the rest. Each thread decodes into its own KV buffer, reused
+// across requests instead of refaulting fresh memory.
+class AssemblyPool {
+ public:
+  AssemblyPool(const Engine& engine, size_t threads)
+      : engine_(engine), capacity_(threads) {
+    threads_.reserve(threads);
+    for (size_t i = 0; i < threads; ++i) threads_.emplace_back([this] { Run(); });
+  }
+  ~AssemblyPool() {
+    {
+      MutexLock lk(mu_);
+      closed_ = true;
+    }
+    cv_.NotifyAll();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  void Submit(const ClusterRequest& rq, std::vector<int> levels,
+              std::vector<std::vector<uint8_t>> chunks) {
+    if (jobs_.size() == capacity_) JoinOldest();
+    jobs_.push_back(
+        {rq.spec, std::move(levels), std::move(chunks), TraceTrack(rq), false});
+    {
+      MutexLock lk(mu_);
+      queue_.push_back(&jobs_.back());
+    }
+    cv_.NotifyAll();
+  }
+
+  void Drain() {
+    while (!jobs_.empty()) JoinOldest();
+  }
+
+ private:
+  struct Job {
+    ContextSpec spec;
+    std::vector<int> levels;  // one decision per chunk, -1 = text
+    std::vector<std::vector<uint8_t>> chunks;
+    uint64_t track = 0;
+    bool done = false;  // guarded by mu_
+  };
+
+  void JoinOldest() {
+    {
+      MutexLock lk(mu_);
+      while (!jobs_.front().done) cv_.Wait(mu_);
+    }
+    jobs_.pop_front();
+  }
+
+  void Run() {
+    KVCache assembly;
+    for (;;) {
+      Job* job = nullptr;
+      {
+        MutexLock lk(mu_);
+        while (!closed_ && queue_.empty()) cv_.Wait(mu_);
+        if (queue_.empty()) return;  // closed and drained
+        job = queue_.front();
+        queue_.pop_front();
+      }
+      {
+        obs::ScopedRequestId rid(job->track);
+        CG_TRACE_SPAN("cluster", "assemble_kv");
+        try {
+          engine_.DecodeKV(job->spec, job->levels, job->chunks, assembly);
+        } catch (const std::exception&) {
+          // A malformed chunk: the text path would recompute it (already
+          // priced into the streaming timeline as the coarsest outcome).
+        }
+      }
+      {
+        MutexLock lk(mu_);
+        job->done = true;
+      }
+      cv_.NotifyAll();
+    }
+  }
+
+  const Engine& engine_;
+  const size_t capacity_;
+  // Outstanding jobs, oldest first (coordinator only; a deque keeps the
+  // addresses the threads hold).
+  std::deque<Job> jobs_;
+  Mutex mu_;
+  CondVar cv_;
+  std::deque<Job*> queue_ CG_GUARDED_BY(mu_);
+  bool closed_ CG_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> threads_;
+};
 
 }  // namespace
 
@@ -136,7 +238,7 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   std::vector<RequestOutcome> outcomes(n);
   if (n == 0) return outcomes;
 
-  // Build the calibration once, before worker threads need it.
+  // Build the calibration once, before the first plan needs it.
   engine_.calibration();
 
   // Resolve the SLO default up front so scheduler policies (EDF sorts by
@@ -145,11 +247,10 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
     if (rq.slo_s <= 0.0) rq.slo_s = opts_.default_slo_s;
   }
 
-  link_ = std::make_unique<SharedLink>(capacity_);
   RequestQueue queue(std::move(trace));
 
   StartTelemetry();
-  ServeEventLoop(queue, n, &outcomes);
+  ServeEventLoop(queue, &outcomes);
   FinishTelemetry(last_completion_s_);
 
   // Drain background tier work (the cold tier's demotion writer holds
@@ -163,203 +264,175 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   return outcomes;
 }
 
-// One worker's claim from the coordinator: a request, its slot, and the
-// admission hold that caps virtual time until the worker's flow registers.
-struct ClusterServer::WorkChannel {
-  struct Admission {
-    ClusterRequest rq;
-    size_t worker = 0;
-    size_t slot = 0;
-    double admit_s = 0.0;
-    SharedLink::HoldId hold = 0;
-    double gpu_share = 1.0;  // adapter/hint prior, frozen at admission
+// The coordinator's state for one Serve(): its worker slots and the virtual
+// instants it owes them.
+struct ClusterServer::Loop {
+  struct Worker {
+    double free_at = 0.0;
+    bool busy = false;
+    uint64_t track = 0;
+    // The slot's request, from its admission decision to its free instant.
+    std::optional<Task<void>> request;
+    // Its link while it streams, and its park until its free instant.
+    ClientLink* stream = nullptr;
+    std::coroutine_handle<> at_free;
   };
 
-  Mutex mu;
-  CondVar cv;
-  std::deque<Admission> admissions CG_GUARDED_BY(mu);
-  // Post-completion codec tails (assemble/generate/pin-release): real CPU
-  // work with no virtual-time cost, drained by whichever worker goes idle
-  // first instead of by a thread outliving its slot. A tail assembles into
-  // the KV buffer of the thread that runs it.
-  using Tail = std::function<void(KVCache& assembly)>;
-  std::deque<Tail> continuations CG_GUARDED_BY(mu);
-  bool closed CG_GUARDED_BY(mu) = false;
+  Loop(const BandwidthTrace& capacity, const Engine& engine, size_t workers_n,
+       size_t assembly_threads)
+      : link(capacity), workers(workers_n), assembly(engine, assembly_threads) {}
 
-  void PushAdmission(Admission a) {
-    {
-      MutexLock lk(mu);
-      admissions.push_back(std::move(a));
-      CG_METRIC_GAUGE_SET("cluster.queue.admission_depth", admissions.size());
-    }
-    cv.NotifyOne();
-  }
-
-  void PushContinuation(Tail fn) {
-    {
-      MutexLock lk(mu);
-      continuations.push_back(std::move(fn));
-      CG_METRIC_GAUGE_SET("cluster.queue.continuation_depth",
-                          continuations.size());
-    }
-    cv.NotifyOne();
-  }
-
-  void Close() {
-    {
-      MutexLock lk(mu);
-      closed = true;
-    }
-    cv.NotifyAll();
-  }
+  SharedLink link;
+  std::vector<Worker> workers;
+  // Admission instants owed, in admission order: (admit_s, slot) -> worker.
+  std::map<std::pair<double, size_t>, size_t> admits;
+  // Free instants owed: (free_s, payload), popped in that order.
+  std::set<std::pair<double, uint64_t>> frees;
+  // Flows whose stream is in progress -> worker.
+  std::map<SharedLink::FlowId, size_t> streams;
+  AssemblyPool assembly;
 };
 
-void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
+void ClusterServer::ServeEventLoop(RequestQueue& queue,
                                    std::vector<RequestOutcome>* outcomes) {
-  std::vector<double> free_at(opts_.num_workers, 0.0);
-  std::vector<bool> busy(opts_.num_workers, false);
+  const size_t num_workers = opts_.num_workers;
+  Loop loop(capacity_, engine_, num_workers,
+            opts_.assemble_kv ? std::min(num_workers, outcomes->size()) : 0);
+  SharedLink& link = loop.link;
   size_t in_flight = 0;
   size_t admitted = 0;
-  WorkChannel channel;
 
-  // The fixed pool: admissions first (they gate virtual time), then
-  // continuations; exit only once the channel is closed and both queues are
-  // empty. Only ServeOne pushes a tail, on a pool thread that then comes
-  // back to this loop, so once the pool has joined no tail is left.
-  //
-  // Each pool thread owns the KV buffer every tail it runs assembles into,
-  // so decoded contexts reuse one allocation per thread instead of
-  // refaulting fresh memory per request. The buffer belongs to the thread,
-  // not to a worker slot: a freed slot's next request can finish while the
-  // previous request's tail still runs elsewhere.
-  const size_t pool_size = std::min(opts_.num_workers, n);
-  std::vector<std::thread> pool;
-  pool.reserve(pool_size);
-  for (size_t i = 0; i < pool_size; ++i) {
-    pool.emplace_back([&] {
-      KVCache assembly;
-      for (;;) {
-        WorkChannel::Admission adm;
-        WorkChannel::Tail tail;
-        bool have_adm = false;
-        {
-          MutexLock lk(channel.mu);
-          while (!channel.closed && channel.admissions.empty() &&
-                 channel.continuations.empty()) {
-            channel.cv.Wait(channel.mu);
-          }
-          if (!channel.admissions.empty()) {
-            adm = std::move(channel.admissions.front());
-            channel.admissions.pop_front();
-            have_adm = true;
-            CG_METRIC_GAUGE_SET("cluster.queue.admission_depth",
-                                channel.admissions.size());
-          } else if (!channel.continuations.empty()) {
-            tail = std::move(channel.continuations.front());
-            channel.continuations.pop_front();
-            CG_METRIC_GAUGE_SET("cluster.queue.continuation_depth",
-                                channel.continuations.size());
-          } else {
-            return;  // closed and fully drained
-          }
-        }
-        if (have_adm) {
-          ServeOne(std::move(adm.rq), adm.worker, adm.slot, adm.admit_s,
-                   adm.hold, adm.gpu_share, outcomes, channel);
-        } else {
-          tail(assembly);
-        }
-      }
-    });
-  }
+  // A request's coroutine finishes before its free instant only by throwing.
+  const auto rethrow_if_done = [](Loop::Worker& w) {
+    if (w.request->done()) w.request->Take();
+  };
 
   // Admit onto every idle worker while requests remain. After this, either
-  // the queue is drained or every worker is busy. Queueing is deferred to
-  // the end of the batch so that simultaneously admitted requests all see
-  // the same post-batch contention prior (the actual GPU pricing is
-  // per-event in the arbiter's lanes, so the prior only seeds the adapter).
+  // the queue is drained or every worker is busy. Each admission's request
+  // starts when virtual time reaches its admit instant; the GPU ledger gets
+  // its +1 now, before time can reach that instant. The adapter prior is
+  // taken after the whole batch, so simultaneously admitted requests all
+  // see the same post-batch contention (the actual GPU pricing is
+  // per-event in the link's lanes, so the prior only seeds the adapter).
   const auto admit_all = [&] {
-    std::vector<WorkChannel::Admission> batch;
+    struct Admission {
+      ClusterRequest rq;
+      size_t worker, slot;
+      double admit_s;
+    };
+    std::vector<Admission> batch;
     while (!queue.Empty()) {
-      size_t w = opts_.num_workers;
-      for (size_t i = 0; i < opts_.num_workers; ++i) {
-        if (!busy[i] && (w == opts_.num_workers || free_at[i] < free_at[w])) {
+      size_t w = num_workers;
+      for (size_t i = 0; i < num_workers; ++i) {
+        if (!loop.workers[i].busy &&
+            (w == num_workers || loop.workers[i].free_at < loop.workers[w].free_at)) {
           w = i;
         }
       }
-      if (w == opts_.num_workers) break;  // all busy
-      const double admit_s = std::max(free_at[w], queue.NextArrival());
+      if (w == num_workers) break;  // all busy
+      const double admit_s = std::max(loop.workers[w].free_at, queue.NextArrival());
       ClusterRequest rq = queue.PopReady(opts_.policy, admit_s);
-      // Cap virtual time at the admission instant until the worker's flow
-      // registers, so no in-flight stream races past it unshared — and
-      // record the GPU ledger +1 under the same hold, so every lane segment
-      // from admit_s on is priced with this request contending.
-      const SharedLink::HoldId hold = link_->HoldAdmission(admit_s);
-      busy[w] = true;
+      link.Admit(admit_s);
+      loop.workers[w].busy = true;
       ++in_flight;
       CG_TRACE_VINSTANT("cluster", "admit", TraceTrack(rq), admit_s, "worker",
                         static_cast<double>(w));
-      WorkChannel::Admission a;
-      a.rq = std::move(rq);
-      a.worker = w;
-      a.slot = admitted++;
-      a.admit_s = admit_s;
-      a.hold = hold;
-      batch.push_back(std::move(a));
+      batch.push_back({std::move(rq), w, admitted++, admit_s});
     }
     if (!batch.empty()) CG_METRIC_COUNT("cluster.admission_batches", 1);
     CG_METRIC_GAUGE_SET("cluster.in_flight", in_flight);
     const double gpu_share =
         1.0 / static_cast<double>(std::max<size_t>(1, in_flight));
-    for (WorkChannel::Admission& a : batch) {
-      a.gpu_share = gpu_share;
-      channel.PushAdmission(std::move(a));
+    for (Admission& a : batch) {
+      Loop::Worker& w = loop.workers[a.worker];
+      w.track = TraceTrack(a.rq);
+      w.request.emplace(ServeOne(loop, std::move(a.rq), a.worker, a.slot,
+                                 a.admit_s, gpu_share, (*outcomes)[a.slot]));
+      loop.admits.emplace(std::make_pair(a.admit_s, a.slot), a.worker);
     }
   };
 
   admit_all();
+  std::vector<SharedLink::FlowId> done;
   while (in_flight > 0) {
-    const SharedLink::Completion c = link_->PopCompletion(in_flight);
-    const size_t w = static_cast<size_t>(c.payload >> 32);
-    const size_t slot = static_cast<size_t>(c.payload & 0xffffffffu);
-    busy[w] = false;
-    free_at[w] = c.free_s;
-    --in_flight;
-    // Completion-ordered metric recording: the worker filled the outcome
-    // before CompleteFlow (visible here through the link's mutex), so the
-    // coordinator can record the per-request metrics in deterministic
-    // virtual-time order — the property the time-series sampler needs.
-    // AdvanceTo first: this completion's records belong to the window
-    // containing c.free_s.
-    if (series_) series_->AdvanceTo(c.free_s);
-    RecordOutcomeMetrics((*outcomes)[slot]);
-    OnCompletionTelemetry((*outcomes)[slot]);
-    admit_all();  // admit before releasing the hold at c.free_s
-    link_->ReleaseHold(c.hold);
-  }
+    double limit = std::numeric_limits<double>::infinity();
+    if (!loop.admits.empty()) limit = loop.admits.begin()->first.first;
+    if (!loop.frees.empty()) limit = std::min(limit, loop.frees.begin()->first);
+    done = link.Step(limit);
 
-  channel.Close();
-  for (std::thread& t : pool) t.join();
+    // Streams whose link operation completed, in flow-id order: each runs
+    // to its next operation, or to the end of its stream.
+    if (!done.empty()) {
+      for (const SharedLink::FlowId id : done) {
+        Loop::Worker& w = loop.workers[loop.streams.at(id)];
+        obs::ScopedRequestId rid(w.track);
+        w.stream->Resume();
+        rethrow_if_done(w);
+      }
+      continue;
+    }
+    if (!link.Reached(limit)) continue;  // time moved to a link event
+
+    // Free instants due now come before admit instants: a write-back is
+    // visible to every lookup at or after its free instant, and to none
+    // before it. Completion order is (free_s, worker, slot), so metric
+    // recording and the telemetry sampler's windows are deterministic.
+    bool freed = false;
+    while (!loop.frees.empty() && link.Reached(loop.frees.begin()->first)) {
+      freed = true;
+      const auto [free_s, payload] = *loop.frees.begin();
+      loop.frees.erase(loop.frees.begin());
+      const size_t worker = static_cast<size_t>(payload >> 32);
+      const size_t slot = static_cast<size_t>(payload & 0xffffffffu);
+      Loop::Worker& w = loop.workers[worker];
+      // AdvanceTo first: this completion's records belong to the window
+      // containing free_s.
+      if (series_) series_->AdvanceTo(free_s);
+      {
+        obs::ScopedRequestId rid(w.track);
+        std::exchange(w.at_free, {}).resume();
+      }
+      w.request->Take();  // done: rethrows what ServeOne threw
+      w.request.reset();
+      w.busy = false;
+      w.free_at = free_s;
+      --in_flight;
+      RecordOutcomeMetrics((*outcomes)[slot]);
+      OnCompletionTelemetry((*outcomes)[slot]);
+      admit_all();
+    }
+    // Step again before admitting: a stream may still drain at this instant
+    // and free here too.
+    if (freed) continue;
+
+    // Admit instants due now, in admission order: lookup, then the stream
+    // runs to its first link operation.
+    while (!loop.admits.empty() && link.Reached(loop.admits.begin()->first.first)) {
+      Loop::Worker& w = loop.workers[loop.admits.begin()->second];
+      loop.admits.erase(loop.admits.begin());
+      obs::ScopedRequestId rid(w.track);
+      w.request->Start();
+      rethrow_if_done(w);
+    }
+  }
+  loop.assembly.Drain();
 }
 
-void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
-                             double admit_s, SharedLink::HoldId admit_hold,
-                             double gpu_share,
-                             std::vector<RequestOutcome>* outcomes,
-                             WorkChannel& channel) {
-  // Everything this pool worker records below lands on this request's
-  // virtual track, including streamer per-chunk and net grant events that
-  // never see the request struct.
+Task<void> ClusterServer::ServeOne(Loop& loop, ClusterRequest rq, size_t worker,
+                                   size_t slot, double admit_s, double gpu_share,
+                                   RequestOutcome& out) {
+  // Runs on the coordinator from the admit instant on. The coordinator sets
+  // this request's trace id around every resumption, so everything recorded
+  // below lands on its virtual track, including streamer per-chunk and net
+  // grant events that never see the request struct.
   const uint64_t track = TraceTrack(rq);
-  obs::ScopedRequestId rid(track);
   CG_TRACE_VSPAN("cluster", "queue_wait", track, rq.arrival_s, admit_s);
 
   // The request's lifecycle instants (cluster.event), each clamped to the
   // one before so the track never goes backwards: admission, transfer ends,
   // drained GPU completions and free_s come from different arithmetic whose
   // rounding may disagree by ulps (ci/check_trace.py requires per-track
-  // monotone timestamps). Every one is recorded before CompleteFlow, so the
-  // coordinator pops a completion whose track is whole.
+  // monotone timestamps).
   double last_event_s = 0.0;
   const auto lifecycle = [&](const char* name, double t_s) {
     last_event_s = std::max(last_event_s, t_s);
@@ -367,10 +440,9 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   };
   lifecycle("admit", admit_s);
 
-  const SharedLink::FlowId flow = link_->Register(admit_s);
-  // Our unparked flow now freezes virtual time; the admission hold can go.
-  link_->ReleaseHold(admit_hold);
-
+  const SharedLink::FlowId flow = loop.link.Register(admit_s);
+  // Virtual time has reached admit_s: every write-back freed before it is
+  // visible here, none freed after it.
   const TierLookup look = tier_->LookupAndPin(rq.context_id, rq.spec, admit_s);
   const bool hit = look.hit();
   const bool prefix = look.prefix_hit();
@@ -391,18 +463,16 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   const double queue_delay = admit_s - rq.arrival_s;
   // The adapter works against whatever SLO budget queueing has left.
   const double slo_budget = std::max(0.05, slo - queue_delay);
-  KVStreamer streamer(engine_.cost(), engine_.model(), slo_budget,
-                      DefaultEncodingLevels().size());
+  const KVStreamer streamer(engine_.cost(), engine_.model(), slo_budget,
+                            DefaultEncodingLevels().size());
 
   // First-chunk prior: assume the path splits as many ways as the GPU does.
-  // gpu_share comes from the coordinator's in-flight count at admission, so
-  // the hint is deterministic (a count of the link's registered flows would
-  // race with peers still registering in wall-clock time). The frozen share
-  // only seeds the adapter and this hint; actual GPU time is priced per
-  // event by the arbiter's lane as it drains. A remote or cold stream's hint
-  // is capped at that path's read rate so the very first chunk is already
-  // picked for the slower path.
-  double hint = link_->CapacityGbpsAt(admit_s) * gpu_share;
+  // gpu_share comes from the coordinator's in-flight count at admission.
+  // The frozen share only seeds the adapter and this hint; actual GPU time
+  // is priced per event by the link's lane as it drains. A remote or cold
+  // stream's hint is capped at that path's read rate so the very first
+  // chunk is already picked for the slower path.
+  double hint = loop.link.CapacityGbpsAt(admit_s) * gpu_share;
   if (remote) hint = std::min(hint, opts_.remote_read_gbps);
   if (cold) hint = std::min(hint, kColdReadGbps);
 
@@ -414,7 +484,7 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   const StreamMode mode = hit && opts_.progressive ? StreamMode::kProgressive
                                                    : StreamMode::kAdaptive;
   const size_t kv_limit = hit ? SIZE_MAX : look.covered_chunks;
-  ClientLink client(*link_, flow);
+  ClientLink client(loop.link, flow);
   // A remote hit streams through the fabric interconnect first (bandwidth
   // cap + one RTT to first byte); a cold promotion, on a remote node too,
   // stacks the device-read model on top of it. SLO accounting needs no
@@ -430,15 +500,20 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
 
   StreamHooks hooks;
   hooks.post_gpu = [&](double arrival_s, double const_s, double shared_s) {
-    link_->PostGpuWork(flow, arrival_s, const_s, shared_s);
+    client.PostGpuWork(arrival_s, const_s, shared_s);
   };
-  hooks.drain_gpu = [&] { return link_->DrainGpu(flow); };
-  const StreamResult sr =
-      streamer.Stream(plan, path, gpu_share, hint, mode, kv_limit, &hooks);
+  hooks.drain_gpu = [&] { return client.DrainGpu(); };
+  Loop::Worker& self = loop.workers[worker];
+  self.stream = &client;
+  loop.streams.emplace(flow, worker);
+  const StreamResult sr = co_await streamer.StreamOp(
+      plan, path, gpu_share, hint, mode, kv_limit, &hooks);
+  loop.streams.erase(flow);
+  self.stream = nullptr;
 
   // One instant per transfer, in stream order: the first enhancement step
   // also marks where the enhancement pass began. The GPU lane has drained
-  // inside Stream(), so the decode tail starts at the last transfer's end.
+  // inside the stream, so the decode tail starts at the last transfer's end.
   bool enhancing = false;
   for (const StreamStep& step : sr.steps) {
     if (step.enhancement && !enhancing) {
@@ -456,7 +531,6 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   // plain TTFT instant.
   const double free_s = admit_s + std::max(sr.ttft_s, sr.stream_finish_s);
 
-  RequestOutcome& out = (*outcomes)[slot];
   out.request = rq;
   out.worker = worker;
   out.admit_s = admit_s;
@@ -489,37 +563,54 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   CG_TRACE_VSPAN("cluster", "kv_stream", track, admit_s,
                  admit_s + sr.load_finish_s, "bytes",
                  static_cast<double>(sr.bytes_sent));
-  // The cluster.* metrics for this request are recorded by the COORDINATOR
-  // when it pops this completion (RecordOutcomeMetrics), in deterministic
-  // completion order — a worker-side record here would land at a wall-clock
-  // instant and tear the telemetry sampler's windows.
 
-  // Cache-tier mutations happen BEFORE the worker slot is handed back:
-  // CompleteFlow is what lets the coordinator admit the next request, so
-  // ordering write-back (and the hit-path unpin, which can itself evict by
-  // re-enforcing capacity) first guarantees a successor admitted because of
-  // this completion sees a settled cache tier — hit/miss outcomes stay
-  // reproducible instead of racing in wall-clock time. A partial-prefix hit
-  // writes back too (it is a context-level miss): under a prefix-aware tier
-  // the covered chunks dedup into the store and only the suffix costs bytes.
+  // A hit's assembly — real CPU, no virtual-time cost — decodes on the
+  // pool while virtual time moves on. Its chunks are read now, under the
+  // lookup's pin.
+  if (hit && opts_.assemble_kv) {
+    std::vector<int> levels;
+    levels.reserve(sr.steps.size());
+    for (const StreamStep& step : sr.steps) {
+      // Enhancement steps revisit a chunk the base pass already delivered;
+      // assembly wants exactly one decision per chunk.
+      if (step.enhancement) continue;
+      levels.push_back(step.config.text ? -1 : step.config.level_id);
+    }
+    try {
+      auto chunks = engine_.FetchKV(rq.context_id, rq.spec, levels);
+      loop.assembly.Submit(rq, std::move(levels), std::move(chunks));
+    } catch (const std::exception&) {
+      // A chunk the pin could not keep (a tier that lost it); the text path
+      // would recompute it, as priced into the streaming timeline.
+    }
+  }
+  const double free_at = loop.link.Leave(flow, free_s);
+  loop.frees.emplace(free_at, PackPayload(worker, slot));
+  co_await Park{&self.at_free};
+
+  // The free instant. The cluster.* metrics for this request are recorded
+  // by the coordinator right after (RecordOutcomeMetrics), in completion
+  // order. Every cache-tier change below happens at this virtual instant,
+  // before any admission it unlocks looks up.
+  // A partial-prefix hit writes back too (it is a context-level miss):
+  // under a prefix-aware tier the covered chunks dedup into the store and
+  // only the suffix costs bytes.
   if (!hit && opts_.write_back_on_miss) {
-    // The encode's real CPU cost is wall-clock work overlapping serving: it
-    // gets a wall span (pid 1). The lifecycle marker on the request's
-    // virtual track is zero-duration at the completion instant — virtual
-    // time is never stretched by machine speed, keeping replayed incident
-    // artifacts byte-identical.
+    // The encode's real CPU cost gets a wall span (pid 1). The lifecycle
+    // marker on the request's virtual track is zero-duration at the free
+    // instant — virtual time is never stretched by machine speed, keeping
+    // replayed incident artifacts byte-identical.
     CG_TRACE_SPAN("cluster", "write_back_persist");
     // Announce BEFORE pinning: a prefix-aware tier routes Pin() by what it
     // knows about the id, so the announcement is what turns this pin into a
     // pending context pin that carries over to the registration — pinned
     // the other way round, a freshly registered context would sit unpinned
-    // at LRU stamp 0, the prime victim for a concurrent worker's eviction
-    // before Touch() runs.
+    // at LRU stamp 0, the prime victim for an eviction before Touch() runs.
     tier_->BeginStore(rq.context_id, rq.spec);
     // Guard, not a bare Pin/Unpin pair: a throwing StoreKV (full disk,
     // failing backend) must not leave the context pinned forever as
     // unevictable dead capacity. The write-back itself is best-effort: on
-    // failure the context simply stays uncached and the worker carries on.
+    // failure the context simply stays uncached and serving carries on.
     PinGuard write_pin = PinGuard::Acquire(*tier_, rq.context_id);
     try {
       engine_.StoreKV(rq.context_id, rq.spec);
@@ -539,46 +630,10 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   }
   // Commit (or trivial skip) settled: the request's terminal event.
   lifecycle("write_back_committed", free_s);
-
-  const bool keep_pin_for_assembly = hit && opts_.assemble_kv;
-  if (look.pinned && !keep_pin_for_assembly) pin.Release();
-  link_->CompleteFlow(flow, free_s, PackPayload(worker, slot));
-
-  // Below here only read-only (or pin-release) work remains. The codec
-  // tail — real CPU, no virtual-time cost — goes to the continuation queue
-  // instead of keeping this slot's thread alive: any worker that goes idle
-  // drains it, so codec CPU parallelizes across workers instead of freezing
-  // virtual time. The assembly pin rides along in a shared_ptr
-  // (std::function requires copyable captures).
-  std::vector<int> levels;
-  if (keep_pin_for_assembly) {
-    levels.reserve(sr.steps.size());
-    for (const StreamStep& step : sr.steps) {
-      // Enhancement steps revisit a chunk the base pass already delivered;
-      // assembly wants exactly one decision per chunk.
-      if (step.enhancement) continue;
-      levels.push_back(step.config.text ? -1 : step.config.level_id);
-    }
-  }
-  auto tail_pin = std::make_shared<PinGuard>(std::move(pin));
-  channel.PushContinuation(
-      [this, spec = rq.spec, ctx = rq.context_id, levels = std::move(levels),
-       assemble = keep_pin_for_assembly, tail_pin, quality = sr.quality,
-       out_ptr = &out, track](KVCache& assembly) {
-        obs::ScopedRequestId tail_rid(track);
-        if (assemble) {
-          CG_TRACE_SPAN("cluster", "assemble_kv");
-          try {
-            engine_.AssembleKV(ctx, spec, levels, assembly);
-          } catch (const std::exception&) {
-            // A chunk was evicted between lookup and assembly under extreme
-            // capacity pressure; the text path would recompute it (already
-            // priced into the streaming timeline as the coarsest outcome).
-          }
-          tail_pin->Release();
-        }
-        out_ptr->answer_correct = engine_.GenerateWithKV(spec, quality).correct;
-      });
+  // The hit-path unpin can itself evict by re-enforcing capacity, so it too
+  // happens here, in virtual-time order.
+  pin.Release();
+  out.answer_correct = engine_.GenerateWithKV(rq.spec, sr.quality).correct;
 }
 
 // --- continuous telemetry ----------------------------------------------------

@@ -1,24 +1,24 @@
 // ClusterServer: the concurrent serving layer above the single-request
 // substrate (codec -> streamer -> engine). One Engine, one CacheTier, one
-// shared network path, and a fixed pool of W worker threads:
+// shared network path, and W worker slots, all driven in virtual time by
+// one coordinator on the thread that calls Serve():
 //
-//   coordinator --admission queue--> pool thread: ServeOne --> SharedLink
-//        ^                             |   ^                (parks here)
-//        |                             |   +-- continuation queue (codec
-//        |                             |       tails: assemble/generate)
-//        |                             +-- Engine::AssembleKV / StoreKV
-//        +---- completion channel (virtual-time ordered) ----+
+//   Serve() thread: the coordinator
+//     SharedLink::Step --> next event --> resume the streams it completed
+//       (each ServeOne coroutine runs to its next link operation)
+//     free instants    --> write back, unpin, metrics, admit
+//     admit instants   --> LookupAndPin, start the stream
+//   pool threads (assemble_kv only): Engine::DecodeKV of streamed hits
 //
-// A pool thread runs one request's ServeOne straight through: lookup and
-// pin, stream (parking in SharedLink whenever virtual time must advance),
-// write back, complete the flow, enqueue the codec tail. ServeOne records
-// the request's lifecycle on its trace track as cluster.event instants —
-// admit, chunk_transfer_done per transfer, enhance, decode, decode_done,
-// write_back_committed — all before it completes the flow. No thread is
-// ever spawned per request, so 100k+-request traces run on num_workers OS
-// threads. Pool threads with no admission to take run the continuation
-// queue's tails, so post-completion codec work parallelizes without
-// outliving any slot.
+// Each admitted request is one ServeOne coroutine: at its admit instant it
+// looks up and pins, then streams with the unmodified KVStreamer, parking
+// at every link operation until SharedLink's fluid simulation completes it;
+// at its stream's end it records its lifecycle instants (cluster.event:
+// admit, chunk_transfer_done per transfer, enhance, decode, decode_done)
+// and hands a hit's assembly to the pool; at its free instant it writes
+// back, records write_back_committed and releases its pins. No thread is
+// spawned per request, and no thread waits on virtual time: 100k+-request
+// traces run on the calling thread, plus up to W decode threads.
 //
 // Admission: when a worker frees at virtual instant t, the scheduler policy
 // (FIFO / shortest-load-first / SLO-deadline-first) picks among requests
@@ -57,16 +57,14 @@
 // the server itself holds a single CacheTier and never dispatches on the
 // concrete arrangement.
 //
-// Determinism: streaming timelines, admission order, and all latency
-// metrics depend only on (trace, options) — virtual time is advanced by
-// SharedLink's barrier, never by OS scheduling. Cache write-backs (and the
-// default hit path's pin release) are ordered before the completion that
-// unlocks successor admissions, so hit/miss outcomes are reproducible too.
-// Two timing-dependent corners remain, both mirroring a real cluster:
-// simultaneously admitted requests racing for a context one of them is
-// still writing back, and — with assemble_kv under capacity pressure —
-// a hit's pin lingering through its wall-clock assembly, which can shift
-// which context a concurrent write-back evicts.
+// Determinism: every outcome — streaming timelines, admission order,
+// latency metrics and hit/miss scenarios — depends only on (trace, options),
+// at any worker count and any codec-pool size. The coordinator runs every
+// cache-tier call in virtual-time order: a lookup at its admit instant, a
+// write-back and the hit-path unpin at the request's free instant, free
+// instants before admit instants at the same time. A write-back is
+// therefore visible to every lookup at or after its free instant and to
+// none before it. Write-backs run inline, one at a time.
 #pragma once
 
 #include <memory>
@@ -81,6 +79,7 @@
 #include "cluster/request_queue.h"
 #include "cluster/scheduler.h"
 #include "cluster/shared_link.h"
+#include "common/task.h"
 #include "net/bandwidth_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/slo_monitor.h"
@@ -159,18 +158,18 @@ class ClusterServer {
   const obs::FlightRecorder* flight_recorder() const { return recorder_.get(); }
 
  private:
-  struct WorkChannel;  // admission + continuation queues of one event loop
+  struct Loop;  // one Serve's link, worker slots and owed instants
 
-  // The coordinator: admits onto the worker pool as workers free up and
-  // pops completions in virtual-time order until the trace is served.
-  void ServeEventLoop(RequestQueue& queue, size_t n,
-                      std::vector<RequestOutcome>* outcomes);
-  // One request end to end on a pool worker: stream (GPU priced per event),
-  // write back, trace the lifecycle instants, complete the flow, enqueue the
-  // codec tail.
-  void ServeOne(ClusterRequest rq, size_t worker, size_t slot, double admit_s,
-                SharedLink::HoldId admit_hold, double gpu_share,
-                std::vector<RequestOutcome>* outcomes, WorkChannel& channel);
+  // The coordinator: runs virtual time on the calling thread, admitting
+  // onto worker slots as they free and resuming each stream as its link
+  // operation completes, until the trace is served.
+  void ServeEventLoop(RequestQueue& queue, std::vector<RequestOutcome>* outcomes);
+  // One request end to end, as a coroutine the coordinator drives: look up
+  // and pin at its admit instant, stream (GPU priced per event), trace the
+  // lifecycle instants and hand a hit's assembly to the pool; then, at its
+  // free instant, wait for the assembly, write back and release its pins.
+  Task<void> ServeOne(Loop& loop, ClusterRequest rq, size_t worker, size_t slot,
+                      double admit_s, double gpu_share, RequestOutcome& out);
 
   // Continuous-telemetry plumbing (coordinator thread only).
   void StartTelemetry();
@@ -183,7 +182,6 @@ class ClusterServer {
   std::shared_ptr<CacheTier> tier_;
   BandwidthTrace capacity_;
   Options opts_;
-  std::unique_ptr<SharedLink> link_;
 
   // Telemetry state of the current/last run, touched only by the
   // coordinator thread of Serve() (see TelemetryOptions).

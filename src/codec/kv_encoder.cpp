@@ -34,17 +34,19 @@ KVEncoder::KVEncoder(std::shared_ptr<const KVProfile> profile,
     : profile_(std::move(profile)),
       tables_(std::make_shared<TableSet>(*profile_, level, options)) {}
 
-void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
-                            std::vector<uint8_t>& out, KVCache* recon) const {
+void KVEncoder::EncodeGroup(const KVCache& kv, size_t row0, size_t num_tokens,
+                            size_t group, std::vector<uint8_t>& out,
+                            KVCache* recon) const {
   const CodecOptions& opt = tables_->options();
   const size_t G = opt.token_group_size;
+  // Chunk-relative rows [t0, t1); row r of the chunk is row row0 + r of kv.
   const size_t t0 = group * G;
-  const size_t t1 = std::min(t0 + G, chunk.num_tokens());
-  const size_t C = chunk.num_channels();
+  const size_t t1 = std::min(t0 + G, num_tokens);
+  const size_t C = kv.num_channels();
 
   BitWriter writer;
   // ~2 bits/symbol at the default level; reserve once to avoid regrowth.
-  writer.Reserve(chunk.num_layers() * (t1 - t0) * C / 2 + 64);
+  writer.Reserve(kv.num_layers() * (t1 - t0) * C / 2 + 64);
   RangeEncoder enc(writer);
 
   // Per-(layer, kind) flat views of the TableSet so the batch kernels and
@@ -55,10 +57,10 @@ void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
   std::vector<float> row(C);  // reconstructed row when `recon` is not wanted
   std::vector<const FreqTable*> body(C), anchor(C);
 
-  for (size_t l = 0; l < chunk.num_layers(); ++l) {
+  for (size_t l = 0; l < kv.num_layers(); ++l) {
     const double bin = tables_->BinFor(l);
     for (int kind = 0; kind < 2; ++kind) {
-      const Tensor& t = kind == 0 ? chunk.layer(l).k : chunk.layer(l).v;
+      const Tensor& t = kind == 0 ? kv.layer(l).k : kv.layer(l).v;
       // Receiver-side rows, written by the decoder's own kernels from the
       // symbols just coded (this group's rows only: groups run in parallel).
       Tensor* rt = nullptr;
@@ -71,7 +73,7 @@ void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
         // Ablation mode: every value coded as binned normalized raw value.
         for (size_t c = 0; c < C; ++c) offset[c] = tables_->BodyMean(l, c, kind);
         for (size_t r = t0; r < t1; ++r) {
-          QuantizeRow(t.Row(r).data(), offset.data(), sigma.data(), bin,
+          QuantizeRow(t.Row(row0 + r).data(), offset.data(), sigma.data(), bin,
                       KVProfile::kDeltaMaxSym, C, syms.data());
           enc.EncodeRun(body.data(), syms.data(), C);
           if (rt) {
@@ -89,7 +91,7 @@ void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
         scale[c] = tables_->AnchorScaleEff(l, c, kind);
         anchor[c] = &tables_->Anchor(l, c, kind);
       }
-      QuantizeAnchorRow(t.Row(t0).data(), scale.data(), KVProfile::kAnchorMaxSym,
+      QuantizeAnchorRow(t.Row(row0 + t0).data(), scale.data(), KVProfile::kAnchorMaxSym,
                         C, syms.data(), ref.data());
       enc.EncodeRun(anchor.data(), syms.data(), C);
       if (rt) {
@@ -98,7 +100,7 @@ void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
       }
       const bool consecutive = opt.anchor_mode == AnchorMode::kConsecutive;
       for (size_t r = t0 + 1; r < t1; ++r) {
-        QuantizeRow(t.Row(r).data(), ref.data(), sigma.data(), bin,
+        QuantizeRow(t.Row(row0 + r).data(), ref.data(), sigma.data(), bin,
                     KVProfile::kDeltaMaxSym, C, syms.data());
         enc.EncodeRun(body.data(), syms.data(), C);
         // The decoder's row kernel: yields the receiver's row and, in
@@ -119,28 +121,39 @@ void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
 EncodedChunk KVEncoder::EncodeChunk(const KVCache& chunk, uint32_t chunk_index,
                                     uint64_t token_begin, unsigned threads,
                                     KVCache* recon) const {
+  return EncodeChunk(chunk, 0, chunk.num_tokens(), chunk_index, token_begin,
+                     threads, recon);
+}
+
+EncodedChunk KVEncoder::EncodeChunk(const KVCache& kv, size_t row0,
+                                    size_t num_tokens, uint32_t chunk_index,
+                                    uint64_t token_begin, unsigned threads,
+                                    KVCache* recon) const {
+  if (row0 + num_tokens > kv.num_tokens()) {
+    throw std::invalid_argument("KVEncoder::EncodeChunk: rows out of range");
+  }
   CG_TRACE_SPAN("codec", "encode_chunk");
   const uint64_t enc_start_us = obs::Tracer::NowUs();
   EncodedChunk out;
   out.chunk_index = chunk_index;
   out.token_begin = token_begin;
-  out.num_tokens = static_cast<uint32_t>(chunk.num_tokens());
-  out.num_layers = static_cast<uint32_t>(chunk.num_layers());
-  out.num_channels = static_cast<uint32_t>(chunk.num_channels());
+  out.num_tokens = static_cast<uint32_t>(num_tokens);
+  out.num_layers = static_cast<uint32_t>(kv.num_layers());
+  out.num_channels = static_cast<uint32_t>(kv.num_channels());
   out.level_id = tables_->level().id;
   out.option_flags = tables_->options().Flags();
   out.group_size = static_cast<uint16_t>(tables_->options().token_group_size);
 
-  const size_t groups = NumTokenGroups(chunk.num_tokens(),
-                                       tables_->options().token_group_size);
+  const size_t groups =
+      NumTokenGroups(num_tokens, tables_->options().token_group_size);
   out.streams.resize(groups);
   // Every element of `recon` is overwritten below, so the buffer is
   // reshaped in place and keeps its allocation across levels and chunks.
-  if (recon) {
-    recon->Reshape(chunk.num_layers(), chunk.num_tokens(), chunk.num_channels());
-  }
+  if (recon) recon->Reshape(kv.num_layers(), num_tokens, kv.num_channels());
   ParallelFor(groups,
-              [&](size_t g) { EncodeGroup(chunk, g, out.streams[g], recon); },
+              [&](size_t g) {
+                EncodeGroup(kv, row0, num_tokens, g, out.streams[g], recon);
+              },
               threads);
   CG_METRIC_COUNT("codec.chunks_encoded", 1);
   CG_METRIC_HIST("codec.encode_us", obs::Tracer::NowUs() - enc_start_us);

@@ -64,13 +64,19 @@ class KVEncoder {
   EncodedChunk EncodeChunk(const KVCache& chunk, uint32_t chunk_index = 0,
                            uint64_t token_begin = 0, unsigned threads = 0,
                            KVCache* recon = nullptr) const;
+  // Same, for the `num_tokens` rows of `kv` from `row0` on: a chunk of a
+  // longer cache (Engine::StoreKV's prefill span), encoded in place rather
+  // than sliced out first. The bitstream equals that of the sliced chunk.
+  EncodedChunk EncodeChunk(const KVCache& kv, size_t row0, size_t num_tokens,
+                           uint32_t chunk_index, uint64_t token_begin,
+                           unsigned threads = 0, KVCache* recon = nullptr) const;
 
   const TableSet& tables() const { return *tables_; }
   const KVProfile& profile() const { return *profile_; }
 
  private:
-  void EncodeGroup(const KVCache& chunk, size_t group,
-                   std::vector<uint8_t>& out, KVCache* recon) const;
+  void EncodeGroup(const KVCache& kv, size_t row0, size_t num_tokens,
+                   size_t group, std::vector<uint8_t>& out, KVCache* recon) const;
 
   std::shared_ptr<const KVProfile> profile_;
   std::shared_ptr<const TableSet> tables_;

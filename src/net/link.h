@@ -7,10 +7,16 @@
 //
 // The interface is virtual so one request's streamer is agnostic to whether
 // it owns the whole path (Link over a BandwidthTrace) or shares it with
-// other in-flight requests (cluster SharedLink::ClientLink, whose transfer
-// times come from a fair-share arbiter over the aggregate capacity).
+// other in-flight requests (cluster ClientLink, whose transfer times come
+// from SharedLink's fair-share simulation over the aggregate capacity).
+// Each operation has a resumable form (SendOp, AdvanceOp) that the streamer
+// co_awaits: a private link completes it at once, a shared link's client
+// parks the stream until the cluster's virtual time reaches its end. Send
+// and AdvanceTo complete the same operations synchronously, for callers
+// that own the link.
 #pragma once
 
+#include "common/task.h"
 #include "net/bandwidth_trace.h"
 
 namespace cachegen {
@@ -31,11 +37,16 @@ class Link {
 
   // Send `bytes` starting at the current link time; advances the clock and
   // returns the transfer record.
-  virtual TransferRecord Send(double bytes);
+  TransferRecord Send(double bytes) { return SendOp(bytes).Get(); }
 
   // Advance the clock without sending (e.g. while the GPU recomputes a text
   // chunk and the link idles).
-  virtual void AdvanceTo(double t_s);
+  void AdvanceTo(double t_s) { AdvanceOp(t_s).Get(); }
+
+  // Resumable forms of Send and AdvanceTo; AdvanceOp yields the link time
+  // it reached.
+  virtual Task<TransferRecord> SendOp(double bytes);
+  virtual Task<double> AdvanceOp(double t_s);
 
   virtual double now() const { return now_s_; }
 
@@ -55,12 +66,15 @@ class Link {
 // waits `first_byte_delay_s` (seek / open). Because the streamer measures
 // throughput from the returned records, adaptation automatically sees
 // min(network share, cold read rate) and picks coarser levels on cold hits.
+// The first-byte wait, the transfer and the read-rate tail are three
+// operations on the inner link; over a shared link each is its own
+// suspension and its own instant of the fluid simulation.
 class ThrottledLink final : public Link {
  public:
   ThrottledLink(Link& inner, double read_gbps, double first_byte_delay_s = 0.0);
 
-  TransferRecord Send(double bytes) override;
-  void AdvanceTo(double t_s) override { inner_.AdvanceTo(t_s); }
+  Task<TransferRecord> SendOp(double bytes) override;
+  Task<double> AdvanceOp(double t_s) override { return inner_.AdvanceOp(t_s); }
   double now() const override { return inner_.now(); }
 
  private:

@@ -8,7 +8,7 @@
 // TTFTModel::CacheGen prices Fig. 14a's exposed decode tail with it, and
 // KVStreamer resolves every private-link stream's GPU lane with it. Streams
 // on a SharedLink drain their lane at a time-varying share instead
-// (SharedLink::DrainGpu).
+// (SharedLink::StartDrain).
 #pragma once
 
 #include <span>

@@ -99,7 +99,7 @@ void Engine::StoreKV(const std::string& context_id, const ContextSpec& ctx) {
   // Memory/File stores just run the base class's Put loop.
   // One prefill serves every chunk left to encode: PrefillRange over the
   // span of chunks [lo, hi) from the first uncovered chunk to the last. It
-  // equals that slice of the full prefill, so each chunk cut from it is
+  // equals that slice of the full prefill, so each chunk's rows of it are
   // bit-identical, and the AR(1) runs from token 0 once rather than once per
   // chunk. A fully covered context touches no GPU at all — the store call
   // degenerates to a registration.
@@ -127,13 +127,12 @@ void Engine::StoreKV(const std::string& context_id, const ContextSpec& ctx) {
       }
       continue;
     }
-    const KVCache chunk_kv = span_kv.SliceTokens(ranges[i].begin - span_begin,
-                                                 ranges[i].end - span_begin);
     for (size_t lv = 0; lv < levels.size(); ++lv) {
       encoded.emplace_back(
           ChunkKey{context_id, static_cast<uint32_t>(i), levels[lv].id},
           SerializeChunk(encoders_[lv]->EncodeChunk(
-              chunk_kv, static_cast<uint32_t>(i), ranges[i].begin)));
+              span_kv, ranges[i].begin - span_begin, ranges[i].size(),
+              static_cast<uint32_t>(i), ranges[i].begin)));
     }
   }
   if (covered_count > 0) {
@@ -160,8 +159,34 @@ KVCache Engine::AssembleKV(const std::string& context_id, const ContextSpec& ctx
 void Engine::AssembleKV(const std::string& context_id, const ContextSpec& ctx,
                         const std::vector<int>& level_per_chunk,
                         KVCache& out) const {
+  DecodeKV(ctx, level_per_chunk, FetchKV(context_id, ctx, level_per_chunk), out);
+}
+
+std::vector<std::vector<uint8_t>> Engine::FetchKV(
+    const std::string& context_id, const ContextSpec& ctx,
+    const std::vector<int>& level_per_chunk) const {
+  const size_t n = SplitIntoChunks(ctx.num_tokens, opts_.chunk_tokens).size();
+  if (level_per_chunk.size() != n) {
+    throw std::invalid_argument("Engine::AssembleKV: decision count mismatch");
+  }
+  std::vector<std::vector<uint8_t>> chunks(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (level_per_chunk[i] < 0) continue;  // text: recomputed, not fetched
+    auto bytes = store_->Get({context_id, static_cast<uint32_t>(i), level_per_chunk[i]});
+    if (!bytes) {
+      throw std::runtime_error("Engine::AssembleKV: missing chunk in store");
+    }
+    chunks[i] = std::move(*bytes);
+  }
+  return chunks;
+}
+
+void Engine::DecodeKV(const ContextSpec& ctx,
+                      const std::vector<int>& level_per_chunk,
+                      std::span<const std::vector<uint8_t>> chunks,
+                      KVCache& out) const {
   const auto ranges = SplitIntoChunks(ctx.num_tokens, opts_.chunk_tokens);
-  if (ranges.size() != level_per_chunk.size()) {
+  if (ranges.size() != level_per_chunk.size() || ranges.size() != chunks.size()) {
     throw std::invalid_argument("Engine::AssembleKV: decision count mismatch");
   }
   out.Reshape(model_.num_layers, ctx.num_tokens, model_.sim_channels);
@@ -179,15 +204,12 @@ void Engine::AssembleKV(const std::string& context_id, const ContextSpec& ctx,
       }
       continue;
     }
-    const auto enc = GetKV(context_id, static_cast<uint32_t>(i), level);
-    if (!enc) {
-      throw std::runtime_error("Engine::AssembleKV: missing chunk in store");
-    }
+    const EncodedChunk enc = ParseChunk(chunks[i]);
     // A short chunk would leave rows of the buffer's previous context here.
-    if (enc->num_tokens != range.size()) {
+    if (enc.num_tokens != range.size()) {
       throw std::runtime_error("Engine::AssembleKV: chunk token count mismatch");
     }
-    DecoderFor(level).DecodeChunkInto(*enc, out, range.begin);
+    DecoderFor(level).DecodeChunkInto(enc, out, range.begin);
   }
 }
 

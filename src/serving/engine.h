@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>  // std::once_flag
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,16 @@ class Engine {
   // its range's throws std::runtime_error, as a missing one does.
   void AssembleKV(const std::string& context_id, const ContextSpec& ctx,
                   const std::vector<int>& level_per_chunk, KVCache& out) const;
+  // AssembleKV's two halves. FetchKV reads the serialized bitstream of every
+  // KV chunk from the store (empty for a text chunk); DecodeKV parses and
+  // decodes them, and recomputes the text chunks, without touching the
+  // store. The cluster reads while its pin holds the context and decodes on
+  // its pool threads.
+  std::vector<std::vector<uint8_t>> FetchKV(
+      const std::string& context_id, const ContextSpec& ctx,
+      const std::vector<int>& level_per_chunk) const;
+  void DecodeKV(const ContextSpec& ctx, const std::vector<int>& level_per_chunk,
+                std::span<const std::vector<uint8_t>> chunks, KVCache& out) const;
 
   // generate_with_kv (§6): simulated generation given a loaded KV cache of
   // quality factor `quality`; answer correctness is deterministic in

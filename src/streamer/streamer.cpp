@@ -27,6 +27,16 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
                                 std::optional<double> throughput_hint_gbps,
                                 StreamMode mode, size_t kv_chunk_limit,
                                 const StreamHooks* hooks) const {
+  return StreamOp(plan, link, gpu_share, throughput_hint_gbps, mode,
+                  kv_chunk_limit, hooks)
+      .Get();
+}
+
+Task<StreamResult> KVStreamer::StreamOp(const ContextPlan& plan, Link& link,
+                                        double gpu_share,
+                                        std::optional<double> throughput_hint_gbps,
+                                        StreamMode mode, size_t kv_chunk_limit,
+                                        const StreamHooks* hooks) const {
   StreamResult result;
   const double t0 = link.now();
   double measured_bytes_per_s =
@@ -95,7 +105,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
       gpu_seconds = cost_.DecodeSeconds(decoded_bytes, pricing_share);
     }
 
-    const TransferRecord rec = link.Send(tx_bytes);
+    const TransferRecord rec = co_await link.SendOp(tx_bytes);
     step.tx_start_s = rec.start_s;
     step.tx_end_s = rec.end_s;
     step.bytes = tx_bytes;
@@ -170,7 +180,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
           step.aborted = true;
           break;
         }
-        const TransferRecord rec = link.Send(seg_bytes);
+        const TransferRecord rec = co_await link.SendOp(seg_bytes);
         step.tx_end_s = rec.end_s;
         sent += seg_bytes;
         measured_bytes_per_s = rec.Seconds() > 0.0 ? seg_bytes / rec.Seconds()
@@ -207,9 +217,12 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
 
   // ---- GPU lane resolution: back-fill every posted stage -----------------
   if (!gpu_work_s.empty()) {
-    const std::vector<double> done =
-        hooks ? hooks->drain_gpu()
-              : PipelineTimeline(gpu_ready_s, gpu_work_s, t0);
+    std::vector<double> done;
+    if (hooks) {
+      done = co_await hooks->drain_gpu();
+    } else {
+      done = PipelineTimeline(gpu_ready_s, gpu_work_s, t0);
+    }
     double prev_done = t0;
     size_t i = 0;
     for (StreamStep& step : result.steps) {
@@ -248,7 +261,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
     result.enhanced_token_fraction = enhanced_tokens / total_tokens;
     result.base_token_fraction = (kv_tokens - enhanced_tokens) / total_tokens;
   }
-  return result;
+  co_return result;
 }
 
 }  // namespace cachegen

@@ -61,15 +61,16 @@ struct StreamResult {
 // or prefill, an applied enhancement's decode) is posted right after its
 // transfer as a lane work item — `const_s` drains at rate 1 (per-call
 // overhead), `shared_s` at the share in effect while it drains — and
-// `drain_gpu` parks until the lane is empty and returns the completion
-// instant of every posted item in post order. The `gpu_share` argument then
-// only seeds the adapter's decision heuristics. Without hooks, the lane
-// resolves at the fixed `gpu_share` (PipelineTimeline). Either way the
-// streamer back-fills per-step gpu_done_s, load_finish and the GPU lifecycle
-// spans from the completion instants.
+// `drain_gpu` is the one lane resolution: the stream awaits it (parking
+// until the cluster's virtual time has drained the lane) and gets back the
+// completion instant of every posted item in post order. The `gpu_share`
+// argument then only seeds the adapter's decision heuristics. Without
+// hooks, the lane resolves at the fixed `gpu_share` (PipelineTimeline).
+// Either way the streamer back-fills per-step gpu_done_s, load_finish and
+// the GPU lifecycle spans from the completion instants.
 struct StreamHooks {
   std::function<void(double arrival_s, double const_s, double shared_s)> post_gpu;
-  std::function<std::vector<double>()> drain_gpu;
+  std::function<Task<std::vector<double>>()> drain_gpu;
 };
 
 // Per-chunk configuration policy for one stream.
@@ -102,6 +103,17 @@ class KVStreamer {
                       StreamMode mode = StreamMode::kAdaptive,
                       size_t kv_chunk_limit = SIZE_MAX,
                       const StreamHooks* hooks = nullptr) const;
+
+  // The same stream as a resumable operation: it parks at each link
+  // operation and at the GPU-lane drain, and Stream() drives it in place.
+  // Over a cluster ClientLink the coordinator resumes it as SharedLink's
+  // virtual time completes each operation. Every argument must outlive the
+  // task.
+  Task<StreamResult> StreamOp(const ContextPlan& plan, Link& link,
+                              double gpu_share,
+                              std::optional<double> throughput_hint_gbps,
+                              StreamMode mode, size_t kv_chunk_limit,
+                              const StreamHooks* hooks) const;
 
  private:
   const CostModel& cost_;

@@ -2,10 +2,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "cluster/cluster_metrics.h"
@@ -25,16 +26,28 @@ namespace {
 // SharedLink: the fluid fair-share arbiter in isolation.
 // ---------------------------------------------------------------------------
 
-// A finished flow leaves the barrier through CompleteFlow from its own
-// thread, as ClusterServer workers do; otherwise it freezes time for the
-// flows still streaming. The test thread plays the coordinator: it pops
-// each completion in virtual-time order and releases the completion's hold.
-void PopAndRelease(SharedLink& link, size_t in_flight) {
-  for (; in_flight > 0; --in_flight) {
-    link.ReleaseHold(link.PopCompletion(in_flight).hold);
+constexpr double kNoLimit = std::numeric_limits<double>::infinity();
+
+// Step the simulator until every flow in `flows` has completed its pending
+// operation, as the cluster coordinator does between its own instants. A
+// finished flow leaves at its end instant (every flow must have an operation
+// pending whenever time advances). Returns each flow's end instant.
+std::map<SharedLink::FlowId, double> RunUntilDone(
+    SharedLink& link, std::set<SharedLink::FlowId> flows) {
+  std::map<SharedLink::FlowId, double> end;
+  while (!flows.empty()) {
+    const std::vector<SharedLink::FlowId> done = link.Step(kNoLimit);
+    for (const SharedLink::FlowId id : done) {
+      end[id] = link.FlowClock(id);
+      flows.erase(id);
+      link.Leave(id, end[id]);
+    }
   }
+  return end;
 }
 
+// The single-flow API perfbench's probe uses: Transfer runs the
+// simulation to the transfer's end, and the completion pops in order.
 TEST(SharedLink, SingleFlowMatchesPrivateLinkTiming) {
   SharedLink link(BandwidthTrace::Constant(1.0));  // 1 Gbps
   const auto flow = link.Register(0.0);
@@ -44,8 +57,11 @@ TEST(SharedLink, SingleFlowMatchesPrivateLinkTiming) {
   EXPECT_NEAR(rec.end_s, 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(rec.bytes, bytes);
   EXPECT_NEAR(rec.bytes * 8.0 / 1e9 / rec.Seconds(), 1.0, 1e-9);  // Gbps
-  link.CompleteFlow(flow, rec.end_s, 0);
-  PopAndRelease(link, 1);
+  link.CompleteFlow(flow, rec.end_s, 7);
+  const SharedLink::Completion c = link.PopCompletion(1);
+  EXPECT_NEAR(c.free_s, 1.0, 1e-9);
+  EXPECT_EQ(c.payload, 7u);
+  link.ReleaseHold(c.hold);
 }
 
 TEST(SharedLink, TwoEqualFlowsHalveEachOther) {
@@ -53,21 +69,11 @@ TEST(SharedLink, TwoEqualFlowsHalveEachOther) {
   const auto f1 = link.Register(0.0);
   const auto f2 = link.Register(0.0);
   const double bytes = 1e9 / 8.0;  // 1 s alone, 2 s when shared
-
-  TransferRecord r1, r2;
-  std::thread t1([&] {
-    r1 = link.Transfer(f1, bytes);
-    link.CompleteFlow(f1, r1.end_s, 1);
-  });
-  std::thread t2([&] {
-    r2 = link.Transfer(f2, bytes);
-    link.CompleteFlow(f2, r2.end_s, 2);
-  });
-  PopAndRelease(link, 2);
-  t1.join();
-  t2.join();
-  EXPECT_NEAR(r1.end_s, 2.0, 1e-6);
-  EXPECT_NEAR(r2.end_s, 2.0, 1e-6);
+  ASSERT_FALSE(link.StartTransfer(f1, bytes));
+  ASSERT_FALSE(link.StartTransfer(f2, bytes));
+  const auto end = RunUntilDone(link, {f1, f2});
+  EXPECT_NEAR(end.at(f1), 2.0, 1e-6);
+  EXPECT_NEAR(end.at(f2), 2.0, 1e-6);
 }
 
 TEST(SharedLink, LateFlowOnlySharesWhileActive) {
@@ -75,42 +81,44 @@ TEST(SharedLink, LateFlowOnlySharesWhileActive) {
   const auto early = link.Register(0.0);
   const auto late = link.Register(1.0);  // admitted at t = 1 s
   const double bytes = 2e9 / 8.0;        // 2 s alone
-
-  TransferRecord re, rl;
-  std::thread t1([&] {
-    re = link.Transfer(early, bytes);
-    link.CompleteFlow(early, re.end_s, 1);
-  });
-  std::thread t2([&] {
-    rl = link.Transfer(late, bytes);
-    link.CompleteFlow(late, rl.end_s, 2);
-  });
-  PopAndRelease(link, 2);
-  t1.join();
-  t2.join();
+  ASSERT_FALSE(link.StartTransfer(early, bytes));
+  ASSERT_FALSE(link.StartTransfer(late, bytes));
+  EXPECT_DOUBLE_EQ(link.TransferStart(late), 1.0);
+  const auto end = RunUntilDone(link, {early, late});
   // Early runs alone for 1 s (half done), then shares: remaining 1 s of work
   // at half rate = 2 s more -> ends at 3 s. Late: from t=1 at half rate
   // until 3 s (1 s of work done), then alone for its last second -> 4 s.
-  EXPECT_NEAR(re.end_s, 3.0, 1e-6);
-  EXPECT_NEAR(rl.end_s, 4.0, 1e-6);
+  EXPECT_NEAR(end.at(early), 3.0, 1e-6);
+  EXPECT_NEAR(end.at(late), 4.0, 1e-6);
 }
 
-TEST(SharedLink, HoldCapsVirtualTimeUntilReleased) {
+// Step never advances past the caller's limit (the coordinator's next
+// admission or free instant), and stops exactly there.
+TEST(SharedLink, StepStopsAtTheCallersNextInstant) {
   SharedLink link(BandwidthTrace::Constant(1.0));
-  const auto hold = link.HoldAdmission(0.5);
   const auto flow = link.Register(0.0);
-  TransferRecord rec;
-  std::thread t([&] {
-    rec = link.Transfer(flow, 1e9 / 8.0);
-    link.CompleteFlow(flow, rec.end_s, 0);
-  });
-  // Give the transfer a moment: it must park at the hold, not complete.
-  while (link.now() < 0.5 - 1e-9) std::this_thread::yield();
+  ASSERT_FALSE(link.StartTransfer(flow, 1e9 / 8.0));
+  while (!link.Reached(0.5)) EXPECT_TRUE(link.Step(0.5).empty());
   EXPECT_NEAR(link.now(), 0.5, 1e-9);
-  link.ReleaseHold(hold);
-  PopAndRelease(link, 1);
-  t.join();
-  EXPECT_NEAR(rec.end_s, 1.0, 1e-9);
+  EXPECT_TRUE(link.Step(0.5).empty());  // at the limit: time stays
+  EXPECT_NEAR(link.now(), 0.5, 1e-9);
+  EXPECT_NEAR(RunUntilDone(link, {flow}).at(flow), 1.0, 1e-9);
+}
+
+// A wait completes at its instant and a drain of an empty lane completes at
+// once, without advancing time.
+TEST(SharedLink, WaitsAndEmptyDrainsComplete) {
+  SharedLink link(BandwidthTrace::Constant(1.0));
+  const auto flow = link.Register(0.25);
+  EXPECT_TRUE(link.StartWait(flow, 0.25));   // already there
+  EXPECT_TRUE(link.StartDrain(flow));        // nothing posted
+  EXPECT_TRUE(link.StartTransfer(flow, 0.0));
+  ASSERT_FALSE(link.StartWait(flow, 0.75));
+  while (link.Step(kNoLimit).empty()) {
+  }
+  EXPECT_DOUBLE_EQ(link.now(), 0.75);
+  EXPECT_DOUBLE_EQ(link.FlowClock(flow), 0.75);
+  EXPECT_DOUBLE_EQ(link.Leave(flow, 0.5), 0.75);  // never before now
 }
 
 // ---------------------------------------------------------------------------

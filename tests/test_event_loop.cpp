@@ -1,6 +1,6 @@
 // The event-driven serving core: per-event GPU-share accounting in
-// SharedLink, the fixed worker pool's guarantees (no per-request threads,
-// deterministic outcomes independent of run count and of the codec
+// SharedLink, the coordinator's guarantees (no per-request threads, causal
+// lookups, deterministic outcomes independent of run count and of the codec
 // thread-pool size), and the lifecycle instants every request's trace track
 // carries.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "cluster/shared_link.h"
 #include "net/bandwidth_trace.h"
 #include "obs/trace.h"
+#include "prefix/prefix_cache.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
 #include "self_exec.h"
@@ -33,6 +35,18 @@ namespace {
 // SharedLink GPU lanes: per-event share accounting.
 // ---------------------------------------------------------------------------
 
+// Step the simulator until `flow` has completed its pending operation, never
+// past `limit_s`; returns whether it did.
+bool RunUntilDone(SharedLink& link, SharedLink::FlowId flow,
+                  double limit_s = std::numeric_limits<double>::infinity()) {
+  while (!link.Reached(limit_s)) {
+    for (const SharedLink::FlowId id : link.Step(limit_s)) {
+      if (id == flow) return true;
+    }
+  }
+  return false;
+}
+
 // The ROADMAP scenario: a peer finishing early must raise every survivor's
 // GPU share AT THAT INSTANT, not at the survivor's next admission. Two
 // requests share the GPU; the peer frees at t=1 while the survivor
@@ -42,33 +56,21 @@ namespace {
 // ignoring contention entirely would give 2.0.
 TEST(SharedLinkGpu, PeerCompletionRaisesShareAtThatInstant) {
   SharedLink link(BandwidthTrace::Constant(1.0));
-  const auto h1 = link.HoldAdmission(0.0);
-  const auto h2 = link.HoldAdmission(0.0);
+  link.Admit(0.0);
+  link.Admit(0.0);
   const auto f1 = link.Register(0.0);
-  link.ReleaseHold(h1);
   const auto f2 = link.Register(0.0);
-  link.ReleaseHold(h2);
-  // Peer finishes at t=1: its -1 lands in the ledger atomically with a hold
-  // at 1.0, so no lane segment past 1.0 is priced without it.
-  link.CompleteFlow(f2, 1.0, /*payload=*/42);
+  // Peer finishes at t=1: its -1 lands in the ledger before time gets
+  // there, so no lane segment past 1.0 is priced without it.
+  EXPECT_NEAR(link.Leave(f2, 1.0), 1.0, 1e-12);
 
   link.PostGpuWork(f1, /*arrival_s=*/0.0, /*const_s=*/0.0, /*shared_s=*/2.0);
-  std::vector<double> done;
-  std::thread drainer([&] { done = link.DrainGpu(f1); });
-
-  const auto c = link.PopCompletion(/*in_flight=*/1);
-  EXPECT_NEAR(c.free_s, 1.0, 1e-12);
-  EXPECT_EQ(c.payload, 42u);
-  link.ReleaseHold(c.hold);
-  drainer.join();
-
+  ASSERT_FALSE(link.StartDrain(f1));
+  ASSERT_TRUE(RunUntilDone(link, f1));
+  const std::vector<double> done = link.TakeGpuDone(f1);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_NEAR(done[0], 2.5, 1e-9);
-
-  link.CompleteFlow(f1, done[0], 43);
-  const auto c2 = link.PopCompletion(1);
-  EXPECT_EQ(c2.payload, 43u);
-  link.ReleaseHold(c2.hold);
+  EXPECT_NEAR(link.Leave(f1, done[0]), 2.5, 1e-9);
 }
 
 // The mirror image: an admission mid-item LOWERS the share from its instant.
@@ -77,25 +79,20 @@ TEST(SharedLinkGpu, PeerCompletionRaisesShareAtThatInstant) {
 // 2.0 s at share 1/2 -> done at 5.0.
 TEST(SharedLinkGpu, AdmissionMidItemLowersShareFromItsInstant) {
   SharedLink link(BandwidthTrace::Constant(1.0));
-  const auto h1 = link.HoldAdmission(0.0);
+  link.Admit(0.0);
   const auto f1 = link.Register(0.0);
-  link.ReleaseHold(h1);
-  const auto h2 = link.HoldAdmission(1.0);  // the future peer's +1
+  link.Admit(1.0);  // the future peer's +1
 
   link.PostGpuWork(f1, 0.0, 0.0, 3.0);
-  std::vector<double> done;
-  std::thread drainer([&] { done = link.DrainGpu(f1); });
-  // The drain parks at the admission hold; release it once reached (the
-  // cluster coordinator does this after handing the admission to a worker).
-  while (link.now() < 1.0 - 1e-9) std::this_thread::yield();
-  link.ReleaseHold(h2);
-  drainer.join();
-
+  ASSERT_FALSE(link.StartDrain(f1));
+  // The coordinator's next instant is the admission: time stops there.
+  EXPECT_FALSE(RunUntilDone(link, f1, /*limit_s=*/1.0));
+  EXPECT_NEAR(link.now(), 1.0, 1e-9);
+  ASSERT_TRUE(RunUntilDone(link, f1));
+  const std::vector<double> done = link.TakeGpuDone(f1);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_NEAR(done[0], 5.0, 1e-9);
-
-  link.CompleteFlow(f1, done[0], 1);
-  link.ReleaseHold(link.PopCompletion(1).hold);
+  link.Leave(f1, done[0]);
 }
 
 // Lane mechanics: the constant part (decode-call overhead) drains at rate 1
@@ -103,14 +100,12 @@ TEST(SharedLinkGpu, AdmissionMidItemLowersShareFromItsInstant) {
 // the lane is FIFO — item i+1 starts at max(arrival, item i's completion).
 TEST(SharedLinkGpu, LaneIsFifoWithUnscaledConstPart) {
   SharedLink link(BandwidthTrace::Constant(1.0));
-  const auto h1 = link.HoldAdmission(0.0);
-  const auto h2 = link.HoldAdmission(0.0);
+  link.Admit(0.0);
+  link.Admit(0.0);
   const auto f1 = link.Register(0.0);
-  link.ReleaseHold(h1);
   const auto f2 = link.Register(0.0);
-  link.ReleaseHold(h2);
   // Keep the peer in flight (share 1/2) through the whole window.
-  link.CompleteFlow(f2, 10.0, 7);
+  link.Leave(f2, 10.0);
 
   // Item A: arrives at 0.5, const 0.25 (rate 1) + shared 1.0 (rate 1/2)
   // -> runs [0.5, 0.5 + 0.25 + 2.0] = done at 2.75.
@@ -118,17 +113,13 @@ TEST(SharedLinkGpu, LaneIsFifoWithUnscaledConstPart) {
   // share 1/2 -> done at 2.75 + 1.0 = 3.75.
   link.PostGpuWork(f1, 0.5, 0.25, 1.0);
   link.PostGpuWork(f1, 1.0, 0.0, 0.5);
-  std::vector<double> done;
-  std::thread drainer([&] { done = link.DrainGpu(f1); });
-  drainer.join();
-
+  ASSERT_FALSE(link.StartDrain(f1));
+  ASSERT_TRUE(RunUntilDone(link, f1));
+  const std::vector<double> done = link.TakeGpuDone(f1);
   ASSERT_EQ(done.size(), 2u);
   EXPECT_NEAR(done[0], 2.75, 1e-9);
   EXPECT_NEAR(done[1], 3.75, 1e-9);
-
-  link.CompleteFlow(f1, done[1], 8);
-  link.ReleaseHold(link.PopCompletion(2).hold);
-  link.ReleaseHold(link.PopCompletion(1).hold);
+  link.Leave(f1, done[1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +229,7 @@ TEST(EventLoop, DeterministicAcrossRuns) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].request.id, b[i].request.id);
     // Bit-identical, not just close: virtual time is independent of OS
-    // thread scheduling even with the fixed pool + continuation queue.
+    // thread scheduling.
     EXPECT_DOUBLE_EQ(a[i].ttft_s, b[i].ttft_s);
     EXPECT_DOUBLE_EQ(a[i].finish_s, b[i].finish_s);
     EXPECT_DOUBLE_EQ(a[i].quality, b[i].quality);
@@ -367,6 +358,112 @@ TEST_F(LifecycleTrace, WriteBackServeOnOneWorker) {
     EXPECT_FALSE(ExpectLegalLifecycle(it->first, it->second));
   }
   EXPECT_GT(written, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Causal lookups: a request looks up its context when virtual time reaches
+// its admit instant, so it sees every write-back freed before that instant
+// and none freed after it.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kFamilyChunk = 256;
+
+// Two workers over a prefix cache with write-back, on a fresh engine (so
+// every run starts cold).
+struct WriteBackFixture {
+  std::shared_ptr<PrefixCache> pc;
+  std::unique_ptr<Engine> engine;
+
+  WriteBackFixture() {
+    Engine::Options eopts;
+    eopts.model_name = "mistral-7b";
+    eopts.chunk_tokens = kFamilyChunk;
+    eopts.calib_context_tokens = 400;
+    eopts.calib_num_contexts = 2;
+    eopts.layered_calib_tokens = 64;
+    pc = std::make_shared<PrefixCache>(
+        std::make_shared<ShardedKVStore>(
+            ShardedKVStore::Options{.num_shards = 2, .capacity_bytes = 0}),
+        PrefixCache::Options{.chunk_tokens = kFamilyChunk});
+    engine = std::make_unique<Engine>(eopts, pc);
+  }
+
+  std::vector<RequestOutcome> Serve(std::vector<ClusterRequest> trace) {
+    ClusterServer::Options copts;
+    copts.num_workers = 2;
+    copts.write_back_on_miss = true;
+    ClusterServer server(*engine, pc, BandwidthTrace::Constant(2.0), copts);
+    return server.Serve(std::move(trace));
+  }
+};
+
+// A member of one prefix family: two shared chunks and a one-chunk suffix.
+ClusterRequest FamilyMember(uint64_t id, double arrival_s, uint64_t suffix) {
+  ClusterRequest rq;
+  rq.id = id;
+  rq.arrival_s = arrival_s;
+  rq.context_id = "fam-sfx" + std::to_string(suffix);
+  rq.spec = ContextSpec{0xFA00 + suffix, 3 * kFamilyChunk, 0xFA, 2 * kFamilyChunk};
+  rq.slo_s = 4.0;
+  return rq;
+}
+
+// A one-chunk context of its own: it misses and frees its worker first.
+ClusterRequest ShortSolo(uint64_t id, double arrival_s) {
+  ClusterRequest rq;
+  rq.id = id;
+  rq.arrival_s = arrival_s;
+  rq.context_id = "solo";
+  rq.spec = ContextSpec{0x50, kFamilyChunk, 0, 0};
+  rq.slo_s = 4.0;
+  return rq;
+}
+
+// A misses and writes its family member back at its free instant t_A; B,
+// shorter, frees the other worker at t_B < t_A; C, of A's family, arrives
+// after t_A and is admitted onto B's worker at t_B. C's lookup runs at its
+// admit instant, after A's write-back, so it is a partial-prefix hit.
+TEST(CausalLookup, AdmittedRequestSeesWriteBackFreedBeforeItsAdmitInstant) {
+  WriteBackFixture fx;
+  const auto out = fx.Serve({FamilyMember(0, 0.0, 0), ShortSolo(1, 0.0),
+                             FamilyMember(2, 10.0, 1)});
+  ASSERT_EQ(out.size(), 3u);
+  const RequestOutcome& a = out[0];
+  const RequestOutcome& b = out[1];
+  const RequestOutcome& c = out[2];
+  ASSERT_TRUE(a.forced_text);
+  ASSERT_TRUE(a.write_back_done);
+  ASSERT_LT(b.finish_s, a.finish_s);   // t_B < t_A
+  ASSERT_EQ(c.worker, b.worker);       // admitted when B freed
+  ASSERT_GT(c.admit_s, a.finish_s);    // looks up after t_A
+  EXPECT_TRUE(c.prefix_hit);
+  EXPECT_EQ(c.covered_tokens, 2 * kFamilyChunk);
+}
+
+// The converse: D, of A's family, is admitted onto B's worker at an instant
+// before A's free instant, so it does not see A's write-back.
+TEST(CausalLookup, AdmittedRequestDoesNotSeeWriteBackFreedAfterItsAdmitInstant) {
+  double t_a = 0.0, t_b = 0.0;
+  {
+    WriteBackFixture fx;
+    const auto out = fx.Serve({FamilyMember(0, 0.0, 0), ShortSolo(1, 0.0)});
+    ASSERT_EQ(out.size(), 2u);
+    t_a = out[0].finish_s;
+    t_b = out[1].finish_s;
+  }
+  ASSERT_LT(t_b, t_a);
+  WriteBackFixture fx;
+  const auto out = fx.Serve({FamilyMember(0, 0.0, 0), ShortSolo(1, 0.0),
+                             FamilyMember(2, 0.5 * (t_a + t_b), 1)});
+  ASSERT_EQ(out.size(), 3u);
+  const RequestOutcome& a = out[0];
+  const RequestOutcome& d = out[2];
+  ASSERT_EQ(d.worker, out[1].worker);
+  ASSERT_TRUE(a.write_back_done);
+  ASSERT_LT(d.admit_s, a.finish_s);
+  EXPECT_FALSE(d.prefix_hit);
+  EXPECT_EQ(d.covered_tokens, 0u);
+  EXPECT_TRUE(d.forced_text);
 }
 
 // Probe for the CACHEGEN_THREADS determinism check below: serve a fixed

@@ -1,18 +1,14 @@
-// Golden outcome digests: five fixed serving traces, each reduced to one
+// Golden outcome digests: six fixed serving traces, each reduced to one
 // SHA-256 over every field of every RequestOutcome (doubles by bit pattern),
 // compared against committed values. A refactor of the serving path must
-// leave all five unchanged; a change that moves any outcome by one ulp, one
+// leave all six unchanged; a change that moves any outcome by one ulp, one
 // flag or one worker index changes a digest.
 //
 // The arrangements cover the serving scenarios: warm hits decoded into real
-// KV, progressive delivery, hot/cold tiering, partial prefix hits and remote
-// hits on a multi-node fabric. Each asserts that its scenario occurred, so a
-// digest cannot stay green by pinning a trace that never exercises it.
-//
-// Arrangements that write back run on one worker. With more, the coordinator
-// can admit a lookup at a later virtual instant that runs, in wall time,
-// before an earlier request's write-back, so hit/miss outcomes would depend
-// on OS scheduling (the timing-dependent corners in cluster_server.h).
+// KV, progressive delivery, hot/cold tiering, partial prefix hits, remote
+// hits on a multi-node fabric, and write-back with assembly and demotion on
+// four workers. Each asserts that its scenario occurred, so a digest cannot
+// stay green by pinning a trace that never exercises it.
 //
 // Two more digests pin the bytes Engine::StoreKV persists (StoredBytesDigest),
 // one pins what Engine bring-up computes (CalibrationDigest), and two pin the
@@ -27,6 +23,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -299,6 +296,53 @@ TEST(OutcomeDigest, FourNodeFabric) {
   EXPECT_GT(fab->stats().remote_chunk_fetches, 0u);
   EXPECT_EQ(OutcomeDigest(outcomes),
             "81aa428903d44e744c734e50861e1520bdda0ad641ec4158679dc83e8d5aaed7");
+}
+
+// Write-back, assembly and demotion together on four workers: a prefix
+// cache over a tiered store whose hot tier holds a few chunks, so misses
+// write back, write-backs and promotions demote, and hits assemble. Lookups,
+// write-backs and unpins run in virtual-time order, so the digest is the
+// same on every run: three serves on fresh tiers must agree.
+TEST(OutcomeDigest, PrefixWriteBackAssembledOnFourWorkers) {
+  std::set<std::string> digests;
+  for (int run = 0; run < 3; ++run) {
+    const ScratchDir cold("cachegen_digest_prefix_tiered" + std::to_string(run));
+    TieredKVStore::Options sopts;
+    sopts.hot = {.num_shards = 2, .capacity_bytes = 2u << 20};
+    sopts.cold_root = cold.path();
+    auto store = std::make_shared<TieredKVStore>(sopts);
+    auto pc = std::make_shared<PrefixCache>(
+        store, PrefixCache::Options{.chunk_tokens = kChunkTokens});
+    Engine engine(SmallEngineOptions(), pc);
+    ClusterServer::Options copts;
+    copts.num_workers = 4;
+    copts.assemble_kv = true;
+    copts.write_back_on_miss = true;
+    ClusterServer server(engine, pc, BandwidthTrace::Constant(2.0), copts);
+    PrefixTraceOptions topts = FamilyTraceOptions(24);
+    topts.arrival_rate_hz = 8.0;
+    const auto outcomes = server.Serve(SharedPrefixTrace(topts));
+    ASSERT_EQ(outcomes.size(), 24u);
+    size_t queued = 0;
+    std::set<size_t> workers;
+    for (const RequestOutcome& o : outcomes) {
+      if (o.queue_delay_s > 0.0) ++queued;
+      workers.insert(o.worker);
+    }
+    EXPECT_GT(queued, 0u);
+    EXPECT_EQ(workers.size(), 4u);
+    EXPECT_GT(Count(outcomes, &RequestOutcome::cache_hit, true), 0u);
+    EXPECT_GT(Count(outcomes, &RequestOutcome::cold_hit), 0u);
+    EXPECT_GT(Count(outcomes, &RequestOutcome::prefix_hit), 0u);
+    EXPECT_GT(Count(outcomes, &RequestOutcome::forced_text), 0u);
+    EXPECT_GT(Count(outcomes, &RequestOutcome::write_back_done), 0u);
+    EXPECT_GT(store->stats().demotions, 0u);
+    EXPECT_GT(store->stats().promotions, 0u);
+    digests.insert(OutcomeDigest(outcomes));
+  }
+  ASSERT_EQ(digests.size(), 1u);
+  EXPECT_EQ(*digests.begin(),
+            "a89eb2e4ff2cd27edad18ddad041334b5b0c19c1a8d3961b093749b523a811ba");
 }
 
 // ---- What Engine::StoreKV persists ------------------------------------------

@@ -633,10 +633,8 @@ TEST(ClusterPrefix, PartialHitStreamsSuffixOnlyAndBeatsMissTtft) {
   eopts.calib_num_contexts = 4;
   Engine engine(eopts, pc);
   ClusterServer::Options copts;
-  // One worker serializes admissions, so each request's lookup runs strictly
-  // after the previous request's write-back (the multi-worker coordinator
-  // admits far-future arrivals onto idle workers immediately, which is the
-  // documented write-back race corner — not what this test is about).
+  // One worker serializes admissions, so each request's lookup comes after
+  // the previous request's write-back, whatever the arrival gaps.
   copts.num_workers = 1;
   // Tight SLO: the lossless all-text configuration cannot meet it (three
   // 1500-token prefills ~0.57 s), so the adapter streams cached chunks as
