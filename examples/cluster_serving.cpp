@@ -287,18 +287,15 @@ int RunServeRun(const std::string& dir_arg, bool fabric_mode) {
   ts.tier->Flush();
 
   // Artifacts. The exposition omits wall-clock-measured series (codec
-  // timings, tracer ring high-water) and the pool's submission count: each
-  // cold tier submits a demotion
-  // drainer only when its previous one has already finished, which depends
-  // on wall timing. Every remaining value is a pure function of the
-  // workload, so the CI double-replay compares all four artifacts
-  // byte-for-byte.
+  // timings, tracer ring high-water). Every remaining value is a pure
+  // function of the workload, so the CI double-replay compares all four
+  // artifacts byte-for-byte.
   bool ok = series->WriteJson(dir / "timeseries.json");
   ok = monitor->WriteJson(dir / "alerts.json") && ok;
   ok = recorder->WriteIncidents(dir) && ok;
   obs::ExpositionOptions eo;
   eo.exclude = {"codec.encode_us", "codec.decode_us",
-                "obs.trace.ring_highwater_events", "pool.submitted"};
+                "obs.trace.ring_highwater_events"};
   ok = obs::WritePrometheusText(dir / "metrics.prom", eo) && ok;
   if (!ok) {
     std::fprintf(stderr, "FAIL: could not write artifacts under %s\n",

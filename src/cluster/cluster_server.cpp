@@ -228,8 +228,8 @@ void ClusterServer::Prestore(
       throw;
     }
   }
-  // Make background tier state (cold-tier writers) deterministic before
-  // serving starts.
+  // Persist the demotions the stores made, so serving starts from settled
+  // on-disk state.
   tier_->Flush();
 }
 
@@ -253,9 +253,9 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   ServeEventLoop(queue, &outcomes);
   FinishTelemetry(last_completion_s_);
 
-  // Drain background tier work (the cold tier's demotion writer holds
-  // evicted bitstreams in RAM until persisted) so RAM is bounded per trace
-  // and on-disk state is settled before the caller inspects it.
+  // A cold tier holds the serve's demotions in RAM until Flush() persists
+  // them: RAM is bounded per trace, and on-disk state is settled before the
+  // caller inspects it.
   tier_->Flush();
   std::sort(outcomes.begin(), outcomes.end(),
             [](const RequestOutcome& a, const RequestOutcome& b) {

@@ -139,10 +139,12 @@ class ClusterServer {
 
   // Serve a whole trace to completion; returns one outcome per request,
   // ordered by request id. Safe to call repeatedly (fresh link each run;
-  // the cache tier keeps its contents across runs).
+  // the cache tier keeps its contents across runs). Ends with the tier's
+  // Flush(), which persists the demotions the serve made.
   std::vector<RequestOutcome> Serve(std::vector<ClusterRequest> trace);
 
-  // Prefill + encode + store a context pool up front (warm cache).
+  // Prefill + encode + store a context pool up front (warm cache), then
+  // Flush() the tier.
   void Prestore(const RequestTraceOptions& trace_opts);
   // Same for an arbitrary context set (e.g. shared-prefix family members).
   void Prestore(std::span<const std::pair<std::string, ContextSpec>> contexts);

@@ -27,9 +27,6 @@ unsigned DefaultPoolSize() {
 
 struct ThreadPool::Job {
   const std::function<void(size_t)>* fn = nullptr;
-  // Storage for Submit()-style jobs, which outlive their caller's frame and
-  // therefore cannot borrow the function object; fn points here.
-  std::function<void(size_t)> owned_fn;
   size_t n = 0;
   std::atomic<size_t> next{0};      // next index to claim
   std::atomic<size_t> pending{0};   // indices not yet finished
@@ -186,33 +183,6 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn,
     }
   }
   if (job->error) std::rethrow_exception(job->error);
-}
-
-void ThreadPool::Submit(std::function<void()> fn) {
-  if (!fn) return;
-  if (workers_.empty()) {
-    // No background executor exists; degrade to synchronous execution rather
-    // than dropping the job. Exception semantics match the async path.
-    try {
-      fn();
-    } catch (...) {
-    }
-    return;
-  }
-  CG_METRIC_COUNT("pool.submitted", 1);
-  auto job = std::make_shared<Job>();
-  job->owned_fn = [f = std::move(fn)](size_t) { f(); };
-  job->fn = &job->owned_fn;
-  job->n = 1;
-  job->pending.store(1, std::memory_order_relaxed);
-  job->slots.store(1, std::memory_order_relaxed);
-  {
-    MutexLock l(mu_);
-    jobs_.push_back(std::move(job));
-  }
-  // Exhausted submissions are reaped by WorkerLoop's scan; nothing waits on
-  // done_cv, so completion needs no bookkeeping here.
-  cv_.NotifyOne();
 }
 
 }  // namespace cachegen

@@ -10,11 +10,14 @@
 // rethrown on the calling thread. Cancellation is prompt: once a job has
 // failed, remaining claimed indices are skipped *before* invoking fn.
 //
+// Every job is a Run, joined by its caller: the pool holds no work past the
+// call that issued it, so nothing runs beside a caller that has returned.
+//
 // Nesting guard: a Run issued from a thread that is already executing job
 // indices (a pool worker, or a caller mid-participation) executes serially
-// inline. Cluster workers that invoke codec parallelism therefore share the
-// one pool instead of oversubscribing the machine, and nested parallelism
-// cannot deadlock the pool.
+// inline. The cluster's assembly decode threads, which invoke codec
+// parallelism, therefore share the one pool instead of oversubscribing the
+// machine, and nested parallelism cannot deadlock the pool.
 //
 // Sizing: the pool targets `hardware_concurrency` concurrent executors
 // (calling thread included), capped by the CACHEGEN_THREADS environment
@@ -45,14 +48,6 @@ class ThreadPool {
   // run; rethrows the first worker exception.
   void Run(size_t n, const std::function<void(size_t)>& fn,
            unsigned max_participants = 0);
-
-  // Fire-and-forget: run fn on a background worker as soon as one frees up
-  // and return immediately. There is no joiner, so exceptions escaping fn
-  // are swallowed — callers that care must catch inside fn. With no
-  // background workers (single-core pool / CACHEGEN_THREADS=1) fn runs
-  // inline on the calling thread instead, so Submit never silently drops
-  // work. Used by the tiered KV store's background demotion writer.
-  void Submit(std::function<void()> fn);
 
   // Total concurrent executors the pool targets (background workers + the
   // calling thread).

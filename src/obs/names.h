@@ -63,7 +63,6 @@ inline constexpr const char* kMetricNames[] = {
     "obs.trace.dropped_events",
     "obs.trace.ring_highwater_events",
     "pool.jobs",
-    "pool.submitted",
     "prefix.deduped_chunks",
     "prefix.full_hits",
     "prefix.misses",

@@ -36,8 +36,7 @@
 // inner one. No inner tier calls back into an outer one: the hot tier's
 // eviction sink only registers the demotion under cold_mu_, and a fabric
 // node's prefix layer reaches other nodes' stores, never their prefix
-// layers. The tiered store's writer queue lock (queue_mu_) is never taken
-// under cold_mu_.
+// layers. TieredKVStore::Flush() does its disk I/O under cold_mu_ alone.
 #pragma once
 
 #include <cstddef>
@@ -111,8 +110,9 @@ class CacheTier {
   }
   virtual void AbortStore(const std::string& context_id) { (void)context_id; }
 
-  // Settle background work (demotion writers etc.) so on-disk state is
-  // deterministic for the caller.
+  // Write what the tier holds only in RAM to its backing store (the tiered
+  // store's demotions, and the cold directories it owes removal), so on-disk
+  // state is settled for the caller and for a restart.
   virtual void Flush() {}
 
   // The KVStore the Engine serving this tier must be constructed with —

@@ -1,12 +1,12 @@
 #include "storage/tiered_kv_store.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -25,10 +25,9 @@ constexpr const char kColdCompleteSentinel[] = "COMPLETE";
 // Cold-tier manifest: one file at the root mapping each persisted context's
 // DIRECTORY name back to its original id and LRU stamp, so restart adoption
 // recovers '%'-mangled ids (which hash one way) and recency. Rewritten
-// whole (temp + rename) by the background writer once per queue drain (per
-// job would make an N-demotion burst O(N^2) in manifest I/O) — a crash
-// between drains loses at most the latest rewrite, and adoption degrades to
-// the sentinel + round-trip rules for unlisted directories.
+// whole (temp + rename) once per Flush() that changed the cold tier — a
+// crash between flushes loses at most the latest rewrite, and adoption
+// degrades to the sentinel + round-trip rules for unlisted directories.
 constexpr const char kColdManifestName[] = "MANIFEST";
 constexpr const char kColdManifestHeader[] = "cachegen-cold-manifest-v1";
 
@@ -43,18 +42,19 @@ std::string HexEncode(const std::string& s) {
   return out;
 }
 
+int HexNibble(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  return -1;
+}
+
 std::optional<std::string> HexDecode(const std::string& s) {
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
   if (s.size() % 2 != 0) return std::nullopt;
   std::string out;
   out.reserve(s.size() / 2);
   for (size_t i = 0; i < s.size(); i += 2) {
-    const int hi = nibble(s[i]);
-    const int lo = nibble(s[i + 1]);
+    const int hi = HexNibble(s[i]);
+    const int lo = HexNibble(s[i + 1]);
     if (hi < 0 || lo < 0) return std::nullopt;
     out.push_back(static_cast<char>((hi << 4) | lo));
   }
@@ -74,9 +74,22 @@ uint64_t DoubleBits(double d) {
   return u;
 }
 
-double BitsDouble(uint64_t u) {
+// The stamp a MANIFEST row carries: exactly 16 hex digits that decode to a
+// finite, non-negative double (what WriteManifestLocked emits for a
+// virtual-time stamp). The file is outside input: a NaN would be unordered
+// in the cold LRU, so a row with any other stamp is skipped like one with a
+// bad id.
+std::optional<double> ParseStamp(const std::string& hex) {
+  if (hex.size() != 16) return std::nullopt;
+  uint64_t bits = 0;
+  for (const char c : hex) {
+    const int v = HexNibble(c);
+    if (v < 0) return std::nullopt;
+    bits = (bits << 4) | static_cast<uint64_t>(v);
+  }
   double d = 0.0;
-  std::memcpy(&d, &u, sizeof(d));
+  std::memcpy(&d, &bits, sizeof(d));
+  if (!std::isfinite(d) || d < 0.0) return std::nullopt;
   return d;
 }
 
@@ -90,14 +103,10 @@ std::map<std::string, ManifestRow> ReadColdManifest(
   std::string dir, hex_id, touch_hex;
   while (in >> dir >> hex_id >> touch_hex) {
     const auto id = HexDecode(hex_id);
-    if (!id) continue;  // corrupt row: skip, adoption falls back to rules
-    uint64_t bits = 0;
-    try {
-      bits = std::stoull(touch_hex, nullptr, 16);
-    } catch (...) {
-      continue;
-    }
-    rows[dir] = ManifestRow{*id, BitsDouble(bits)};
+    const auto touch = ParseStamp(touch_hex);
+    // Corrupt row: skip, adoption falls back to the rules.
+    if (!id || !touch) continue;
+    rows[dir] = ManifestRow{*id, *touch};
   }
   return rows;
 }
@@ -120,8 +129,7 @@ TieredKVStore::TieredKVStore(Options opts,
 }
 
 TieredKVStore::~TieredKVStore() {
-  // Drain the background writer before members die: every queued job holds
-  // `this`.
+  // Persist what is still in RAM, so a restart adopts it.
   Flush();
 }
 
@@ -129,7 +137,6 @@ void TieredKVStore::AdoptPersistedColdContexts() {
   if (!fs::exists(opts_.cold_root)) return;
   const std::map<std::string, ManifestRow> manifest =
       ReadColdManifest(opts_.cold_root);
-  std::vector<std::string> erase_ids;
   {
     MutexLock lock(cold_mu_);
     for (const auto& dir : fs::directory_iterator(opts_.cold_root)) {
@@ -165,7 +172,7 @@ void TieredKVStore::AdoptPersistedColdContexts() {
         fs::remove_all(dir.path(), ec);
         continue;
       }
-      auto entry = std::make_shared<ColdEntry>();
+      ColdEntry entry;
       for (const auto& f : fs::directory_iterator(dir.path())) {
         if (!f.is_regular_file() || f.path().extension() != ".cgkv") continue;
         uint32_t chunk = 0;
@@ -174,42 +181,33 @@ void TieredKVStore::AdoptPersistedColdContexts() {
                         "chunk%u_level%d.cgkv", &chunk, &level) != 2) {
           continue;
         }
-        entry->chunk_bytes[{chunk, level}] =
+        entry.chunk_bytes[{chunk, level}] =
             static_cast<uint32_t>(f.file_size());
-        entry->bytes += f.file_size();
+        entry.bytes += f.file_size();
       }
-      if (entry->chunk_bytes.empty()) continue;
-      entry->persisted = true;
-      entry->last_touch_s = last_touch;
-      cold_bytes_ += entry->bytes;
+      if (entry.chunk_bytes.empty()) continue;
+      entry.persisted = true;
+      entry.last_touch_s = last_touch;
+      cold_bytes_ += entry.bytes;
       cold_.emplace(id, std::move(entry));
     }
     // The budget may have shrunk since the adopted bytes were written.
-    EnforceColdCapacityLocked(nullptr, &erase_ids);
+    EnforceColdCapacityLocked(nullptr);
   }
-  for (std::string& id : erase_ids) EnqueueErase(std::move(id));
 }
 
-void TieredKVStore::SyncManifestToDisk() {
-  // Snapshot under the lock, write without it.
-  std::vector<std::pair<std::string, double>> rows;  // (original id, touch)
-  {
-    MutexLock lock(cold_mu_);
-    rows.reserve(cold_.size());
-    for (const auto& [id, e] : cold_) {
-      if (e->persisted && !e->dead) rows.emplace_back(id, e->last_touch_s);
-    }
-  }
+void TieredKVStore::WriteManifestLocked() {
   const fs::path final_path = opts_.cold_root / kColdManifestName;
   const fs::path tmp = opts_.cold_root / (std::string(kColdManifestName) + ".tmp");
   {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out) return;  // best-effort: adoption degrades to the fallback rules
     out << kColdManifestHeader << '\n';
-    for (const auto& [id, touch] : rows) {
+    for (const auto& [id, e] : cold_) {
+      if (!e.persisted) continue;
       char bits[17];
       std::snprintf(bits, sizeof(bits), "%016llx",
-                    static_cast<unsigned long long>(DoubleBits(touch)));
+                    static_cast<unsigned long long>(DoubleBits(e.last_touch_s)));
       out << SanitizeContextId(id) << ' ' << HexEncode(id) << ' ' << bits
           << '\n';
     }
@@ -229,96 +227,76 @@ void TieredKVStore::SyncManifestToDisk() {
 // --- demotion (hot -> cold) --------------------------------------------------
 
 void TieredKVStore::OnHotEviction(ShardedKVStore::EvictedContext&& victim) {
-  // Runs under the evicting shard's lock: register the manifest entry
-  // synchronously (lookups racing the eviction must see the context as
-  // cold), defer only the disk write. Lock order is shard -> cold_mu_;
-  // nothing here blocks on I/O.
-  const std::string id = victim.context_id;
-  ColdEntryPtr entry;
-  std::vector<std::string> erase_ids;
-  {
-    MutexLock lock(cold_mu_);
-    ColdEntryPtr& slot = cold_[id];
-    if (slot) {
-      // Replace an older incarnation. Same id means same immutable content
-      // and chunk set, so the new persist pass simply overwrites the old
-      // files — no erase needed.
-      slot->dead = true;
-      ReleasePendingLocked(*slot);
-      cold_bytes_ -= slot->bytes;
-    }
-    entry = std::make_shared<ColdEntry>();
-    entry->bytes = victim.bytes;
-    entry->last_touch_s = victim.last_touch_s;
-    for (const auto& [key, bytes] : victim.chunks) {
-      entry->chunk_bytes[{key.chunk_index, key.level_id}] =
-          static_cast<uint32_t>(bytes.size());
-    }
-    entry->buffer = std::move(victim.chunks);
-    slot = entry;
-    cold_bytes_ += entry->bytes;
-    entry->pending_counted = true;
-    pending_demotion_bytes_ += entry->bytes;
-    demotions_.fetch_add(1, std::memory_order_relaxed);
-    demoted_bytes_.fetch_add(entry->bytes, std::memory_order_relaxed);
-    CG_METRIC_COUNT("storage.demotions", 1);
-    CG_METRIC_GAUGE_SET("storage.pending_demotion_bytes",
-                        pending_demotion_bytes_);
-    CG_TRACE_INSTANT("storage", "demote", "bytes",
-                     static_cast<double>(entry->bytes));
-    CG_TRACE_COUNTER("storage", "pending_demotion_bytes",
-                     static_cast<double>(pending_demotion_bytes_));
-    EnforceColdCapacityLocked(&id, &erase_ids);
+  // Runs under the evicting shard's lock: register the manifest entry and
+  // keep its bytes in RAM (lookups racing the eviction must see the context
+  // as cold); Flush() writes them. Lock order is shard -> cold_mu_; nothing
+  // here blocks on I/O.
+  MutexLock lock(cold_mu_);
+  const auto old = cold_.find(victim.context_id);
+  if (old != cold_.end()) {
+    // Replace an older incarnation. Same id means same immutable content
+    // and chunk set, so Flush() simply overwrites the old files — no erase
+    // needed.
+    TakeColdLocked(old);
   }
-  for (std::string& eid : erase_ids) EnqueueErase(std::move(eid));
-  EnqueuePersist(id, std::move(entry));
+  ColdEntry& entry = cold_[victim.context_id];
+  entry.bytes = victim.bytes;
+  entry.last_touch_s = victim.last_touch_s;
+  for (const auto& [key, bytes] : victim.chunks) {
+    entry.chunk_bytes[{key.chunk_index, key.level_id}] =
+        static_cast<uint32_t>(bytes.size());
+  }
+  entry.buffer = std::move(victim.chunks);
+  cold_bytes_ += entry.bytes;
+  demotions_.fetch_add(1, std::memory_order_relaxed);
+  demoted_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
+  CG_METRIC_COUNT("storage.demotions", 1);
+  CG_TRACE_INSTANT("storage", "demote", "bytes",
+                   static_cast<double>(entry.bytes));
+  SetPendingLocked(pending_demotion_bytes_ + entry.bytes);
+  EnforceColdCapacityLocked(&victim.context_id);
 }
 
-void TieredKVStore::ReleasePendingLocked(ColdEntry& entry) {
-  if (!entry.pending_counted) return;
-  entry.pending_counted = false;
-  pending_demotion_bytes_ -= entry.bytes;
+TieredKVStore::ColdEntry TieredKVStore::TakeColdLocked(ColdMap::iterator it) {
+  ColdEntry entry = std::move(it->second);
+  cold_.erase(it);
+  cold_bytes_ -= entry.bytes;
+  if (!entry.persisted) SetPendingLocked(pending_demotion_bytes_ - entry.bytes);
+  return entry;
+}
+
+void TieredKVStore::SetPendingLocked(uint64_t bytes) {
+  pending_demotion_bytes_ = bytes;
   CG_METRIC_GAUGE_SET("storage.pending_demotion_bytes", pending_demotion_bytes_);
   CG_TRACE_COUNTER("storage", "pending_demotion_bytes",
                    static_cast<double>(pending_demotion_bytes_));
 }
 
-void TieredKVStore::EnforceColdCapacityLocked(
-    const std::string* keep, std::vector<std::string>* erase_ids) {
+void TieredKVStore::EnforceColdCapacityLocked(const std::string* keep) {
   if (opts_.cold_capacity_bytes == 0) return;
   // Mirrors the hot tier: LRU at whole-context granularity, deterministic
   // id tie-break, and the last context soft-overflows instead of thrashing.
   while (cold_bytes_ > opts_.cold_capacity_bytes && cold_.size() > 1) {
-    const std::string* victim = nullptr;
-    const ColdEntry* victim_meta = nullptr;
-    for (const auto& [id, e] : cold_) {
-      if (keep && id == *keep) continue;
-      if (!victim || e->last_touch_s < victim_meta->last_touch_s ||
-          (e->last_touch_s == victim_meta->last_touch_s && id < *victim)) {
-        victim = &id;
-        victim_meta = e.get();
+    auto victim = cold_.end();
+    for (auto it = cold_.begin(); it != cold_.end(); ++it) {
+      if (keep && it->first == *keep) continue;
+      if (victim == cold_.end() ||
+          it->second.last_touch_s < victim->second.last_touch_s ||
+          (it->second.last_touch_s == victim->second.last_touch_s &&
+           it->first < victim->first)) {
+        victim = it;
       }
     }
-    if (!victim) return;
-    const auto it = cold_.find(*victim);
-    it->second->dead = true;
-    ReleasePendingLocked(*it->second);
-    cold_bytes_ -= it->second->bytes;
+    if (victim == cold_.end()) return;
+    // Unconditional, even for an entry still in RAM: it can shadow the files
+    // of an earlier persisted incarnation.
+    cold_erase_ids_.push_back(victim->first);
+    const ColdEntry evicted = TakeColdLocked(victim);
     cold_evictions_.fetch_add(1, std::memory_order_relaxed);
-    cold_evicted_bytes_.fetch_add(it->second->bytes,
-                                  std::memory_order_relaxed);
+    cold_evicted_bytes_.fetch_add(evicted.bytes, std::memory_order_relaxed);
     CG_METRIC_COUNT("storage.cold_evictions", 1);
     CG_TRACE_INSTANT("storage", "cold_evict", "bytes",
-                     static_cast<double>(it->second->bytes));
-    // Unconditional, even for pending entries that never reached disk: a
-    // pending RE-demotion can be shadowing stale files of an earlier
-    // persisted incarnation whose own erase was skipped (it found this
-    // entry in the manifest). FIFO guarantees the pending persist job runs
-    // first, sees `dead`, and writes nothing; the erase then clears any
-    // leftovers so evicted bytes can't outlive the budget or resurrect on
-    // restart.
-    erase_ids->push_back(*victim);
-    cold_.erase(it);
+                     static_cast<double>(evicted.bytes));
   }
 }
 
@@ -355,24 +333,16 @@ TierLookup TieredKVStore::LookupAndPin(const std::string& context_id,
       misses_.fetch_add(1, std::memory_order_relaxed);
       return TierLookup{};
     }
-    ColdEntry& entry = *it->second;
-    entry.dead = true;  // claimed by this promotion
-    ReleasePendingLocked(entry);
-    cold_bytes_ -= entry.bytes;
+    ColdEntry entry = TakeColdLocked(it);
     if (entry.persisted) {
       for (const auto& [chunk_id, size] : entry.chunk_bytes) {
         persisted_keys.push_back({context_id, chunk_id.first, chunk_id.second});
       }
-    } else if (entry.writing) {
-      // The background writer is reading the buffer outside the lock;
-      // copy instead of stealing it (it will discard its files on `dead`).
-      chunks = entry.buffer;
     } else {
       // Reclaim the demotion's buffers: the bytes the eviction handed over
       // go back to the hot tier without a copy.
       chunks = std::move(entry.buffer);
     }
-    cold_.erase(it);
   }
 
   // Placeholder pin first so the context survives concurrent evictions while
@@ -413,31 +383,25 @@ TierLookup TieredKVStore::LookupAndPin(const std::string& context_id,
     }
     // The Unpin above re-enforces capacity and can have EVICTED the
     // partially inserted context straight back through the demotion sink —
-    // re-registering the corrupt subset in the manifest. Purge it, then
-    // reclaim whatever files exist (the erase job would otherwise skip a
-    // context that is present in the manifest).
+    // re-registering the corrupt subset in the manifest. Purge it, and
+    // reclaim whatever files exist.
     {
       MutexLock lock(cold_mu_);
       const auto it = cold_.find(context_id);
-      if (it != cold_.end()) {
-        it->second->dead = true;
-        ReleasePendingLocked(*it->second);
-        cold_bytes_ -= it->second->bytes;
-        cold_.erase(it);
-      }
-    }
-    try {
-      EnqueueErase(context_id);
-    } catch (...) {
+      if (it != cold_.end()) TakeColdLocked(it);
+      cold_erase_ids_.push_back(context_id);
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     return TierLookup{};
   }
   hot_->Touch(context_id, t_s);
   // Exclusive tiering: reclaim the cold files once the context lives hot
-  // again. Unconditional — even a pending entry can shadow stale files of
-  // an earlier persisted incarnation whose erase was skipped.
-  EnqueueErase(context_id);
+  // again, queued only now that its reads are done. Unconditional — even a
+  // pending entry can shadow stale files of an earlier persisted incarnation.
+  {
+    MutexLock lock(cold_mu_);
+    cold_erase_ids_.push_back(context_id);
+  }
   cold_hits_.fetch_add(1, std::memory_order_relaxed);
   promotions_.fetch_add(1, std::memory_order_relaxed);
   promoted_bytes_.fetch_add(bytes_promoted, std::memory_order_relaxed);
@@ -447,171 +411,46 @@ TierLookup TieredKVStore::LookupAndPin(const std::string& context_id,
   return hit(KVTier::kCold);
 }
 
-// --- background writer -------------------------------------------------------
-
-void TieredKVStore::EnqueuePersist(const std::string& context_id,
-                                   ColdEntryPtr entry) {
-  EnqueueJob([this, context_id, entry = std::move(entry)] {
-    const std::vector<OwnedChunk>* buffer = nullptr;
-    {
-      MutexLock lock(cold_mu_);
-      if (entry->dead || entry->persisted) return;
-      entry->writing = true;
-      buffer = &entry->buffer;
-    }
-    // The buffer is only mutated under cold_mu_ by paths that first check
-    // `writing`, so reading it here without the lock is safe.
-    bool ok = true;
-    for (const auto& [key, bytes] : *buffer) {
-      try {
-        cold_backend_->Put(key, bytes);
-      } catch (...) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      // Commit the context: without the sentinel, restart adoption treats
-      // the directory as mid-persist debris and reclaims it.
-      try {
-        const fs::path sentinel = opts_.cold_root /
-                                  SanitizeContextId(context_id) /
-                                  kColdCompleteSentinel;
-        std::ofstream out(sentinel, std::ios::binary | std::ios::trunc);
-        out << '1';
-        out.flush();
-        out.close();
-        ok = !out.fail();
-      } catch (...) {
-        ok = false;
-      }
-    }
-    bool discard_files = false;
-    {
-      MutexLock lock(cold_mu_);
-      entry->writing = false;
-      if (entry->dead) {
-        // Promoted/evicted while writing: whatever landed on disk is
-        // orphaned. (Its pending accounting was released where it died.)
-        discard_files = true;
-      } else if (ok) {
-        entry->persisted = true;
-        ReleasePendingLocked(*entry);
-        entry->buffer.clear();
-        entry->buffer.shrink_to_fit();
-      }
-      // !ok && !dead: disk refused (full/unwritable). The entry simply
-      // stays memory-resident (and keeps counting as pending); reads and
-      // promotions keep using the buffer.
-    }
-    if (discard_files) {
-      // Inline is safe: this runs at the front of the FIFO, so a newer
-      // incarnation's persist job (queued behind us) rewrites afterwards.
-      try {
-        cold_backend_->EraseContext(context_id);
-      } catch (...) {
-      }
-    }
-    // The manifest is synced once per queue drain, not per job: a demotion
-    // burst of N contexts would otherwise rewrite an O(N)-row file N times.
-    manifest_dirty_.store(true, std::memory_order_release);
-  });
-}
-
-void TieredKVStore::EnqueueErase(std::string context_id) {
-  EnqueueJob([this, context_id = std::move(context_id)] {
-    {
-      MutexLock lock(cold_mu_);
-      // A newer incarnation re-entered the manifest after this erase was
-      // queued; its bytes share the directory, so removing it now would
-      // destroy live data (its own persist pass keeps the files fresh).
-      if (cold_.count(context_id) > 0) return;
-    }
-    try {
-      cold_backend_->EraseContext(context_id);
-    } catch (...) {
-    }
-    manifest_dirty_.store(true, std::memory_order_release);
-  });
-}
-
-void TieredKVStore::EnqueueJob(std::function<void()> job) {
-  // With no background workers (single-core pool / CACHEGEN_THREADS=1)
-  // Submit would run the drainer inline — here possibly under the evicting
-  // shard's lock, exactly the disk-I/O-under-lock the sink contract forbids.
-  // Jobs stay queued instead (reads are served from the pending buffers) and
-  // the next Flush() drains them on the caller's thread.
-  const bool has_workers = ThreadPool::Instance().size() > 1;
-  bool start_drainer = false;
-  {
-    MutexLock lock(queue_mu_);
-    jobs_.push_back(std::move(job));
-    if (has_workers && !drainer_active_) {
-      drainer_active_ = true;
-      start_drainer = true;
-    }
-  }
-  if (start_drainer) {
-    ThreadPool::Instance().Submit([this] { DrainJobs(); });
-  }
-}
-
-void TieredKVStore::DrainJobs() {
-  for (;;) {
-    std::function<void()> job;
-    queue_mu_.lock();
-    if (jobs_.empty()) {
-      // Settle the manifest before retiring, so any waiter released by
-      // Flush() observes disk state (chunks AND manifest) in sync. Jobs
-      // that arrive while writing are picked up by another loop turn —
-      // only the true final drain retires the drainer role.
-      queue_mu_.unlock();
-      if (manifest_dirty_.exchange(false, std::memory_order_acq_rel)) {
-        SyncManifestToDisk();
-      }
-      queue_mu_.lock();
-      if (!jobs_.empty()) {
-        queue_mu_.unlock();
-        continue;
-      }
-      drainer_active_ = false;
-      queue_cv_.NotifyAll();
-      queue_mu_.unlock();
-      return;
-    }
-    job = std::move(jobs_.front());
-    jobs_.pop_front();
-    queue_mu_.unlock();
-    try {
-      job();
-    } catch (...) {
-      // Background persistence is best-effort; the manifest state machine
-      // keeps unwritten entries memory-resident.
-    }
-  }
-}
+// --- the disk writer ---------------------------------------------------------
 
 void TieredKVStore::Flush() {
-  // Loop, not a one-shot claim: with no background workers, a job enqueued
-  // by another thread while this thread drains would otherwise strand the
-  // wait forever (nothing else ever drains or signals in that mode).
-  queue_mu_.lock();
-  for (;;) {
-    if (jobs_.empty() && !drainer_active_) {
-      queue_mu_.unlock();
-      return;
+  MutexLock lock(cold_mu_);
+  bool changed = false;
+  for (const std::string& id : cold_erase_ids_) {
+    // The id re-entered the cold tier after it left: its newer incarnation
+    // shares the directory and is written below, over the same files.
+    if (cold_.count(id) > 0) continue;
+    try {
+      cold_backend_->EraseContext(id);
+    } catch (...) {
     }
-    if (!drainer_active_) {
-      // Claim the drainer role — the normal case when no background worker
-      // exists — and drain on this thread.
-      drainer_active_ = true;
-      queue_mu_.unlock();
-      DrainJobs();
-      queue_mu_.lock();
+    changed = true;
+  }
+  cold_erase_ids_.clear();
+  for (auto& [id, entry] : cold_) {
+    if (entry.persisted) continue;
+    try {
+      for (const auto& [key, bytes] : entry.buffer) cold_backend_->Put(key, bytes);
+      // Commit the context: without the sentinel, restart adoption treats
+      // the directory as mid-persist debris and reclaims it.
+      std::ofstream out(opts_.cold_root / SanitizeContextId(id) /
+                            kColdCompleteSentinel,
+                        std::ios::binary | std::ios::trunc);
+      out << '1';
+      out.close();
+      if (out.fail()) continue;
+    } catch (...) {
+      // Disk refused (full/unwritable): the entry stays in RAM, counted as
+      // pending, and reads and promotions keep using its buffer.
       continue;
     }
-    queue_cv_.Wait(queue_mu_);
+    SetPendingLocked(pending_demotion_bytes_ - entry.bytes);
+    entry.persisted = true;
+    entry.buffer.clear();
+    entry.buffer.shrink_to_fit();
+    changed = true;
   }
+  if (changed) WriteManifestLocked();
 }
 
 // --- KVStore interface -------------------------------------------------------
@@ -634,8 +473,8 @@ std::optional<std::vector<uint8_t>> TieredKVStore::Get(
     MutexLock lock(cold_mu_);
     const auto it = cold_.find(key.context_id);
     if (it == cold_.end()) return std::nullopt;
-    if (!it->second->persisted) {
-      for (const auto& [chunk_key, chunk_bytes] : it->second->buffer) {
+    if (!it->second.persisted) {
+      for (const auto& [chunk_key, chunk_bytes] : it->second.buffer) {
         if (chunk_key.chunk_index == key.chunk_index &&
             chunk_key.level_id == key.level_id) {
           return chunk_bytes;  // copy out of the pending buffer
@@ -644,8 +483,8 @@ std::optional<std::vector<uint8_t>> TieredKVStore::Get(
       return std::nullopt;
     }
   }
-  // With no promotion in flight, the files go only with the context itself
-  // (cold eviction, EraseContext).
+  // With no promotion in flight, the files go only at a Flush() after the
+  // context itself left the cold tier (cold eviction, EraseContext).
   return cold_backend_->Get(key);
 }
 
@@ -659,19 +498,11 @@ bool TieredKVStore::ContainsContext(const std::string& context_id) const {
 
 void TieredKVStore::EraseContext(const std::string& context_id) {
   hot_->EraseContext(context_id);
-  bool found = false;
-  {
-    MutexLock lock(cold_mu_);
-    const auto it = cold_.find(context_id);
-    if (it != cold_.end()) {
-      found = true;
-      it->second->dead = true;
-      ReleasePendingLocked(*it->second);
-      cold_bytes_ -= it->second->bytes;
-      cold_.erase(it);
-    }
-  }
-  if (found) EnqueueErase(context_id);
+  MutexLock lock(cold_mu_);
+  const auto it = cold_.find(context_id);
+  if (it == cold_.end()) return;
+  TakeColdLocked(it);
+  cold_erase_ids_.push_back(context_id);
 }
 
 uint64_t TieredKVStore::TotalBytes() const {
@@ -688,7 +519,7 @@ uint64_t TieredKVStore::ContextBytes(const std::string& context_id) const {
   {
     MutexLock lock(cold_mu_);
     const auto it = cold_.find(context_id);
-    if (it != cold_.end()) cold = it->second->bytes;
+    if (it != cold_.end()) cold = it->second.bytes;
   }
   return hot_->ContextBytes(context_id) + cold;
 }

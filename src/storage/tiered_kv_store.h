@@ -18,53 +18,47 @@
 //        │ miss
 //        └───────────────────────────────▶ text + re-prefill    (KVTier::kMiss)
 //
-//   hot LRU eviction ──demote (background writer)──▶ cold tier
-//   cold LRU eviction ──────────────────────────────▶ gone for real
+//   hot LRU eviction ──demote (RAM until Flush)──▶ cold tier
+//   cold LRU eviction ───────────────────────────▶ gone for real
 //
 // Concurrency & determinism (lock order: storage/cache_tier.h):
-//   * The manifest entry for a demotion is registered synchronously (under
-//     the evicting shard's lock via the sink, then the cold mutex), so a
-//     lookup racing the eviction still sees the context as cold — outcomes
-//     do not depend on disk speed.
+//   * A demotion is registered in the manifest synchronously (under the
+//     evicting shard's lock via the sink, then the cold mutex), with its
+//     bytes held in RAM, so a lookup racing the eviction still sees the
+//     context as cold. The sink does no disk I/O.
 //   * One promotion runs at a time, under promote_mu_. A promotion takes the
 //     context out of the manifest before its bytes reach the hot tier, so
 //     every read that misses the hot tier (LookupAndPin, Get,
 //     ContainsContext) takes promote_mu_ and asks the hot tier again before
 //     it asks the manifest: it sees the context in one tier or the other.
-//   * Only the byte persistence is asynchronous: a FIFO queue drained by a
-//     single ThreadPool::Submit job writes the chunks to disk, so the
-//     eviction path never blocks a shard lock on disk I/O. Until an entry is
-//     persisted its bytes live in the manifest (reads and promotions are
-//     served from that buffer); Flush() drains the queue for deterministic
-//     tests and for persistence-across-restart. When the pool has no
-//     background workers (CACHEGEN_THREADS=1) jobs simply wait for the next
-//     Flush() rather than writing inline under the evicting shard's lock.
+//   * Flush() is the cold tier's only disk writer after construction. On the
+//     calling thread, under cold_mu_, it removes the directories of contexts
+//     that left the cold tier, writes each demotion still held in RAM (chunks,
+//     then the context's completion sentinel) and rewrites the MANIFEST if
+//     anything changed. Until then reads and promotions are served from the
+//     RAM buffer, so outcomes never depend on disk speed or pool size.
 //   * Bitstreams cross the tier boundary by move (with the default
 //     MemoryKVStore hot backend): a demotion keeps the buffers the hot
 //     tier's eviction took out, and a promotion hands the hot tier the
 //     buffers it read from disk or reclaimed from a demotion not yet
-//     persisted. Only a promotion racing the writer mid-persist copies,
-//     since the writer reads that buffer outside the lock.
+//     persisted.
 //   * Context content is immutable per id in this system, so the rare
 //     hot/cold duplication windows (e.g. a write-back racing a demotion of
 //     the same context) waste budget but never serve stale data.
 //
 // Restart: the constructor adopts contexts already present under cold_root
-// that carry the per-context completion sentinel the writer commits after
-// the last chunk (directories without it are mid-persist debris from a
-// crash and are reclaimed). A small on-disk manifest (rewritten by the
-// background writer once per queue drain) maps each directory back to
-// its original context id and LRU stamp, so '%'-mangled ids and recency
-// survive process churn; sentinel-complete directories that are neither in
-// the manifest nor round-trippable through SanitizeContextId are
-// unreachable forever and are reclaimed.
+// that carry the per-context completion sentinel Flush() commits after the
+// last chunk (directories without it are mid-persist debris from a crash
+// and are reclaimed). A small on-disk manifest (rewritten by Flush()) maps
+// each directory back to its original context id and LRU stamp, so
+// '%'-mangled ids and recency survive process churn; sentinel-complete
+// directories that are neither in the manifest nor round-trippable through
+// SanitizeContextId are unreachable forever and are reclaimed.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -105,7 +99,7 @@ class TieredKVStore final : public KVStore, public CacheTier {
     uint64_t promoted_bytes = 0;
     uint64_t cold_evictions = 0;
     uint64_t cold_evicted_bytes = 0;
-    // Bytes of demoted bitstreams still in RAM, awaiting the writer.
+    // Bytes of demoted bitstreams still in RAM, awaiting Flush().
     uint64_t pending_demotion_bytes = 0;  // current
     uint64_t hot_bytes = 0;   // current
     uint64_t cold_bytes = 0;  // current (manifest accounting, incl. pending)
@@ -147,9 +141,10 @@ class TieredKVStore final : public KVStore, public CacheTier {
   void Unpin(const std::string& context_id) override;
   void Touch(const std::string& context_id, double t_s) override;
 
-  // Drain the background writer: on return every queued demotion has been
-  // persisted (or discarded) and every queued cold erase applied. Makes
-  // on-disk state deterministic for tests and restart hand-off.
+  // Write the cold tier to disk on the calling thread: remove the
+  // directories of contexts that left it, persist every demotion still in
+  // RAM (one that fails to write stays in RAM for the next Flush) and
+  // rewrite the MANIFEST if anything changed. A restart adopts what it left.
   void Flush() override;
 
   KVStore& kv() override { return *this; }
@@ -159,45 +154,29 @@ class TieredKVStore final : public KVStore, public CacheTier {
   const ShardedKVStore& hot() const { return *hot_; }
 
  private:
-  // All ColdEntry fields are protected by the owning store's cold_mu_, with
-  // one deliberate exception the analysis cannot express on a nested struct
-  // (guarded_by cannot name an outer object's member): `buffer` is READ
-  // without the lock by the background writer while `writing` is true —
-  // every mutating path checks `writing` under cold_mu_ first (copy instead
-  // of steal), so the unlocked read races with nothing.
   struct ColdEntry {
     // (chunk_index, level_id) -> serialized size; fixed at demotion time.
     std::map<std::pair<uint32_t, int32_t>, uint32_t> chunk_bytes;
-    // Bitstreams until persisted; reads/promotions are served from here
-    // while the background writer works.
+    // Bitstreams until Flush() persists them; reads and promotions are
+    // served from here until then.
     std::vector<OwnedChunk> buffer;
     uint64_t bytes = 0;
     double last_touch_s = 0.0;
     bool persisted = false;  // bytes live on disk; buffer released
-    bool writing = false;    // writer is reading buffer outside the lock
-    bool dead = false;       // evicted/promoted/replaced; writer must discard
-    // Counted in pending_demotion_bytes_; cleared exactly once when the
-    // entry stops being RAM-buffered (persisted, claimed, evicted).
-    bool pending_counted = false;
   };
-  using ColdEntryPtr = std::shared_ptr<ColdEntry>;
+
+  using ColdMap = std::unordered_map<std::string, ColdEntry>;
 
   void AdoptPersistedColdContexts();
   void OnHotEviction(ShardedKVStore::EvictedContext&& victim);
-  // Caller holds cold_mu_. Appends ids whose on-disk bytes must be removed.
-  void EnforceColdCapacityLocked(const std::string* keep,
-                                 std::vector<std::string>* erase_ids)
+  // Takes a context out of the cold tier and its byte accounting. Its
+  // directory stays until the caller queues it in cold_erase_ids_.
+  ColdEntry TakeColdLocked(ColdMap::iterator it) CG_REQUIRES(cold_mu_);
+  void SetPendingLocked(uint64_t bytes) CG_REQUIRES(cold_mu_);
+  void EnforceColdCapacityLocked(const std::string* keep)
       CG_REQUIRES(cold_mu_);
-  // Caller holds cold_mu_. Uncounts the entry from the pending-demotion
-  // bytes (idempotent).
-  void ReleasePendingLocked(ColdEntry& entry) CG_REQUIRES(cold_mu_);
-  void EnqueuePersist(const std::string& context_id, ColdEntryPtr entry);
-  void EnqueueErase(std::string context_id);
-  void EnqueueJob(std::function<void()> job);
-  void DrainJobs();
-  // Snapshot the persisted-entry manifest under cold_mu_ and rewrite the
-  // on-disk manifest file (temp + rename). Called from background jobs.
-  void SyncManifestToDisk();
+  // Rewrite the on-disk manifest (temp + rename) from the persisted entries.
+  void WriteManifestLocked() CG_REQUIRES(cold_mu_);
 
   Options opts_;
   std::unique_ptr<ShardedKVStore> hot_;
@@ -206,23 +185,13 @@ class TieredKVStore final : public KVStore, public CacheTier {
   // Held for a whole promotion, and by every read that missed the hot tier.
   mutable Mutex promote_mu_;
   mutable Mutex cold_mu_;
-  std::unordered_map<std::string, ColdEntryPtr> cold_ CG_GUARDED_BY(cold_mu_);
+  ColdMap cold_ CG_GUARDED_BY(cold_mu_);
   uint64_t cold_bytes_ CG_GUARDED_BY(cold_mu_) = 0;
-  // RAM-buffered demotion bytes awaiting the writer.
+  // RAM-buffered demotion bytes awaiting Flush().
   uint64_t pending_demotion_bytes_ CG_GUARDED_BY(cold_mu_) = 0;
-
-  // FIFO job queue + single-drainer discipline: at most one ThreadPool job
-  // runs at a time, so demote/erase jobs for the same context execute in
-  // submission order (an old incarnation's files are erased before a new
-  // incarnation's are written). Never enqueue while holding cold_mu_.
-  mutable Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<std::function<void()>> jobs_ CG_GUARDED_BY(queue_mu_);
-  bool drainer_active_ CG_GUARDED_BY(queue_mu_) = false;
-  // Set by persist/erase jobs; the drainer rewrites the on-disk manifest
-  // once per queue drain (a crash between drains loses at most manifest
-  // freshness — adoption falls back to the sentinel + round-trip rules).
-  std::atomic<bool> manifest_dirty_{false};
+  // Contexts that left the cold tier since the last Flush(), whose
+  // directories it removes.
+  std::vector<std::string> cold_erase_ids_ CG_GUARDED_BY(cold_mu_);
 
   std::atomic<uint64_t> hot_hits_{0};
   std::atomic<uint64_t> cold_hits_{0};

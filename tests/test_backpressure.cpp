@@ -1,12 +1,10 @@
-// Demotion-queue accounting, in deterministic no-background-worker mode:
-// CACHEGEN_THREADS=1 is pinned before the lazy ThreadPool exists, so queued
-// persist jobs only run at Flush() — pending demotion buffers accumulate
-// exactly as fast as evictions fire, independent of disk or scheduler speed,
-// and the pending bytes can be asserted byte for byte.
+// Pending-demotion accounting. Flush() is the cold tier's only disk writer,
+// at every pool size: demotion buffers accumulate in RAM exactly as fast as
+// evictions fire, independent of disk or scheduler speed, so the pending
+// bytes can be asserted byte for byte.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -23,13 +21,6 @@ namespace cachegen {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Runs at static initialization, before gtest's main and before anything can
-// lazily construct the global ThreadPool.
-const bool kForceSingleThread = [] {
-  ::setenv("CACHEGEN_THREADS", "1", 1);
-  return true;
-}();
 
 std::vector<uint8_t> Blob(size_t n, uint8_t fill) {
   return std::vector<uint8_t>(n, fill);
@@ -88,12 +79,11 @@ TEST_F(BackpressureTest, PromotionOfPendingEntryReleasesItsPendingBytes) {
   EXPECT_LE(stats.pending_demotion_bytes, 100u);
 }
 
-// A promotion of a demotion still waiting for the writer reclaims the
+// A promotion of a demotion still waiting for Flush() reclaims the
 // demotion's buffers: the bytes the eviction took out of the hot tier go
 // back into it without a copy. The hot backend records the buffer each
 // ownership-passing call moves out (Take) and in (Insert).
 TEST_F(BackpressureTest, PromotionReinsertsTheDemotedBuffers) {
-  ASSERT_TRUE(kForceSingleThread);
   struct Moves {
     std::vector<std::pair<std::string, const uint8_t*>> taken, inserted;
   };
@@ -140,7 +130,7 @@ TEST_F(BackpressureTest, PromotionReinsertsTheDemotedBuffers) {
   store.Put({"b", 0, 0}, Blob(100, 2));
   ASSERT_EQ(store.LookupAndPin("a", {}, 1.0).tier, KVTier::kHot);
   store.Unpin("a");
-  store.Put({"c", 0, 0}, Blob(100, 3));  // demotes "b"; no writer runs
+  store.Put({"c", 0, 0}, Blob(100, 3));  // demotes "b" into RAM
   ASSERT_EQ(moves.taken.size(), 1u);
   EXPECT_EQ(moves.taken[0].first, "b");
   EXPECT_EQ(store.stats().pending_demotion_bytes, 100u);

@@ -1,12 +1,13 @@
-// The event-driven serving core: per-event GPU-share accounting in
-// SharedLink, the coordinator's guarantees (no per-request threads, causal
-// lookups, deterministic outcomes independent of run count and of the codec
-// thread-pool size), and the lifecycle instants every request's trace track
-// carries.
+// The event-driven serving core: the Task<T> operations its coroutines
+// await, per-event GPU-share accounting in SharedLink, the coordinator's
+// guarantees (no per-request threads, causal lookups, deterministic outcomes
+// independent of run count and of the codec thread-pool size), and the
+// lifecycle instants every request's trace track carries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <coroutine>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -14,13 +15,16 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_metrics.h"
 #include "cluster/cluster_server.h"
 #include "cluster/shared_link.h"
+#include "common/task.h"
 #include "net/bandwidth_trace.h"
 #include "obs/trace.h"
 #include "prefix/prefix_cache.h"
@@ -30,6 +34,105 @@
 
 namespace cachegen {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Task<T>: the three forms of an operation behind one awaitable.
+// ---------------------------------------------------------------------------
+
+// Counts the coroutine frames alive: each body holds one in its frame.
+struct FrameGuard {
+  int* live;
+  explicit FrameGuard(int* n) : live(n) { ++*live; }
+  ~FrameGuard() { --*live; }
+};
+
+Task<int> AddOne(Task<int> op, int* live) {
+  FrameGuard guard(live);
+  co_return 1 + co_await std::move(op);
+}
+
+Task<int> ThrowAfter(Task<int> op) {
+  const int v = co_await std::move(op);
+  throw std::runtime_error("failed at " + std::to_string(v));
+}
+
+TEST(TaskOp, ReadyIsAwaitedWithoutSuspending) {
+  int live = 0;
+  Task<int> task = AddOne(Task<int>::Ready(41), &live);
+  EXPECT_FALSE(task.done());  // a coroutine starts when first driven
+  task.Start();
+  // Nothing resumed it: the body ran to co_return within Start().
+  ASSERT_TRUE(task.done());
+  EXPECT_EQ(task.Take(), 42);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(TaskOp, GetOnAParkedOperationThrows) {
+  std::coroutine_handle<> slot;
+  int result = 0;
+  Task<int> op = Task<int>::Parked(&slot, &result);
+  EXPECT_FALSE(op.done());
+  EXPECT_THROW(op.Get(), std::logic_error);
+  // So does Get() on a coroutine that parks on one.
+  int live = 0;
+  Task<int> task = AddOne(Task<int>::Parked(&slot, &result), &live);
+  EXPECT_THROW(task.Get(), std::logic_error);
+  EXPECT_TRUE(slot);
+}
+
+TEST(TaskOp, ParkedCoroutineResumesWithTheOwnersValue) {
+  std::coroutine_handle<> slot;
+  int result = 0;
+  int live = 0;
+  Task<int> task = AddOne(Task<int>::Parked(&slot, &result), &live);
+  task.Start();
+  ASSERT_FALSE(task.done());
+  ASSERT_TRUE(slot);  // the awaiting coroutine parked in the owner's slot
+  EXPECT_EQ(live, 1);
+  result = 6;  // the owner completes the operation...
+  std::exchange(slot, {}).resume();  // ...and resumes whoever parked on it
+  ASSERT_TRUE(task.done());
+  EXPECT_EQ(task.Take(), 7);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(TaskOp, ExceptionTwoAwaitsDeepReachesTopLevelTake) {
+  std::coroutine_handle<> slot;
+  int result = 0;
+  int live = 0;
+  // top awaits AddOne, which awaits ThrowAfter, which throws once resumed.
+  Task<int> top = AddOne(ThrowAfter(Task<int>::Parked(&slot, &result)), &live);
+  top.Start();
+  ASSERT_TRUE(slot);
+  result = 3;
+  std::exchange(slot, {}).resume();
+  ASSERT_TRUE(top.done());
+  try {
+    (void)top.Take();
+    ADD_FAILURE() << "Take() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "failed at 3");
+  }
+  EXPECT_EQ(live, 0);
+}
+
+TEST(TaskOp, DestroyingAParkedTaskFreesItsFrames) {
+  std::coroutine_handle<> slot;
+  int result = 0;
+  int live = 0;
+  {
+    // Two coroutine frames: the outer one holds the inner Task, which is
+    // parked on the operation.
+    Task<int> task =
+        AddOne(AddOne(Task<int>::Parked(&slot, &result), &live), &live);
+    task.Start();
+    ASSERT_TRUE(slot);
+    EXPECT_EQ(live, 2);
+  }
+  // The owner never resumed it; destroying the top-level task destroyed
+  // both frames (ASan reports a leak otherwise).
+  EXPECT_EQ(live, 0);
+}
 
 // ---------------------------------------------------------------------------
 // SharedLink GPU lanes: per-event share accounting.

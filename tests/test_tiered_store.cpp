@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -21,6 +28,45 @@ namespace fs = std::filesystem;
 
 std::vector<uint8_t> Blob(size_t n, uint8_t fill) {
   return std::vector<uint8_t>(n, fill);
+}
+
+// The MANIFEST's rows after its header, as (directory, hex id, stamp)
+// tokens.
+std::vector<std::array<std::string, 3>> ManifestRows(const fs::path& root) {
+  std::ifstream in(root / "MANIFEST");
+  std::string header;
+  std::getline(in, header);
+  std::vector<std::array<std::string, 3>> rows;
+  std::array<std::string, 3> row;
+  while (in >> row[0] >> row[1] >> row[2]) rows.push_back(row);
+  return rows;
+}
+
+std::optional<double> StampValue(const std::string& hex) {
+  if (hex.size() != 16 ||
+      hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
+    return std::nullopt;
+  }
+  const uint64_t bits = std::stoull(hex, nullptr, 16);
+  double d = 0.0;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+// A stamp the cold LRU can order: 16 hex digits of a finite, non-negative
+// double.
+bool ValidStamp(const std::string& hex) {
+  const auto d = StampValue(hex);
+  return d && std::isfinite(*d) && *d >= 0.0;
+}
+
+// Names directly under `dir`.
+std::set<std::string> Listing(const fs::path& dir) {
+  std::set<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    names.insert(e.path().filename().string());
+  }
+  return names;
 }
 
 // Fresh cold-tier directory per fixture instance.
@@ -65,7 +111,7 @@ TEST_F(TieredStoreTest, EvictionDemotesInsteadOfErasing) {
   EXPECT_EQ(stats.cold_bytes, 100u);
   EXPECT_EQ(stats.hot_tier.evictions, 1u);
 
-  // Readable before the background writer runs (pending buffer)...
+  // Readable before Flush() writes it (pending buffer)...
   ASSERT_TRUE(store.Get({"b", 0, 0}).has_value());
   EXPECT_EQ(*store.Get({"b", 0, 0}), payload_b);
   // ...and from disk after it.
@@ -109,7 +155,7 @@ TEST_F(TieredStoreTest, LookupPromotesColdContextPinned) {
   EXPECT_TRUE(store.hot().ContainsContext("b"));
   store.Unpin("b");
 
-  // Exclusive tiering: after the promotion (and queue drain), b's cold
+  // Exclusive tiering: after the promotion and the next Flush(), b's cold
   // files are gone.
   store.Flush();
   EXPECT_FALSE(fs::exists(root_ / "b"));
@@ -145,7 +191,7 @@ TEST_F(TieredStoreTest, ColdTierSurvivesRestart) {
     ASSERT_FALSE(store.hot().ContainsContext("keep-me"));
     ASSERT_TRUE(store.ContainsContext("keep-me"));
   }
-  // Simulate a writer that died mid-persist: chunk files but no completion
+  // Simulate a Flush() that died mid-persist: chunk files but no completion
   // sentinel. The partial context must be reclaimed, never adopted.
   fs::create_directories(root_ / "half-written");
   {
@@ -182,6 +228,63 @@ TEST_F(TieredStoreTest, EraseContextClearsBothTiers) {
   EXPECT_FALSE(store.ContainsContext("b"));
   EXPECT_EQ(store.TotalBytes(), 0u);
   EXPECT_FALSE(fs::exists(root_ / "a"));
+}
+
+// Flush() is the cold tier's only disk writer after construction:
+// demotions, promotions and erases leave cold_root untouched until it runs.
+// Then the directory holds exactly the cold tier's contexts, each committed
+// by its sentinel and listed by one MANIFEST row.
+TEST_F(TieredStoreTest, FlushIsTheColdTiersOnlyDiskWriter) {
+  TieredKVStore store(Opts(/*hot_capacity=*/250));
+  std::vector<std::string> ids = {"tenant/3:system prompt"};  // '%'-mangled
+  for (int i = 0; i < 7; ++i) ids.push_back("ctx-" + std::to_string(i));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    store.Put({ids[i], 0, 0}, Blob(60, static_cast<uint8_t>(i)));
+    store.Put({ids[i], 1, 0}, Blob(40, static_cast<uint8_t>(i)));
+    store.Touch(ids[i], 1.0 + static_cast<double>(i));
+  }
+  // Eight 100-byte contexts in 250 hot bytes: all but the newest two demote.
+  ASSERT_EQ(store.stats().demotions, 6u);
+  // A promotion from RAM (demoting ctx-5) and an erase of a cold context.
+  ASSERT_EQ(store.LookupAndPin("ctx-0", {}, 10.0).tier, KVTier::kCold);
+  store.Unpin("ctx-0");
+  store.EraseContext("ctx-1");
+  EXPECT_TRUE(fs::is_empty(root_));
+
+  const auto check_disk = [&] {
+    std::set<std::string> cold_dirs;
+    for (const std::string& id : ids) {
+      if (store.ContainsContext(id) && !store.hot().ContainsContext(id)) {
+        cold_dirs.insert(SanitizeContextId(id));
+      }
+    }
+    std::set<std::string> expected = cold_dirs;
+    expected.insert("MANIFEST");
+    EXPECT_EQ(Listing(root_), expected);
+    for (const std::string& dir : cold_dirs) {
+      EXPECT_TRUE(fs::exists(root_ / dir / "COMPLETE")) << dir;
+    }
+    std::multiset<std::string> row_dirs;
+    for (const auto& row : ManifestRows(root_)) row_dirs.insert(row[0]);
+    EXPECT_EQ(row_dirs, std::multiset<std::string>(cold_dirs.begin(),
+                                                   cold_dirs.end()));
+    return cold_dirs;
+  };
+  store.Flush();
+  EXPECT_EQ(check_disk(),
+            (std::set<std::string>{SanitizeContextId(ids[0]), "ctx-2", "ctx-3",
+                                   "ctx-4", "ctx-5"}));
+
+  // A promotion from disk (demoting ctx-6) changes nothing on disk until
+  // the next Flush(), which removes ctx-2 and writes ctx-6.
+  const auto before = Listing(root_);
+  ASSERT_EQ(store.LookupAndPin("ctx-2", {}, 11.0).tier, KVTier::kCold);
+  store.Unpin("ctx-2");
+  EXPECT_EQ(Listing(root_), before);
+  store.Flush();
+  EXPECT_EQ(check_disk(),
+            (std::set<std::string>{SanitizeContextId(ids[0]), "ctx-3", "ctx-4",
+                                   "ctx-5", "ctx-6"}));
 }
 
 // Demotions, promotions, lookups, and writes racing across threads: the
@@ -453,6 +556,174 @@ TEST_F(TieredStoreTest, ManifestPreservesColdLruOrderAcrossRestart) {
   store.Flush();
   EXPECT_FALSE(store.ContainsContext("old"));
   EXPECT_TRUE(store.ContainsContext("fresh"));
+}
+
+// A MANIFEST stamp is honoured only as 16 hex digits of a finite,
+// non-negative double. A NaN is unordered in the cold LRU, so the eviction
+// order of its row would depend on hash order; a stamp with trailing junk
+// is not the writer's either. Each such row falls back to the round-trip
+// rule like a row with a bad id, at stamp 0.
+TEST_F(TieredStoreTest, CorruptManifestStampsAreSkipped) {
+  {
+    TieredKVStore store(Opts(/*hot_capacity=*/100));
+    for (const char* id : {"a", "b", "c", "d", "hot"}) {
+      store.Put({id, 0, 0}, Blob(60, 1));  // demotes the previous id
+    }
+    store.Flush();
+  }
+  {
+    std::ofstream manifest(root_ / "MANIFEST", std::ios::trunc);
+    manifest << "cachegen-cold-manifest-v1\n"
+             << "a 61 3ff0000000000000\n"     // 1.0
+             << "b 62 7ff8000000000000\n"     // NaN
+             << "c 63 4000000000000000\n"     // 2.0
+             << "d 64 4000000000000000zz\n";  // 2.0 with trailing junk
+  }
+  // Room for one context: the LRU evicts b and d (stamp 0), then a (1.0);
+  // the newest valid stamp survives.
+  TieredKVStore store(Opts(/*hot_capacity=*/1000, /*cold_capacity=*/100));
+  EXPECT_TRUE(store.ContainsContext("c"));
+  for (const char* id : {"a", "b", "d"}) EXPECT_FALSE(store.ContainsContext(id)) << id;
+  store.Flush();
+  const auto rows = ManifestRows(root_);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], "c");
+  EXPECT_EQ(rows[0][2], "4000000000000000");
+}
+
+// A seeded mutation test of the MANIFEST reader, whose file is outside
+// input: bit flips, truncations, duplicated and spliced rows, and bit flips
+// of a row's stamp value. Every restart must construct, adopt only contexts
+// whose chunks read back byte-identical (a row whose id sanitizes to
+// another directory is never honoured), and adopt no stamp the cold LRU
+// cannot order.
+TEST_F(TieredStoreTest, ManifestMutationsNeverAdoptCorruptRows) {
+  // Plain ids always fall back to the round-trip rule; '%'-mangled ones are
+  // reachable only through their own row.
+  const std::vector<std::string> ids = {"p0", "p1", "p2", "tenant/0:sys",
+                                        "a b", "x/../y"};
+  const auto payload = [](size_t i, uint32_t chunk) {
+    return Blob(40 + 8 * i + chunk, static_cast<uint8_t>(16 * i + chunk));
+  };
+  TieredKVStore::Options base = Opts(/*hot_capacity=*/1);
+  base.cold_root = root_ / "base";
+  {
+    TieredKVStore store(base);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      for (uint32_t c = 0; c < 2; ++c) store.Put({ids[i], c, 0}, payload(i, c));
+      store.Touch(ids[i], 1.0 + static_cast<double>(i));
+    }
+    store.Put({"last", 0, 0}, Blob(1, 0));  // demotes the last id
+    store.Flush();
+  }
+  ASSERT_EQ(ManifestRows(base.cold_root).size(), ids.size());
+  std::string manifest;
+  {
+    std::ifstream in(base.cold_root / "MANIFEST", std::ios::binary);
+    manifest.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto split = [](const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  };
+  const auto join = [](const std::vector<std::string>& lines) {
+    std::string text;
+    for (const std::string& line : lines) text += line + '\n';
+    return text;
+  };
+
+  TieredKVStore::Options trial = base;
+  trial.cold_root = root_ / "trial";
+  Rng rng(0xC01DF00D);
+  size_t unorderable_stamps = 0;
+  for (int t = 0; t < 200; ++t) {
+    SCOPED_TRACE("trial " + std::to_string(t));
+    std::string text = manifest;
+    for (uint64_t m = 1 + rng.NextBelow(3); m > 0; --m) {
+      std::vector<std::string> lines = split(text);
+      const auto row = [&] { return 1 + rng.NextBelow(lines.size() - 1); };
+      switch (rng.NextBelow(5)) {
+        case 0:  // bit flips anywhere in the file
+          for (uint64_t f = 1 + rng.NextBelow(4); f > 0 && !text.empty(); --f) {
+            text[rng.NextBelow(text.size())] ^=
+                static_cast<char>(1u << rng.NextBelow(8));
+          }
+          continue;
+        case 1:  // truncation
+          text.resize(rng.NextBelow(text.size() + 1));
+          continue;
+        case 2: {  // a duplicated row
+          if (lines.size() < 2) continue;
+          const std::string dup = lines[row()];
+          lines.insert(lines.begin() + static_cast<long>(row()), dup);
+          break;
+        }
+        case 3: {  // one row's head spliced onto another's tail
+          if (lines.size() < 2) continue;
+          const std::string& a = lines[row()];
+          const std::string& b = lines[row()];
+          std::string spliced = a.substr(0, rng.NextBelow(a.size() + 1));
+          spliced += b.substr(rng.NextBelow(b.size() + 1));
+          lines[row()] = std::move(spliced);
+          break;
+        }
+        default: {  // one bit of a row's stamp value
+          if (lines.size() < 2) continue;
+          std::string& line = lines[row()];
+          const size_t sp = line.rfind(' ');
+          if (sp == std::string::npos || !StampValue(line.substr(sp + 1))) continue;
+          const uint64_t bits = std::stoull(line.substr(sp + 1), nullptr, 16) ^
+                                (uint64_t{1} << rng.NextBelow(64));
+          char hex[17];
+          std::snprintf(hex, sizeof(hex), "%016llx",
+                        static_cast<unsigned long long>(bits));
+          line = line.substr(0, sp + 1) + hex;
+          if (!ValidStamp(hex)) ++unorderable_stamps;
+          break;
+        }
+      }
+      text = join(lines);
+    }
+    fs::remove_all(trial.cold_root);
+    fs::copy(base.cold_root, trial.cold_root, fs::copy_options::recursive);
+    {
+      std::ofstream out(trial.cold_root / "MANIFEST",
+                        std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+
+    std::unique_ptr<TieredKVStore> store;
+    ASSERT_NO_THROW(store = std::make_unique<TieredKVStore>(trial));
+    uint64_t adopted_bytes = 0;
+    size_t adopted = 0;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (!store->ContainsContext(ids[i])) {
+        EXPECT_NE(SanitizeContextId(ids[i]), ids[i]) << "lost plain id " << ids[i];
+        continue;
+      }
+      ++adopted;
+      for (uint32_t c = 0; c < 2; ++c) {
+        const auto bytes = store->Get({ids[i], c, 0});
+        ASSERT_TRUE(bytes.has_value()) << ids[i];
+        EXPECT_EQ(*bytes, payload(i, c)) << ids[i];
+        adopted_bytes += bytes->size();
+      }
+    }
+    // No directory was adopted under another context's id.
+    EXPECT_EQ(store->stats().cold_bytes, adopted_bytes);
+    // Make Flush() rewrite the MANIFEST: it lists every adopted context
+    // with the stamp adoption gave it.
+    store->Put({"probe-a", 0, 0}, Blob(1, 1));
+    store->Put({"probe-b", 0, 0}, Blob(1, 2));  // demotes probe-a
+    store->Flush();
+    const auto rows = ManifestRows(trial.cold_root);
+    EXPECT_EQ(rows.size(), adopted + 1);
+    for (const auto& r : rows) EXPECT_TRUE(ValidStamp(r[2])) << r[0] << ' ' << r[2];
+  }
+  // The seed reaches the stamp check, not only the id and header checks.
+  EXPECT_GT(unorderable_stamps, 0u);
 }
 
 }  // namespace
