@@ -1,10 +1,12 @@
-// Event-driven serving core gate (the perf claim behind the fixed worker
-// pool + completion-queue engine):
+// Event-driven serving core gate (the claim behind the one-coordinator
+// event loop):
 //
-//   1. Scale proof: a >=100k-request trace runs to completion on a FIXED
-//      number of OS threads (num_workers + the codec pool); no thread is
-//      spawned per admission. A sampler thread watches /proc/self/status
-//      Threads and records the peak.
+//   1. Scale proof: a >=100k-request trace runs to completion without
+//      growing the OS thread count; no thread is spawned per admission.
+//      The serve (assemble_kv off) runs on the calling thread and starts no
+//      thread; the bound allows num_workers more, the decode threads an
+//      assembled serve may start. A sampler thread watches
+//      /proc/self/status Threads and records the peak.
 //   2. Determinism: two identical runs of a moderate-load trace produce
 //      bit-equal outcomes, compared by a SHA-256 over every outcome field.
 //
@@ -188,7 +190,8 @@ int main(int argc, char** argv) {
   const RunStats scale =
       RunLoad(engine, store, kWorkers, TraceOpts(kScaleRequests, 16.0));
   const int peak_threads = sampler.Stop();
-  // During the serve: baseline + num_workers pool threads + the sampler.
+  // Baseline + the sampler + num_workers (an assembled serve's decode
+  // threads; this one starts none).
   const int allowed_threads = baseline_threads + static_cast<int>(kWorkers) + 1;
   std::printf(
       "\n-- scale: %zu requests, %zu workers --\n"

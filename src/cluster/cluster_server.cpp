@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <semaphore>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -58,7 +59,11 @@ uint64_t TraceTrack(const ClusterRequest& rq) { return rq.id + 1; }
 void RecordOutcomeMetrics(const RequestOutcome& out) {
   CG_METRIC_COUNT("cluster.requests", 1);
   if (out.cache_hit) {
-    CG_METRIC_COUNT(out.cold_hit ? "cluster.hits.cold" : "cluster.hits.hot", 1);
+    if (out.cold_hit) {
+      CG_METRIC_COUNT("cluster.hits.cold", 1);
+    } else {
+      CG_METRIC_COUNT("cluster.hits.hot", 1);
+    }
   } else if (out.prefix_hit) {
     CG_METRIC_COUNT("cluster.hits.prefix", 1);
   } else {
@@ -74,106 +79,6 @@ void RecordOutcomeMetrics(const RequestOutcome& out) {
   CG_METRIC_HIST("cluster.queue_delay_us",
                  static_cast<uint64_t>(out.queue_delay_s * 1e6));
 }
-
-// Pool threads run only assembly decodes, the codec CPU work of a hit
-// served with assemble_kv. When the hit's stream ends, the coordinator reads
-// the chunks it streamed (Engine::FetchKV, while the lookup's pin still
-// holds them) and hands them over; a thread parses and decodes them
-// (Engine::DecodeKV) without touching the cache tier, so the pin is
-// released at the request's free instant like any other. At most one job
-// per thread is outstanding: handing over one more first waits for the
-// oldest, which bounds the bitstreams held in memory, and the serve ends by
-// draining the rest. Each thread decodes into its own KV buffer, reused
-// across requests instead of refaulting fresh memory.
-class AssemblyPool {
- public:
-  AssemblyPool(const Engine& engine, size_t threads)
-      : engine_(engine), capacity_(threads) {
-    threads_.reserve(threads);
-    for (size_t i = 0; i < threads; ++i) threads_.emplace_back([this] { Run(); });
-  }
-  ~AssemblyPool() {
-    {
-      MutexLock lk(mu_);
-      closed_ = true;
-    }
-    cv_.NotifyAll();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  void Submit(const ClusterRequest& rq, std::vector<int> levels,
-              std::vector<std::vector<uint8_t>> chunks) {
-    if (jobs_.size() == capacity_) JoinOldest();
-    jobs_.push_back(
-        {rq.spec, std::move(levels), std::move(chunks), TraceTrack(rq), false});
-    {
-      MutexLock lk(mu_);
-      queue_.push_back(&jobs_.back());
-    }
-    cv_.NotifyAll();
-  }
-
-  void Drain() {
-    while (!jobs_.empty()) JoinOldest();
-  }
-
- private:
-  struct Job {
-    ContextSpec spec;
-    std::vector<int> levels;  // one decision per chunk, -1 = text
-    std::vector<std::vector<uint8_t>> chunks;
-    uint64_t track = 0;
-    bool done = false;  // guarded by mu_
-  };
-
-  void JoinOldest() {
-    {
-      MutexLock lk(mu_);
-      while (!jobs_.front().done) cv_.Wait(mu_);
-    }
-    jobs_.pop_front();
-  }
-
-  void Run() {
-    KVCache assembly;
-    for (;;) {
-      Job* job = nullptr;
-      {
-        MutexLock lk(mu_);
-        while (!closed_ && queue_.empty()) cv_.Wait(mu_);
-        if (queue_.empty()) return;  // closed and drained
-        job = queue_.front();
-        queue_.pop_front();
-      }
-      {
-        obs::ScopedRequestId rid(job->track);
-        CG_TRACE_SPAN("cluster", "assemble_kv");
-        try {
-          engine_.DecodeKV(job->spec, job->levels, job->chunks, assembly);
-        } catch (const std::exception&) {
-          // A malformed chunk: the text path would recompute it (already
-          // priced into the streaming timeline as the coarsest outcome).
-        }
-      }
-      {
-        MutexLock lk(mu_);
-        job->done = true;
-      }
-      cv_.NotifyAll();
-    }
-  }
-
-  const Engine& engine_;
-  const size_t capacity_;
-  // Outstanding jobs, oldest first (coordinator only; a deque keeps the
-  // addresses the threads hold).
-  std::deque<Job> jobs_;
-  Mutex mu_;
-  CondVar cv_;
-  std::deque<Job*> queue_ CG_GUARDED_BY(mu_);
-  bool closed_ CG_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> threads_;
-};
 
 }  // namespace
 
@@ -264,8 +169,19 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   return outcomes;
 }
 
-// The coordinator's state for one Serve(): its worker slots and the virtual
-// instants it owes them.
+// The coordinator's state for one Serve(): its worker slots, the virtual
+// instants it owes them, and the hand-off to its assembly decode threads.
+//
+// The decode threads run only assembly decodes, the codec CPU work of a hit
+// served with assemble_kv. When the hit's stream ends, the coordinator reads
+// the chunks it streamed (Engine::FetchKV, while the lookup's pin still
+// holds them) and hands them over (Decode); a thread parses and decodes them
+// (Engine::DecodeKV) without touching the cache tier, so the pin is released
+// at the request's free instant like any other. At most one hand-off per
+// thread is queued or running, which bounds the bitstreams held in memory:
+// the coordinator waits only while every thread has one. Each thread decodes
+// into its own KV buffer, reused across requests instead of refaulting fresh
+// memory.
 struct ClusterServer::Loop {
   struct Worker {
     double free_at = 0.0;
@@ -277,10 +193,37 @@ struct ClusterServer::Loop {
     ClientLink* stream = nullptr;
     std::coroutine_handle<> at_free;
   };
+  struct Assembly {
+    ContextSpec spec;
+    std::vector<int> levels;  // one decision per chunk, -1 = text
+    std::vector<std::vector<uint8_t>> chunks;
+    uint64_t track = 0;
+  };
 
   Loop(const BandwidthTrace& capacity, const Engine& engine, size_t workers_n,
-       size_t assembly_threads)
-      : link(capacity), workers(workers_n), assembly(engine, assembly_threads) {}
+       size_t decode_threads)
+      : link(capacity),
+        workers(workers_n),
+        free_handoffs_(static_cast<std::ptrdiff_t>(decode_threads)) {
+    decoders_.reserve(decode_threads);
+    for (size_t i = 0; i < decode_threads; ++i) {
+      decoders_.emplace_back([this, &engine] { RunDecodes(engine); });
+    }
+  }
+  Loop(const Loop&) = delete;  // the decode threads hold `this`
+  Loop& operator=(const Loop&) = delete;
+  // Every queued decode finishes before the threads exit, also when the
+  // serve unwinds from a throwing ServeOne: each thread stops at an empty
+  // hand-off, queued behind every decode.
+  ~Loop() {
+    for (size_t i = 0; i < decoders_.size(); ++i) Push(std::nullopt);
+    for (std::thread& t : decoders_) t.join();
+  }
+
+  void Decode(Assembly a) {
+    free_handoffs_.acquire();
+    Push(std::move(a));
+  }
 
   SharedLink link;
   std::vector<Worker> workers;
@@ -290,7 +233,47 @@ struct ClusterServer::Loop {
   std::set<std::pair<double, uint64_t>> frees;
   // Flows whose stream is in progress -> worker.
   std::map<SharedLink::FlowId, size_t> streams;
-  AssemblyPool assembly;
+
+ private:
+  void Push(std::optional<Assembly> a) {
+    {
+      MutexLock lk(mu_);
+      handoffs_.push_back(std::move(a));
+    }
+    queued_.release();
+  }
+
+  void RunDecodes(const Engine& engine) {
+    KVCache assembly;
+    for (;;) {
+      queued_.acquire();
+      std::optional<Assembly> a;
+      {
+        MutexLock lk(mu_);
+        a = std::move(handoffs_.front());
+        handoffs_.pop_front();
+      }
+      if (!a) return;
+      {
+        obs::ScopedRequestId rid(a->track);
+        CG_TRACE_SPAN("cluster", "assemble_kv");
+        try {
+          engine.DecodeKV(a->spec, a->levels, a->chunks, assembly);
+        } catch (const std::exception&) {
+          // A malformed chunk: the text path would recompute it (already
+          // priced into the streaming timeline as the coarsest outcome).
+        }
+      }
+      a.reset();  // free the bitstreams before the hand-off slot
+      free_handoffs_.release();
+    }
+  }
+
+  Mutex mu_;
+  std::deque<std::optional<Assembly>> handoffs_ CG_GUARDED_BY(mu_);
+  std::counting_semaphore<> queued_{0};  // hand-offs in handoffs_
+  std::counting_semaphore<> free_handoffs_;  // threads without one
+  std::vector<std::thread> decoders_;
 };
 
 void ClusterServer::ServeEventLoop(RequestQueue& queue,
@@ -415,7 +398,6 @@ void ClusterServer::ServeEventLoop(RequestQueue& queue,
       rethrow_if_done(w);
     }
   }
-  loop.assembly.Drain();
 }
 
 Task<void> ClusterServer::ServeOne(Loop& loop, ClusterRequest rq, size_t worker,
@@ -564,9 +546,9 @@ Task<void> ClusterServer::ServeOne(Loop& loop, ClusterRequest rq, size_t worker,
                  admit_s + sr.load_finish_s, "bytes",
                  static_cast<double>(sr.bytes_sent));
 
-  // A hit's assembly — real CPU, no virtual-time cost — decodes on the
-  // pool while virtual time moves on. Its chunks are read now, under the
-  // lookup's pin.
+  // A hit's assembly — real CPU, no virtual-time cost — decodes on a
+  // decode thread while virtual time moves on. Its chunks are read now,
+  // under the lookup's pin.
   if (hit && opts_.assemble_kv) {
     std::vector<int> levels;
     levels.reserve(sr.steps.size());
@@ -578,7 +560,7 @@ Task<void> ClusterServer::ServeOne(Loop& loop, ClusterRequest rq, size_t worker,
     }
     try {
       auto chunks = engine_.FetchKV(rq.context_id, rq.spec, levels);
-      loop.assembly.Submit(rq, std::move(levels), std::move(chunks));
+      loop.Decode({rq.spec, std::move(levels), std::move(chunks), track});
     } catch (const std::exception&) {
       // A chunk the pin could not keep (a tier that lost it); the text path
       // would recompute it, as priced into the streaming timeline.
@@ -677,8 +659,8 @@ void ClusterServer::OnCompletionTelemetry(const RequestOutcome& out) {
   if (out.slo_violated) last_violated_track_ = track;
   last_completion_s_ = std::max(last_completion_s_, out.finish_s);
   if (out.fabric_node >= 0) {
-    // Per-node fabric series, attributed by the coordinator: the fabric's
-    // own per-node counters are worker-recorded and racy to sample.
+    // Per-node fabric series, attributed at the completion instant the
+    // sampler's windows are cut at (the fabric counts at admit instants).
     const std::string node = "fabric.node" + std::to_string(out.fabric_node);
     series_->BumpExternal(node + ".requests", 1);
     if (out.remote_hit) series_->BumpExternal(node + ".remote_streams", 1);

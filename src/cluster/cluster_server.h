@@ -8,17 +8,20 @@
 //       (each ServeOne coroutine runs to its next link operation)
 //     free instants    --> write back, unpin, metrics, admit
 //     admit instants   --> LookupAndPin, start the stream
-//   pool threads (assemble_kv only): Engine::DecodeKV of streamed hits
+//   up to W decode threads (assemble_kv only): Engine::DecodeKV of the
+//     chunks a hit streamed; the coordinator waits for one only while all
+//     of them are busy, and Serve() returns after every decode has ended
 //
 // Each admitted request is one ServeOne coroutine: at its admit instant it
 // looks up and pins, then streams with the unmodified KVStreamer, parking
 // at every link operation until SharedLink's fluid simulation completes it;
 // at its stream's end it records its lifecycle instants (cluster.event:
 // admit, chunk_transfer_done per transfer, enhance, decode, decode_done)
-// and hands a hit's assembly to the pool; at its free instant it writes
-// back, records write_back_committed and releases its pins. No thread is
-// spawned per request, and no thread waits on virtual time: 100k+-request
-// traces run on the calling thread, plus up to W decode threads.
+// and hands a hit's assembly to a decode thread; at its free instant it
+// writes back, records write_back_committed and releases its pins. No
+// thread is spawned per request, and no thread waits on virtual time:
+// 100k+-request traces run on the calling thread, plus up to W decode
+// threads.
 //
 // Admission: when a worker frees at virtual instant t, the scheduler policy
 // (FIFO / shortest-load-first / SLO-deadline-first) picks among requests
@@ -160,7 +163,7 @@ class ClusterServer {
   const obs::FlightRecorder* flight_recorder() const { return recorder_.get(); }
 
  private:
-  struct Loop;  // one Serve's link, worker slots and owed instants
+  struct Loop;  // one Serve's link, worker slots, owed instants, decodes
 
   // The coordinator: runs virtual time on the calling thread, admitting
   // onto worker slots as they free and resuming each stream as its link
@@ -168,8 +171,8 @@ class ClusterServer {
   void ServeEventLoop(RequestQueue& queue, std::vector<RequestOutcome>* outcomes);
   // One request end to end, as a coroutine the coordinator drives: look up
   // and pin at its admit instant, stream (GPU priced per event), trace the
-  // lifecycle instants and hand a hit's assembly to the pool; then, at its
-  // free instant, wait for the assembly, write back and release its pins.
+  // lifecycle instants and hand a hit's assembly to a decode thread; then,
+  // at its free instant, write back and release its pins.
   Task<void> ServeOne(Loop& loop, ClusterRequest rq, size_t worker, size_t slot,
                       double admit_s, double gpu_share, RequestOutcome& out);
 

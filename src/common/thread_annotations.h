@@ -110,7 +110,6 @@ class CondVar {
     lk.release();  // the caller still owns the lock
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

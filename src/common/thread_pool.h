@@ -15,9 +15,9 @@
 //
 // Nesting guard: a Run issued from a thread that is already executing job
 // indices (a pool worker, or a caller mid-participation) executes serially
-// inline. The cluster's assembly decode threads, which invoke codec
-// parallelism, therefore share the one pool instead of oversubscribing the
-// machine, and nested parallelism cannot deadlock the pool.
+// inline, so nested parallelism cannot deadlock the pool. A thread outside
+// any job — the cluster's assembly decode threads included — queues its Run
+// on the pool like any caller and joins in on its own indices.
 //
 // Sizing: the pool targets `hardware_concurrency` concurrent executors
 // (calling thread included), capped by the CACHEGEN_THREADS environment

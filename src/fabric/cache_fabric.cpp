@@ -133,7 +133,6 @@ CacheFabric::CacheFabric(Options opts)
   node_chunk_reads_ = std::make_unique<std::atomic<uint64_t>[]>(n);
   for (size_t i = 0; i < n; ++i) node_chunk_reads_[i].store(0);
   nodes_.reserve(n);
-  auto& reg = obs::MetricsRegistry::Instance();
   for (size_t i = 0; i < n; ++i) {
     Node node;
     if (!opts_.cold_root.empty()) {
@@ -151,10 +150,6 @@ CacheFabric::CacheFabric(Options opts)
     } else {
       node.tier = node.store;
     }
-    const std::string prefix = "fabric.node" + std::to_string(i);
-    node.hits = &reg.GetCounter(prefix + ".hits");
-    node.remote = &reg.GetCounter(prefix + ".remote_hits");
-    node.misses = &reg.GetCounter(prefix + ".misses");
     nodes_.push_back(std::move(node));
   }
 }
@@ -230,20 +225,16 @@ TierLookup CacheFabric::LookupAndPin(const std::string& context_id,
   if (look.hit()) {
     if (look.any_remote) {
       remote_hits_.fetch_add(1, std::memory_order_relaxed);
-      nodes_[home].remote->Add(1);
       CG_METRIC_COUNT("fabric.hits.remote", 1);
     } else {
       local_hits_.fetch_add(1, std::memory_order_relaxed);
-      nodes_[home].hits->Add(1);
       CG_METRIC_COUNT("fabric.hits.local", 1);
     }
   } else if (look.prefix_hit()) {
     prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-    nodes_[home].hits->Add(1);
     CG_METRIC_COUNT("fabric.hits.prefix", 1);
   } else {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    nodes_[home].misses->Add(1);
     CG_METRIC_COUNT("fabric.misses", 1);
   }
   const uint64_t rid = obs::ScopedRequestId::Current();

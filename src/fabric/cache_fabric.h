@@ -60,10 +60,6 @@
 #include "storage/kv_store.h"
 #include "storage/sharded_kv_store.h"
 
-namespace cachegen::obs {
-class Counter;
-}  // namespace cachegen::obs
-
 namespace cachegen {
 
 class CacheFabric final : public KVStore, public CacheTier {
@@ -162,9 +158,6 @@ class CacheFabric final : public KVStore, public CacheTier {
   struct Node {
     std::shared_ptr<CacheTier> store;  // physical local store (sharded/tiered)
     std::shared_ptr<CacheTier> tier;   // serving tier (prefix layer or store)
-    obs::Counter* hits = nullptr;      // per-node outcome counters
-    obs::Counter* remote = nullptr;
-    obs::Counter* misses = nullptr;
   };
 
   struct DirEntry {

@@ -7,14 +7,14 @@
 // whole-run trace.
 //
 // Determinism: an incident must be byte-identical across replays, but the
-// tracer's rings also hold wall-clock events and partial tracks of requests
-// still in flight (recorded at wall-clock instants — which ones exist at
-// capture time is a race). The capture therefore keeps ONLY cluster-virtual
-// events, and only from tracks the caller's predicate admits — the
-// ClusterServer passes "request already completed", a set that is fixed at
-// the completion instant that triggered the capture. A completed request's
-// virtual events are all recorded before its completion is popped, so the
-// filtered event set is a pure function of the workload.
+// tracer's rings also hold wall-clock events (their timestamps, and which
+// decode-thread spans exist at capture time, differ from run to run) and
+// partial tracks of requests still in flight. The capture therefore keeps
+// ONLY cluster-virtual events, and only from tracks the caller's predicate
+// admits — the ClusterServer passes "request already completed", a set that
+// is fixed at the completion instant that triggered the capture. A
+// completed request's virtual events are all recorded before its completion
+// is popped, so the filtered event set is a pure function of the workload.
 //
 // Track selection: the offending track and track 0 (cluster alerts) are
 // always included; any other admitted track is included when at least one of

@@ -6,25 +6,6 @@
 
 namespace cachegen::obs {
 
-size_t ThreadMetricShard() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return shard;
-}
-
-// --- Counter -----------------------------------------------------------------
-
-uint64_t Counter::Value() const {
-  uint64_t total = 0;
-  for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-  return total;
-}
-
-void Counter::Reset() {
-  for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
-}
-
 // --- histogram bucketing -----------------------------------------------------
 
 size_t HistBucketIndex(uint64_t v) {
@@ -56,37 +37,32 @@ uint64_t HistBucketUpper(size_t index) {
 // --- Histogram ---------------------------------------------------------------
 
 void Histogram::Record(uint64_t v) {
-  Shard& s = shards_[ThreadMetricShard()];
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  s.sum.fetch_add(v, std::memory_order_relaxed);
-  s.buckets[HistBucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
+  buckets_[HistBucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
-  snap.buckets.assign(kHistNumBuckets, 0);
-  for (const Shard& s : shards_) {
-    snap.count += s.count.load(std::memory_order_relaxed);
-    snap.sum += s.sum.load(std::memory_order_relaxed);
-    for (size_t b = 0; b < kHistNumBuckets; ++b) {
-      snap.buckets[b] += s.buckets[b].load(std::memory_order_relaxed);
-    }
+  snap.count = count_.load(std::memory_order_relaxed);
+  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.buckets.reserve(kHistNumBuckets);
+  for (const auto& b : buckets_) {
+    snap.buckets.push_back(b.load(std::memory_order_relaxed));
   }
   return snap;
 }
 
 void Histogram::Reset() {
-  for (Shard& s : shards_) {
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0, std::memory_order_relaxed);
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-  }
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
 double HistogramSnapshot::Quantile(double q) const {
   if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank over the merged bucket counts, estimated at the bucket
+  // Nearest-rank over the bucket counts, estimated at the bucket
   // midpoint — matches ExactQuantile's rank convention so the only error is
   // the bucket width.
   const uint64_t rank =

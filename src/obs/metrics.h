@@ -4,17 +4,19 @@
 //
 // Hot-path cost model: instrumentation sites resolve their metric ONCE (a
 // function-local static reference; registry lookup takes a mutex exactly
-// once per site) and then record lock-free:
-//   * Counter  — per-thread shards of cache-line-padded relaxed atomics;
-//     increments touch only the calling thread's shard, Value() merges.
-//   * Gauge    — a single relaxed atomic int64 (set/add semantics).
+// once per site) and then record lock-free into relaxed atomics:
+//   * Counter  — one atomic uint64.
+//   * Gauge    — one atomic int64 (set/add/max semantics).
 //   * Histogram — log-linear bucketing (8 sub-buckets per power of two, so a
 //     bucket is at most 12.5% wide and a midpoint quantile estimate is
-//     within ~6.7% of the true value), bucket counts sharded per thread like
-//     counters. Record() is a bit-scan plus one relaxed fetch_add.
-// Snapshot() merges shards; it is wait-free with respect to writers (a
-// snapshot concurrent with recording sees each update or not — no tearing,
-// no locks on the write path).
+//     within ~6.7% of the true value) into one count, one sum and one
+//     bucket array. Record() is a bit-scan plus three relaxed fetch_adds.
+// No metric is sharded per thread: a serve records its cluster.*,
+// streamer.*, net.* and cache-tier metrics on its one coordinator thread,
+// and its decode threads record only codec metrics and pool.jobs, once per
+// chunk, so few sites ever see two writers at once.
+// Snapshots read the atomics without locks: one concurrent with recording
+// sees each update or not (no tearing, no locks on the write path).
 //
 // ExactQuantile() over raw samples is the reference the bucketed
 // HistogramSnapshot::Quantile() is validated against (tests/test_obs.cpp).
@@ -33,28 +35,14 @@
 
 namespace cachegen::obs {
 
-// Number of per-thread shards for counters/histograms. Threads map onto
-// shards round-robin at first use; two threads only contend if the process
-// runs more than kMetricShards recording threads.
-inline constexpr size_t kMetricShards = 16;
-
-// Shard index of the calling thread (assigned round-robin, cached
-// thread-locally).
-size_t ThreadMetricShard();
-
 class Counter {
  public:
-  void Add(uint64_t n = 1) {
-    cells_[ThreadMetricShard()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t Value() const;
-  void Reset();
+  void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
+  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> v{0};
-  };
-  Cell cells_[kMetricShards];
+  std::atomic<uint64_t> v_{0};
 };
 
 class Gauge {
@@ -92,7 +80,7 @@ uint64_t HistBucketUpper(size_t index);
 struct HistogramSnapshot {
   uint64_t count = 0;
   uint64_t sum = 0;
-  std::vector<uint64_t> buckets;  // kHistNumBuckets merged counts
+  std::vector<uint64_t> buckets;  // kHistNumBuckets counts
 
   double Mean() const { return count ? static_cast<double>(sum) / count : 0.0; }
   // Quantile estimate (q in [0,1]) at bucket midpoints; 0 when empty.
@@ -106,12 +94,9 @@ class Histogram {
   void Reset();
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> sum{0};
-    std::array<std::atomic<uint64_t>, kHistNumBuckets> buckets{};
-  };
-  Shard shards_[kMetricShards];
+  std::atomic<uint64_t> count_{0};
+  std::atomic<uint64_t> sum_{0};
+  std::array<std::atomic<uint64_t>, kHistNumBuckets> buckets_{};
 };
 
 // Exact quantile over raw samples (sorts a copy): the reference the
@@ -158,39 +143,40 @@ class MetricsRegistry {
 
 // --- instrumentation macros --------------------------------------------------
 // Each site resolves its metric once (thread-safe function-local static) and
-// then records lock-free. `name` must be a string literal (or otherwise have
-// static storage duration).
-#define CG_METRIC_COUNT(name, n)                                       \
-  do {                                                                 \
-    static ::cachegen::obs::Counter& cg_obs_c =                        \
-        ::cachegen::obs::MetricsRegistry::Instance().GetCounter(name); \
-    cg_obs_c.Add(n);                                                   \
+// then records lock-free. `name` must be a string literal, which `"" name`
+// enforces at compile time: a name chosen at run time (`c ? "a" : "b"`)
+// would record every call under whichever name the site saw first.
+#define CG_METRIC_COUNT(name, n)                                            \
+  do {                                                                      \
+    static ::cachegen::obs::Counter& cg_obs_c =                             \
+        ::cachegen::obs::MetricsRegistry::Instance().GetCounter("" name);   \
+    cg_obs_c.Add(n);                                                        \
   } while (0)
 
-#define CG_METRIC_GAUGE_SET(name, v)                                 \
-  do {                                                               \
-    static ::cachegen::obs::Gauge& cg_obs_g =                        \
-        ::cachegen::obs::MetricsRegistry::Instance().GetGauge(name); \
-    cg_obs_g.Set(static_cast<int64_t>(v));                           \
+#define CG_METRIC_GAUGE_SET(name, v)                                        \
+  do {                                                                      \
+    static ::cachegen::obs::Gauge& cg_obs_g =                               \
+        ::cachegen::obs::MetricsRegistry::Instance().GetGauge("" name);     \
+    cg_obs_g.Set(static_cast<int64_t>(v));                                  \
   } while (0)
 
-#define CG_METRIC_GAUGE_ADD(name, d)                                 \
-  do {                                                               \
-    static ::cachegen::obs::Gauge& cg_obs_g =                        \
-        ::cachegen::obs::MetricsRegistry::Instance().GetGauge(name); \
-    cg_obs_g.Add(static_cast<int64_t>(d));                           \
+#define CG_METRIC_GAUGE_ADD(name, d)                                        \
+  do {                                                                      \
+    static ::cachegen::obs::Gauge& cg_obs_g =                               \
+        ::cachegen::obs::MetricsRegistry::Instance().GetGauge("" name);     \
+    cg_obs_g.Add(static_cast<int64_t>(d));                                  \
   } while (0)
 
-#define CG_METRIC_GAUGE_MAX(name, v)                                 \
-  do {                                                               \
-    static ::cachegen::obs::Gauge& cg_obs_g =                        \
-        ::cachegen::obs::MetricsRegistry::Instance().GetGauge(name); \
-    cg_obs_g.Max(static_cast<int64_t>(v));                           \
+#define CG_METRIC_GAUGE_MAX(name, v)                                        \
+  do {                                                                      \
+    static ::cachegen::obs::Gauge& cg_obs_g =                               \
+        ::cachegen::obs::MetricsRegistry::Instance().GetGauge("" name);     \
+    cg_obs_g.Max(static_cast<int64_t>(v));                                  \
   } while (0)
 
-#define CG_METRIC_HIST(name, v)                                          \
-  do {                                                                   \
-    static ::cachegen::obs::Histogram& cg_obs_h =                        \
-        ::cachegen::obs::MetricsRegistry::Instance().GetHistogram(name); \
-    cg_obs_h.Record(static_cast<uint64_t>(v));                           \
+#define CG_METRIC_HIST(name, v)                                             \
+  do {                                                                      \
+    static ::cachegen::obs::Histogram& cg_obs_h =                           \
+        ::cachegen::obs::MetricsRegistry::Instance().GetHistogram("" name); \
+    cg_obs_h.Record(static_cast<uint64_t>(v));                              \
   } while (0)

@@ -14,8 +14,8 @@
 // coordinator has recorded that completion's metrics). It therefore needs no
 // locks — and, critically, it only ever observes registry states that are
 // deterministic: the coordinator records all sampled cluster.* metrics
-// itself, in completion order. Worker-thread metrics (codec timings, pool
-// counters) are excluded via the include-prefix filter.
+// itself, in completion order. Decode-thread metrics (codec timings,
+// pool.jobs) are excluded via the include-prefix filter.
 //
 // Window semantics: windows are [k*p, (k+1)*p) from the start instant.
 // AdvanceTo(t) closes every window whose end is <= t, so a metric recorded
@@ -25,10 +25,12 @@
 // (bucket-wise deltas — Quantile() works on them unchanged). Windows land in
 // a bounded ring (drop-oldest, counted).
 //
-// External series: per-node fabric attribution is known only to the serving
-// layer (which node was the request's home), not to the fabric's own
-// counters (worker-threaded, racy to sample). BumpExternal lets the
-// coordinator feed such derived series into the same windows.
+// External series: per-node fabric attribution belongs to completions. The
+// coordinator knows each completed request's home node at its completion
+// instant, where the windows are cut; the fabric counts lookups at admit
+// instants, so its counters would window a different set of requests.
+// BumpExternal lets the coordinator feed such derived series into the same
+// windows.
 #pragma once
 
 #include <cstdint>

@@ -17,10 +17,12 @@
 // never contend with each other. Event name/category strings must be string
 // LITERALS (stored as pointers; nothing is copied on the hot path).
 //
-// Request-id propagation: ClusterServer::ServeOne scopes the request id
-// thread-locally (ScopedRequestId); everything recorded on that thread —
-// including streamer and net events that never see the request struct —
-// lands on the right virtual track and carries the id in its args.
+// Request-id propagation: ClusterServer's coordinator scopes the request id
+// thread-locally (ScopedRequestId) around each resumption of a request, and
+// each assembly decode thread around each job it decodes; everything
+// recorded on that thread in the scope — including streamer and net events
+// that never see the request struct — lands on the right virtual track and
+// carries the id in its args.
 //
 // Cost when disabled: every CG_TRACE_* macro starts with one relaxed atomic
 // load (a few ns — bench_obs_overhead gates it). The switch is

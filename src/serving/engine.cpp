@@ -152,14 +152,8 @@ std::optional<EncodedChunk> Engine::GetKV(const std::string& context_id,
 KVCache Engine::AssembleKV(const std::string& context_id, const ContextSpec& ctx,
                            const std::vector<int>& level_per_chunk) const {
   KVCache out;
-  AssembleKV(context_id, ctx, level_per_chunk, out);
-  return out;
-}
-
-void Engine::AssembleKV(const std::string& context_id, const ContextSpec& ctx,
-                        const std::vector<int>& level_per_chunk,
-                        KVCache& out) const {
   DecodeKV(ctx, level_per_chunk, FetchKV(context_id, ctx, level_per_chunk), out);
+  return out;
 }
 
 std::vector<std::vector<uint8_t>> Engine::FetchKV(

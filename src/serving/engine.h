@@ -84,18 +84,15 @@ class Engine {
   // recomputed with PrefillRange (bit-exact).
   KVCache AssembleKV(const std::string& context_id, const ContextSpec& ctx,
                      const std::vector<int>& level_per_chunk) const;  // -1 = text
-  // Same, into a caller-owned buffer: `out` is reshaped once to the
-  // context's shape and every chunk is decoded (or copied) in place at its
-  // first token, so a buffer reused across contexts is not reallocated once
-  // it has held the largest. A fetched chunk whose token count differs from
-  // its range's throws std::runtime_error, as a missing one does.
-  void AssembleKV(const std::string& context_id, const ContextSpec& ctx,
-                  const std::vector<int>& level_per_chunk, KVCache& out) const;
   // AssembleKV's two halves. FetchKV reads the serialized bitstream of every
   // KV chunk from the store (empty for a text chunk); DecodeKV parses and
   // decodes them, and recomputes the text chunks, without touching the
-  // store. The cluster reads while its pin holds the context and decodes on
-  // its pool threads.
+  // store. DecodeKV reshapes `out` once to the context's shape and decodes
+  // (or copies) every chunk in place at its first token, so a buffer reused
+  // across contexts is not reallocated once it has held the largest; a
+  // chunk whose token count differs from its range's throws
+  // std::runtime_error, as a missing one does in FetchKV. The cluster reads
+  // while its pin holds the context and decodes on its decode threads.
   std::vector<std::vector<uint8_t>> FetchKV(
       const std::string& context_id, const ContextSpec& ctx,
       const std::vector<int>& level_per_chunk) const;

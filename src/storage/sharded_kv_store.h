@@ -1,7 +1,9 @@
 // ShardedKVStore: the cluster-grade KV cache tier. Wraps one KVStore backend
 // per shard (in-memory by default, directory-backed via a custom factory)
-// behind per-shard locks so concurrent workers contend only within a shard —
-// the same sharding-by-key discipline line-rate forwarders use to scale.
+// behind per-shard locks so callers on several threads contend only within
+// a shard — the same sharding-by-key discipline line-rate forwarders use to
+// scale. (A ClusterServer makes every serving call from its one coordinator
+// thread; tests and benches drive stores from several.)
 // Where the shard locks sit in the storage lock order: storage/cache_tier.h.
 //
 // On top of plain chunk storage it adds what a serving cluster needs:

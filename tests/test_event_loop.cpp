@@ -26,9 +26,11 @@
 #include "cluster/shared_link.h"
 #include "common/task.h"
 #include "net/bandwidth_trace.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "prefix/prefix_cache.h"
 #include "serving/engine.h"
+#include "storage/cache_tier.h"
 #include "storage/sharded_kv_store.h"
 #include "self_exec.h"
 
@@ -264,15 +266,19 @@ EventLoopFixture& WarmFixture() {
   return *fx;
 }
 
+// With `assemble`, the SLO tightens to 0.5 s: at the fixture's 4 s every
+// chunk fits the text path, so nothing would stream as KV and decode.
 std::vector<RequestOutcome> RunEventLoad(EventLoopFixture& fx, double rate_hz,
-                                         size_t num_requests, size_t workers) {
+                                         size_t num_requests, size_t workers,
+                                         bool assemble = false) {
   RequestTraceOptions topts = fx.trace_opts;
   topts.num_requests = num_requests;
   topts.arrival_rate_hz = rate_hz;
+  if (assemble) topts.slo_s = 0.5;
   ClusterServer::Options copts;
   copts.num_workers = workers;
   copts.write_back_on_miss = false;  // keep virtual-only (everything hits)
-  copts.assemble_kv = false;
+  copts.assemble_kv = assemble;
   ClusterServer server(*fx.engine, fx.store, BandwidthTrace::Constant(2.0),
                        copts);
   return server.Serve(PoissonTrace(topts));
@@ -289,39 +295,118 @@ int CurrentThreadCount() {
   return -1;
 }
 
-// The tentpole's structural guarantee: serving N requests spawns at most
-// num_workers pool threads, never a thread per request.
+// The event loop's structural guarantee: a serve runs on the calling
+// thread and spawns no thread per request. Without assembly it starts no
+// thread at all; with assembly, at most one decode thread per worker. With
+// one thread per request the peak would exceed the bound by ~50x.
 TEST(EventLoop, NoPerRequestThreads) {
   EventLoopFixture& fx = WarmFixture();
-  constexpr size_t kRequests = 200;
   constexpr size_t kWorkers = 4;
+  for (const bool assemble : {false, true}) {
+    SCOPED_TRACE(assemble ? "assembled" : "not assembled");
+    const size_t requests = assemble ? 24 : 200;
 
-  // One throwaway serve so every lazy singleton (calibration, codec thread
-  // pool, metrics) exists before the baseline count is taken.
-  RunEventLoad(fx, 8.0, 8, kWorkers);
+    // One throwaway serve so every lazy singleton (calibration, codec
+    // thread pool, metrics) exists before the baseline count is taken; it
+    // joins its decode threads before it returns.
+    RunEventLoad(fx, 8.0, 8, kWorkers, assemble);
 
-  const int baseline = CurrentThreadCount();
-  ASSERT_GT(baseline, 0);
+    const int baseline = CurrentThreadCount();
+    ASSERT_GT(baseline, 0);
 
-  std::atomic<bool> stop{false};
-  std::atomic<int> peak{0};
-  std::thread sampler([&] {
-    while (!stop.load()) {
-      const int n = CurrentThreadCount();
-      int cur = peak.load();
-      while (n > cur && !peak.compare_exchange_weak(cur, n)) {
+    std::atomic<bool> stop{false};
+    std::atomic<int> peak{0};
+    std::thread sampler([&] {
+      while (!stop.load()) {
+        const int n = CurrentThreadCount();
+        int cur = peak.load();
+        while (n > cur && !peak.compare_exchange_weak(cur, n)) {
+        }
+        std::this_thread::yield();
       }
-      std::this_thread::yield();
-    }
-  });
-  const auto outcomes = RunEventLoad(fx, 64.0, kRequests, kWorkers);
-  stop.store(true);
-  sampler.join();
+    });
+    const auto outcomes = RunEventLoad(fx, 64.0, requests, kWorkers, assemble);
+    stop.store(true);
+    sampler.join();
 
-  ASSERT_EQ(outcomes.size(), kRequests);
-  // Baseline already includes the sampler; serving adds at most the fixed
-  // pool. With one thread per request this would exceed the bound by ~50x.
-  EXPECT_LE(peak.load(), baseline + 1 + static_cast<int>(kWorkers));
+    ASSERT_EQ(outcomes.size(), requests);
+    // The baseline excludes the sampler (+1).
+    EXPECT_LE(peak.load(),
+              baseline + 1 + (assemble ? static_cast<int>(kWorkers) : 0));
+  }
+}
+
+// Every KV chunk an assembled serve streams is decoded exactly once, and
+// before Serve returns: a serve's decode threads finish every hand-off
+// before it ends.
+TEST(EventLoop, AssembledServeDecodesEveryStreamedChunkOnce) {
+  EventLoopFixture& fx = WarmFixture();
+  auto& reg = obs::MetricsRegistry::Instance();
+  const obs::Counter& decoded = reg.GetCounter("codec.chunks_decoded");
+  const obs::Counter& streamed = reg.GetCounter("streamer.chunks_kv");
+  const uint64_t decoded_before = decoded.Value();
+  const uint64_t streamed_before = streamed.Value();
+
+  // All hits (the fixture prestored every context), non-progressive: one
+  // streamed step per chunk, KV or text (text chunks are recomputed, not
+  // decoded).
+  const auto outcomes = RunEventLoad(fx, 16.0, 32, 4, /*assemble=*/true);
+  ASSERT_EQ(outcomes.size(), 32u);
+  for (const RequestOutcome& o : outcomes) ASSERT_TRUE(o.cache_hit);
+
+  const uint64_t kv_chunks = streamed.Value() - streamed_before;
+  EXPECT_GT(kv_chunks, 0u);
+  EXPECT_EQ(decoded.Value() - decoded_before, kv_chunks);
+}
+
+// A tier that forwards to the fixture's store and throws from one lookup,
+// so that request's ServeOne throws out of Serve mid-trace.
+class ThrowingLookupTier final : public CacheTier {
+ public:
+  ThrowingLookupTier(std::shared_ptr<ShardedKVStore> inner, int failing_lookup)
+      : inner_(std::move(inner)), failing_lookup_(failing_lookup) {}
+
+  TierLookup LookupAndPin(const std::string& id, const ContextSpec& spec,
+                          double t_s) override {
+    if (lookups_++ == failing_lookup_) throw std::runtime_error("lookup failed");
+    return inner_->LookupAndPin(id, spec, t_s);
+  }
+  void Pin(const std::string& id) override { inner_->Pin(id); }
+  void Unpin(const std::string& id) override { inner_->Unpin(id); }
+  void Touch(const std::string& id, double t_s) override {
+    inner_->Touch(id, t_s);
+  }
+  KVStore& kv() override { return inner_->kv(); }
+
+ private:
+  std::shared_ptr<ShardedKVStore> inner_;
+  int lookups_ = 0;
+  const int failing_lookup_;
+};
+
+// A request that throws ends the serve with its exception, after the
+// decodes already handed off have run (their threads are joined, not
+// abandoned: ASan and TSan would see them outlive the serve), and the
+// server serves the next trace whole.
+TEST(EventLoop, ThrowingRequestEndsServeAfterQueuedDecodes) {
+  EventLoopFixture& fx = WarmFixture();
+  const obs::Counter& decoded =
+      obs::MetricsRegistry::Instance().GetCounter("codec.chunks_decoded");
+  RequestTraceOptions topts = fx.trace_opts;
+  topts.num_requests = 16;
+  topts.arrival_rate_hz = 16.0;
+  topts.slo_s = 0.5;  // KV streams, as in RunEventLoad's assembled loads
+  ClusterServer::Options copts;
+  copts.write_back_on_miss = false;
+  copts.assemble_kv = true;
+  ClusterServer server(*fx.engine,
+                       std::make_shared<ThrowingLookupTier>(fx.store, 10),
+                       BandwidthTrace::Constant(2.0), copts);
+
+  const uint64_t before = decoded.Value();
+  EXPECT_THROW(server.Serve(PoissonTrace(topts)), std::runtime_error);
+  EXPECT_GT(decoded.Value(), before);
+  EXPECT_EQ(server.Serve(PoissonTrace(topts)).size(), topts.num_requests);
 }
 
 TEST(EventLoop, DeterministicAcrossRuns) {

@@ -147,7 +147,7 @@ TEST(HistQuantiles, EmptyAndMean) {
 // ---- concurrent recording ---------------------------------------------------
 
 TEST(MetricsConcurrency, CountersAndHistogramsMergeExactly) {
-  // Run under TSan in CI: concurrent Add/Record against sharded atomics plus
+  // Run under TSan in CI: concurrent Add/Record against shared atomics plus
   // a racing SnapshotAll must be clean, and the final merge exact.
   auto& c = MetricsRegistry::Instance().GetCounter("test.obs.concurrent_c");
   auto& h = MetricsRegistry::Instance().GetHistogram("test.obs.concurrent_h");

@@ -125,10 +125,10 @@ TEST_F(ServingTest, AssembleKVMixedConfigs) {
 }
 
 TEST_F(ServingTest, AssembleKVIntoReusedBuffer) {
-  // One buffer reassembles contexts whose lengths grow, shrink, then grow,
-  // over 1- and 3-chunk contexts mixing text and KV decisions. Each result
-  // equals the by-value AssembleKV bit for bit, so no row of an earlier,
-  // longer context survives in a later one.
+  // One buffer reassembles (FetchKV + DecodeKV) contexts whose lengths grow,
+  // shrink, then grow, over 1- and 3-chunk contexts mixing text and KV
+  // decisions. Each result equals the by-value AssembleKV bit for bit, so
+  // no row of an earlier, longer context survives in a later one.
   struct Case {
     ContextSpec ctx;
     std::vector<int> levels;
@@ -143,7 +143,8 @@ TEST_F(ServingTest, AssembleKVIntoReusedBuffer) {
     const Case& c = cases[i];
     const std::string id = "ctx-reuse-" + std::to_string(i);
     engine().StoreKV(id, c.ctx);
-    engine().AssembleKV(id, c.ctx, c.levels, buf);
+    engine().DecodeKV(c.ctx, c.levels, engine().FetchKV(id, c.ctx, c.levels),
+                      buf);
     const KVCache ref = engine().AssembleKV(id, c.ctx, c.levels);
     ASSERT_EQ(buf.num_tokens(), c.ctx.num_tokens) << "context " << i;
     ASSERT_EQ(buf.num_layers(), ref.num_layers()) << "context " << i;

@@ -19,6 +19,7 @@
 
 #include "cluster/cluster_server.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "storage/tiered_kv_store.h"
 
 namespace cachegen {
@@ -427,6 +428,12 @@ TEST_F(TieredStoreTest, ClusterColdHitStreamsKvNeverForcedText) {
   copts.num_workers = 2;
   copts.write_back_on_miss = false;
   ClusterServer server(engine, store, BandwidthTrace::Constant(2.0), copts);
+  const obs::Counter& hot_metric =
+      obs::MetricsRegistry::Instance().GetCounter("cluster.hits.hot");
+  const obs::Counter& cold_metric =
+      obs::MetricsRegistry::Instance().GetCounter("cluster.hits.cold");
+  const uint64_t hot_before = hot_metric.Value();
+  const uint64_t cold_before = cold_metric.Value();
   const auto outcomes = server.Serve(PoissonTrace(topts));
   ASSERT_EQ(outcomes.size(), topts.num_requests);
   size_t cold_hits = 0;
@@ -442,6 +449,9 @@ TEST_F(TieredStoreTest, ClusterColdHitStreamsKvNeverForcedText) {
     }
   }
   EXPECT_GT(cold_hits, 0u);
+  // The registry splits the full hits as the outcomes do.
+  EXPECT_EQ(cold_metric.Value() - cold_before, cold_hits);
+  EXPECT_EQ(hot_metric.Value() - hot_before, outcomes.size() - cold_hits);
   const ClusterSummary s = Summarize(outcomes);
   EXPECT_GT(s.cold_hit_rate, 0.0);
   EXPECT_DOUBLE_EQ(s.hot_hit_rate + s.cold_hit_rate + s.miss_rate, 1.0);
