@@ -2,15 +2,17 @@
 // prefix-share ratio at EQUAL cache capacity.
 //
 // Both modes serve the same shared-prefix trace (Zipf prefix families x
-// per-request suffixes, SharedPrefixTrace) through the same cluster:
-//   nodedup — a plain ShardedKVStore: every context id is an opaque blob, so
-//             two family members store two full copies of the same prefix
-//             and a fresh suffix is a full text-recompute miss.
-//   prefix  — PrefixCache over the same sharded tier at the same byte
-//             budget: chunks are content-addressed (SHA-256 of token span +
-//             codec config) and refcount-dedup'd, and a fresh suffix whose
-//             family prefix is cached becomes a PARTIAL hit that streams the
-//             covered chunks as KV and pays GPU prefill only for the tail.
+// per-request suffixes, SharedPrefixTrace) through the same cluster, from
+// the same one-shard ShardedKVStore at the same byte budget:
+//   nodedup — the store alone: every context id is an opaque blob, so two
+//             family members store two full copies of the same prefix and a
+//             fresh suffix is a full text-recompute miss.
+//   prefix  — PrefixCache over that store: chunks are content-addressed
+//             (SHA-256 of token span + codec config) and refcount-dedup'd,
+//             the store evicts them one by one in LRU order, and a fresh
+//             suffix whose family prefix is cached becomes a PARTIAL hit
+//             that streams the covered chunks as KV and pays GPU prefill
+//             only for the tail.
 //
 // The SLO sits in the regime the paper targets: tight enough that a full
 // text re-prefill under GPU contention blows it, loose enough that KV
@@ -49,6 +51,8 @@ struct Row {
   ClusterSummary summary;
   uint64_t deduped_bytes = 0;
   uint64_t unique_bytes = 0;
+  // Prefix mode: the store's capacity evictions. These are chunk evictions,
+  // not context evictions: the store sees one context per content address.
   uint64_t prefix_evictions = 0;
   size_t prefix_hits = 0;
   size_t full_misses = 0;
@@ -86,36 +90,23 @@ Row RunMode(bool prefix_mode, uint64_t capacity, double shared_fraction,
   row.mode = prefix_mode ? "prefix" : "nodedup";
 
   Engine::Options eopts = bench::FastEngineOptions("mistral-7b");
-  std::vector<RequestOutcome> outcomes;
-  const CacheTier* tier = nullptr;
+  const auto store = std::make_shared<ShardedKVStore>(
+      ShardedKVStore::Options{.num_shards = 1, .capacity_bytes = capacity});
   std::shared_ptr<PrefixCache> pc;
-  std::shared_ptr<ShardedKVStore> sharded;
-  std::unique_ptr<Engine> engine;
-  std::unique_ptr<ClusterServer> server;
+  std::shared_ptr<CacheTier> tier = store;
+  std::shared_ptr<KVStore> kv = store;
   if (prefix_mode) {
-    // The inner tier is unbounded: the prefix layer owns existence at the
-    // SAME byte budget, counted over unique (dedup'd) chunk bytes.
-    auto inner = std::make_shared<ShardedKVStore>(
-        ShardedKVStore::Options{.num_shards = 1, .capacity_bytes = 0});
     PrefixCache::Options popts;
     popts.chunk_tokens = eopts.chunk_tokens;
-    popts.capacity_bytes = capacity;
-    pc = std::make_shared<PrefixCache>(inner, popts);
-    engine = std::make_unique<Engine>(eopts, pc);
-    server = std::make_unique<ClusterServer>(
-        *engine, std::static_pointer_cast<CacheTier>(pc),
-        BandwidthTrace::Constant(3.0), copts);
-  } else {
-    sharded = std::make_shared<ShardedKVStore>(
-        ShardedKVStore::Options{.num_shards = 1, .capacity_bytes = capacity});
-    engine = std::make_unique<Engine>(eopts, sharded);
-    server = std::make_unique<ClusterServer>(*engine, sharded,
-                                             BandwidthTrace::Constant(3.0),
-                                             copts);
+    pc = std::make_shared<PrefixCache>(store, popts);
+    tier = pc;
+    kv = pc;
   }
-  tier = &server->tier();
-  outcomes = server->Serve(SharedPrefixTrace(topts));
-  row.summary = Summarize(outcomes, tier);
+  Engine engine(eopts, kv);
+  ClusterServer server(engine, tier, BandwidthTrace::Constant(3.0), copts);
+  const std::vector<RequestOutcome> outcomes =
+      server.Serve(SharedPrefixTrace(topts));
+  row.summary = Summarize(outcomes, tier.get());
   for (const RequestOutcome& o : outcomes) {
     if (o.prefix_hit) ++row.prefix_hits;
     if (o.forced_text) ++row.full_misses;
@@ -124,7 +115,7 @@ Row RunMode(bool prefix_mode, uint64_t capacity, double shared_fraction,
     const auto stats = pc->stats();
     row.deduped_bytes = stats.deduped_bytes;
     row.unique_bytes = stats.unique_bytes;
-    row.prefix_evictions = stats.evictions;
+    row.prefix_evictions = store->stats().evictions;
   }
   return row;
 }

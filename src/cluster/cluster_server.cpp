@@ -583,11 +583,11 @@ Task<void> ClusterServer::ServeOne(Loop& loop, ClusterRequest rq, size_t worker,
     // instant — virtual time is never stretched by machine speed, keeping
     // replayed incident artifacts byte-identical.
     CG_TRACE_SPAN("cluster", "write_back_persist");
-    // Announce BEFORE pinning: a prefix-aware tier routes Pin() by what it
-    // knows about the id, so the announcement is what turns this pin into a
-    // pending context pin that carries over to the registration — pinned
-    // the other way round, a freshly registered context would sit unpinned
-    // at LRU stamp 0, the prime victim for an eviction before Touch() runs.
+    // Announce BEFORE pinning: a prefix-aware tier pins the chunk addresses
+    // of an announced id, so every chunk this write-back inserts is pinned
+    // from its insert on. Pinned the other way round, a fresh chunk would
+    // sit unpinned at LRU stamp 0 until Touch() runs, and the write-back's
+    // own next insert could evict it from a bounded inner tier.
     tier_->BeginStore(rq.context_id, rq.spec);
     // Guard, not a bare Pin/Unpin pair: a throwing StoreKV (full disk,
     // failing backend) must not leave the context pinned forever as

@@ -29,10 +29,10 @@ uint64_t ReaderFor(const std::string& cas_id) {
 }  // namespace
 
 // Per-node inner tier handed to that node's PrefixCache: raw context ids
-// stay on the node's local store (the radix index and its contexts are
-// node-local by design), while content-addressed cas- chunks route through
-// the fabric's global chunk directory — striped owners, peer fetch, and
-// cross-node refcounting via the holders mask.
+// stay on the node's local store (registrations are node-local by design),
+// while content-addressed cas- chunks route through the fabric's global
+// chunk directory — striped owners, peer fetch, and cross-node refcounting
+// via the holders mask.
 class CacheFabric::NodeView final : public KVStore, public CacheTier {
  public:
   NodeView(CacheFabric* fab, uint32_t node) : fab_(fab), node_(node) {}
@@ -428,12 +428,19 @@ void CacheFabric::DerefChunk(uint32_t from_node, const std::string& cas_id) {
   }
 }
 
+// Pins take the replica set from the ring, a pure function of the address,
+// so a write-back can pin a chunk before its first store creates the
+// directory entry.
 void CacheFabric::PinChunk(const std::string& cas_id) {
-  for (uint32_t o : EntryOf(cas_id).owners) nodes_[o].store->Pin(cas_id);
+  for (uint32_t o : ring_.ReplicaNodes(cas_id, opts_.chunk_replicas)) {
+    nodes_[o].store->Pin(cas_id);
+  }
 }
 
 void CacheFabric::UnpinChunk(const std::string& cas_id) {
-  for (uint32_t o : EntryOf(cas_id).owners) nodes_[o].store->Unpin(cas_id);
+  for (uint32_t o : ring_.ReplicaNodes(cas_id, opts_.chunk_replicas)) {
+    nodes_[o].store->Unpin(cas_id);
+  }
 }
 
 void CacheFabric::TouchChunk(const std::string& cas_id, double t_s) {

@@ -1,12 +1,12 @@
 // CacheFabric: the multi-node cache tier — N in-process simulated cache
 // nodes behind one CacheTier, with consistent-hash placement, node-local
-// radix prefix indexes, and peer fetch of content-addressed chunks.
+// prefix layers, and peer fetch of content-addressed chunks.
 //
 // Topology and routing:
 //   * Every context id has a HOME node — HashRing::PrimaryNode over the
-//     placement ring — that owns its metadata: registration, radix prefix
-//     index entry, pins, LRU recency. Lookups and stores route to the home
-//     node's tier; the radix longest-prefix match never leaves a node.
+//     placement ring — that owns its metadata: registration, chunk
+//     addresses, pin records. Lookups and stores route to the home node's
+//     tier; a lookup's prefix match never leaves that node's prefix layer.
 //   * Every request also has a FRONT node — an independent hash of the
 //     context id (kRouteSeed) modelling which node the load balancer handed
 //     the request to. When front != home, a hit's bytes cross the fabric
@@ -69,15 +69,15 @@ class CacheFabric final : public KVStore, public CacheTier {
     size_t num_nodes = 4;
     // Replica stripe width for cas- chunks (clamped to num_nodes).
     size_t chunk_replicas = 2;
-    // Per-node local store: the hot slice every node owns. Leave
-    // capacity_bytes 0 when the prefix layer owns existence (its per-node
-    // capacity_bytes is the real budget).
+    // Per-node local store: the hot slice every node owns. Its capacity is
+    // the budget, over cas chunks (and whole pass-through contexts): the
+    // prefix layer keeps none of its own.
     ShardedKVStore::Options node_store;
     // Non-empty: each node's store is a hot/cold TieredKVStore rooted at
     // cold_root/"node<i>", with an unbounded cold tier — cold promotions
     // then price through the cold read model exactly as on a single node.
     std::filesystem::path cold_root;
-    // Per-node prefix layer (content addressing + node-local radix index).
+    // Per-node prefix layer (content addressing and dedup).
     // Off = contexts store whole on their home node, no peer chunk fetch.
     bool prefix = true;
     PrefixCache::Options prefix_opts;

@@ -74,6 +74,13 @@ std::string PrefixCache::ContentAddressFor(const ContextSpec& spec,
 
 // --- chunk entry bookkeeping (mu_ held) --------------------------------------
 
+const ContextSpec* PrefixCache::SpecLocked(const std::string& context_id) const {
+  const auto ait = announced_.find(context_id);
+  if (ait != announced_.end()) return &ait->second.spec;
+  const auto cit = contexts_.find(context_id);
+  return cit != contexts_.end() ? &cit->second.spec : nullptr;
+}
+
 void PrefixCache::EraseChunkLocked(const std::string& cas_id) {
   const auto it = chunks_.find(cas_id);
   if (it == chunks_.end()) return;
@@ -95,8 +102,8 @@ void PrefixCache::DerefChunkLocked(const std::string& cas_id) {
   const auto it = chunks_.find(cas_id);
   if (it == chunks_.end()) return;
   if (it->second.refs > 0) --it->second.refs;
-  // Zero-ref chunks pinned by an in-flight stream become zombies: the bytes
-  // stay until the last Unpin so a stream never loses a chunk mid-flight.
+  // Zero-ref chunks that a pin holds become zombies: the bytes stay until the
+  // last Unpin so a stream never loses a chunk mid-flight.
   if (it->second.refs == 0) {
     if (it->second.pins == 0) {
       EraseChunkLocked(cas_id);
@@ -110,36 +117,9 @@ void PrefixCache::DerefChunkLocked(const std::string& cas_id) {
 
 void PrefixCache::DeregisterContextLocked(const std::string& context_id,
                                           ContextEntry& entry) {
-  index_.Erase(ContextTokenIds(entry.spec));
   const std::vector<std::string> cas_ids = std::move(entry.cas_ids);
   contexts_.erase(context_id);  // `entry` is dead past this line
   for (const std::string& cas : cas_ids) DerefChunkLocked(cas);
-}
-
-void PrefixCache::EnforceCapacityLocked(const std::string* keep) {
-  if (opts_.capacity_bytes == 0) return;
-  // LRU at context granularity, deterministic id tie-break, and the last
-  // context soft-overflows — the same discipline as the sharded tier. What
-  // differs is what an eviction frees: only the victim's UNSHARED chunks
-  // (refcounts keep dedup'd prefixes alive for their surviving owners).
-  while (unique_bytes_ > opts_.capacity_bytes && contexts_.size() > 1) {
-    const std::string* victim = nullptr;
-    const ContextEntry* victim_meta = nullptr;
-    for (const auto& [id, e] : contexts_) {
-      if ((keep && id == *keep) || e.pins > 0) continue;
-      if (!victim || e.last_touch_s < victim_meta->last_touch_s ||
-          (e.last_touch_s == victim_meta->last_touch_s && id < *victim)) {
-        victim = &id;
-        victim_meta = &e;
-      }
-    }
-    if (!victim) return;  // everything left is pinned (or kept)
-    const uint64_t before = unique_bytes_;
-    const std::string victim_id = *victim;  // DeregisterContextLocked erases it
-    DeregisterContextLocked(victim_id, contexts_.at(victim_id));
-    ++evictions_;
-    freed_bytes_ += before - unique_bytes_;
-  }
 }
 
 // --- KVStore interface -------------------------------------------------------
@@ -164,26 +144,20 @@ void PrefixCache::PutBatch(const std::string& context_id,
 void PrefixCache::PutBatchLocked(const std::string& context_id,
                                  std::span<const ChunkView> chunks,
                                  bool& passthrough) {
-  // Spec source, in priority order: a live BeginStore announcement, else an
-  // existing registration of the same id (context content is immutable per
-  // id in this system, so a re-store — e.g. the loser of a concurrent
-  // double write-back whose announcement the winner already consumed —
-  // reuses the registered spec instead of degrading to an opaque raw copy).
-  ContextSpec spec;
-  const auto ait = announced_.find(context_id);
-  if (ait != announced_.end()) {
-    spec = ait->second.spec;
-  } else {
-    const auto cit = contexts_.find(context_id);
-    if (cit == contexts_.end()) {
-      // Never announced: opaque pass-through, exactly the inner tier's
-      // behavior (direct Engine users keep working unchanged). The caller
-      // forwards with mu_ released.
-      passthrough = true;
-      return;
-    }
-    spec = cit->second.spec;
+  // A re-store of a registered id without a fresh announcement (e.g. the
+  // loser of a double write-back whose announcement the winner consumed)
+  // reuses the registered spec instead of degrading to an opaque raw copy.
+  const ContextSpec* stored_spec = SpecLocked(context_id);
+  if (stored_spec == nullptr) {
+    // Never announced: opaque pass-through, exactly the inner tier's
+    // behavior (direct Engine users keep working unchanged). The caller
+    // forwards with mu_ released.
+    passthrough = true;
+    return;
   }
+  // A copy: the registration below replaces the entry a re-store's spec
+  // lives in.
+  const ContextSpec spec = *stored_spec;
   const auto ranges = SplitIntoChunks(spec.num_tokens, opts_.chunk_tokens);
 
   // Bucket the incoming views by chunk index; content addressing needs the
@@ -209,7 +183,8 @@ void PrefixCache::PutBatchLocked(const std::string& context_id,
 
   // Dedup and persist chunk by chunk. Entries created here stay at refs == 0
   // until the registration step; on failure they are reclaimed so a thrown
-  // backend write cannot leak unreferenced cas entries.
+  // backend write cannot leak unreferenced cas entries (entries a Pin()
+  // created are reclaimed at its Unpin).
   std::vector<std::string> fresh;
   std::vector<std::string> cas_ids;
   cas_ids.reserve(ranges.size());
@@ -219,9 +194,9 @@ void PrefixCache::PutBatchLocked(const std::string& context_id,
       const std::string cas = ContentAddressFor(spec, j, ranges[j]);
       if (per_chunk[j].empty()) {
         const auto cov = chunks_.find(cas);
-        const bool covered =
-            cov != chunks_.end() && !cov->second.levels.empty() &&
-            (cov->second.pins > 0 || inner_->kv().ContainsContext(cas));
+        const bool covered = cov != chunks_.end() &&
+                             !cov->second.levels.empty() &&
+                             inner_->kv().ContainsContext(cas);
         if (!covered) {
           throw std::invalid_argument(
               "PrefixCache::PutBatch: announced context stored without "
@@ -242,14 +217,12 @@ void PrefixCache::PutBatchLocked(const std::string& context_id,
       const auto [cit, inserted] = chunks_.try_emplace(cas);
       if (inserted) fresh.push_back(cas);
       ChunkEntry& ce = cit->second;
-      if (!inserted && !ce.levels.empty() && ce.pins == 0 &&
+      if (!inserted && !ce.levels.empty() &&
           !inner_->kv().ContainsContext(cas)) {
-        // The inner tier lost this chunk's bytes behind our back (a tiered
-        // inner's cold-capacity eviction). Dedup'ing against the stale
-        // entry would skip the store forever; reset its byte/level state —
-        // refs stay, the address is still every owner's address — so this
-        // write-back re-stores and heals the chunk. (pins > 0 implies
-        // inner-pinned, hence not evictable.)
+        // The inner tier evicted this chunk's bytes. Dedup'ing against the
+        // stale entry would skip the store forever; reset its byte/level
+        // state — refs stay, the address is still every owner's address —
+        // so this write-back re-stores and heals the chunk.
         InvalidateLostChunkLocked(cas);
       }
       std::vector<ChunkView> to_store;
@@ -299,32 +272,10 @@ void PrefixCache::PutBatchLocked(const std::string& context_id,
   // incarnation's deref would erase the very chunks the re-store just
   // dedup'd against (same spec, same addresses, refs momentarily zero).
   for (const std::string& cas : cas_ids) ++chunks_.at(cas).refs;
-  // A replaced incarnation hands its pins and recency to the replacement:
-  // a PinGuard taken against the old registration must keep protecting the
-  // new one (same id, same immutable content), and a re-store must not
-  // reset the context to LRU stamp 0 and make it the next victim.
-  int carried_pins = 0;
-  double carried_touch = 0.0;
   const auto old = contexts_.find(context_id);
-  if (old != contexts_.end()) {
-    carried_pins = old->second.pins;
-    carried_touch = old->second.last_touch_s;
-    DeregisterContextLocked(context_id, old->second);
-  }
-  ContextEntry entry;
-  entry.spec = spec;
-  entry.cas_ids = std::move(cas_ids);
-  entry.ranges = ranges;
-  entry.logical_bytes = logical_bytes;
-  entry.pins = carried_pins;
-  entry.last_touch_s = carried_touch;
-  const auto pit = pending_pins_.find(context_id);
-  if (pit != pending_pins_.end()) {
-    entry.pins += pit->second;
-    pending_pins_.erase(pit);
-  }
-  contexts_.emplace(context_id, std::move(entry));
-  index_.Insert(ContextTokenIds(spec));
+  if (old != contexts_.end()) DeregisterContextLocked(context_id, old->second);
+  contexts_.emplace(context_id, ContextEntry{spec, std::move(cas_ids), ranges,
+                                             logical_bytes});
   // The registration consumes this writer's announcement (the registered
   // spec covers any racing writer still mid-store), so one-shot contexts
   // do not accumulate announcement entries forever.
@@ -332,7 +283,6 @@ void PrefixCache::PutBatchLocked(const std::string& context_id,
   if (done != announced_.end() && --done->second.writers <= 0) {
     announced_.erase(done);
   }
-  EnforceCapacityLocked(&context_id);
 }
 
 std::vector<bool> PrefixCache::PreStoreCoverage(
@@ -340,22 +290,13 @@ std::vector<bool> PrefixCache::PreStoreCoverage(
     std::span<const int32_t> level_ids) const {
   std::vector<bool> covered(num_chunks, false);
   MutexLock lock(mu_);
-  // Spec source mirrors PutBatch: a live announcement, else an existing
-  // registration (the re-store path). Anything else is pass-through — no
-  // content addresses, nothing coverable.
-  ContextSpec spec;
-  const auto ait = announced_.find(context_id);
-  if (ait != announced_.end()) {
-    spec = ait->second.spec;
-  } else {
-    const auto rit = contexts_.find(context_id);
-    if (rit == contexts_.end()) return covered;
-    spec = rit->second.spec;
-  }
-  const auto ranges = SplitIntoChunks(spec.num_tokens, opts_.chunk_tokens);
+  // A pass-through id has no content addresses: nothing is coverable.
+  const ContextSpec* spec = SpecLocked(context_id);
+  if (spec == nullptr) return covered;
+  const auto ranges = SplitIntoChunks(spec->num_tokens, opts_.chunk_tokens);
   if (ranges.size() != num_chunks) return covered;  // grid mismatch: no skip
   for (size_t j = 0; j < num_chunks; ++j) {
-    const auto it = chunks_.find(ContentAddressFor(spec, j, ranges[j]));
+    const auto it = chunks_.find(ContentAddressFor(*spec, j, ranges[j]));
     if (it == chunks_.end() || it->second.levels.empty()) continue;
     bool all_levels = true;
     for (const int32_t lv : level_ids) {
@@ -365,12 +306,10 @@ std::vector<bool> PrefixCache::PreStoreCoverage(
         break;
       }
     }
-    // pins > 0 implies inner-pinned (unevictable); otherwise confirm the
-    // inner tier still holds the bytes — a tiered inner's cold-capacity
-    // eviction can lose them behind our back, and a skipped encode against
-    // a lost chunk would register a context with no bytes.
-    if (all_levels && (it->second.pins > 0 ||
-                       inner_->kv().ContainsContext(it->first))) {
+    // The inner tier may have evicted the bytes since they were stored, and
+    // a skipped encode against a lost chunk would register a context with
+    // no bytes.
+    if (all_levels && inner_->kv().ContainsContext(it->first)) {
       covered[j] = true;
     }
   }
@@ -394,7 +333,13 @@ std::optional<std::vector<uint8_t>> PrefixCache::Get(const ChunkKey& key) const 
 bool PrefixCache::ContainsContext(const std::string& context_id) const {
   {
     MutexLock lock(mu_);
-    if (contexts_.count(context_id) > 0) return true;
+    const auto it = contexts_.find(context_id);
+    if (it != contexts_.end()) {
+      return std::all_of(it->second.cas_ids.begin(), it->second.cas_ids.end(),
+                         [this](const std::string& cas) {
+                           return inner_->kv().ContainsContext(cas);
+                         });
+    }
   }
   return inner_->kv().ContainsContext(context_id);
 }
@@ -406,8 +351,9 @@ void PrefixCache::EraseContext(const std::string& context_id) {
     if (it != contexts_.end()) {
       // Same contract as the inner tiers: a pinned context is never removed
       // out from under an in-flight request.
-      if (it->second.pins > 0) return;
-      DeregisterContextLocked(context_id, it->second);
+      if (pin_records_.count(context_id) == 0) {
+        DeregisterContextLocked(context_id, it->second);
+      }
       return;
     }
   }
@@ -429,78 +375,62 @@ uint64_t PrefixCache::ContextBytes(const std::string& context_id) const {
 
 TierLookup PrefixCache::LookupAndPin(const std::string& context_id,
                                      const ContextSpec& spec, double t_s) {
-  // Covers both the registered-context fast path and the radix
-  // longest-prefix walk over the unregistered path. The per-chunk inner
-  // lookups (which, behind a tiered inner, may promote a cold chunk) run
-  // under mu_, as PutBatch's inner writes do, so no chunk can be evicted
-  // and no registration can change between resolving the run and pinning it.
-  CG_TRACE_SPAN("prefix", "radix_lookup");
+  // Walks the request's own chunk addresses: a registered id's stored ones,
+  // else those of the request's chunk grid, until one is not in the layer.
+  // The per-chunk inner lookups (which, behind a tiered inner, may promote a
+  // cold chunk) run under mu_, as PutBatch's inner writes do, so no chunk
+  // can be evicted and no registration can change between resolving the run
+  // and pinning it.
+  CG_TRACE_SPAN("prefix", "lookup");
   MutexLock lock(mu_);
   TierLookup out;
   const auto it = contexts_.find(context_id);
   const bool registered = it != contexts_.end();
   std::vector<ChunkRange> grid;
-  std::vector<std::string> matched;
   if (!registered) {
     // Unregistered id. It may still exist as an opaque pass-through context
     // in the inner tier (direct users).
     const TierLookup raw = inner_->LookupAndPin(context_id, spec, t_s);
     if (raw.pinned) {
-      PinRecord rec;
-      rec.raw = true;
-      pin_records_[context_id].push_back(std::move(rec));
+      pin_records_[context_id].push_back({context_id});
       ++full_hits_;
       CG_METRIC_COUNT("prefix.full_hits", 1);
       return raw;
     }
     grid = SplitIntoChunks(spec.num_tokens, opts_.chunk_tokens);
-    const size_t match_tokens =
-        index_.LongestPrefixTokens(ContextTokenIds(spec));
-    // Longest cached CHUNK-ALIGNED prefix: a match ending mid-chunk cannot
-    // be served (bitstreams are chunk-granular), so it floors to the
-    // boundary.
-    for (size_t j = 0; j < grid.size() && grid[j].end <= match_tokens; ++j) {
-      matched.push_back(ContentAddressFor(spec, j, grid[j]));
-    }
   }
-  // The chunk grid and the candidate run: a registered context's own
-  // addresses, else the request's chunks inside the radix match.
   const std::vector<ChunkRange>& ranges = registered ? it->second.ranges : grid;
-  const std::vector<std::string>& candidates =
-      registered ? it->second.cas_ids : matched;
   out.total_chunks = ranges.size();
 
-  PinRecord rec;
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    const auto cit = chunks_.find(candidates[j]);
+  std::vector<std::string> pinned;
+  for (size_t j = 0; j < ranges.size(); ++j) {
+    const auto cit =
+        chunks_.find(registered ? it->second.cas_ids[j]
+                                : ContentAddressFor(spec, j, ranges[j]));
     if (cit == chunks_.end()) break;
     const TierLookup r = inner_->LookupAndPin(cit->first, ContextSpec{}, t_s);
     if (!r.pinned) {
-      // The inner tier genuinely lost the bytes (e.g. a tiered inner's
-      // cold-capacity eviction): coverage ends here. Unless a stream still
-      // pins the entry, reset its byte/level state now so accounting is
-      // honest and the next write-back re-stores it.
-      if (cit->second.pins == 0) InvalidateLostChunkLocked(cit->first);
+      // The inner tier evicted the bytes: coverage ends here. Reset the
+      // entry's byte/level state so accounting is honest and the next
+      // write-back re-stores it.
+      InvalidateLostChunkLocked(cit->first);
       break;
     }
     ++cit->second.pins;
-    rec.cas_ids.push_back(cit->first);
+    pinned.push_back(cit->first);
     out.any_cold = out.any_cold || r.tier == KVTier::kCold;
     out.any_remote = out.any_remote || r.any_remote;
     out.covered_tokens += ranges[j].size();
   }
-  out.covered_chunks = rec.cas_ids.size();
+  out.covered_chunks = pinned.size();
 
   if (registered && out.covered_chunks == out.total_chunks &&
       out.covered_chunks > 0) {
     out.tier = out.any_cold ? KVTier::kCold : KVTier::kHot;
-    it->second.last_touch_s = std::max(it->second.last_touch_s, t_s);
-    ++it->second.pins;
-    rec.context_pin = true;
     ++full_hits_;
     CG_METRIC_COUNT("prefix.full_hits", 1);
   } else if (out.covered_chunks > 0) {
-    // The inner tier lost a tail chunk (or the id is unregistered): serve
+    // The inner tier evicted a tail chunk (or the id is unregistered): serve
     // what survives as a partial prefix (the serving layer text-recomputes
     // the rest).
     ++prefix_hits_;
@@ -512,85 +442,63 @@ TierLookup PrefixCache::LookupAndPin(const std::string& context_id,
     return out;  // nothing pinned, no record
   }
   out.pinned = true;
-  pin_records_[context_id].push_back(std::move(rec));
+  pin_records_[context_id].push_back(std::move(pinned));
   return out;
 }
 
 void PrefixCache::Pin(const std::string& context_id) {
   MutexLock lock(mu_);
-  PinRecord rec;
-  const auto it = contexts_.find(context_id);
-  if (it != contexts_.end()) {
-    ++it->second.pins;
-    rec.context_pin = true;
-  } else if (announced_.count(context_id) > 0) {
-    // About to be stored content-addressed: remember the pin so the
-    // registration starts life pinned (the write-back discipline).
-    ++pending_pins_[context_id];
-    rec.context_pin = true;
-  } else {
+  std::vector<std::string> pinned;
+  const ContextSpec* spec = SpecLocked(context_id);
+  if (spec == nullptr) {
     inner_->Pin(context_id);
-    rec.raw = true;
+    pinned.push_back(context_id);
+  } else {
+    // Every chunk address of the context, stored yet or not: a write-back's
+    // chunks are pinned from their first insert on.
+    const auto ranges = SplitIntoChunks(spec->num_tokens, opts_.chunk_tokens);
+    for (size_t j = 0; j < ranges.size(); ++j) {
+      std::string cas = ContentAddressFor(*spec, j, ranges[j]);
+      inner_->Pin(cas);
+      ++chunks_[cas].pins;
+      pinned.push_back(std::move(cas));
+    }
   }
-  pin_records_[context_id].push_back(std::move(rec));
+  pin_records_[context_id].push_back(std::move(pinned));
 }
 
 void PrefixCache::Unpin(const std::string& context_id) {
   MutexLock lock(mu_);
   const auto rit = pin_records_.find(context_id);
-  if (rit == pin_records_.end() || rit->second.empty()) {
+  if (rit == pin_records_.end()) {
     // No record: tolerate like the inner tiers tolerate stray Unpins.
     inner_->Unpin(context_id);
     return;
   }
-  // Records are not keyed to their holder, so concurrent same-id holders'
-  // Unpins could interleave. Releasing a pure context pin (a write-back
-  // guard) must never take a lookup holder's chunk pins with it: prefer the
-  // most recent cas-free record, falling back to plain LIFO. This biases
-  // chunk pins toward LATE release — a pin held a little longer is safe, a
-  // pin released under a live stream is not.
-  std::vector<PinRecord>& stack = rit->second;
-  size_t pick = stack.size() - 1;
-  for (size_t k = stack.size(); k-- > 0;) {
-    if (stack[k].cas_ids.empty() && !stack[k].raw) {
-      pick = k;
-      break;
-    }
-  }
-  const PinRecord rec = std::move(stack[pick]);
-  stack.erase(stack.begin() + static_cast<ptrdiff_t>(pick));
-  if (stack.empty()) pin_records_.erase(rit);
+  // Records are not keyed to their holder. The most recent is the caller's
+  // own whenever pins on one id nest, as a write-back's Pin/Unpin pair does:
+  // it encloses no other call on the id.
+  const std::vector<std::string> pinned = std::move(rit->second.back());
+  rit->second.pop_back();
+  if (rit->second.empty()) pin_records_.erase(rit);
 
-  if (rec.raw) inner_->Unpin(context_id);
-  for (const std::string& cas : rec.cas_ids) {
-    inner_->Unpin(cas);
-    const auto cit = chunks_.find(cas);
-    if (cit != chunks_.end()) {
-      if (cit->second.pins > 0) --cit->second.pins;
-      // Last pin on a zombie (its final owner was evicted mid-stream):
-      // reclaim the bytes now.
-      if (cit->second.refs == 0 && cit->second.pins == 0) {
+  for (const std::string& id : pinned) {
+    inner_->Unpin(id);
+    const auto cit = chunks_.find(id);
+    if (cit == chunks_.end()) continue;  // the pass-through id
+    if (cit->second.pins > 0) --cit->second.pins;
+    // Last pin on a zombie (its last registration was erased while this pin
+    // held it), or on the address of a write-back that never registered:
+    // reclaim the bytes now.
+    if (cit->second.refs == 0 && cit->second.pins == 0) {
+      if (!cit->second.levels.empty()) {
         CG_METRIC_COUNT("prefix.zombie_reclaims", 1);
         CG_TRACE_INSTANT("prefix", "zombie_reclaim", "bytes",
                          static_cast<double>(cit->second.bytes));
-        EraseChunkLocked(cas);
       }
+      EraseChunkLocked(id);
     }
   }
-  if (rec.context_pin) {
-    const auto it = contexts_.find(context_id);
-    if (it != contexts_.end()) {
-      if (it->second.pins > 0) --it->second.pins;
-    } else {
-      const auto pit = pending_pins_.find(context_id);
-      if (pit != pending_pins_.end() && --pit->second <= 0) {
-        pending_pins_.erase(pit);
-      }
-    }
-  }
-  // Pins can block eviction and leave the layer over budget; re-enforce now
-  // that one dropped.
-  EnforceCapacityLocked(nullptr);
 }
 
 void PrefixCache::Touch(const std::string& context_id, double t_s) {
@@ -600,9 +508,7 @@ void PrefixCache::Touch(const std::string& context_id, double t_s) {
     inner_->Touch(context_id, t_s);
     return;
   }
-  it->second.last_touch_s = std::max(it->second.last_touch_s, t_s);
-  // Keep the inner tier's per-chunk recency in step so a tiered inner
-  // demotes the genuinely coldest cas entries.
+  // Recency lives on the chunks, in the inner tier.
   for (const std::string& cas : it->second.cas_ids) inner_->Touch(cas, t_s);
 }
 
@@ -637,8 +543,6 @@ PrefixCache::Stats PrefixCache::stats() const {
   s.unique_chunks = chunks_.size();
   s.unique_bytes = unique_bytes_;
   s.contexts = contexts_.size();
-  s.evictions = evictions_;
-  s.freed_bytes = freed_bytes_;
   return s;
 }
 

@@ -1,5 +1,5 @@
-// PrefixCache: content-addressed, refcounted chunk store + radix prefix
-// index — the shared-prefix reuse layer of the serving stack.
+// PrefixCache: content-addressed, refcounted chunk store — the shared-prefix
+// reuse layer of the serving stack.
 //
 // Real serving traffic is dominated by shared prefixes (system prompts,
 // few-shot templates, RAG boilerplate). Without this layer every context id
@@ -13,17 +13,18 @@
 //   context "fam0-sfx8"  ->  [cas-9f2a..., cas-b01c..., cas-c9d2...]
 //                             (prefix chunks shared, refcount 2)
 //
-// Chunk entries are refcounted: dedup'd chunks survive until the LAST
-// referencing context is evicted, so evicting one family member frees only
-// its unshared suffix bytes — the cache's effective capacity is amplified by
-// exactly the prefix-share of the workload.
+// Chunk entries are refcounted: a dedup'd chunk stays registered until the
+// LAST referencing context is erased, so a family prefix is stored once
+// however many members reference it.
 //
-// Lookups go through a radix index over token-id sequences. A request whose
-// context id was never stored can still match the longest cached
-// chunk-aligned prefix of its token sequence: the serving layer then streams
-// the covered chunks as encoded KV and ships only the uncovered suffix as
-// text, pricing GPU prefill for the tail alone — the partial-prefix-hit
-// scenario between a full hit and a full miss.
+// Lookups walk the request's own chunk addresses: a registered id's stored
+// ones, else those of its spec's chunk grid, in order, until one is not in
+// the layer. A chunk's address commits to its range and to the seeds of
+// every earlier token, so a request whose context id was never stored still
+// matches the longest cached chunk-aligned prefix of its token sequence: the
+// serving layer then streams the covered chunks as encoded KV and ships only
+// the uncovered suffix as text, pricing GPU prefill for the tail alone — the
+// partial-prefix-hit scenario between a full hit and a full miss.
 //
 // Composition: PrefixCache is both a KVStore (the Engine reads and writes
 // through it; writes are translated to content addresses and dedup'd) and a
@@ -32,23 +33,30 @@
 // chunk granularity and promote back at cold-read price). The inner tier
 // sees one "context" per content chunk.
 //
-// Capacity: the prefix layer owns context-level LRU eviction over its OWN
-// byte budget (Options::capacity_bytes, counted over unique chunk bytes).
-// Evicting a context decrements its chunks' refcounts; zero-ref chunks are
-// erased from the inner tier (deferred while pinned by an in-flight
-// stream). Configure the inner sharded tier unbounded when the prefix layer
-// is in charge of existence; an inner tiered hot bound stays meaningful (it
-// controls which cas chunks stay in RAM, not which exist).
+// Capacity: the inner tier is the only budget, and it keeps recency and pins
+// per chunk. Every covering LookupAndPin and every Touch stamp the chunks
+// they cover, so a bounded inner evicts (or, tiered, demotes) the least
+// recently used unpinned chunks: a family member's suffix can go while the
+// prefix its siblings stream stays. A registration outlives chunks the
+// inner evicted; a lookup of it covers the leading chunks still held (a
+// partial hit) and its next write-back stores the rest again.
+//
+// Pins: Pin() on an announced or registered id pins that context's chunk
+// addresses in the inner tier, stored yet or not, so a write-back's own
+// later chunks cannot evict its earlier ones before its Touch stamps them.
+// EraseContext is refused while a pin on the id is outstanding. A chunk
+// whose last registration is erased while another id's pin holds it stays,
+// still found by lookups, until the last Unpin frees it.
 //
 // Contexts stored without a BeginStore announcement (direct Engine users)
 // pass through untranslated and behave exactly as the inner tier would.
 //
 // Concurrency: one mutex, mu_, guards the layer's metadata; it is the
 // outermost lock of the storage lock order (storage/cache_tier.h).
-// LookupAndPin, PutBatch, Pin, Unpin and Touch call the inner tier under
-// it, so a lookup that promotes a cold chunk holds the layer until the
-// promotion is done. Chunk reads (Get) resolve the translation under mu_
-// and read the inner tier outside it.
+// LookupAndPin, PutBatch, PreStoreCoverage, ContainsContext, Pin, Unpin and
+// Touch call the inner tier under it, so a lookup that promotes a cold
+// chunk holds the layer until the promotion is done. Chunk reads (Get)
+// resolve the translation under mu_ and read the inner tier outside it.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +67,6 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "prefix/radix_index.h"
 #include "storage/cache_tier.h"
 #include "storage/kv_store.h"
 #include "streamer/chunking.h"
@@ -72,9 +79,6 @@ class PrefixCache final : public KVStore, public CacheTier {
     // Must match the Engine's chunk_tokens: content addresses are computed
     // over the same chunk grid the encoder writes (ClusterServer validates).
     size_t chunk_tokens = kDefaultChunkTokens;
-    // Byte budget over unique chunk bytes; 0 = unbounded. LRU at context
-    // granularity; the last context soft-overflows rather than thrashing.
-    uint64_t capacity_bytes = 0;
   };
 
   struct Stats {
@@ -90,14 +94,11 @@ class PrefixCache final : public KVStore, public CacheTier {
     // address already existed.
     uint64_t deduped_bytes = 0;
     uint64_t deduped_chunks = 0;
-    // Current state.
+    // What the layer stored: chunk entries and their bytes. A bounded inner
+    // tier may since have evicted some; TotalBytes() is what it holds.
     uint64_t unique_chunks = 0;
-    uint64_t unique_bytes = 0;   // physical bytes across unique chunks
+    uint64_t unique_bytes = 0;
     uint64_t contexts = 0;       // registered contexts
-    // Prefix-layer evictions (context granularity) and the bytes they
-    // actually freed (shared chunks survive, so freed <= logical bytes).
-    uint64_t evictions = 0;
-    uint64_t freed_bytes = 0;
   };
 
   PrefixCache(std::shared_ptr<CacheTier> inner, Options opts);
@@ -109,8 +110,8 @@ class PrefixCache final : public KVStore, public CacheTier {
   void Put(const ChunkKey& key, std::span<const uint8_t> bytes) override;
   // When `context_id` was announced via BeginStore and the batch covers the
   // full chunk grid, chunks are content-addressed, dedup'd against the
-  // store, refcounted, and the context is registered in the radix index.
-  // Otherwise the batch passes through untranslated.
+  // store, refcounted, and the context is registered. Otherwise the batch
+  // passes through untranslated.
   void PutBatch(const std::string& context_id,
                 std::span<const ChunkView> chunks) override CG_EXCLUDES(mu_);
   // True per chunk whose content address already holds every requested
@@ -123,9 +124,11 @@ class PrefixCache final : public KVStore, public CacheTier {
       std::span<const int32_t> level_ids) const override CG_EXCLUDES(mu_);
   std::optional<std::vector<uint8_t>> Get(const ChunkKey& key) const override
       CG_EXCLUDES(mu_);
+  // A registered context counts only while the inner tier holds every one
+  // of its chunks.
   bool ContainsContext(const std::string& context_id) const override
       CG_EXCLUDES(mu_);
-  // Refused (like the inner tiers) while the context is pinned.
+  // Refused (like the inner tiers) while a pin on the id is outstanding.
   void EraseContext(const std::string& context_id) override CG_EXCLUDES(mu_);
   uint64_t TotalBytes() const override;  // physical (dedup'd) bytes
   // Logical bytes of one context (its chunks at full size, shared or not).
@@ -160,7 +163,7 @@ class PrefixCache final : public KVStore, public CacheTier {
  private:
   struct ChunkEntry {
     uint32_t refs = 0;  // registered contexts referencing this chunk
-    uint32_t pins = 0;  // in-flight lookups streaming this chunk
+    uint32_t pins = 0;  // outstanding lookups and Pin()s holding this chunk
     uint64_t bytes = 0;
     // Level ids already stored for this address, so a later layered store
     // of the same span adds its missing levels instead of being dropped.
@@ -172,20 +175,16 @@ class PrefixCache final : public KVStore, public CacheTier {
     std::vector<std::string> cas_ids;  // per chunk index
     std::vector<ChunkRange> ranges;
     uint64_t logical_bytes = 0;
-    double last_touch_s = 0.0;
-    int pins = 0;
-  };
-
-  // One LookupAndPin/Pin obligation; Unpin pops the most recent.
-  struct PinRecord {
-    bool context_pin = false;           // a registered/pending context pin
-    bool raw = false;                   // forwarded to the inner tier as-is
-    std::vector<std::string> cas_ids;   // inner chunk pins to release
   };
 
   // All Locked helpers require mu_ (enforced by the thread-safety analysis).
   std::string ContentAddressFor(const ContextSpec& spec, size_t chunk_index,
                                 const ChunkRange& range) const;
+  // The spec `context_id` is stored under: a live BeginStore announcement,
+  // else its registration (content is immutable per id, so a re-store reuses
+  // the registered spec); null for a pass-through id.
+  const ContextSpec* SpecLocked(const std::string& context_id) const
+      CG_REQUIRES(mu_);
   // The announced/registered body of PutBatch; sets `passthrough` (and does
   // nothing else) when the id was never announced so the caller can forward
   // the batch to the inner tier with mu_ released.
@@ -193,14 +192,13 @@ class PrefixCache final : public KVStore, public CacheTier {
                       std::span<const ChunkView> chunks,
                       bool& passthrough) CG_REQUIRES(mu_);
   void DerefChunkLocked(const std::string& cas_id) CG_REQUIRES(mu_);
-  // The inner tier genuinely lost this chunk's bytes (e.g. cold-capacity
-  // eviction behind a tiered inner): drop the stale entry so the next
+  // The inner tier evicted this chunk's bytes (its budget, or a tiered
+  // inner's cold capacity): reset the entry's bytes and levels so the next
   // write-back re-stores instead of dedup'ing against nothing.
   void InvalidateLostChunkLocked(const std::string& cas_id) CG_REQUIRES(mu_);
   void EraseChunkLocked(const std::string& cas_id) CG_REQUIRES(mu_);
   void DeregisterContextLocked(const std::string& context_id,
                                ContextEntry& entry) CG_REQUIRES(mu_);
-  void EnforceCapacityLocked(const std::string* keep) CG_REQUIRES(mu_);
 
   std::shared_ptr<CacheTier> inner_;
   Options opts_;
@@ -219,11 +217,10 @@ class PrefixCache final : public KVStore, public CacheTier {
     int writers = 0;
   };
   std::unordered_map<std::string, Announcement> announced_ CG_GUARDED_BY(mu_);
-  std::unordered_map<std::string, int> pending_pins_
-      CG_GUARDED_BY(mu_);  // pinned before stored
-  std::unordered_map<std::string, std::vector<PinRecord>> pin_records_
-      CG_GUARDED_BY(mu_);
-  RadixPrefixIndex index_ CG_GUARDED_BY(mu_);
+  // Per id, one entry per outstanding LookupAndPin/Pin: the inner ids it
+  // pinned (chunk addresses, or the pass-through id itself).
+  std::unordered_map<std::string, std::vector<std::vector<std::string>>>
+      pin_records_ CG_GUARDED_BY(mu_);
   uint64_t unique_bytes_ CG_GUARDED_BY(mu_) = 0;
 
   uint64_t full_hits_ CG_GUARDED_BY(mu_) = 0;
@@ -232,8 +229,6 @@ class PrefixCache final : public KVStore, public CacheTier {
   uint64_t covered_tokens_total_ CG_GUARDED_BY(mu_) = 0;
   uint64_t deduped_bytes_ CG_GUARDED_BY(mu_) = 0;
   uint64_t deduped_chunks_ CG_GUARDED_BY(mu_) = 0;
-  uint64_t evictions_ CG_GUARDED_BY(mu_) = 0;
-  uint64_t freed_bytes_ CG_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace cachegen

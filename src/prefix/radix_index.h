@@ -2,14 +2,14 @@
 // sequences, answering "what is the longest prefix of this request's token
 // sequence that some cached context shares?" in O(match length).
 //
-// This is the lookup half of the prefix-sharing subsystem: the serving path
-// turns the returned token count into a chunk-aligned covered prefix and
-// streams only the uncovered suffix. The tree stores one path per inserted
-// sequence with per-node reference counts, so erasing one context prunes
-// exactly the branches no surviving context shares — the radix analogue of
-// the chunk store's refcounted dedup.
+// The tree stores one path per inserted sequence with per-node reference
+// counts, so erasing one sequence prunes exactly the branches no surviving
+// sequence shares.
 //
-// Not internally synchronized: PrefixCache guards it with its own mutex.
+// Off the serving path: PrefixCache finds a request's cached prefix by
+// walking its chunk addresses, which commit to every earlier token. Only
+// perfbench's `prefix.radix_lookup_ns` probe and this class's own tests use
+// it; retire it with that probe. Not internally synchronized.
 #pragma once
 
 #include <cstddef>

@@ -88,8 +88,8 @@ class CacheTier {
   virtual ~CacheTier() = default;
 
   // Atomically test/pin/touch under cluster virtual time `t_s`. `spec` lets
-  // prefix-aware tiers match the context's token sequence against the radix
-  // index; plain tiers ignore it.
+  // prefix-aware tiers address the request's chunks for a prefix match;
+  // plain tiers ignore it.
   virtual TierLookup LookupAndPin(const std::string& context_id,
                                   const ContextSpec& spec, double t_s) = 0;
 

@@ -232,22 +232,29 @@ TEST(SharedLinkGpu, LaneIsFifoWithUnscaledConstPart) {
 // expensive part).
 // ---------------------------------------------------------------------------
 
+// The engine every fixture serves from. Only the TSan form of
+// EventLoopProbe.PrintSummary shrinks it.
+Engine::Options FixtureEngineOptions() {
+  Engine::Options eopts;
+  eopts.model_name = "mistral-7b";
+  eopts.calib_context_tokens = 600;
+  eopts.calib_num_contexts = 4;
+  return eopts;
+}
+
 struct EventLoopFixture {
   RequestTraceOptions trace_opts;
   std::shared_ptr<ShardedKVStore> store;
   std::unique_ptr<Engine> engine;
 
-  EventLoopFixture() {
+  explicit EventLoopFixture(
+      const Engine::Options& eopts = FixtureEngineOptions()) {
     trace_opts.num_contexts = 4;
     trace_opts.min_tokens = 900;
     trace_opts.max_tokens = 1800;
     trace_opts.slo_s = 4.0;
     trace_opts.seed = 0xE7u;
 
-    Engine::Options eopts;
-    eopts.model_name = "mistral-7b";
-    eopts.calib_context_tokens = 600;
-    eopts.calib_num_contexts = 4;
     store = std::make_shared<ShardedKVStore>(
         ShardedKVStore::Options{.num_shards = 4, .capacity_bytes = 0});
     engine = std::make_unique<Engine>(eopts, store);
@@ -658,9 +665,26 @@ TEST(CausalLookup, AdmittedRequestDoesNotSeeWriteBackFreedAfterItsAdmitInstant) 
 // trace WITH write-backs (the codec pool is what CACHEGEN_THREADS sizes) and
 // print a summary line the parent compares across pool sizes.
 TEST(EventLoopProbe, PrintSummary) {
-  EventLoopFixture fx;  // fresh fixture: cold cache, write-backs happen
+  // Fresh fixture: cold cache, write-backs happen.
+#ifdef __SANITIZE_THREAD__
+  // TSan runs this probe three times, here and twice from the test below,
+  // each about ten times slower than a Release build. A smaller engine and
+  // trace still write back and fan their encodes across the pool.
+  Engine::Options eopts = FixtureEngineOptions();
+  eopts.chunk_tokens = 500;  // also sizes calibration's validation context
+  eopts.layered_calib_tokens = 256;
+  eopts.calib_context_tokens = 300;
+  eopts.calib_num_contexts = 2;
+  EventLoopFixture fx(eopts);
+  RequestTraceOptions topts = fx.trace_opts;
+  topts.num_requests = 6;
+  topts.min_tokens = 300;
+  topts.max_tokens = 900;
+#else
+  EventLoopFixture fx;
   RequestTraceOptions topts = fx.trace_opts;
   topts.num_requests = 12;
+#endif
   topts.arrival_rate_hz = 4.0;
   ClusterServer::Options copts;
   copts.num_workers = 3;
@@ -668,6 +692,10 @@ TEST(EventLoopProbe, PrintSummary) {
   ClusterServer server(*fx.engine, fx.store, BandwidthTrace::Constant(2.0),
                        copts);
   const auto outcomes = server.Serve(PoissonTrace(topts));
+  ASSERT_TRUE(std::any_of(outcomes.begin(), outcomes.end(),
+                          [](const RequestOutcome& o) {
+                            return o.write_back_done;
+                          }));
   const ClusterSummary s = Summarize(outcomes);
   double sum_ttft = 0.0, sum_finish = 0.0;
   uint64_t worker_mix = 0;

@@ -209,18 +209,51 @@ void StoreMember(PrefixCache& pc, const std::string& id, const ContextSpec& spec
   PutMember(pc, id, fill, fill);
 }
 
-std::shared_ptr<PrefixCache> MakeCache(uint64_t capacity_bytes = 0) {
+// The cluster's write-back of `id`: announce, pin, store, stamp, unpin.
+void WriteBack(PrefixCache& pc, const std::string& id, const ContextSpec& spec,
+               uint8_t fill, double t_s) {
+  pc.BeginStore(id, spec);
+  pc.Pin(id);
+  PutMember(pc, id, fill, fill);
+  pc.Touch(id, t_s);
+  pc.Unpin(id);
+}
+
+std::shared_ptr<PrefixCache> MakeCache() {
   auto inner = std::make_shared<ShardedKVStore>(
       ShardedKVStore::Options{.num_shards = 2, .capacity_bytes = 0});
   PrefixCache::Options opts;
   opts.chunk_tokens = kChunk;
-  opts.capacity_bytes = capacity_bytes;
   return std::make_shared<PrefixCache>(inner, opts);
+}
+
+// The layer over a one-shard inner store bounded at `capacity_bytes`, the
+// layer's only budget: the store evicts chunks in LRU order.
+struct BoundedCache {
+  std::shared_ptr<ShardedKVStore> store;
+  std::shared_ptr<PrefixCache> pc;
+};
+
+BoundedCache MakeBoundedCache(uint64_t capacity_bytes) {
+  BoundedCache b;
+  b.store = std::make_shared<ShardedKVStore>(ShardedKVStore::Options{
+      .num_shards = 1, .capacity_bytes = capacity_bytes});
+  PrefixCache::Options opts;
+  opts.chunk_tokens = kChunk;
+  b.pc = std::make_shared<PrefixCache>(b.store, opts);
+  return b;
 }
 
 // Bytes of one chunk across both levels.
 uint64_t ChunkTotal() {
   return LevelBytes(0, 0).size() + LevelBytes(1, 0).size();
+}
+
+// A member of another family, sharing no chunk with Member().
+ContextSpec Stranger(uint64_t seed) {
+  ContextSpec spec = Member(seed);
+  spec.prefix_seed = 0xBEEF;
+  return spec;
 }
 
 TEST(PrefixCache, ContentAddressesAliasExactlyOnSharedSpans) {
@@ -333,24 +366,23 @@ TEST(PrefixCache, FullPartialAndMissLookups) {
 }
 
 TEST(PrefixCache, EvictionFreesOnlyUnsharedBytesUntilLastReference) {
-  // Capacity fits two members' unique bytes (3 chunks) but not three (4).
-  auto pc = MakeCache(/*capacity_bytes=*/3 * ChunkTotal());
+  // The inner store fits two members' unique bytes (3 chunks) but not three
+  // (4).
+  auto [store, pc] = MakeBoundedCache(3 * ChunkTotal());
   StoreMember(*pc, "fam-a", Member(1), 0xAA);
   pc->Touch("fam-a", 1.0);
   StoreMember(*pc, "fam-b", Member(2), 0xBB);
   pc->Touch("fam-b", 2.0);
   ASSERT_EQ(pc->TotalBytes(), 3 * ChunkTotal());
+  ASSERT_EQ(store->stats().evictions, 0u);
 
-  // Storing a third member (one fresh suffix chunk) pushes unique bytes to
-  // 4 chunks: LRU member fam-a is evicted, but the shared prefix chunk
-  // SURVIVES (fam-b and fam-c still reference it) — only a's private suffix
-  // is freed.
+  // A third member's fresh suffix chunk pushes the store to 4 chunks. Its LRU
+  // chunk is fam-a's private suffix: fam-b's Touch stamped the shared prefix
+  // chunk at 2.0. Only that one chunk is freed.
   StoreMember(*pc, "fam-c", Member(3), 0xCC);
   pc->Touch("fam-c", 3.0);
-  auto stats = pc->stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.freed_bytes, ChunkTotal());  // suffix only
-  EXPECT_EQ(stats.contexts, 2u);
+  EXPECT_EQ(store->stats().evictions, 1u);
+  EXPECT_EQ(store->stats().evicted_bytes, ChunkTotal());  // suffix only
   EXPECT_EQ(pc->TotalBytes(), 3 * ChunkTotal());  // prefix + b/c suffixes
   // The evicted member now only PARTIAL-hits through the surviving shared
   // chunk (its private suffix is gone).
@@ -364,7 +396,8 @@ TEST(PrefixCache, EvictionFreesOnlyUnsharedBytesUntilLastReference) {
   EXPECT_EQ(full.tier, KVTier::kHot);
   pc->Unpin("fam-b");
 
-  // Evicting the last references frees the shared chunk too.
+  // Erasing the last references frees the shared chunk too.
+  pc->EraseContext("fam-a");
   pc->EraseContext("fam-b");
   pc->EraseContext("fam-c");
   EXPECT_EQ(pc->TotalBytes(), 0u);
@@ -372,45 +405,115 @@ TEST(PrefixCache, EvictionFreesOnlyUnsharedBytesUntilLastReference) {
 }
 
 TEST(PrefixCache, PinnedContextIsNotEvicted) {
-  auto pc = MakeCache(/*capacity_bytes=*/3 * ChunkTotal());
+  auto [store, pc] = MakeBoundedCache(3 * ChunkTotal());
   StoreMember(*pc, "fam-a", Member(1), 0xAA);
   TierLookup look = pc->LookupAndPin("fam-a", Member(1), 1.0);
   ASSERT_TRUE(look.pinned);
-  // b and c would evict LRU fam-a — but it is pinned; LRU falls on fam-b.
+  // fam-c's suffix overfills the store. fam-a's suffix is its LRU chunk
+  // (1.0), but the lookup pins it, so the eviction falls on fam-b's (2.0).
   StoreMember(*pc, "fam-b", Member(2), 0xBB);
   pc->Touch("fam-b", 2.0);
   StoreMember(*pc, "fam-c", Member(3), 0xCC);
   pc->Touch("fam-c", 3.0);
-  EXPECT_EQ(pc->stats().contexts, 2u);
+  EXPECT_EQ(store->stats().evictions, 1u);
   EXPECT_TRUE(pc->ContainsContext("fam-a"));
+  EXPECT_FALSE(pc->ContainsContext("fam-b"));
+  EXPECT_TRUE(pc->ContainsContext("fam-c"));
   pc->Unpin("fam-a");
 }
 
 TEST(PrefixCache, ZombieChunkSurvivesEvictionWhilePinnedThenFrees) {
-  auto pc = MakeCache(/*capacity_bytes=*/2 * ChunkTotal());
+  auto [store, pc] = MakeBoundedCache(3 * ChunkTotal());
   StoreMember(*pc, "fam-a", Member(1), 0xAA);
-  // A sibling's PARTIAL lookup pins the shared prefix chunk — but not the
-  // fam-a context itself (chunk pins protect bytes, not registrations).
-  TierLookup part = pc->LookupAndPin("sib", Member(2), 1.0);
+  pc->Touch("fam-a", 1.0);
+  // A sibling's PARTIAL lookup pins the shared prefix chunk, not fam-a's
+  // suffix.
+  TierLookup part = pc->LookupAndPin("sib", Member(2), 2.0);
   ASSERT_TRUE(part.prefix_hit());
   ASSERT_TRUE(part.pinned);
 
-  // A different family fills the budget: fam-a (unpinned context) is
-  // evicted. Its private suffix frees immediately; the shared prefix chunk
-  // drops to zero refs but is PINNED by the in-flight sibling stream, so it
-  // survives as a zombie until that stream finishes.
-  ContextSpec other = Member(8);
-  other.prefix_seed = 0xBEEF;
-  StoreMember(*pc, "other", other, 0x88);
-  pc->Touch("other", 2.0);
-  auto stats = pc->stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.contexts, 1u);
+  // A different family's write-back overfills the store: fam-a's unpinned
+  // suffix is evicted, the pinned prefix stays.
+  WriteBack(*pc, "other", Stranger(8), 0x88, 3.0);
+  EXPECT_EQ(store->stats().evictions, 1u);
+  EXPECT_EQ(pc->TotalBytes(), 3 * ChunkTotal());
+
+  // Erasing the prefix's last registration leaves it a zombie: zero refs,
+  // but pinned by the in-flight sibling stream, so its bytes stay.
+  pc->EraseContext("fam-a");
+  EXPECT_EQ(pc->stats().contexts, 1u);
   EXPECT_EQ(pc->TotalBytes(), 3 * ChunkTotal());  // zombie + other's 2
 
   pc->Unpin("sib");  // last pin: the zombie's bytes are reclaimed now
   EXPECT_EQ(pc->TotalBytes(), 2 * ChunkTotal());
   EXPECT_EQ(pc->stats().unique_chunks, 2u);
+}
+
+// A write-back pins its chunks before it stores them, so its second chunk's
+// insert cannot evict its first from a full inner store.
+TEST(PrefixCache, WriteBackKeepsItsChunksInAFullInnerStore) {
+  auto [store, pc] = MakeBoundedCache(2 * ChunkTotal());
+  StoreMember(*pc, "fam-a", Member(1), 0xAA);
+  pc->Touch("fam-a", 1.0);
+  WriteBack(*pc, "other", Stranger(8), 0x88, 2.0);
+  // Both of fam-a's chunks made room; both of the write-back's stayed.
+  EXPECT_EQ(store->stats().evictions, 2u);
+  EXPECT_TRUE(pc->ContainsContext("other"));
+  const TierLookup look = pc->LookupAndPin("other", Stranger(8), 3.0);
+  EXPECT_EQ(look.tier, KVTier::kHot);
+  EXPECT_EQ(look.covered_chunks, 2u);
+  if (look.pinned) pc->Unpin("other");
+}
+
+// The prefix chunk a sibling's partial hit pins is still found after its
+// family's only registered member is erased: lookups walk chunk addresses,
+// not registrations.
+TEST(PrefixCache, PinnedPrefixIsFoundAfterItsLastRegistrationIsErased) {
+  auto pc = MakeCache();
+  StoreMember(*pc, "fam-a", Member(1), 0xAA);
+  const TierLookup first = pc->LookupAndPin("sib-1", Member(2), 1.0);
+  ASSERT_TRUE(first.prefix_hit());
+  pc->EraseContext("fam-a");
+  ASSERT_EQ(pc->stats().contexts, 0u);
+
+  const TierLookup next = pc->LookupAndPin("sib-2", Member(3), 2.0);
+  EXPECT_TRUE(next.prefix_hit());
+  EXPECT_EQ(next.covered_chunks, 1u);
+  EXPECT_EQ(next.covered_tokens, kChunk);
+  if (next.pinned) pc->Unpin("sib-2");
+  pc->Unpin("sib-1");
+  EXPECT_EQ(pc->TotalBytes(), 0u);
+}
+
+TEST(PrefixCache, EraseIsRefusedWhilePinned) {
+  auto pc = MakeCache();
+  StoreMember(*pc, "fam-a", Member(1), 0xAA);
+  pc->Pin("fam-a");
+  pc->EraseContext("fam-a");
+  EXPECT_EQ(pc->stats().contexts, 1u);
+  EXPECT_TRUE(pc->ContainsContext("fam-a"));
+  pc->Unpin("fam-a");
+  pc->EraseContext("fam-a");
+  EXPECT_EQ(pc->stats().contexts, 0u);
+  EXPECT_FALSE(pc->ContainsContext("fam-a"));
+  EXPECT_EQ(pc->TotalBytes(), 0u);
+}
+
+// Registrations outlive chunks the inner budget evicts; ContainsContext
+// reports a registered context only while every chunk of it is held.
+TEST(PrefixCache, ContainsContextNeedsEveryChunkInTheInnerTier) {
+  auto [store, pc] = MakeBoundedCache(2 * ChunkTotal());
+  StoreMember(*pc, "fam-a", Member(1), 0xAA);
+  pc->Touch("fam-a", 1.0);
+  EXPECT_TRUE(pc->ContainsContext("fam-a"));
+  WriteBack(*pc, "other", Stranger(8), 0x88, 2.0);
+  EXPECT_EQ(pc->stats().contexts, 2u);
+  EXPECT_FALSE(pc->ContainsContext("fam-a"));
+  EXPECT_TRUE(pc->ContainsContext("other"));
+  // The next write-back of fam-a stores its chunks again.
+  WriteBack(*pc, "fam-a", Member(1), 0xAA, 3.0);
+  EXPECT_TRUE(pc->ContainsContext("fam-a"));
+  EXPECT_FALSE(pc->ContainsContext("other"));
 }
 
 TEST(PrefixCache, UnannouncedContextsPassThroughUntouched) {
